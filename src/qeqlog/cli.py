@@ -16,14 +16,8 @@ from .deduce import derives, distance, saturate, trace
 from .errors import QeqlogError
 from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import EpsGrid, FuzzySpace, GMetSpec
-from .monad import (
-    MonadInstance,
-    check_em_laws,
-    check_monad_laws,
-    em_from_model,
-    model_from_em,
-)
-from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, is_model, satisfies
+from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
+from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, satisfies
 from .terms import Signature, parse_term
 
 
@@ -129,6 +123,12 @@ def _base_report(ws: Workspace, **extra) -> dict:
     return out
 
 
+def _laws_report(ws: Workspace, reports, **extra) -> dict:
+    out = _base_report(ws, laws=[r.to_json() for r in reports], **extra)
+    out["skipped_overflow"] = sum(r.skipped_overflow for r in reports)
+    return out
+
+
 def cmd_check_model(ws: Workspace, args) -> int:
     lk = _Lookup(ws)
     alg = lk.algebra(args.algebra)
@@ -222,19 +222,8 @@ def cmd_monad_laws(ws: Workspace, args) -> int:
     space = lk.space(args.space)
     mi = MonadInstance(ws.sig, theory, ws.spec, ws.depth, ws.budget_instances)
     reports = check_monad_laws(mi, space)
-    payload = [
-        {
-            "law": r.law,
-            "checked": r.checked,
-            "skipped_overflow": r.skipped_overflow,
-            "failed": r.failed,
-            "first_failure": r.first_failure,
-        }
-        for r in reports
-    ]
-    report = _base_report(ws, laws=payload)
-    report["skipped_overflow"] = sum(r.skipped_overflow for r in reports)
-    return _emit(report, 0 if all(r.failed == 0 for r in reports) else 1)
+    ok = all(r.failed == 0 for r in reports)
+    return _emit(_laws_report(ws, reports), 0 if ok else 1)
 
 
 def cmd_ump(ws: Workspace, args) -> int:
@@ -256,24 +245,10 @@ def cmd_em_check(ws: Workspace, args) -> int:
     theory = lk.theory(args.theory)
     alg = lk.algebra(args.algebra)
     mi = MonadInstance(ws.sig, theory, ws.spec, ws.depth, ws.budget_instances)
-    cand = em_from_model(mi, alg)
-    law_reports = check_em_laws(mi, cand)
-    rebuilt, _ = model_from_em(mi, cand)
+    rebuilt, reports = model_from_em(mi, em_from_model(mi, alg))
     round_trip = rebuilt.ops == alg.ops
-    payload = [
-        {
-            "law": r.law,
-            "checked": r.checked,
-            "skipped_overflow": r.skipped_overflow,
-            "failed": r.failed,
-            "first_failure": r.first_failure,
-        }
-        for r in law_reports
-    ]
-    ok = round_trip and all(r.failed == 0 for r in law_reports)
-    report = _base_report(ws, laws=payload, round_trip=round_trip)
-    report["skipped_overflow"] = sum(r.skipped_overflow for r in law_reports)
-    return _emit(report, 0 if ok else 1)
+    ok = round_trip and all(r.failed == 0 for r in reports)
+    return _emit(_laws_report(ws, reports, round_trip=round_trip), 0 if ok else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -87,7 +87,8 @@ class TraceNode:
 class DerivationDB:
     """Saturated classes, minimal-distance matrix and trace events.
 
-    Mutated only by :func:`saturate`; afterwards safe for concurrent reads.
+    Built by :func:`saturate`. Reads are not side-effect free: :meth:`find`
+    compresses union-find paths, so even lookups mutate the structure.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
@@ -152,14 +153,18 @@ class DerivationDB:
                 f"saturation considered more than {self.budget} rule instances"
             )
 
+    def _set_dist(self, a: int, b: int, value: int, rule: str, detail: str | None,
+                  premises: tuple) -> None:
+        self.dmin[a][b] = value
+        eid = self._record(rule, detail, premises, ("dist", a, b, value))
+        self._hist.setdefault((a, b), []).append((value, eid))
+
     def _lower(self, i: int, j: int, value: int, rule: str, detail: str | None,
                premises: tuple) -> bool:
         ri, rj = self.find(i), self.find(j)
         if value >= self.dmin[ri][rj]:
             return False
-        self.dmin[ri][rj] = value
-        eid = self._record(rule, detail, premises, ("dist", ri, rj, value))
-        self._hist.setdefault((ri, rj), []).append((value, eid))
+        self._set_dist(ri, rj, value, rule, detail, premises)
         return True
 
     def _merge(self, i: int, j: int, rule: str, detail: str | None, premises: tuple) -> bool:
@@ -182,37 +187,18 @@ class DerivationDB:
             a, b = best_pair
             last_fact = ("dist", a, b, best_val)
             if a != winner:
-                eid = self._record(
-                    "LCONG", None, (eq_premise, last_fact),
-                    ("dist", winner, b, best_val),
-                )
-                self._hist.setdefault((winner, b), []).append((best_val, eid))
+                self._set_dist(winner, b, best_val, "LCONG", None, (eq_premise, last_fact))
                 last_fact = ("dist", winner, b, best_val)
             if b != winner:
-                eid = self._record(
-                    "RCONG", None, (eq_premise, last_fact),
-                    ("dist", winner, winner, best_val),
-                )
-                self._hist.setdefault((winner, winner), []).append((best_val, eid))
-            self.dmin[winner][winner] = best_val
+                self._set_dist(winner, winner, best_val, "RCONG", None, (eq_premise, last_fact))
         # fold rows and columns against every other class
         for k in others:
-            if self.dmin[loser][k] < self.dmin[winner][k]:
-                v = self.dmin[loser][k]
-                eid = self._record(
-                    "LCONG", None, (eq_premise, ("dist", loser, k, v)),
-                    ("dist", winner, k, v),
-                )
-                self.dmin[winner][k] = v
-                self._hist.setdefault((winner, k), []).append((v, eid))
-            if self.dmin[k][loser] < self.dmin[k][winner]:
-                v = self.dmin[k][loser]
-                eid = self._record(
-                    "RCONG", None, (eq_premise, ("dist", k, loser, v)),
-                    ("dist", k, winner, v),
-                )
-                self.dmin[k][winner] = v
-                self._hist.setdefault((k, winner), []).append((v, eid))
+            v = self.dmin[loser][k]
+            if v < self.dmin[winner][k]:
+                self._set_dist(winner, k, v, "LCONG", None, (eq_premise, ("dist", loser, k, v)))
+            v = self.dmin[k][loser]
+            if v < self.dmin[k][winner]:
+                self._set_dist(k, winner, v, "RCONG", None, (eq_premise, ("dist", k, loser, v)))
         return True
 
     # --- trace reconstruction ---
@@ -358,61 +344,44 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
-def _clause_is_fast(clause) -> bool:
-    for p in clause.premises:
-        if isinstance(p, DistAtom) and p.eps.params() and not isinstance(p.eps, EpsParam):
-            return False
-    return True
-
-
 def _step_horn(db: DerivationDB) -> bool:
     changed = False
     q = db.grid.q
     for clause in db.spec.clauses:
         params = clause.param_names()
-        fast = _clause_is_fast(clause)
-        pvecs = (
-            [None]
-            if fast
-            else list(itertools.product(range(q + 1), repeat=len(params)))
+        # Bare-parameter premises are solved: the least parameter is the max of
+        # their class distances. A compound parameterised premise cannot be
+        # solved that way, so then every grid vector is tried instead.
+        solve = not any(
+            isinstance(p, DistAtom) and p.eps.params() and not isinstance(p.eps, EpsParam)
+            for p in clause.premises
         )
+        if solve:
+            penvs = [dict.fromkeys(params, 0)]
+        else:
+            vectors = itertools.product(range(q + 1), repeat=len(params))
+            penvs = [dict(zip(params, pvec)) for pvec in vectors]
         root_list = db.roots()
         for assignment in itertools.product(root_list, repeat=len(clause.vars)):
             env = dict(zip(clause.vars, assignment))
-            for pvec in pvecs:
+            for start in penvs:
                 db._count()
-                if fast:
-                    penv = {p: 0 for p in params}
-                    ok = True
-                    for p in clause.premises:
-                        if isinstance(p, EqAtom):
-                            if not db.same(env[p.x], env[p.y]):
-                                ok = False
-                                break
-                        elif isinstance(p.eps, EpsParam):
-                            penv[p.eps.name] = max(
-                                penv[p.eps.name],
-                                db.class_distance(env[p.x], env[p.y]),
-                            )
-                        else:
-                            if db.class_distance(env[p.x], env[p.y]) > min(
-                                q, p.eps.eval({}, q)
-                            ):
-                                ok = False
-                                break
-                else:
-                    penv = dict(zip(params, pvec))
-                    ok = True
-                    for p in clause.premises:
-                        if isinstance(p, EqAtom):
-                            if not db.same(env[p.x], env[p.y]):
-                                ok = False
-                                break
-                        elif db.class_distance(env[p.x], env[p.y]) > min(
+                penv = start.copy()  # solving writes into it
+                ok = True
+                for p in clause.premises:
+                    if isinstance(p, EqAtom):
+                        ok = db.same(env[p.x], env[p.y])
+                    elif solve and isinstance(p.eps, EpsParam):
+                        penv[p.eps.name] = max(
+                            penv[p.eps.name],
+                            db.class_distance(env[p.x], env[p.y]),
+                        )
+                    else:
+                        ok = db.class_distance(env[p.x], env[p.y]) <= min(
                             q, p.eps.eval(penv, q)
-                        ):
-                            ok = False
-                            break
+                        )
+                    if not ok:
+                        break
                 if not ok:
                     continue
                 premises = tuple(

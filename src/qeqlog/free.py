@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError, UnknownVariable
+from .errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError
 from .deduce import DerivationDB, saturate
 from .gmet import FuzzySpace, GMetSpec, enumerate_nonexpansive, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, eval_term, is_model
@@ -31,19 +31,29 @@ OVERFLOW = _Overflow()
 
 
 @dataclass(frozen=True)
-class CheckReport:
+class LawReport:
+    """Instances of one law (or of a theory's axioms): checked, skipped
+    because an intermediate overflowed, and failed, with the first failure."""
+
+    law: str
     checked: int
     skipped_overflow: int
     failed: int
-    failures: tuple[str, ...] = ()
+    first_failure: str | None = None
 
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport(
-            self.checked + other.checked,
-            self.skipped_overflow + other.skipped_overflow,
-            self.failed + other.failed,
-            self.failures + other.failures,
-        )
+    @property
+    def coverage(self) -> float:
+        total = self.checked + self.skipped_overflow
+        return 1.0 if total == 0 else self.checked / total
+
+    def to_json(self) -> dict:
+        return {
+            "law": self.law,
+            "checked": self.checked,
+            "skipped_overflow": self.skipped_overflow,
+            "failed": self.failed,
+            "first_failure": self.first_failure,
+        }
 
 
 class FreeAlgebra:
@@ -86,6 +96,15 @@ class FreeAlgebra:
     def class_by_name(self, name: str) -> int:
         return self.space.index(name)
 
+    def class_images(self, image: Callable[[Term], object], mismatch: str) -> list:
+        """``image`` of each class representative, audited on every member:
+        all members of a class must have the image of its representative."""
+        out = [image(rep) for rep in self.classes]
+        for t in self.base.universe:
+            if image(t) != out[self.class_of(t)]:
+                raise QeqlogError(f"{mismatch} on class members: {term_to_str(t)}")
+        return out
+
 
 def build_free(sig: Signature, theory: Theory, spec: GMetSpec, space: FuzzySpace,
                depth: int, budget: int | None = None) -> FreeAlgebra:
@@ -98,29 +117,18 @@ def free_eval(f: FreeAlgebra, tau: Mapping[str, int], t: Term):
 
     Returns OVERFLOW when the substituted term exceeds the depth bound.
     """
-    for name in _term_var_names(t):
-        if name not in tau:
-            raise UnknownVariable(name)
     substituted = apply_subst({x: f.classes[c] for x, c in tau.items()}, t)
     if term_depth(substituted) > f.base.depth:
         return OVERFLOW
     return f.class_of(substituted)
 
 
-def _term_var_names(t: Term):
-    if isinstance(t, Var):
-        yield t.name
-    else:
-        for a in t.args:
-            yield from _term_var_names(a)
-
-
 def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
-                        budget: int | None = None) -> CheckReport:
+                        budget: int | None = None) -> LawReport:
     """Every axiom must hold in the quotient under every nonexpansive
     interpretation whose two sides stay within the depth bound."""
     checked = skipped = failed = 0
-    failures: list[str] = []
+    first = None
     for j in theory.judgments:
         for tau_names in enumerate_nonexpansive(j.context, f.space, budget):
             tau = {x: f.class_by_name(v) for x, v in tau_names.items()}
@@ -136,8 +144,8 @@ def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
                 ok = f.delta[left][right] <= j.eps
             if not ok:
                 failed += 1
-                failures.append(f"{j.describe()} under {tau_names}")
-    return CheckReport(checked, skipped, failed, tuple(failures))
+                first = first or f"{j.describe()} under {tau_names}"
+    return LawReport(theory.name, checked, skipped, failed, first)
 
 
 def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
@@ -151,16 +159,8 @@ def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
         raise NotAModel(f"target algebra does not model {f.base.theory.name}")
     if not is_nonexpansive(gen_map, f.base.target, alg.space):
         raise NotNonexpansive("generator map is not nonexpansive")
-    out = {
-        c: eval_term(alg, gen_map, rep) for c, rep in enumerate(f.classes)
-    }
-    # cheap internal audit: all members of a class must agree with its rep
-    for i, t in enumerate(f.base.universe):
-        if eval_term(alg, gen_map, t) != out[f.class_of(t)]:
-            raise QeqlogError(
-                f"extension disagrees on class members: {term_to_str(t)}"
-            )
-    return out
+    images = f.class_images(lambda t: eval_term(alg, gen_map, t), "extension disagrees")
+    return dict(enumerate(images))
 
 
 def _is_quotient_hom(f: FreeAlgebra, alg: QuantAlgebra, g: Mapping[int, str]) -> bool:

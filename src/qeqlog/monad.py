@@ -9,7 +9,6 @@ instances were skipped because an intermediate overflowed.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,20 +19,18 @@ from .errors import (
     PreconditionViolation,
     QeqlogError,
 )
-from .free import FreeAlgebra, OVERFLOW, build_free
+from .free import FreeAlgebra, LawReport, OVERFLOW, build_free
 from .gmet import FuzzySpace, GMetSpec, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, eval_term, is_homomorphism, is_model
-from .terms import App, Signature, Term, Var, term_to_str
-
-
-def rename_term(t: Term, f: Mapping[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(f[t.name])
-    return App(t.op, tuple(rename_term(a, f) for a in t.args))
+from .terms import App, Signature, Var, apply_subst, term_vars
 
 
 class MonadInstance:
-    """Free-construction cache for one theory, spec and depth."""
+    """Free-construction cache for one theory, spec and depth.
+
+    Not safe for concurrent use: lookups in the cached algebras compress
+    union-find paths.
+    """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
                  depth: int, budget: int | None = None):
@@ -43,16 +40,13 @@ class MonadInstance:
         self.depth = depth
         self.budget = budget
         self._cache: dict[FuzzySpace, FreeAlgebra] = {}
-        self._lock = threading.Lock()
 
     def free(self, sp: FuzzySpace) -> FreeAlgebra:
-        # append-only cache; the lock keeps concurrent builders from racing
-        with self._lock:
-            if sp not in self._cache:
-                self._cache[sp] = build_free(
-                    self.sig, self.theory, self.spec, sp, self.depth, self.budget
-                )
-            return self._cache[sp]
+        if sp not in self._cache:
+            self._cache[sp] = build_free(
+                self.sig, self.theory, self.spec, sp, self.depth, self.budget
+            )
+        return self._cache[sp]
 
 
 def m_object(mi: MonadInstance, sp: FuzzySpace) -> FuzzySpace:
@@ -70,17 +64,11 @@ def m_map(mi: MonadInstance, f: Mapping[str, str], src: FuzzySpace,
     if not is_nonexpansive(f, src, dst):
         raise NotNonexpansive("m_map requires a nonexpansive map")
     fa_src, fa_dst = mi.free(src), mi.free(dst)
-    out = {
-        fa_src.class_name(c): fa_dst.class_name(fa_dst.class_of(rename_term(rep, f)))
-        for c, rep in enumerate(fa_src.classes)
-    }
-    for t in fa_src.base.universe:
-        name = fa_src.class_name(fa_src.class_of(t))
-        if fa_dst.class_name(fa_dst.class_of(rename_term(t, f))) != out[name]:
-            raise QeqlogError(
-                f"mapped classes disagree on members of {name}"
-            )
-    return out
+    renaming = {a: Var(b) for a, b in f.items()}
+    images = fa_src.class_images(
+        lambda t: fa_dst.class_of(apply_subst(renaming, t)), "mapped classes disagree"
+    )
+    return {fa_src.class_name(c): fa_dst.class_name(d) for c, d in enumerate(images)}
 
 
 def m_unit(mi: MonadInstance, sp: FuzzySpace) -> dict[str, str]:
@@ -100,32 +88,12 @@ def m_mult(mi: MonadInstance, sp: FuzzySpace):
     rep_of_name = {fa.class_name(c): rep for c, rep in enumerate(fa.classes)}
     out: dict[str, object] = {}
     for c, rep in enumerate(outer.classes):
-        flattened = _flatten(rep, rep_of_name)
+        flattened = apply_subst(rep_of_name, rep)
         if fa.base.term_in_universe(flattened):
             out[outer.class_name(c)] = fa.class_name(fa.class_of(flattened))
         else:
             out[outer.class_name(c)] = OVERFLOW
     return out
-
-
-def _flatten(t: Term, rep_of_name: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return rep_of_name[t.name]
-    return App(t.op, tuple(_flatten(a, rep_of_name) for a in t.args))
-
-
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    checked: int
-    skipped_overflow: int
-    failed: int
-    first_failure: str | None = None
-
-    @property
-    def coverage(self) -> float:
-        total = self.checked + self.skipped_overflow
-        return 1.0 if total == 0 else self.checked / total
 
 
 def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
@@ -152,8 +120,9 @@ def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
     # mult . M(unit) = id  (rename generators to their unit classes, flatten)
     checked = failed = 0
     first = None
+    unit_renaming = {a: Var(n) for a, n in unit.items()}
     for c, rep in enumerate(fa.classes):
-        renamed = rename_term(rep, unit)
+        renamed = apply_subst(unit_renaming, rep)
         res = mult[outer.class_name(outer.class_of(renamed))]
         checked += 1
         if res != fa.class_name(c):
@@ -167,16 +136,17 @@ def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
     mult1 = m_mult(mi, sp1)
     checked = skipped = failed = 0
     first = None
+    mult_renaming = {k: Var(v) for k, v in mult.items() if v is not OVERFLOW}
     for c3, rep3 in enumerate(f3.classes):
         name3 = f3.class_name(c3)
         # path A: flatten the outer level first
         mid_a = mult1[name3]
         res_a = OVERFLOW if mid_a is OVERFLOW else mult[mid_a]
         # path B: push the inner flattening through, then flatten
-        if any(mult[v.name] is OVERFLOW for v in _term_vars(rep3)):
+        if any(mult[name] is OVERFLOW for name in term_vars(rep3)):
             res_b = OVERFLOW
         else:
-            renamed = rename_term(rep3, {k: v for k, v in mult.items() if v is not OVERFLOW})
+            renamed = apply_subst(mult_renaming, rep3)
             res_b = mult[outer.class_name(outer.class_of(renamed))]
         if res_a is OVERFLOW or res_b is OVERFLOW:
             skipped += 1
@@ -187,14 +157,6 @@ def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
             first = first or f"{name3}: {res_a} != {res_b}"
     reports.append(LawReport("mult.M(mult)=mult.mult_M", checked, skipped, failed, first))
     return reports
-
-
-def _term_vars(t: Term):
-    if isinstance(t, Var):
-        yield t
-    else:
-        for a in t.args:
-            yield from _term_vars(a)
 
 
 @dataclass(frozen=True)
@@ -211,15 +173,8 @@ def em_from_model(mi: MonadInstance, alg: QuantAlgebra) -> EMCandidate:
         raise NotAModel(f"algebra does not model {mi.theory.name}")
     fa = mi.free(alg.space)
     identity = {a: a for a in alg.space.carrier}
-    h = {
-        fa.class_name(c): eval_term(alg, identity, rep)
-        for c, rep in enumerate(fa.classes)
-    }
-    for t in fa.base.universe:
-        if eval_term(alg, identity, t) != h[fa.class_name(fa.class_of(t))]:
-            raise QeqlogError(
-                f"structure map disagrees on class members: {term_to_str(t)}"
-            )
+    images = fa.class_images(lambda t: eval_term(alg, identity, t), "structure map disagrees")
+    h = {fa.class_name(c): v for c, v in enumerate(images)}
     for x in fa.space.carrier:
         for y in fa.space.carrier:
             if alg.space.d(h[x], h[y]) > fa.space.d(x, y):
@@ -251,9 +206,10 @@ def check_em_laws(mi: MonadInstance, cand: EMCandidate) -> list[LawReport]:
 
     checked = skipped = failed = 0
     first = None
+    h_renaming = {k: Var(v) for k, v in h.items()}
     for c2, rep2 in enumerate(outer.classes):
         name2 = outer.class_name(c2)
-        lhs = h[fa.class_name(fa.class_of(rename_term(rep2, h)))]
+        lhs = h[fa.class_name(fa.class_of(apply_subst(h_renaming, rep2)))]
         mid = mult[name2]
         if mid is OVERFLOW:
             skipped += 1

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import GridMismatch, UnknownVariable
-from .gmet import EpsGrid, FuzzySpace, GMetSpec, enumerate_nonexpansive, require_space
+from .gmet import (
+    EpsGrid,
+    FuzzySpace,
+    GMetSpec,
+    enumerate_nonexpansive,
+    is_nonexpansive,
+    require_space,
+)
 from .terms import Signature, Term, Var, parse_term, term_to_str, term_vars
 
 
@@ -179,8 +186,6 @@ def is_homomorphism(f: Mapping[str, str], a: QuantAlgebra, b: QuantAlgebra) -> b
     """Nonexpansive map commuting with every operation table."""
     if a.sig != b.sig:
         raise ValueError("algebras have different signatures")
-    from .gmet import is_nonexpansive
-
     if not is_nonexpansive(f, a.space, b.space):
         return False
     for name, arity in a.sig.ops:

@@ -1,0 +1,83 @@
+"""Byte-for-byte CLI reports against a recorded fixture.
+
+``fixtures/cli_golden.json`` holds stdout, stderr and the exit code of every
+case below, recorded from a known-good build. Any change to a report, a trace
+body or an error message fails here. To record the fixture again after an
+intended output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from qeqlog.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "cli_golden.json"
+
+
+def _j(lhs, rhs, eps, context="AB"):
+    return json.dumps({"context": context, "lhs": lhs, "rhs": rhs, "eps": eps})
+
+
+SWAP_MAP = '{"a": "p", "b": "q"}'
+
+# id -> (workspace fixture, CLI arguments after --workspace)
+CASES = {
+    "check-model-swap-EMPTY": ("workspace.json", ["check-model", "--algebra", "swap", "--theory", "EMPTY"]),
+    "check-model-stay-QUARTER": ("workspace.json", ["check-model", "--algebra", "stay", "--theory", "QUARTER"]),
+    "check-model-swap-PHI1": ("workspace.json", ["check-model", "--algebra", "swap", "--theory", "PHI1"]),
+    "check-model-unknown": ("workspace.json", ["check-model", "--algebra", "nope", "--theory", "EMPTY"]),
+    "derive-PHI1-eq": ("workspace.json", ["derive", "--theory", "PHI1", "--target", "AB", "--judgment", _j("a", "b", None)]),
+    "derive-QUARTER-not": ("workspace.json", ["derive", "--theory", "QUARTER", "--target", "AB", "--judgment", _j("u(a)", "b", "1/2")]),
+    "derive-QUARTER-trace": ("workspace.json", ["derive", "--theory", "QUARTER", "--target", "AB", "--judgment", _j("u(a)", "b", "3/4"), "--trace"]),
+    "derive-PHI1-trace-eq": ("workspace.json", ["derive", "--theory", "PHI1", "--target", "AB", "--judgment", _j("u(u(a))", "u(u(b))", None), "--trace"]),
+    "derive-PHI1-trace-dist": ("workspace.json", ["derive", "--theory", "PHI1", "--target", "AB", "--judgment", _j("u(a)", "u(b)", "1/4"), "--trace"]),
+    "distance-QUARTER": ("workspace.json", ["distance", "--theory", "QUARTER", "--target", "AB", "--lhs", "u(u(a))", "--rhs", "b"]),
+    "free-EMPTY": ("workspace.json", ["free", "--theory", "EMPTY", "--space", "AB"]),
+    "free-QUARTER": ("workspace.json", ["free", "--theory", "QUARTER", "--space", "AB"]),
+    "free-PHI1": ("workspace.json", ["free", "--theory", "PHI1", "--space", "AB"]),
+    "entail-refuted": ("workspace.json", ["entail", "--theory", "EMPTY", "--judgment", _j("u(a)", "a", None), "--catalog", "swap,stay"]),
+    "monad-laws-EMPTY": ("workspace.json", ["monad-laws", "--theory", "EMPTY", "--space", "AB"]),
+    "monad-laws-QUARTER": ("workspace.json", ["monad-laws", "--theory", "QUARTER", "--space", "AB"]),
+    "monad-laws-PHI1": ("workspace.json", ["monad-laws", "--theory", "PHI1", "--space", "AB"]),
+    "ump-EMPTY": ("workspace.json", ["--depth", "2", "ump", "--theory", "EMPTY", "--space", "AB", "--algebra", "swap", "--map", SWAP_MAP]),
+    "ump-QUARTER": ("workspace.json", ["--depth", "2", "ump", "--theory", "QUARTER", "--space", "AB", "--algebra", "swap", "--map", SWAP_MAP]),
+    "em-check-EMPTY": ("workspace.json", ["--depth", "2", "em-check", "--theory", "EMPTY", "--algebra", "swap"]),
+    "em-check-QUARTER-stay": ("workspace.json", ["--depth", "2", "em-check", "--theory", "QUARTER", "--algebra", "stay"]),
+    "em-check-QUARTER": ("workspace.json", ["--depth", "2", "em-check", "--theory", "QUARTER", "--algebra", "swap"]),
+    "em-check-PHI1": ("workspace.json", ["--depth", "2", "em-check", "--theory", "PHI1", "--algebra", "swap"]),
+    "noops-derive-PHI1-trace": ("workspace_noops.json", ["derive", "--theory", "PHI1", "--target", "AB", "--judgment", _j("b", "a", "0"), "--trace"]),
+    "noops-distance-EMPTY": ("workspace_noops.json", ["distance", "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b"]),
+    "noops-free-EMPTY": ("workspace_noops.json", ["free", "--theory", "EMPTY", "--space", "AB"]),
+    "noops-free-PHI1": ("workspace_noops.json", ["free", "--theory", "PHI1", "--space", "AB"]),
+    "noops-monad-laws-PHI1": ("workspace_noops.json", ["monad-laws", "--theory", "PHI1", "--space", "AB"]),
+}
+
+
+def run_case(case_id: str) -> dict:
+    workspace, args = CASES[case_id]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--workspace", str(FIXTURES / workspace), *args])
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_matches_golden(case_id):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case_id]
+    assert run_case(case_id) == expected
+
+
+def test_fixture_covers_every_case():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    golden = {case_id: run_case(case_id) for case_id in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(golden)} cases to {GOLDEN}")

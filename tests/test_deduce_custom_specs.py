@@ -2,8 +2,9 @@
 
 The preset clauses all have bare-parameter premises, which the engine handles
 with the minimal-parameter shortcut; these specs force the exhaustive
-parameter path (compound expressions in premises) and shared parameters, and
-the binary signature exercises congruence grouping over argument tuples.
+parameter path (compound expressions in premises, alone or next to a bare
+premise on the same parameter) and shared parameters, and the binary
+signature exercises congruence grouping over argument tuples.
 """
 from __future__ import annotations
 
@@ -55,6 +56,23 @@ SHARED_PARAM = GMetSpec(
             "boundpair",
             ("x", "y", "z"),
             (DistAtom("x", "y", EpsParam("e")), DistAtom("y", "z", EpsParam("e"))),
+            DistAtom("x", "z", EpsParam("e")),
+        ),
+    ),
+)
+
+# e is bare in the first premise and inside plus in the second: the clause
+# goes through the grid-vector path, where a bare premise is checked, not solved
+MIXED = GMetSpec(
+    "mixed",
+    (
+        HornClause(
+            "halfstep",
+            ("x", "y", "z"),
+            (
+                DistAtom("x", "y", EpsParam("e")),
+                DistAtom("y", "z", EpsMin1(EpsPlus((EpsParam("e"), EpsParam("e"))))),
+            ),
             DistAtom("x", "z", EpsParam("e")),
         ),
     ),
@@ -129,6 +147,27 @@ class TestSharedParameterClause:
         assert check_space(SHARED_PARAM, repaired) == []
         db = saturate(Signature.of({}), Theory("E", ()), SHARED_PARAM, repaired, 1)
         assert distance(db, Var("a"), Var("c")) == Fraction(1, 2)
+
+
+class TestMixedBareAndCompoundPremises:
+    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("with_axiom", [False, True])
+    def test_matches_oracle(self, q, with_axiom):
+        grid = EpsGrid(q)
+        sp = FuzzySpace(grid, ("a", "b"), ((0, 1), (1, 0)))
+        assert check_space(MIXED, sp) == []
+        axioms = (Judgment(zero_space(grid, ["v"]), App("u", (Var("v"),)), Var("v"), 2),)
+        theory = Theory("T", axioms if with_axiom else ())
+        db = saturate(U_SIG, theory, MIXED, sp, 2)
+        oracle = OracleDB(U_SIG, theory, MIXED, sp, 2)
+        for s in db.universe:
+            for t in db.universe:
+                assert db.same(db.index_of(s), db.index_of(t)) == oracle.equal(s, t)
+                assert db.class_distance(db.index_of(s), db.index_of(t)) == \
+                    oracle.distance(s, t)
+        # with y = x, d(a, u(a)) halves from 1 (rounded up) down to one grid step
+        ua = App("u", (Var("a"),))
+        assert distance(db, Var("a"), ua) == Fraction(1, q)
 
 
 class TestBinarySignature:

@@ -22,7 +22,7 @@ from qeqlog.monad import (
     model_from_em,
 )
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model
-from qeqlog.terms import App, Signature, Var
+from qeqlog.terms import App, Signature, Var, apply_subst
 
 from conftest import random_algebra, random_space, space
 
@@ -174,11 +174,9 @@ class TestMult:
         fa = mi.free(ab_half)
         outer = mi.free(fa.space)
         rep_of_name = {fa.class_name(c): rep for c, rep in enumerate(fa.classes)}
-        from qeqlog.monad import _flatten
-
         for s in outer.base.universe:
             rep = outer.classes[outer.class_of(s)]
-            fs, fr = _flatten(s, rep_of_name), _flatten(rep, rep_of_name)
+            fs, fr = apply_subst(rep_of_name, s), apply_subst(rep_of_name, rep)
             if fa.base.term_in_universe(fs) and fa.base.term_in_universe(fr):
                 assert fa.class_of(fs) == fa.class_of(fr)
 
