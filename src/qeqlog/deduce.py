@@ -106,6 +106,7 @@ class DerivationDB:
         self._index = {t: i for i, t in enumerate(self.universe)}
         n = len(self.universe)
         self._parent = list(range(n))
+        self._roots = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         q = self.grid.q
         self.dmin = [[q] * n for _ in range(n)]
@@ -126,7 +127,11 @@ class DerivationDB:
         return self.find(i) == self.find(j)
 
     def roots(self) -> list[int]:
-        return sorted({self.find(i) for i in range(len(self.universe))})
+        """The class representatives in ascending order, as a new list.
+
+        The sorted list is kept up to date by :meth:`_merge`, not recomputed.
+        """
+        return list(self._roots)
 
     def index_of(self, t: Term) -> int:
         try:
@@ -175,8 +180,8 @@ class DerivationDB:
         self._forest[i].append((j, cause))
         self._forest[j].append((i, cause))
         winner, loser = min(ri, rj), max(ri, rj)
-        others = [r for r in self.roots() if r not in (ri, rj)]
         self._parent[loser] = winner
+        self._roots.remove(loser)
         eq_premise = ("eq", winner, loser)
         # 2x2 block between the two old classes
         block = [(winner, winner), (winner, loser), (loser, winner), (loser, loser)]
@@ -192,7 +197,7 @@ class DerivationDB:
             if b != winner:
                 self._set_dist(winner, winner, best_val, "RCONG", None, (eq_premise, last_fact))
         # fold rows and columns against every other class
-        for k in others:
+        for k in [r for r in self._roots if r != winner]:
             v = self.dmin[loser][k]
             if v < self.dmin[winner][k]:
                 self._set_dist(winner, k, v, "LCONG", None, (eq_premise, ("dist", loser, k, v)))
@@ -344,9 +349,26 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
+class _Bounds(dict):
+    """min(q, eps) per parameter vector, each evaluated on its first lookup.
+
+    Lazy on purpose: an off-grid clause constant raises GridMismatch only
+    when an instance reaches it.
+    """
+
+    def __init__(self, eps, params: tuple[str, ...], q: int):
+        super().__init__()
+        self.eps, self.params, self.q = eps, params, q
+
+    def __missing__(self, pvec: tuple[int, ...]) -> int:
+        value = self[pvec] = min(self.q, self.eps.eval(dict(zip(self.params, pvec)), self.q))
+        return value
+
+
 def _step_horn(db: DerivationDB) -> bool:
     changed = False
     q = db.grid.q
+    dmin, find = db.dmin, db.find
     for clause in db.spec.clauses:
         params = clause.param_names()
         # Bare-parameter premises are solved: the least parameter is the max of
@@ -357,58 +379,63 @@ def _step_horn(db: DerivationDB) -> bool:
             for p in clause.premises
         )
         if solve:
-            penvs = [dict.fromkeys(params, 0)]
+            vectors = [(0,) * len(params)]
         else:
-            vectors = itertools.product(range(q + 1), repeat=len(params))
-            penvs = [dict(zip(params, pvec)) for pvec in vectors]
+            vectors = list(itertools.product(range(q + 1), repeat=len(params)))
+        pos = {v: k for k, v in enumerate(clause.vars)}
+        # (x position, y position, solved parameter index or -1, bounds); an
+        # equality premise has no bounds
+        prems = [
+            (pos[p.x], pos[p.y], -1, None) if isinstance(p, EqAtom) else (
+                pos[p.x], pos[p.y],
+                params.index(p.eps.name) if solve and isinstance(p.eps, EpsParam) else -1,
+                _Bounds(p.eps, params, q),
+            )
+            for p in clause.premises
+        ]
+        conc = clause.conclusion
+        cx, cy = pos[conc.x], pos[conc.y]
+        merging = isinstance(conc, EqAtom)
+        conc_bounds = None if merging else _Bounds(conc.eps, params, q)
         root_list = db.roots()
+        db._count(len(root_list) ** len(clause.vars) * len(vectors))
         for assignment in itertools.product(root_list, repeat=len(clause.vars)):
-            env = dict(zip(clause.vars, assignment))
-            for start in penvs:
-                db._count()
-                penv = start.copy()  # solving writes into it
-                ok = True
-                for p in clause.premises:
-                    if isinstance(p, EqAtom):
-                        ok = db.same(env[p.x], env[p.y])
-                    elif solve and isinstance(p.eps, EpsParam):
-                        penv[p.eps.name] = max(
-                            penv[p.eps.name],
-                            db.class_distance(env[p.x], env[p.y]),
+            # only a merging clause turns members of root_list into non-roots
+            reps = [find(r) for r in assignment] if merging else assignment
+            for pvec in vectors:
+                vals = list(pvec)
+                for xp, yp, si, bounds in prems:
+                    if bounds is None:
+                        if reps[xp] != reps[yp]:
+                            break
+                    elif si >= 0:
+                        d = dmin[reps[xp]][reps[yp]]
+                        if d > vals[si]:
+                            vals[si] = d
+                    elif dmin[reps[xp]][reps[yp]] > bounds[pvec]:
+                        break
+                else:
+                    # nearly every instance fires nothing: record premises only
+                    # for one whose conclusion is new
+                    x, y = reps[cx], reps[cy]
+                    if merging:
+                        if x == y:
+                            continue
+                    else:
+                        value = conc_bounds[tuple(vals)]
+                        if value >= dmin[x][y]:
+                            continue
+                    premises = tuple(
+                        ("eq", assignment[xp], assignment[yp]) if bounds is None
+                        else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
+                        for xp, yp, si, bounds in prems
+                    )
+                    if merging:
+                        changed |= db._merge(
+                            assignment[cx], assignment[cy], "HORN", clause.name, premises
                         )
                     else:
-                        ok = db.class_distance(env[p.x], env[p.y]) <= min(
-                            q, p.eps.eval(penv, q)
-                        )
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                premises = tuple(
-                    ("eq", env[p.x], env[p.y])
-                    if isinstance(p, EqAtom)
-                    else (
-                        "dist",
-                        db.find(env[p.x]),
-                        db.find(env[p.y]),
-                        min(q, p.eps.eval(penv, q)),
-                    )
-                    for p in clause.premises
-                )
-                conc = clause.conclusion
-                if isinstance(conc, EqAtom):
-                    changed |= db._merge(
-                        env[conc.x], env[conc.y], "HORN", clause.name, premises
-                    )
-                else:
-                    changed |= db._lower(
-                        env[conc.x],
-                        env[conc.y],
-                        min(q, conc.eps.eval(penv, q)),
-                        "HORN",
-                        clause.name,
-                        premises,
-                    )
+                        changed |= db._lower(x, y, value, "HORN", clause.name, premises)
     return changed
 
 

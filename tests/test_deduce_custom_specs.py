@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from qeqlog.errors import GridMismatch
 from qeqlog.gmet import (
     DistAtom,
     EpsConst,
@@ -74,6 +75,24 @@ MIXED = GMetSpec(
                 DistAtom("y", "z", EpsMin1(EpsPlus((EpsParam("e"), EpsParam("e"))))),
             ),
             DistAtom("x", "z", EpsParam("e")),
+        ),
+    ),
+)
+
+
+# the second premise's constant is off the q=4 grid; it is only evaluated
+# for an instance whose first premise holds
+OFF_GRID_BEHIND_ZERO = GMetSpec(
+    "offgrid",
+    (
+        HornClause(
+            "zero_then_third",
+            ("x", "y"),
+            (
+                DistAtom("x", "y", EpsConst(Fraction(0))),
+                DistAtom("x", "y", EpsConst(Fraction(1, 3))),
+            ),
+            DistAtom("y", "x", EpsConst(Fraction(0))),
         ),
     ),
 )
@@ -168,6 +187,26 @@ class TestMixedBareAndCompoundPremises:
         # with y = x, d(a, u(a)) halves from 1 (rounded up) down to one grid step
         ua = App("u", (Var("a"),))
         assert distance(db, Var("a"), ua) == Fraction(1, q)
+
+
+class TestLazyClauseBounds:
+    def test_unreached_off_grid_constant_is_never_evaluated(self):
+        grid = EpsGrid(4)
+        sp = space(grid, ["a", "b"], [["1/4", "1/2"], ["1/2", "1/4"]])
+        db = saturate(U_SIG, Theory("E", ()), OFF_GRID_BEHIND_ZERO, sp, 2)
+        assert db.instances == 20
+        assert len(db.events) == 4
+
+    def test_reached_off_grid_constant_raises(self):
+        # the spaces pass the spec; the axiom derives d(u(a), u(a)) <= 0,
+        # and the next Horn round reaches the constant
+        grid = EpsGrid(4)
+        sp = space(grid, ["a", "b"], [["1/4", "1/2"], ["1/2", "1/4"]])
+        ctx = space(grid, ["v"], [["1/4"]])
+        uv = App("u", (Var("v"),))
+        theory = Theory("T", (Judgment(ctx, uv, uv, 0),))
+        with pytest.raises(GridMismatch, match="1/3"):
+            saturate(U_SIG, theory, OFF_GRID_BEHIND_ZERO, sp, 2)
 
 
 class TestBinarySignature:
