@@ -25,15 +25,7 @@ from .errors import (
     TrivialPair,
     UnknownFact,
 )
-from .gmet import (
-    DistAtom,
-    EpsGrid,
-    EpsParam,
-    EqAtom,
-    FuzzySpace,
-    GMetSpec,
-    require_space,
-)
+from .gmet import EpsGrid, FuzzySpace, GMetSpec, compile_clause, require_space
 from .qalg import Judgment, Theory
 from .terms import (
     App,
@@ -104,6 +96,11 @@ class DerivationDB:
             enumerate_universe(sig, target.carrier, depth)
         )
         self._index = {t: i for i, t in enumerate(self.universe)}
+        # universe ids of each term's arguments; they never change
+        self._children = [
+            tuple(self._index[a] for a in t.args) if isinstance(t, App) else ()
+            for t in self.universe
+        ]
         n = len(self.universe)
         self._parent = list(range(n))
         self._roots = list(range(n))
@@ -329,40 +326,23 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
 def _step_cong(db: DerivationDB) -> bool:
     changed = False
     groups: dict[tuple, list[int]] = {}
+    children = db._children
     for idx, t in enumerate(db.universe):
-        if isinstance(t, App) and t.args:
-            key = (t.op, tuple(db.find(db.index_of(a)) for a in t.args))
+        if children[idx]:
+            key = (t.op, tuple(db.find(a) for a in children[idx]))
             groups.setdefault(key, []).append(idx)
     for key in sorted(groups):
         members = groups[key]
         first = members[0]
-        first_args = [db.index_of(a) for a in db.universe[first].args]
         for other in members[1:]:
             db._count()
             if db.same(first, other):
                 continue
-            other_args = [db.index_of(a) for a in db.universe[other].args]
             premises = tuple(
-                ("eq", x, y) for x, y in zip(first_args, other_args)
+                ("eq", x, y) for x, y in zip(children[first], children[other])
             )
             changed |= db._merge(first, other, "CONG", db.universe[first].op, premises)
     return changed
-
-
-class _Bounds(dict):
-    """min(q, eps) per parameter vector, each evaluated on its first lookup.
-
-    Lazy on purpose: an off-grid clause constant raises GridMismatch only
-    when an instance reaches it.
-    """
-
-    def __init__(self, eps, params: tuple[str, ...], q: int):
-        super().__init__()
-        self.eps, self.params, self.q = eps, params, q
-
-    def __missing__(self, pvec: tuple[int, ...]) -> int:
-        value = self[pvec] = min(self.q, self.eps.eval(dict(zip(self.params, pvec)), self.q))
-        return value
 
 
 def _step_horn(db: DerivationDB) -> bool:
@@ -370,33 +350,8 @@ def _step_horn(db: DerivationDB) -> bool:
     q = db.grid.q
     dmin, find = db.dmin, db.find
     for clause in db.spec.clauses:
-        params = clause.param_names()
-        # Bare-parameter premises are solved: the least parameter is the max of
-        # their class distances. A compound parameterised premise cannot be
-        # solved that way, so then every grid vector is tried instead.
-        solve = not any(
-            isinstance(p, DistAtom) and p.eps.params() and not isinstance(p.eps, EpsParam)
-            for p in clause.premises
-        )
-        if solve:
-            vectors = [(0,) * len(params)]
-        else:
-            vectors = list(itertools.product(range(q + 1), repeat=len(params)))
-        pos = {v: k for k, v in enumerate(clause.vars)}
-        # (x position, y position, solved parameter index or -1, bounds); an
-        # equality premise has no bounds
-        prems = [
-            (pos[p.x], pos[p.y], -1, None) if isinstance(p, EqAtom) else (
-                pos[p.x], pos[p.y],
-                params.index(p.eps.name) if solve and isinstance(p.eps, EpsParam) else -1,
-                _Bounds(p.eps, params, q),
-            )
-            for p in clause.premises
-        ]
-        conc = clause.conclusion
-        cx, cy = pos[conc.x], pos[conc.y]
-        merging = isinstance(conc, EqAtom)
-        conc_bounds = None if merging else _Bounds(conc.eps, params, q)
+        params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
+        merging = conc_bounds is None
         root_list = db.roots()
         db._count(len(root_list) ** len(clause.vars) * len(vectors))
         for assignment in itertools.product(root_list, repeat=len(clause.vars)):

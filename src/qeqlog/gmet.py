@@ -326,33 +326,84 @@ class Violation:
         return f"{self.clause}: {assign}{extra}"
 
 
-def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
-    """Exhaustively instantiate every clause; list the instances that fail.
+class _Bounds(dict):
+    """min(q, eps) per parameter vector, each evaluated on its first lookup.
 
-    Every variable assignment into the carrier and every grid value of every
-    epsilon parameter is tried; this is the independent reference loop that the
-    saturation engine is tested against.
+    Lazy on purpose: an off-grid clause constant raises GridMismatch only
+    when an instance reaches it.
     """
-    q = sp.grid.q
+
+    def __init__(self, eps: EpsExpr, params: tuple[str, ...], q: int):
+        super().__init__()
+        self.eps, self.params, self.q = eps, params, q
+
+    def __missing__(self, pvec: tuple[int, ...]) -> int:
+        value = self[pvec] = min(self.q, self.eps.eval(dict(zip(self.params, pvec)), self.q))
+        return value
+
+
+def compile_clause(clause: HornClause, q: int):
+    """(params, vectors, prems, cx, cy, conc_bounds) for one clause.
+
+    Positions index the clause's variables; a premise is (x position, y
+    position, solved parameter index or -1, bounds), and equality atoms have
+    no bounds. Bare-parameter premises are solved from the one zero vector:
+    the least parameter is the max of their distances. A compound
+    parameterised premise cannot be solved, so then every grid vector is tried.
+    """
+    params = clause.param_names()
+    solve = not any(
+        isinstance(p, DistAtom) and p.eps.params() and not isinstance(p.eps, EpsParam)
+        for p in clause.premises
+    )
+    if solve:
+        vectors = [(0,) * len(params)]
+    else:
+        vectors = list(itertools.product(range(q + 1), repeat=len(params)))
+    pos = {v: k for k, v in enumerate(clause.vars)}
+    prems = [
+        (pos[p.x], pos[p.y], -1, None) if isinstance(p, EqAtom) else (
+            pos[p.x], pos[p.y],
+            params.index(p.eps.name) if solve and isinstance(p.eps, EpsParam) else -1,
+            _Bounds(p.eps, params, q),
+        )
+        for p in clause.premises
+    ]
+    conc = clause.conclusion
+    conc_bounds = None if isinstance(conc, EqAtom) else _Bounds(conc.eps, params, q)
+    return params, vectors, prems, pos[conc.x], pos[conc.y], conc_bounds
+
+
+def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
+    """Instantiate every clause over the carrier; list the instances that fail.
+
+    A clause whose parameters are solved lists each failing assignment once,
+    at its least parameter vector (every violating vector lies above it);
+    any other clause lists every failing grid vector. Either way the first
+    entry is that of the exhaustive reference loop in ``tests/oracle.py``.
+    """
+    q, dist = sp.grid.q, sp.dist
     out: list[Violation] = []
-
-    def holds(atom: Atom, env: dict[str, str], penv: dict[str, int]) -> bool:
-        if isinstance(atom, EqAtom):
-            return env[atom.x] == env[atom.y]
-        return sp.d(env[atom.x], env[atom.y]) <= min(q, atom.eps.eval(penv, q))
-
     for clause in spec.clauses:
-        params = clause.param_names()
-        for values in itertools.product(sp.carrier, repeat=len(clause.vars)):
-            env = dict(zip(clause.vars, values))
-            for pvec in itertools.product(range(q + 1), repeat=len(params)):
-                penv = dict(zip(params, pvec))
-                if all(holds(p, env, penv) for p in clause.premises) and not holds(
-                    clause.conclusion, env, penv
-                ):
-                    out.append(
-                        Violation(clause.name, tuple(env.items()), tuple(penv.items()))
-                    )
+        params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
+        for a in itertools.product(range(len(sp.carrier)), repeat=len(clause.vars)):
+            for pvec in vectors:
+                vals = list(pvec)
+                for xp, yp, si, bounds in prems:
+                    if bounds is None:
+                        if a[xp] != a[yp]:
+                            break
+                    elif si >= 0:
+                        d = dist[a[xp]][a[yp]]
+                        if d > vals[si]:
+                            vals[si] = d
+                    elif dist[a[xp]][a[yp]] > bounds[pvec]:
+                        break
+                else:
+                    x, y = a[cx], a[cy]
+                    if x != y if conc_bounds is None else dist[x][y] > conc_bounds[tuple(vals)]:
+                        names = tuple(zip(clause.vars, (sp.carrier[i] for i in a)))
+                        out.append(Violation(clause.name, names, tuple(zip(params, vals))))
     return out
 
 
@@ -379,16 +430,37 @@ def is_nonexpansive(f: Mapping[str, str], src: FuzzySpace, dst: FuzzySpace) -> b
 def enumerate_nonexpansive(
     src: FuzzySpace, dst: FuzzySpace, budget: int | None = None
 ) -> list[dict[str, str]]:
-    """All total nonexpansive maps src -> dst, in carrier-product order."""
+    """All total nonexpansive maps src -> dst, in carrier-product order.
+
+    A depth-first search over image prefixes: a prefix is extended only by an
+    image that keeps every pair of assigned points nonexpansive, so dead
+    prefixes are pruned. The budget still counts all |dst|^|src| candidates.
+    """
     total = len(dst.carrier) ** len(src.carrier)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
+    sd, dd = src.dist, dst.dist
+    n, m = len(sd), len(dd)
     out = []
-    for images in itertools.product(dst.carrier, repeat=len(src.carrier)):
-        f = dict(zip(src.carrier, images))
-        if is_nonexpansive(f, src, dst):
-            out.append(f)
-    return out
+    images: list[int] = []  # dst indices of src points 0 .. len(images) - 1
+    b = 0  # the next image to try for src point len(images)
+    while True:
+        k = len(images)
+        if k == n:
+            out.append(dict(zip(src.carrier, (dst.carrier[c] for c in images))))
+        else:
+            while b < m and not (
+                dd[b][b] <= sd[k][k]
+                and all(dd[b][c] <= sd[k][i] and dd[c][b] <= sd[i][k] for i, c in enumerate(images))
+            ):
+                b += 1
+            if b < m:
+                images.append(b)
+                b = 0
+                continue
+        if not images:
+            return out
+        b = images.pop() + 1
 
 
 def tuple_name(names: Iterable[str]) -> str:

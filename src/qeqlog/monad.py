@@ -26,7 +26,7 @@ from .terms import App, Signature, Var, apply_subst, term_vars
 
 
 class MonadInstance:
-    """Free-construction cache for one theory, spec and depth.
+    """Free-construction and EM-law cache for one theory, spec and depth.
 
     Not safe for concurrent use: lookups in the cached algebras compress
     union-find paths.
@@ -40,6 +40,7 @@ class MonadInstance:
         self.depth = depth
         self.budget = budget
         self._cache: dict[FuzzySpace, FreeAlgebra] = {}
+        self._em_reports: dict[tuple, list[LawReport]] = {}
 
     def free(self, sp: FuzzySpace) -> FreeAlgebra:
         if sp not in self._cache:
@@ -47,6 +48,13 @@ class MonadInstance:
                 self.sig, self.theory, self.spec, sp, self.depth, self.budget
             )
         return self._cache[sp]
+
+    def em_reports(self, cand: EMCandidate) -> list[LawReport]:
+        """check_em_laws on cand, run once per space and structure map."""
+        key = (cand.space, tuple(sorted(cand.h.items())))
+        if key not in self._em_reports:
+            self._em_reports[key] = check_em_laws(self, cand)
+        return list(self._em_reports[key])
 
 
 def m_object(mi: MonadInstance, sp: FuzzySpace) -> FuzzySpace:
@@ -180,7 +188,7 @@ def em_from_model(mi: MonadInstance, alg: QuantAlgebra) -> EMCandidate:
             if alg.space.d(h[x], h[y]) > fa.space.d(x, y):
                 raise NotNonexpansive("structure map is not nonexpansive")
     cand = EMCandidate(alg.space, h)
-    reports = check_em_laws(mi, cand)
+    reports = mi.em_reports(cand)
     if any(r.failed for r in reports):
         raise EMLawViolation(f"structure map fails {reports}")
     return cand
@@ -229,7 +237,7 @@ def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, l
     op(a1..an) is the image under h of the class of op applied to the
     generator variables; needs depth >= 2 so those applications exist.
     """
-    reports = check_em_laws(mi, cand)
+    reports = mi.em_reports(cand)
     if any(r.failed for r in reports):
         raise EMLawViolation(
             "; ".join(f"{r.law}: {r.first_failure}" for r in reports if r.failed)

@@ -5,12 +5,15 @@ representatives, no minimal-parameter shortcut. Facts are materialized
 up-closed sets of (s, t, eps) triples plus a plain set of equal pairs, and
 every rule is applied by exhaustive enumeration over all universe terms and
 all grid parameter vectors until nothing changes.
+
+``check_space_exhaustive`` is the same kind of reference for
+``gmet.check_space``: every assignment times every grid parameter vector.
 """
 from __future__ import annotations
 
 import itertools
 
-from qeqlog.gmet import DistAtom, EqAtom
+from qeqlog.gmet import Atom, DistAtom, EqAtom, Violation
 from qeqlog.terms import App, Var, apply_subst, enumerate_universe
 
 
@@ -139,3 +142,33 @@ class OracleDB:
     def distance(self, s, t) -> int:
         i, j = self.index[s], self.index[t]
         return min(e for (a, b, e) in self.dist if (a, b) == (i, j))
+
+
+def check_space_exhaustive(spec, sp) -> list[Violation]:
+    """Exhaustively instantiate every clause; list the instances that fail.
+
+    Every variable assignment into the carrier and every grid value of every
+    epsilon parameter is tried. This was ``gmet.check_space`` before it solved
+    parameters; production is cross-checked against it.
+    """
+    q = sp.grid.q
+    out: list[Violation] = []
+
+    def holds(atom: Atom, env: dict[str, str], penv: dict[str, int]) -> bool:
+        if isinstance(atom, EqAtom):
+            return env[atom.x] == env[atom.y]
+        return sp.d(env[atom.x], env[atom.y]) <= min(q, atom.eps.eval(penv, q))
+
+    for clause in spec.clauses:
+        params = clause.param_names()
+        for values in itertools.product(sp.carrier, repeat=len(clause.vars)):
+            env = dict(zip(clause.vars, values))
+            for pvec in itertools.product(range(q + 1), repeat=len(params)):
+                penv = dict(zip(params, pvec))
+                if all(holds(p, env, penv) for p in clause.premises) and not holds(
+                    clause.conclusion, env, penv
+                ):
+                    out.append(
+                        Violation(clause.name, tuple(env.items()), tuple(penv.items()))
+                    )
+    return out

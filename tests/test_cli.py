@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import qeqlog.monad as monad
 from qeqlog.cli import main
 
 
@@ -203,6 +204,21 @@ class TestEmCheck:
         assert code == 0
         assert report["round_trip"] is True
         assert all(law["failed"] == 0 for law in report["laws"])
+
+    def test_laws_checked_once(self, capsys, monkeypatch):
+        calls = []
+        check = monad.check_em_laws
+
+        def counting(mi, cand):
+            calls.append(cand)
+            return check(mi, cand)
+
+        monkeypatch.setattr(monad, "check_em_laws", counting)
+        code, _ = run_json(
+            capsys, "--workspace", WS, "em-check", "--theory", "EMPTY",
+            "--algebra", "swap",
+        )
+        assert code == 0 and len(calls) == 1
 
 
 class TestDeterminism:

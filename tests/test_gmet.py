@@ -145,22 +145,36 @@ class TestEnumerateNonexpansive:
         with pytest.raises(BudgetExceeded):
             enumerate_nonexpansive(ab_half, pq_half, budget=3)
 
-    def test_matches_filtered_product(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            src = random_space(rng, GRID, 2, FREL)
-            dst = random_space(rng, GRID, 2, FREL)
-            got = enumerate_nonexpansive(src, dst)
-            want = [
-                dict(zip(src.carrier, images))
-                for images in itertools.product(dst.carrier, repeat=2)
-                if all(
-                    dst.d(images[i], images[j]) <= src.dist[i][j]
-                    for i in range(2)
-                    for j in range(2)
-                )
-            ]
-            assert got == want
+    @pytest.mark.parametrize("spec", [FREL, MET], ids=lambda s: s.name)
+    @pytest.mark.parametrize("q", [2, 4, 24])
+    def test_matches_filtered_product(self, spec, q):
+        rng = random.Random(f"{spec.name}-{q}")
+        grid = EpsGrid(q)
+        for n in range(1, 6):
+            for m in range(1, 5):
+                src = random_space(rng, grid, n, spec)
+                dst = random_space(rng, grid, m, spec)
+                got = enumerate_nonexpansive(src, dst)
+                # list equality: the order is carrier-product order
+                want = [
+                    dict(zip(src.carrier, images))
+                    for images in itertools.product(dst.carrier, repeat=n)
+                    if all(
+                        dst.d(images[i], images[j]) <= src.dist[i][j]
+                        for i in range(n)
+                        for j in range(n)
+                    )
+                ]
+                assert got == want
+
+    def test_budget_boundary(self):
+        rng = random.Random(5)
+        src = random_space(rng, GRID, 3, MET)
+        dst = random_space(rng, GRID, 4, MET)
+        total = 4 ** 3
+        enumerate_nonexpansive(src, dst, budget=total)
+        with pytest.raises(BudgetExceeded):
+            enumerate_nonexpansive(src, dst, budget=total - 1)
 
 
 class TestDiscreteLift:
