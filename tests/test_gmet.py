@@ -145,27 +145,24 @@ class TestEnumerateNonexpansive:
         with pytest.raises(BudgetExceeded):
             enumerate_nonexpansive(ab_half, pq_half, budget=3)
 
-    @pytest.mark.parametrize("spec", [FREL, MET], ids=lambda s: s.name)
-    @pytest.mark.parametrize("q", [2, 4, 24])
-    def test_matches_filtered_product(self, spec, q):
-        rng = random.Random(f"{spec.name}-{q}")
-        grid = EpsGrid(q)
-        for n in range(1, 6):
-            for m in range(1, 5):
-                src = random_space(rng, grid, n, spec)
-                dst = random_space(rng, grid, m, spec)
-                got = enumerate_nonexpansive(src, dst)
-                # list equality: the order is carrier-product order
-                want = [
-                    dict(zip(src.carrier, images))
-                    for images in itertools.product(dst.carrier, repeat=n)
-                    if all(
-                        dst.d(images[i], images[j]) <= src.dist[i][j]
-                        for i in range(n)
-                        for j in range(n)
-                    )
-                ]
-                assert got == want
+    def test_matches_filtered_product(self):
+        rng = random.Random(11)
+        cases = itertools.product([FREL, MET], [2, 4, 24], range(1, 6), range(1, 5))
+        for spec, q, n, m in cases:
+            src = random_space(rng, EpsGrid(q), n, spec)
+            dst = random_space(rng, EpsGrid(q), m, spec)
+            got = enumerate_nonexpansive(src, dst)
+            # list equality: the order is carrier-product order
+            want = [
+                dict(zip(src.carrier, images))
+                for images in itertools.product(dst.carrier, repeat=n)
+                if all(
+                    dst.d(images[i], images[j]) <= src.dist[i][j]
+                    for i in range(n)
+                    for j in range(n)
+                )
+            ]
+            assert got == want, (spec.name, q, n, m)
 
     def test_budget_boundary(self):
         rng = random.Random(5)
