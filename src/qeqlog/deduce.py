@@ -24,6 +24,7 @@ from .errors import (
     OutOfUniverse,
     TrivialPair,
     UnknownFact,
+    UnknownVariable,
 )
 from .gmet import EpsGrid, FuzzySpace, GMetSpec, compile_clause, require_space
 from .qalg import Judgment, Theory
@@ -32,7 +33,6 @@ from .terms import (
     Signature,
     Term,
     Var,
-    apply_subst,
     check_nontrivial,
     enumerate_universe,
     term_to_str,
@@ -81,6 +81,15 @@ class DerivationDB:
 
     Built by :func:`saturate`. Reads are not side-effect free: :meth:`find`
     compresses union-find paths, so even lookups mutate the structure.
+
+    Terms are handled by universe id. A hashcons maps each operation and
+    tuple of argument ids to the id of that application, and each variable to
+    its id: a membership test walks a term bottom-up through it
+    (:meth:`index_of`, :meth:`subst_index`), and a term over known ids needs
+    no tree at all (:meth:`app_index`). ``dmin`` is dense, but a near-cell
+    index holds, for each id, the ids on the other side of its cells below q;
+    a merge folds only those, so it costs the loser's derived distances, not
+    the class count.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
@@ -95,18 +104,28 @@ class DerivationDB:
         self.universe: tuple[Term, ...] = tuple(
             enumerate_universe(sig, target.carrier, depth)
         )
-        self._index = {t: i for i, t in enumerate(self.universe)}
+        # op -> (argument ids -> id)
+        self._hashcons: dict[str, dict[tuple[int, ...], int]] = {op: {} for op, _ in sig.ops}
+        self._var_ids: dict[str, int] = {}
         # universe ids of each term's arguments; they never change
-        self._children = [
-            tuple(self._index[a] for a in t.args) if isinstance(t, App) else ()
-            for t in self.universe
-        ]
+        self._children: list[tuple[int, ...]] = []
+        for i, t in enumerate(self.universe):
+            if isinstance(t, Var):
+                self._var_ids[t.name] = i
+                kids = ()
+            else:
+                # the canonical order puts every subterm before the term
+                kids = tuple(self.index_of(a) for a in t.args)
+                self._hashcons[t.op][kids] = i
+            self._children.append(kids)
         n = len(self.universe)
         self._parent = list(range(n))
         self._roots = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         q = self.grid.q
         self.dmin = [[q] * n for _ in range(n)]
+        # filled on the first cell below q of each id
+        self._near: dict[int, set[int]] = {}
         self._hist: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.events: list[RuleInstance] = []
         self.instances = 0
@@ -130,14 +149,47 @@ class DerivationDB:
         """
         return list(self._roots)
 
-    def index_of(self, t: Term) -> int:
+    def _lookup(self, t: Term) -> int | None:
         try:
-            return self._index[t]
-        except KeyError:
-            raise OutOfUniverse(f"{term_to_str(t)} is outside the depth-{self.depth} universe") from None
+            return self.subst_index(self._var_ids, t)
+        except UnknownVariable:
+            return None
+
+    def index_of(self, t: Term) -> int:
+        i = self._lookup(t)
+        if i is None:
+            raise OutOfUniverse(f"{term_to_str(t)} is outside the depth-{self.depth} universe")
+        return i
 
     def term_in_universe(self, t: Term) -> bool:
-        return t in self._index
+        return self._lookup(t) is not None
+
+    def app_index(self, op: str, args: tuple[int, ...]) -> int | None:
+        """The id of ``op`` applied to the terms with ids ``args``, or None
+        when that application is outside the universe."""
+        apps = self._hashcons.get(op)
+        return apps.get(args) if apps else None
+
+    def subst_index(self, sigma: dict[str, int], t: Term) -> int | None:
+        """The id of ``t`` with each variable replaced by the term with id
+        ``sigma[name]``, or None when it is outside the universe.
+
+        The universe is closed under subterms, so this is the id of
+        ``apply_subst`` over the same terms whenever that term is in it. A
+        variable missing from ``sigma`` raises :class:`UnknownVariable`.
+        """
+        if isinstance(t, Var):
+            try:
+                return sigma[t.name]
+            except KeyError:
+                raise UnknownVariable(t.name) from None
+        kids = []
+        for a in t.args:
+            i = self.subst_index(sigma, a)
+            if i is None:
+                return None
+            kids.append(i)
+        return self.app_index(t.op, tuple(kids))
 
     def class_distance(self, i: int, j: int) -> int:
         return self.dmin[self.find(i)][self.find(j)]
@@ -158,6 +210,9 @@ class DerivationDB:
     def _set_dist(self, a: int, b: int, value: int, rule: str, detail: str | None,
                   premises: tuple) -> None:
         self.dmin[a][b] = value
+        near = self._near
+        near.setdefault(a, set()).add(b)
+        near.setdefault(b, set()).add(a)
         eid = self._record(rule, detail, premises, ("dist", a, b, value))
         self._hist.setdefault((a, b), []).append((value, eid))
 
@@ -193,8 +248,10 @@ class DerivationDB:
                 last_fact = ("dist", winner, b, best_val)
             if b != winner:
                 self._set_dist(winner, winner, best_val, "RCONG", None, (eq_premise, last_fact))
-        # fold rows and columns against every other class
-        for k in [r for r in self._roots if r != winner]:
+        # fold rows and columns against every other class; a cell at q lowers
+        # nothing, so only classes with a cell below q to the loser can change
+        parent = self._parent
+        for k in sorted(k for k in self._near.pop(loser, ()) if k != winner and parent[k] == k):
             v = self.dmin[loser][k]
             if v < self.dmin[winner][k]:
                 self._set_dist(winner, k, v, "LCONG", None, (eq_premise, ("dist", loser, k, v)))
@@ -407,12 +464,10 @@ def _step_subst(db: DerivationDB) -> bool:
             nonlocal changed
             if pos == k:
                 db._count()
-                sigma = {
-                    elems[m]: db.universe[db.find(chosen[m])] for m in range(k)
-                }
-                lhs = apply_subst(sigma, j.lhs)
-                rhs = apply_subst(sigma, j.rhs)
-                if not (db.term_in_universe(lhs) and db.term_in_universe(rhs)):
+                sigma = {elems[m]: db.find(chosen[m]) for m in range(k)}
+                li = db.subst_index(sigma, j.lhs)
+                ri = li if li is None else db.subst_index(sigma, j.rhs)
+                if ri is None:
                     return
                 premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
                     (
@@ -424,7 +479,6 @@ def _step_subst(db: DerivationDB) -> bool:
                     for a in range(k)
                     for b in range(k)
                 )
-                li, ri = db.index_of(lhs), db.index_of(rhs)
                 if j.eps is None:
                     changed |= db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
                 else:

@@ -17,7 +17,7 @@ from .errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError
 from .deduce import DerivationDB, saturate
 from .gmet import FuzzySpace, GMetSpec, enumerate_nonexpansive, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, eval_term, is_model
-from .terms import App, Signature, Term, Var, apply_subst, term_depth, term_label, term_to_str
+from .terms import Signature, Term, Var, apply_subst, term_depth, term_label, term_to_str
 
 
 class _Overflow:
@@ -71,11 +71,8 @@ class FreeAlgebra:
         for op, arity in base.sig.ops:
             table: dict[tuple[int, ...], int | _Overflow] = {}
             for args in itertools.product(range(len(roots)), repeat=arity):
-                t = App(op, tuple(self.classes[a] for a in args))
-                if base.term_in_universe(t):
-                    table[args] = self.class_of(t)
-                else:
-                    table[args] = OVERFLOW
+                i = base.app_index(op, tuple(roots[a] for a in args))
+                table[args] = OVERFLOW if i is None else self._root_to_class[base.find(i)]
             self.optable[op] = table
         self.unit: dict[str, int] = {
             a: self.class_of(Var(a)) for a in base.target.carrier

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qeqlog.errors import (
     BudgetExceeded,
@@ -11,6 +12,7 @@ from qeqlog.errors import (
     SpecViolation,
     TrivialPair,
     UnknownFact,
+    UnknownVariable,
 )
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model, satisfies
@@ -21,7 +23,7 @@ from qeqlog.deduce import (
     saturate,
     trace,
 )
-from qeqlog.terms import App, Signature, Var
+from qeqlog.terms import App, Signature, Var, apply_subst, term_vars
 
 from conftest import (
     random_algebra,
@@ -32,6 +34,7 @@ from conftest import (
     trivial_model,
 )
 from oracle import OracleDB
+from test_terms import terms_strategy
 
 
 GRID = EpsGrid(4)
@@ -43,6 +46,53 @@ def unary_axiom_quarter(grid) -> Theory:
     """u(x) within 1/4 of x, over a one-point context."""
     ctx = FuzzySpace(grid, ("x",), ((0,),))
     return Theory("T", (Judgment(ctx, App("u", (Var("x"),)), Var("x"), 1),))
+
+
+def _universe_size(sig: Signature, n_carrier: int, depth: int) -> int:
+    leaves = n_carrier + sum(1 for _, ar in sig.ops if ar == 0)
+    size = leaves
+    for _ in range(depth - 1):
+        size = leaves + sum(size ** ar for _, ar in sig.ops if ar > 0)
+    return size
+
+
+class TestSubstIndex:
+    """The id walker against building the substituted term and looking it up."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_matches_apply_subst(self, arities, n_carrier, depth, data):
+        sig = Signature.of({f"o{i}": ar for i, ar in enumerate(arities)})
+        carrier = ("a", "b")[:n_carrier]
+        assume(_universe_size(sig, n_carrier, depth) <= 300)
+        target = space(GRID, carrier, [["0"] * n_carrier] * n_carrier)
+        db = saturate(sig, Theory("E", ()), FREL, target, depth)
+        pattern = data.draw(terms_strategy(sig, ("x", "y")))
+        roots = db.roots()
+        sigma = {x: data.draw(st.sampled_from(roots)) for x in ("x", "y")}
+        built = apply_subst({x: db.universe[i] for x, i in sigma.items()}, pattern)
+        expected = db.index_of(built) if db.term_in_universe(built) else None
+        assert db.subst_index(sigma, pattern) == expected
+        for x in term_vars(pattern):
+            stray = {y: i for y, i in sigma.items() if y != x}
+            # the walk stops at the first subterm outside the universe, which
+            # may come before the stray variable
+            try:
+                assert db.subst_index(stray, pattern) is None
+            except UnknownVariable:
+                pass
+
+    def test_stray_variable_is_typed(self, ab_half):
+        db = saturate(U_SIG, Theory("E", ()), FREL, ab_half, 2)
+        with pytest.raises(UnknownVariable):
+            db.subst_index({}, Var("x"))
+        with pytest.raises(UnknownVariable):
+            db.subst_index({"x": 0}, App("u", (Var("y"),)))
 
 
 class TestSaturateFixtures:

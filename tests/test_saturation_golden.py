@@ -95,6 +95,52 @@ METRIC_WS = {
 }
 
 
+# shaped like the benchmark's equational workspace: FREL, {f/2}, the CI theory
+# on an asymmetric 2-point space; congruence merges 1,446 terms at depth 4
+EQUATIONAL_WS = {
+    "grid": 4,
+    "signature": {"ops": {"f": 2}},
+    "spec": {"preset": "FREL"},
+    "budgets": {"depth": 3},
+    "spaces": {
+        "T": {"carrier": ["a", "b"], "dist": [["0", "1/4"], ["3/4", "0"]]},
+        "C2": {"carrier": ["x", "y"], "dist": [["0", "1"], ["1", "0"]]},
+        "C1": {"carrier": ["x"], "dist": [["0"]]},
+    },
+    "theories": {
+        "CI": [
+            {"context": "C2", "lhs": "f(x,y)", "rhs": "f(y,x)", "eps": None},
+            {"context": "C1", "lhs": "f(x,x)", "rhs": "x", "eps": None},
+            {"context": "C2", "lhs": "f(x,y)", "rhs": "x", "eps": "1/2"},
+        ]
+    },
+}
+
+
+def _fold_cases() -> dict:
+    """FREL merges of u(a) and u(b) into the constant c, shaped so that a
+    merge's fold must read the right cells in the right order.
+
+    COLUMN: the loser's only derived cells lie in its column, d(a, u(a)) and
+    d(b, u(b)), so the fold derives d(a, c) and d(b, c) through the column
+    (RCONG). ROWS: u(a) gets d(u(a), u(u(c))) before d(u(a), a), and the fold
+    must still derive d(c, a) before d(c, u(u(c))), in ascending id order.
+    """
+    grid = EpsGrid(4)
+    ab = FuzzySpace.of(grid, ["a", "b"], [["0", "1/2"], ["1", "0"]])
+    x0 = FuzzySpace.of(grid, ["x"], [["0"]])
+    x, c = Var("x"), App("c", ())
+    u_x = App("u", (x,))
+    merge = Judgment(x0, u_x, c, None)
+    theories = (
+        Theory("COLUMN", (Judgment(x0, x, u_x, 1), merge)),
+        Theory("ROWS", (Judgment(x0, u_x, App("u", (App("u", (c,)),)), 1),
+                        Judgment(x0, u_x, x, 1), merge)),
+    )
+    sig = Signature.of({"u": 1, "c": 0})
+    return {f"fold-{th.name}": (sig, th, FREL, ab, 3) for th in theories}
+
+
 def _zero_space(grid: EpsGrid, names) -> FuzzySpace:
     return FuzzySpace(grid, tuple(names), tuple(tuple(0 for _ in names) for _ in names))
 
@@ -112,6 +158,11 @@ def _cases() -> dict:
     metric = Workspace.from_json(METRIC_WS)
     cases["metric-TH-T"] = (metric.sig, metric.theories["TH"], metric.spec,
                             metric.spaces["T"], metric.depth)
+    equational = Workspace.from_json(EQUATIONAL_WS)
+    for depth in (3, 4):
+        cases[f"equational-CI-T-d{depth}"] = (equational.sig, equational.theories["CI"],
+                                              equational.spec, equational.spaces["T"], depth)
+    cases.update(_fold_cases())
     for spec in (HALVING, SHARED_PARAM, MIXED):
         for q in (2, 3, 4):
             grid = EpsGrid(q)
