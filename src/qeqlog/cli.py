@@ -84,32 +84,20 @@ def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:
     return ws
 
 
-class _Lookup:
-    def __init__(self, ws: Workspace):
-        self.ws = ws
+def _named(kind: str, table: dict, name: str):
+    if name not in table:
+        raise QeqlogError(f"unknown {kind} {name!r}")
+    return table[name]
 
-    def space(self, name: str) -> FuzzySpace:
-        if name not in self.ws.spaces:
-            raise QeqlogError(f"unknown space {name!r}")
-        return self.ws.spaces[name]
 
-    def theory(self, name: str) -> Theory:
-        if name not in self.ws.theories:
-            raise QeqlogError(f"unknown theory {name!r}")
-        return self.ws.theories[name]
-
-    def algebra(self, name: str) -> QuantAlgebra:
-        if name not in self.ws.algebras:
-            raise QeqlogError(f"unknown algebra {name!r}")
-        return self.ws.algebras[name]
-
-    def judgment(self, raw: str) -> Judgment:
-        if raw.lstrip().startswith("{"):
-            obj = json.loads(raw)
-        else:
-            with open(raw, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        return Judgment.from_json(obj, self.ws.sig, self.ws.grid, self.ws.spaces)
+def _judgment(ws: Workspace, raw: str) -> Judgment:
+    """A judgment given inline as JSON or as the path of a JSON file."""
+    if raw.lstrip().startswith("{"):
+        obj = json.loads(raw)
+    else:
+        with open(raw, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    return Judgment.from_json(obj, ws.sig, ws.grid, ws.spaces)
 
 
 def _emit(report: dict, code: int) -> int:
@@ -130,9 +118,8 @@ def _laws_report(ws: Workspace, reports, **extra) -> dict:
 
 
 def cmd_check_model(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    alg = lk.algebra(args.algebra)
-    theory = lk.theory(args.theory)
+    alg = _named("algebra", ws.algebras, args.algebra)
+    theory = _named("theory", ws.theories, args.theory)
     for j in theory.judgments:
         res = satisfies(alg, ws.spec, j, ws.budget_interps)
         if not res.holds:
@@ -145,10 +132,9 @@ def cmd_check_model(ws: Workspace, args) -> int:
 
 
 def cmd_derive(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    target = lk.space(args.target)
-    j = lk.judgment(args.judgment)
+    theory = _named("theory", ws.theories, args.theory)
+    target = _named("space", ws.spaces, args.target)
+    j = _judgment(ws, args.judgment)
     db = saturate(ws.sig, theory, ws.spec, target, ws.depth, ws.budget_instances)
     ok = derives(db, j)
     report = _base_report(
@@ -162,9 +148,8 @@ def cmd_derive(ws: Workspace, args) -> int:
 
 
 def cmd_distance(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    target = lk.space(args.target)
+    theory = _named("theory", ws.theories, args.theory)
+    target = _named("space", ws.spaces, args.target)
     lhs = parse_term(args.lhs, ws.sig, target.carrier)
     rhs = parse_term(args.rhs, ws.sig, target.carrier)
     db = saturate(ws.sig, theory, ws.spec, target, ws.depth, ws.budget_instances)
@@ -173,9 +158,8 @@ def cmd_distance(ws: Workspace, args) -> int:
 
 
 def cmd_free(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    space = lk.space(args.space)
+    theory = _named("theory", ws.theories, args.theory)
+    space = _named("space", ws.spaces, args.space)
     fa = build_free(ws.sig, theory, ws.spec, space, ws.depth, ws.budget_instances)
     ops = {}
     overflow_count = 0
@@ -207,19 +191,17 @@ def cmd_free(ws: Workspace, args) -> int:
 
 
 def cmd_entail(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    j = lk.judgment(args.judgment)
-    catalog = [lk.algebra(name) for name in args.catalog.split(",") if name]
+    theory = _named("theory", ws.theories, args.theory)
+    j = _judgment(ws, args.judgment)
+    catalog = [_named("algebra", ws.algebras, name) for name in args.catalog.split(",") if name]
     ok = entails_catalog(catalog, ws.spec, theory, j, ws.budget_interps)
     report = _base_report(ws, entailed=ok, catalog_size=len(catalog))
     return _emit(report, 0 if ok else 1)
 
 
 def cmd_monad_laws(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    space = lk.space(args.space)
+    theory = _named("theory", ws.theories, args.theory)
+    space = _named("space", ws.spaces, args.space)
     mi = MonadInstance(ws.sig, theory, ws.spec, ws.depth, ws.budget_instances)
     reports = check_monad_laws(mi, space)
     ok = all(r.failed == 0 for r in reports)
@@ -227,10 +209,9 @@ def cmd_monad_laws(ws: Workspace, args) -> int:
 
 
 def cmd_ump(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    space = lk.space(args.space)
-    alg = lk.algebra(args.algebra)
+    theory = _named("theory", ws.theories, args.theory)
+    space = _named("space", ws.spaces, args.space)
+    alg = _named("algebra", ws.algebras, args.algebra)
     gen_map = json.loads(args.map)
     fa = build_free(ws.sig, theory, ws.spec, space, ws.depth, ws.budget_instances)
     res = check_ump(fa, alg, gen_map, ws.budget_interps)
@@ -241,9 +222,8 @@ def cmd_ump(ws: Workspace, args) -> int:
 
 
 def cmd_em_check(ws: Workspace, args) -> int:
-    lk = _Lookup(ws)
-    theory = lk.theory(args.theory)
-    alg = lk.algebra(args.algebra)
+    theory = _named("theory", ws.theories, args.theory)
+    alg = _named("algebra", ws.algebras, args.algebra)
     mi = MonadInstance(ws.sig, theory, ws.spec, ws.depth, ws.budget_instances)
     rebuilt, reports = model_from_em(mi, em_from_model(mi, alg))
     round_trip = rebuilt.ops == alg.ops

@@ -86,7 +86,7 @@ class DerivationDB:
     tuple of argument ids to the id of that application, and each variable to
     its id: a membership test walks a term bottom-up through it
     (:meth:`index_of`, :meth:`subst_index`), and a term over known ids needs
-    no tree at all (:meth:`app_index`). ``dmin`` is dense, but a near-cell
+    no tree at all (:meth:`app_index`, :meth:`fold`). ``dmin`` is dense, but a near-cell
     index holds, for each id, the ids on the other side of its cells below q;
     a merge folds only those, so it costs the loser's derived distances, not
     the class count.
@@ -106,12 +106,12 @@ class DerivationDB:
         )
         # op -> (argument ids -> id)
         self._hashcons: dict[str, dict[tuple[int, ...], int]] = {op: {} for op, _ in sig.ops}
-        self._var_ids: dict[str, int] = {}
+        self.var_ids: dict[str, int] = {}
         # universe ids of each term's arguments; they never change
         self._children: list[tuple[int, ...]] = []
         for i, t in enumerate(self.universe):
             if isinstance(t, Var):
-                self._var_ids[t.name] = i
+                self.var_ids[t.name] = i
                 kids = ()
             else:
                 # the canonical order puts every subterm before the term
@@ -151,7 +151,7 @@ class DerivationDB:
 
     def _lookup(self, t: Term) -> int | None:
         try:
-            return self.subst_index(self._var_ids, t)
+            return self.subst_index(self.var_ids, t)
         except UnknownVariable:
             return None
 
@@ -190,6 +190,14 @@ class DerivationDB:
                 return None
             kids.append(i)
         return self.app_index(t.op, tuple(kids))
+
+    def fold(self, leaf, node) -> list:
+        """One value per universe id, bottom up: ``leaf(name)`` for a
+        variable, ``node(op, argument values)`` for an application."""
+        out: list = []
+        for t, kids in zip(self.universe, self._children):
+            out.append(leaf(t.name) if isinstance(t, Var) else node(t.op, tuple(out[k] for k in kids)))
+        return out
 
     def class_distance(self, i: int, j: int) -> int:
         return self.dmin[self.find(i)][self.find(j)]

@@ -2,22 +2,24 @@
 
 Classes are the saturated equality classes with their minimal canonical-order
 representative; the induced distance table is the saturated minimal-distance
-matrix read off on representatives. Operation tables are partial: entries
-whose canonical application exceeds the depth bound hold the ``OVERFLOW``
-sentinel, and every check over the algebra reports how many instances were
-skipped for that reason.
+matrix read off on representatives. Below the API a term is its universe id
+in the saturated database: substitution walks ids through its hashcons, and a
+value per term comes from one bottom-up pass over the ids. Operation tables
+are partial: entries whose canonical application exceeds the depth bound hold
+the ``OVERFLOW`` sentinel, and every check over the algebra reports how many
+instances were skipped for that reason.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Iterable, Mapping
 
-from .errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError
+from .errors import BudgetExceeded, NotAModel, NotNonexpansive, OutOfUniverse, QeqlogError
 from .deduce import DerivationDB, saturate
 from .gmet import FuzzySpace, GMetSpec, enumerate_nonexpansive, is_nonexpansive
-from .qalg import QuantAlgebra, Theory, eval_term, is_model
-from .terms import Signature, Term, Var, apply_subst, term_depth, term_label, term_to_str
+from .qalg import QuantAlgebra, Theory, is_model
+from .terms import Signature, Term, Var, term_label, term_to_str
 
 
 class _Overflow:
@@ -41,6 +43,16 @@ class LawReport:
     failed: int
     first_failure: str | None = None
 
+    @classmethod
+    def tally(cls, law: str, outcomes: Iterable[bool | str | None]) -> "LawReport":
+        """Count one outcome per instance: None when it was skipped because
+        an intermediate overflowed, True when it holds, else the failure."""
+        outcomes = list(outcomes)
+        checked = [o for o in outcomes if o is not None]
+        failures = [o for o in checked if o is not True]
+        return cls(law, len(checked), len(outcomes) - len(checked), len(failures),
+                   failures[0] if failures else None)
+
     @property
     def coverage(self) -> float:
         total = self.checked + self.skipped_overflow
@@ -61,7 +73,7 @@ class FreeAlgebra:
 
     def __init__(self, base: DerivationDB):
         self.base = base
-        roots = base.roots()
+        self.rep_ids = roots = tuple(base.roots())
         self.classes: tuple[Term, ...] = tuple(base.universe[r] for r in roots)
         self._root_to_class = {r: c for c, r in enumerate(roots)}
         self.delta: tuple[tuple[int, ...], ...] = tuple(
@@ -72,7 +84,7 @@ class FreeAlgebra:
             table: dict[tuple[int, ...], int | _Overflow] = {}
             for args in itertools.product(range(len(roots)), repeat=arity):
                 i = base.app_index(op, tuple(roots[a] for a in args))
-                table[args] = OVERFLOW if i is None else self._root_to_class[base.find(i)]
+                table[args] = OVERFLOW if i is None else self.class_at(i)
             self.optable[op] = table
         self.unit: dict[str, int] = {
             a: self.class_of(Var(a)) for a in base.target.carrier
@@ -84,22 +96,38 @@ class FreeAlgebra:
             self.delta,
         )
 
+    def class_at(self, i: int) -> int:
+        """Class of the term with universe id ``i``."""
+        return self._root_to_class[self.base.find(i)]
+
     def class_of(self, t: Term) -> int:
-        return self._root_to_class[self.base.find(self.base.index_of(t))]
+        return self.class_at(self.base.index_of(t))
 
     def class_name(self, c: int) -> str:
         return self.space.carrier[c]
 
-    def class_by_name(self, name: str) -> int:
-        return self.space.index(name)
+    def renamed(self, names: Mapping[str, str]):
+        """Class of a term with each variable x renamed to the generator
+        ``names[x]``, as a function of the term. A name that is no generator
+        puts the term outside the universe, which raises OutOfUniverse."""
+        sigma = {x: self.base.var_ids.get(v) for x, v in names.items()}
 
-    def class_images(self, image: Callable[[Term], object], mismatch: str) -> list:
-        """``image`` of each class representative, audited on every member:
-        all members of a class must have the image of its representative."""
-        out = [image(rep) for rep in self.classes]
-        for t in self.base.universe:
-            if image(t) != out[self.class_of(t)]:
-                raise QeqlogError(f"{mismatch} on class members: {term_to_str(t)}")
+        def class_of_renamed(t: Term) -> int:
+            i = self.base.subst_index(sigma, t)
+            if i is None:
+                raise OutOfUniverse(f"renaming {term_to_str(t)} leaves the depth-{self.base.depth} universe")
+            return self.class_at(i)
+
+        return class_of_renamed
+
+    def class_images(self, values: list, mismatch: str) -> list:
+        """The value of each class, given one value per universe id (as
+        :meth:`DerivationDB.fold` computes them), audited on every member:
+        all members of a class must have the value of its representative."""
+        out = [values[r] for r in self.rep_ids]
+        for i, v in enumerate(values):
+            if v != out[self.class_at(i)]:
+                raise QeqlogError(f"{mismatch} on class members: {term_to_str(self.base.universe[i])}")
         return out
 
 
@@ -110,39 +138,29 @@ def build_free(sig: Signature, theory: Theory, spec: GMetSpec, space: FuzzySpace
 
 
 def free_eval(f: FreeAlgebra, tau: Mapping[str, int], t: Term):
-    """Class of the term obtained by substituting canonical representatives.
-
-    Returns OVERFLOW when the substituted term exceeds the depth bound.
+    """Class of ``t`` with each variable x replaced by the representative of
+    the class ``tau[x]``, or OVERFLOW when that term exceeds the depth bound.
     """
-    substituted = apply_subst({x: f.classes[c] for x, c in tau.items()}, t)
-    if term_depth(substituted) > f.base.depth:
-        return OVERFLOW
-    return f.class_of(substituted)
+    i = f.base.subst_index({x: f.rep_ids[c] for x, c in tau.items()}, t)
+    return OVERFLOW if i is None else f.class_at(i)
 
 
 def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
                         budget: int | None = None) -> LawReport:
     """Every axiom must hold in the quotient under every nonexpansive
     interpretation whose two sides stay within the depth bound."""
-    checked = skipped = failed = 0
-    first = None
-    for j in theory.judgments:
-        for tau_names in enumerate_nonexpansive(j.context, f.space, budget):
-            tau = {x: f.class_by_name(v) for x, v in tau_names.items()}
-            left = free_eval(f, tau, j.lhs)
-            right = free_eval(f, tau, j.rhs)
-            if left is OVERFLOW or right is OVERFLOW:
-                skipped += 1
-                continue
-            checked += 1
-            if j.eps is None:
-                ok = left == right
-            else:
-                ok = f.delta[left][right] <= j.eps
-            if not ok:
-                failed += 1
-                first = first or f"{j.describe()} under {tau_names}"
-    return LawReport(theory.name, checked, skipped, failed, first)
+    def outcomes():
+        for j in theory.judgments:
+            for tau_names in enumerate_nonexpansive(j.context, f.space, budget):
+                tau = {x: f.space.index(v) for x, v in tau_names.items()}
+                left, right = free_eval(f, tau, j.lhs), free_eval(f, tau, j.rhs)
+                if left is OVERFLOW or right is OVERFLOW:
+                    yield None
+                    continue
+                ok = left == right if j.eps is None else f.delta[left][right] <= j.eps
+                yield ok or f"{j.describe()} under {tau_names}"
+
+    return LawReport.tally(theory.name, outcomes())
 
 
 def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
@@ -156,7 +174,7 @@ def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
         raise NotAModel(f"target algebra does not model {f.base.theory.name}")
     if not is_nonexpansive(gen_map, f.base.target, alg.space):
         raise NotNonexpansive("generator map is not nonexpansive")
-    images = f.class_images(lambda t: eval_term(alg, gen_map, t), "extension disagrees")
+    images = f.class_images(f.base.fold(gen_map.__getitem__, alg.apply), "extension disagrees")
     return dict(enumerate(images))
 
 

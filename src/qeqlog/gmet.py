@@ -101,10 +101,6 @@ class FuzzySpace:
         return self.dist[self._idx[a]][self._idx[b]]
 
 
-def point_space(grid: EpsGrid, name: str = "pt") -> FuzzySpace:
-    return FuzzySpace(grid, (name,), ((0,),))
-
-
 # --- epsilon expression language: constants, parameters, +, min(.,1) ---
 
 class EpsExpr:

@@ -2,9 +2,12 @@
 
 Object action, unit and flattening multiplication all operate on the carrier
 *names* of the quotient spaces (one name per class, the printed canonical
-representative). Flattening can leave the depth bound, so the multiplication
-is a partial map with an ``overflow`` value; every law check reports how many
-instances were skipped because an intermediate overflowed.
+representative). Below that, a term is its universe id: flattening and
+renaming walk a representative through the hashcons of the algebra it lands
+in, and the map action is one bottom-up pass over the ids. Flattening can
+leave the depth bound, so the multiplication is a partial map with an
+``overflow`` value; every law check reports how many instances were skipped
+because an intermediate overflowed.
 """
 from __future__ import annotations
 
@@ -19,10 +22,10 @@ from .errors import (
     PreconditionViolation,
     QeqlogError,
 )
-from .free import FreeAlgebra, LawReport, OVERFLOW, build_free
+from .free import FreeAlgebra, LawReport, OVERFLOW, build_free, free_eval
 from .gmet import FuzzySpace, GMetSpec, is_nonexpansive
-from .qalg import QuantAlgebra, Theory, eval_term, is_homomorphism, is_model
-from .terms import App, Signature, Var, apply_subst, term_vars
+from .qalg import QuantAlgebra, Theory, is_homomorphism, is_model
+from .terms import Signature, term_vars
 
 
 class MonadInstance:
@@ -72,10 +75,8 @@ def m_map(mi: MonadInstance, f: Mapping[str, str], src: FuzzySpace,
     if not is_nonexpansive(f, src, dst):
         raise NotNonexpansive("m_map requires a nonexpansive map")
     fa_src, fa_dst = mi.free(src), mi.free(dst)
-    renaming = {a: Var(b) for a, b in f.items()}
-    images = fa_src.class_images(
-        lambda t: fa_dst.class_of(apply_subst(renaming, t)), "mapped classes disagree"
-    )
+    ids = fa_src.base.fold(lambda a: fa_dst.base.var_ids[f[a]], fa_dst.base.app_index)
+    images = fa_src.class_images([fa_dst.class_at(i) for i in ids], "mapped classes disagree")
     return {fa_src.class_name(c): fa_dst.class_name(d) for c, d in enumerate(images)}
 
 
@@ -93,14 +94,11 @@ def m_mult(mi: MonadInstance, sp: FuzzySpace):
     """
     fa = mi.free(sp)
     outer = mi.free(fa.space)
-    rep_of_name = {fa.class_name(c): rep for c, rep in enumerate(fa.classes)}
+    tau = {name: c for c, name in enumerate(fa.space.carrier)}
     out: dict[str, object] = {}
     for c, rep in enumerate(outer.classes):
-        flattened = apply_subst(rep_of_name, rep)
-        if fa.base.term_in_universe(flattened):
-            out[outer.class_name(c)] = fa.class_name(fa.class_of(flattened))
-        else:
-            out[outer.class_name(c)] = OVERFLOW
+        flat = free_eval(fa, tau, rep)
+        out[outer.class_name(c)] = flat if flat is OVERFLOW else fa.class_name(flat)
     return out
 
 
@@ -111,59 +109,44 @@ def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
     mult = m_mult(mi, sp)
     fa = mi.free(sp)
     outer = mi.free(sp1)
-    reports = []
 
     # mult . unit_M = id  (unit of M(sp), then flatten)
     unit_m = m_unit(mi, sp1)
-    checked = failed = 0
-    first = None
-    for name in sp1.carrier:
-        res = mult[unit_m[name]]
-        checked += 1
-        if res != name:
-            failed += 1
-            first = first or f"mult(unit_M({name})) = {res}"
-    reports.append(LawReport("mult.unit_M=id", checked, 0, failed, first))
+    reports = [LawReport.tally("mult.unit_M=id", (
+        mult[unit_m[n]] == n or f"mult(unit_M({n})) = {mult[unit_m[n]]}" for n in sp1.carrier))]
 
     # mult . M(unit) = id  (rename generators to their unit classes, flatten)
-    checked = failed = 0
-    first = None
-    unit_renaming = {a: Var(n) for a, n in unit.items()}
-    for c, rep in enumerate(fa.classes):
-        renamed = apply_subst(unit_renaming, rep)
-        res = mult[outer.class_name(outer.class_of(renamed))]
-        checked += 1
-        if res != fa.class_name(c):
-            failed += 1
-            first = first or f"mult(M(unit)({fa.class_name(c)})) = {res}"
-    reports.append(LawReport("mult.M(unit)=id", checked, 0, failed, first))
+    unit_renamed = outer.renamed(unit)
+
+    def m_unit_then_mult():
+        for c, rep in enumerate(fa.classes):
+            res = mult[outer.class_name(unit_renamed(rep))]
+            yield res == fa.class_name(c) or f"mult(M(unit)({fa.class_name(c)})) = {res}"
+
+    reports.append(LawReport.tally("mult.M(unit)=id", m_unit_then_mult()))
 
     # mult . M(mult) = mult . mult_M  on classes of M^3
-    sp2 = m_object(mi, sp1)
-    f3 = mi.free(sp2)
+    f3 = mi.free(m_object(mi, sp1))
     mult1 = m_mult(mi, sp1)
-    checked = skipped = failed = 0
-    first = None
-    mult_renaming = {k: Var(v) for k, v in mult.items() if v is not OVERFLOW}
-    for c3, rep3 in enumerate(f3.classes):
-        name3 = f3.class_name(c3)
-        # path A: flatten the outer level first
-        mid_a = mult1[name3]
-        res_a = OVERFLOW if mid_a is OVERFLOW else mult[mid_a]
-        # path B: push the inner flattening through, then flatten
-        if any(mult[name] is OVERFLOW for name in term_vars(rep3)):
-            res_b = OVERFLOW
-        else:
-            renamed = apply_subst(mult_renaming, rep3)
-            res_b = mult[outer.class_name(outer.class_of(renamed))]
-        if res_a is OVERFLOW or res_b is OVERFLOW:
-            skipped += 1
-            continue
-        checked += 1
-        if res_a != res_b:
-            failed += 1
-            first = first or f"{name3}: {res_a} != {res_b}"
-    reports.append(LawReport("mult.M(mult)=mult.mult_M", checked, skipped, failed, first))
+    mult_renamed = outer.renamed({k: v for k, v in mult.items() if v is not OVERFLOW})
+
+    def associativity():
+        for c3, rep3 in enumerate(f3.classes):
+            name3 = f3.class_name(c3)
+            # path A: flatten the outer level first
+            mid_a = mult1[name3]
+            res_a = OVERFLOW if mid_a is OVERFLOW else mult[mid_a]
+            # path B: push the inner flattening through, then flatten
+            if any(mult[name] is OVERFLOW for name in term_vars(rep3)):
+                res_b = OVERFLOW
+            else:
+                res_b = mult[outer.class_name(mult_renamed(rep3))]
+            if res_a is OVERFLOW or res_b is OVERFLOW:
+                yield None
+            else:
+                yield res_a == res_b or f"{name3}: {res_a} != {res_b}"
+
+    reports.append(LawReport.tally("mult.M(mult)=mult.mult_M", associativity()))
     return reports
 
 
@@ -180,13 +163,10 @@ def em_from_model(mi: MonadInstance, alg: QuantAlgebra) -> EMCandidate:
     if not is_model(alg, mi.spec, mi.theory, mi.budget):
         raise NotAModel(f"algebra does not model {mi.theory.name}")
     fa = mi.free(alg.space)
-    identity = {a: a for a in alg.space.carrier}
-    images = fa.class_images(lambda t: eval_term(alg, identity, t), "structure map disagrees")
+    images = fa.class_images(fa.base.fold(lambda a: a, alg.apply), "structure map disagrees")
     h = {fa.class_name(c): v for c, v in enumerate(images)}
-    for x in fa.space.carrier:
-        for y in fa.space.carrier:
-            if alg.space.d(h[x], h[y]) > fa.space.d(x, y):
-                raise NotNonexpansive("structure map is not nonexpansive")
+    if not is_nonexpansive(h, fa.space, alg.space):
+        raise NotNonexpansive("structure map is not nonexpansive")
     cand = EMCandidate(alg.space, h)
     reports = mi.em_reports(cand)
     if any(r.failed for r in reports):
@@ -201,34 +181,23 @@ def check_em_laws(mi: MonadInstance, cand: EMCandidate) -> list[LawReport]:
     mult = m_mult(mi, cand.space)
     outer = mi.free(fa.space)
     h = cand.h
-    reports = []
+    h_renamed = fa.renamed(h)
 
-    checked = failed = 0
-    first = None
-    for a in cand.space.carrier:
-        checked += 1
-        if h[unit[a]] != a:
-            failed += 1
-            first = first or f"h(unit({a})) = {h[unit[a]]}"
-    reports.append(LawReport("h.unit=id", checked, 0, failed, first))
+    def m_h_then_h():
+        for c2, rep2 in enumerate(outer.classes):
+            name2 = outer.class_name(c2)
+            lhs = h[fa.class_name(h_renamed(rep2))]
+            mid = mult[name2]
+            if mid is OVERFLOW:
+                yield None
+            else:
+                yield lhs == h[mid] or f"{name2}: {lhs} != {h[mid]}"
 
-    checked = skipped = failed = 0
-    first = None
-    h_renaming = {k: Var(v) for k, v in h.items()}
-    for c2, rep2 in enumerate(outer.classes):
-        name2 = outer.class_name(c2)
-        lhs = h[fa.class_name(fa.class_of(apply_subst(h_renaming, rep2)))]
-        mid = mult[name2]
-        if mid is OVERFLOW:
-            skipped += 1
-            continue
-        rhs = h[mid]
-        checked += 1
-        if lhs != rhs:
-            failed += 1
-            first = first or f"{name2}: {lhs} != {rhs}"
-    reports.append(LawReport("h.M(h)=h.mult", checked, skipped, failed, first))
-    return reports
+    return [
+        LawReport.tally("h.unit=id", (
+            h[unit[a]] == a or f"h(unit({a})) = {h[unit[a]]}" for a in cand.space.carrier)),
+        LawReport.tally("h.M(h)=h.mult", m_h_then_h()),
+    ]
 
 
 def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, list[LawReport]]:
@@ -245,12 +214,13 @@ def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, l
     if mi.depth < 2 and any(ar > 0 for _, ar in mi.sig.ops):
         raise QeqlogError("reading op tables off a structure map needs depth >= 2")
     fa = mi.free(cand.space)
+    var_ids = fa.base.var_ids
     ops: dict[str, dict[tuple[str, ...], str]] = {}
     for op, arity in mi.sig.ops:
         table = {}
         for args in itertools.product(cand.space.carrier, repeat=arity):
-            t = App(op, tuple(Var(a) for a in args))
-            table[args] = cand.h[fa.class_name(fa.class_of(t))]
+            i = fa.base.app_index(op, tuple(var_ids[a] for a in args))
+            table[args] = cand.h[fa.class_name(fa.class_at(i))]
         ops[op] = table
     return QuantAlgebra(cand.space, mi.sig, ops), reports
 

@@ -2,14 +2,15 @@
 
 Terms use carrier-element names directly as variables; there is no separate
 variable sort. The canonical order (depth first, then symbol, then arguments)
-makes universe enumeration and quotient representatives deterministic.
+makes universe enumeration and quotient representatives deterministic. The
+universe is built in that order, so a term's position in it (its universe id)
+names it below the API boundary; trees are for parsing, printing and results.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import TrivialPair, UnknownVariable
@@ -78,14 +79,12 @@ class App(Term):
 EMPTY_SIGNATURE = Signature(())
 
 
-@lru_cache(maxsize=None)
 def term_depth(t: Term) -> int:
     if isinstance(t, Var):
         return 1
     return 1 + max((term_depth(a) for a in t.args), default=0)
 
 
-@lru_cache(maxsize=None)
 def term_key(t: Term):
     """Sort key realizing the canonical order: depth, then symbol, then arguments.
 
@@ -213,19 +212,27 @@ def apply_subst(subst: Mapping[str, Term], t: Term) -> Term:
 
 
 def enumerate_universe(sig: Signature, carrier: Iterable[str], depth: int) -> list[Term]:
-    """All terms of depth <= depth over the carrier, in canonical order."""
-    carrier = tuple(carrier)
+    """All terms of depth <= depth over the carrier, in canonical order.
+
+    Layer by layer: the leaves by name, a variable first; then each operation
+    in name order over argument positions in lexicographic order, keeping the
+    tuples that reach into the previous layer. That is the canonical order.
+    """
+    carrier = tuple(dict.fromkeys(carrier))
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not check_nontrivial(sig, carrier):
         raise TrivialPair("empty carrier and no constants")
-    universe: set[Term] = {Var(a) for a in carrier}
-    universe |= {App(name, ()) for name, arity in sig.ops if arity == 0}
+    leaves = sorted([(a, False) for a in carrier] + [(op, True) for op, ar in sig.ops if ar == 0])
+    universe: list[Term] = [App(name, ()) if is_op else Var(name) for name, is_op in leaves]
+    start = 0
     for _ in range(depth - 1):
-        layer = list(universe)
-        for name, arity in sig.ops:
+        end = len(universe)
+        for name, arity in sorted(sig.ops):
             if arity == 0:
                 continue
-            for args in itertools.product(layer, repeat=arity):
-                universe.add(App(name, args))
-    return sorted(universe, key=term_key)
+            for args in itertools.product(range(end), repeat=arity):
+                if max(args) >= start:
+                    universe.append(App(name, tuple(universe[k] for k in args)))
+        start = end
+    return universe

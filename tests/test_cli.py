@@ -250,3 +250,10 @@ class TestErrors:
             "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b",
         )
         assert code == 2 and "grid" in err.lower()
+
+    @pytest.mark.parametrize("args, stderr", [
+        (["free", "--theory", "EMPTY", "--space", "nope"], "error: unknown space 'nope'\n"),
+        (["free", "--theory", "nope", "--space", "AB"], "error: unknown theory 'nope'\n"),
+    ])
+    def test_unknown_name_exact_message(self, capsys, args, stderr):
+        assert run(capsys, "--workspace", WS, *args) == (2, "", stderr)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qeqlog.errors import BudgetExceeded, NotAModel, NotNonexpansive
+import qeqlog.free as free_mod
+from qeqlog.errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError
 from qeqlog.free import OVERFLOW, build_free, check_free_is_model, check_ump, extend_hom, free_eval
 from qeqlog.gmet import MET, PMET, EpsGrid, check_space
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory
@@ -184,6 +185,14 @@ class TestExtendHom:
         # would raise internally if any class member evaluated differently
         ext = extend_hom(fa, swap_algebra, {"a": "p", "b": "q"})
         assert set(ext) == set(range(len(fa.classes)))
+
+    def test_member_audit_names_the_member(self, swap_algebra, ab_half, monkeypatch):
+        # let a non-model through: a and b share a class but evaluate apart
+        monkeypatch.setattr(free_mod, "is_model", lambda *args: True)
+        th = Theory("PHI1", (Judgment(ab_half, Var("a"), Var("b"), 0),))
+        fa = build_free(U_SIG, th, MET, ab_half, 2)
+        with pytest.raises(QeqlogError, match=r"^extension disagrees on class members: b$"):
+            extend_hom(fa, swap_algebra, {"a": "p", "b": "q"})
 
 
 class TestCheckUmp:

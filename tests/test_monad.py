@@ -5,7 +5,7 @@ import random
 import pytest
 
 import qeqlog.monad as monad_mod
-from qeqlog.errors import EMLawViolation, NotAModel, PreconditionViolation
+from qeqlog.errors import EMLawViolation, NotAModel, OutOfUniverse, PreconditionViolation
 from qeqlog.free import OVERFLOW
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, is_nonexpansive
 from qeqlog.monad import (
@@ -229,6 +229,21 @@ class TestMonadLaws:
         assert any(r.failed > 0 for r in reports)
 
 
+    def test_swapped_unit_fails_right_unit_law(self, ab_half, monkeypatch):
+        real_unit = monad_mod.m_unit
+
+        def swapped(mi, sp):
+            out = real_unit(mi, sp)
+            if sp != ab_half:
+                return out
+            return {a: out[b] for a, b in zip(sp.carrier, reversed(sp.carrier))}
+
+        monkeypatch.setattr(monad_mod, "m_unit", swapped)
+        reports = {r.law: r for r in check_monad_laws(mi_empty(), ab_half)}
+        assert reports["mult.M(unit)=id"].failed == 2
+        assert reports["mult.M(unit)=id"].first_failure == "mult(M(unit)(a)) = b"
+
+
 class TestEilenbergMoore:
     def test_structure_map_evaluates(self, swap_algebra):
         mi = MonadInstance(U_SIG, Theory("E", ()), MET, 2)
@@ -289,6 +304,14 @@ class TestEilenbergMoore:
         rebuilt, _ = model_from_em(mi, cand)
         for x in sp.carrier:
             assert sp.d(rebuilt.apply("u", (x,)), x) <= GRID.value("1/4")
+
+    def test_structure_map_off_the_carrier_raises(self, swap_algebra):
+        # an image outside the carrier is no generator: the renamed class
+        # is outside the universe, which is an error, not an overflow skip
+        mi = MonadInstance(U_SIG, Theory("E", ()), MET, 2)
+        cand = em_from_model(mi, swap_algebra)
+        with pytest.raises(OutOfUniverse):
+            check_em_laws(mi, EMCandidate(cand.space, {**cand.h, "u(p)": "zz"}))
 
     def test_candidate_violating_unit_law(self, swap_algebra):
         mi = MonadInstance(U_SIG, Theory("E", ()), MET, 2)

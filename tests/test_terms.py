@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qeqlog.errors import TrivialPair, UnknownVariable
 from qeqlog.terms import (
@@ -117,6 +118,43 @@ class TestEnumerateUniverse:
     def test_exact_depth_bound(self):
         for t in enumerate_universe(SIG_UC, ["a"], 3):
             assert term_depth(t) <= 3
+
+
+def _sorted_set_universe(sig, carrier, depth):
+    """Every tree up to the depth bound, collected in a set and sorted by
+    ``term_key``: the construction the enumerator has to agree with."""
+    universe = {Var(a) for a in carrier} | {App(name, ()) for name, ar in sig.ops if ar == 0}
+    for _ in range(depth - 1):
+        layer = list(universe)
+        for name, arity in sig.ops:
+            if arity:
+                universe |= {App(name, args) for args in itertools.product(layer, repeat=arity)}
+    return sorted(universe, key=term_key)
+
+
+class TestUniverseOrder:
+    # op names include carrier point names, so a constant can share a name
+    # with a variable; the signature tuple is left in drawn order
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(("f", "a", "u", "b", "c", "g")), st.sampled_from((0, 1, 2))),
+            max_size=4,
+            unique_by=lambda op: op[0],
+        ),
+        st.integers(0, 3),
+        st.integers(1, 3),
+    )
+    @example(ops=[("u", 1), ("a", 0), ("f", 2)], n_carrier=2, depth=2)
+    def test_matches_sorted_set(self, ops, n_carrier, depth):
+        sig = Signature(tuple(ops))
+        carrier = ("b", "a", "c")[:n_carrier]
+        assume(check_nontrivial(sig, carrier))
+        size = leaves = n_carrier + sum(ar == 0 for _, ar in ops)
+        for _ in range(depth - 1):
+            size = leaves + sum(size ** ar for _, ar in ops if ar)
+        assume(size <= 300)
+        assert enumerate_universe(sig, carrier, depth) == _sorted_set_universe(sig, carrier, depth)
 
 
 class TestCanonicalOrder:
