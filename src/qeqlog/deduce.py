@@ -11,9 +11,19 @@ Bounded-universe contract: congruence and substitution instances are generated
 only when every produced term stays within the depth bound, so derivability is
 sound but possibly incomplete for the unbounded term algebra; raising the
 depth never removes derivations.
+
+The Horn step is delta-driven and order-preserving. A clause's conclusion is
+monotone in its premise distances, and distances only fall, so an instance
+that failed or fired cannot fire again until one of its premise cells is
+written. Each pass of a clause therefore evaluates only the tuples on cells
+written since its previous pass began (the event list is the write log),
+plus the later tuples that its own writes and merges reach, in the product
+order of a full pass. It records the same events as evaluating every tuple,
+and only the count of instances considered falls.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +36,7 @@ from .errors import (
     UnknownFact,
     UnknownVariable,
 )
-from .gmet import EpsGrid, FuzzySpace, GMetSpec, compile_clause, require_space
+from .gmet import EpsGrid, FuzzySpace, GMetSpec, HornClause, compile_clause, require_space
 from .qalg import Judgment, Theory
 from .terms import (
     App,
@@ -79,8 +89,9 @@ class TraceNode:
 class DerivationDB:
     """Saturated classes, minimal-distance matrix and trace events.
 
-    Built by :func:`saturate`. Reads are not side-effect free: :meth:`find`
-    compresses union-find paths, so even lookups mutate the structure.
+    Built by :func:`saturate`, which ends with every union-find entry
+    pointing at its root: after it, :meth:`find` is one lookup and reads
+    change nothing.
 
     Terms are handled by universe id. A hashcons maps each operation and
     tuple of argument ids to the id of that application, and each variable to
@@ -129,6 +140,11 @@ class DerivationDB:
         self._hist: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.events: list[RuleInstance] = []
         self.instances = 0
+        # where the next counted instance belongs, for budget errors
+        self._round = 0
+        self._phase = "USEVAR"
+        # per clause, the event count when its previous Horn pass began
+        self._horn_since: list[int | None] = [None] * len(spec.clauses)
         self._axiom_events: list[int] = []
 
     # --- union-find with a proof forest ---
@@ -213,6 +229,7 @@ class DerivationDB:
         if self.budget is not None and self.instances > self.budget:
             raise BudgetExceeded(
                 f"saturation considered more than {self.budget} rule instances"
+                f" in round {self._round} at {self._phase}"
             )
 
     def _set_dist(self, a: int, b: int, value: int, rule: str, detail: str | None,
@@ -283,22 +300,23 @@ class DerivationDB:
 
     def _expand_event(self, eid: int) -> TraceNode:
         ev = self.events[eid]
-        children = tuple(self._expand_premise(p) for p in ev.premises)
+        children = tuple(self._expand_premise(p, eid) for p in ev.premises)
         return TraceNode(ev.rule, ev.detail, self._fact_str(ev.conclusion), children)
 
-    def _expand_premise(self, premise: tuple) -> TraceNode:
+    def _expand_premise(self, premise: tuple, eid: int) -> TraceNode:
         kind = premise[0]
         if kind == "axiom":
             return self._expand_event(premise[1])
         if kind == "eq":
             return self._eq_tree(premise[1], premise[2])
         _, i, j, eps = premise
-        return self._dist_tree(i, j, eps)
+        return self._dist_tree(i, j, eps, eid)
 
-    def _dist_tree(self, i: int, j: int, eps: int) -> TraceNode:
+    def _dist_tree(self, i: int, j: int, eps: int, before: int) -> TraceNode:
+        """The derivation of d(i, j) <= eps from events before ``before``."""
         hist = self._hist.get((i, j), [])
         for value, eid in hist:
-            if value <= eps:
+            if value <= eps and eid < before:
                 node = self._expand_event(eid)
                 if value < eps:
                     node = TraceNode("MAX", None, self._fact_str(("dist", i, j, eps)), (node,))
@@ -380,15 +398,20 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
                 "USEVAR", None, (),
             )
     while True:
+        db._round += 1
         changed = _step_cong(db)
         changed = _step_horn(db) or changed
         changed = _step_subst(db) or changed
         if not changed:
             break
+    parent = db._parent
+    for i in range(len(parent)):
+        parent[i] = db.find(i)
     return db
 
 
 def _step_cong(db: DerivationDB) -> bool:
+    db._phase = "CONG"
     changed = False
     groups: dict[tuple, list[int]] = {}
     children = db._children
@@ -412,56 +435,174 @@ def _step_cong(db: DerivationDB) -> bool:
 
 def _step_horn(db: DerivationDB) -> bool:
     changed = False
-    q = db.grid.q
-    dmin, find = db.dmin, db.find
-    for clause in db.spec.clauses:
-        params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
-        merging = conc_bounds is None
-        root_list = db.roots()
-        db._count(len(root_list) ** len(clause.vars) * len(vectors))
-        for assignment in itertools.product(root_list, repeat=len(clause.vars)):
-            # only a merging clause turns members of root_list into non-roots
-            reps = [find(r) for r in assignment] if merging else assignment
-            for pvec in vectors:
-                vals = list(pvec)
-                for xp, yp, si, bounds in prems:
-                    if bounds is None:
-                        if reps[xp] != reps[yp]:
-                            break
-                    elif si >= 0:
-                        d = dmin[reps[xp]][reps[yp]]
-                        if d > vals[si]:
-                            vals[si] = d
-                    elif dmin[reps[xp]][reps[yp]] > bounds[pvec]:
-                        break
-                else:
-                    # nearly every instance fires nothing: record premises only
-                    # for one whose conclusion is new
-                    x, y = reps[cx], reps[cy]
-                    if merging:
-                        if x == y:
-                            continue
-                    else:
-                        value = conc_bounds[tuple(vals)]
-                        if value >= dmin[x][y]:
-                            continue
-                    premises = tuple(
-                        ("eq", assignment[xp], assignment[yp]) if bounds is None
-                        else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
-                        for xp, yp, si, bounds in prems
-                    )
-                    if merging:
-                        changed |= db._merge(
-                            assignment[cx], assignment[cy], "HORN", clause.name, premises
-                        )
-                    else:
-                        changed |= db._lower(x, y, value, "HORN", clause.name, premises)
+    for c, clause in enumerate(db.spec.clauses):
+        db._phase = f"HORN:{clause.name}"
+        since, db._horn_since[c] = db._horn_since[c], len(db.events)
+        changed |= _horn_pass(db, clause, since)
     return changed
+
+
+def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
+    """One pass of a clause over the tuples of the roots, in product order.
+
+    ``since`` is the event count when the clause's previous pass began, None
+    before its first. A first pass whose clause could fire with every
+    distance premise at q evaluates every tuple. Any other pass evaluates
+    only the tuples with a distance premise on a cell written since then;
+    a write or merge during the pass queues the later tuples it reaches.
+    The tuples left out are those whose premises are unchanged since they
+    last failed or fired, so the pass records what a full pass records.
+    """
+    changed = False
+    q = db.grid.q
+    dmin, find, parent = db.dmin, db.find, db._parent
+    _, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
+    merging = conc_bounds is None
+    arity = len(clause.vars)
+    # a tuple, so that itertools.product takes it without a copy
+    root_list = tuple(db._roots)
+    cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
+    if since is None and _fires_at_top(q, vectors, prems, conc_bounds):
+        db._count(len(root_list) ** arity * len(vectors))
+        order = itertools.product(root_list, repeat=arity)
+        queue = None
+    else:
+        # a cell between roots is written under their ids
+        written = set()
+        for ev in db.events[since or 0:]:
+            c = ev.conclusion
+            if c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]:
+                written.add((c[1], c[2]))
+        queue = order = _Worklist()
+        for a, b in written:
+            queue.add(*_on_cell(arity, cells, a, b, root_list))
+    for assignment in order:
+        if queue is not None:
+            db._count(len(vectors))
+        # only a merging clause turns members of root_list into non-roots
+        reps = [find(r) for r in assignment] if merging else assignment
+        for pvec in vectors:
+            vals = list(pvec)
+            for xp, yp, si, bounds in prems:
+                if bounds is None:
+                    if reps[xp] != reps[yp]:
+                        break
+                elif si >= 0:
+                    d = dmin[reps[xp]][reps[yp]]
+                    if d > vals[si]:
+                        vals[si] = d
+                elif dmin[reps[xp]][reps[yp]] > bounds[pvec]:
+                    break
+            else:
+                # nearly every instance fires nothing: record premises only
+                # for one whose conclusion is new
+                x, y = reps[cx], reps[cy]
+                if merging:
+                    if x == y:
+                        continue
+                else:
+                    value = conc_bounds[tuple(vals)]
+                    if value >= dmin[x][y]:
+                        continue
+                premises = tuple(
+                    ("eq", assignment[xp], assignment[yp]) if bounds is None
+                    else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
+                    for xp, yp, si, bounds in prems
+                )
+                changed = True
+                if merging:
+                    db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
+                    if queue is not None:
+                        # every tuple holding a member of the merged class
+                        # now reads that class's cells
+                        w = find(x)
+                        members = tuple(r for r in root_list if find(r) == w)
+                        queue.add(*(
+                            itertools.product(*(members if p == k else root_list
+                                                for k in range(arity)))
+                            for p in range(arity)
+                        ))
+                else:
+                    db._lower(x, y, value, "HORN", clause.name, premises)
+                    if queue is not None:
+                        queue.add(*_on_cell(arity, cells, x, y, root_list))
+    return changed
+
+
+def _fires_at_top(q: int, vectors, prems, conc_bounds) -> bool:
+    """Whether an instance whose equality premises hold and whose distance
+    premises all read q could fire.
+
+    If not, every instance that can fire has a premise cell below q. This
+    evaluates premises in the order an instance does, so an off-grid
+    constant it reaches may be one no instance reaches yet: that counts as
+    firing, and the caller's full pass raises exactly where instances do.
+    """
+    try:
+        for pvec in vectors:
+            vals = list(pvec)
+            for _, _, si, bounds in prems:
+                if bounds is None:
+                    continue
+                if si >= 0:
+                    vals[si] = q
+                elif q > bounds[pvec]:
+                    break
+            else:
+                if conc_bounds is None or conc_bounds[tuple(vals)] < q:
+                    return True
+    except GridMismatch:
+        return True
+    return False
+
+
+def _on_cell(arity: int, cells, a: int, b: int, pool: tuple[int, ...]):
+    """Per premise cell (x, y), the tuples over ``pool`` with a at x and b
+    at y, in ascending order."""
+    for xp, yp in cells:
+        if xp != yp or a == b:
+            choices = [pool] * arity
+            choices[xp], choices[yp] = (a,), (b,)
+            yield itertools.product(*choices)
+
+
+class _Worklist:
+    """The tuples of ascending streams, merged in ascending order, each once.
+
+    A stream added while the merge runs contributes only the tuples after
+    the last one taken.
+    """
+
+    def __init__(self):
+        self._heap: list = []
+        self._last: tuple = ()
+        self._ids = itertools.count()
+
+    def add(self, *streams) -> None:
+        for stream in streams:
+            for t in stream:
+                if t > self._last:
+                    heapq.heappush(self._heap, (t, next(self._ids), stream))
+                    break
+
+    def __iter__(self):
+        heap = self._heap
+        while heap:
+            t, i, stream = heap[0]
+            nxt = next(stream, None)
+            if nxt is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (nxt, i, stream))
+            if t > self._last:
+                self._last = t
+                yield t
 
 
 def _step_subst(db: DerivationDB) -> bool:
     changed = False
     for ax_i, j in enumerate(db.theory.judgments):
+        db._phase = f"SUBST:{db.theory.name}[{ax_i}]"
         ctx = j.context
         elems = ctx.carrier
         k = len(elems)
@@ -539,7 +680,7 @@ def trace(db: DerivationDB, j: Judgment) -> TraceNode:
         return db._eq_tree(li, ri)
     if db.class_distance(li, ri) > j.eps:
         raise UnknownFact(f"{j.describe()} is not derived")
-    return db._dist_tree(db.find(li), db.find(ri), j.eps)
+    return db._dist_tree(db.find(li), db.find(ri), j.eps, len(db.events))
 
 
 def gen_nonexpansive_axioms(sig: Signature, op: str, grid: EpsGrid) -> Theory:

@@ -1,0 +1,165 @@
+"""The naive round loop of the saturation engine, kept as its reference.
+
+``saturate`` with ``_step_cong``, ``_step_horn`` and ``_step_subst`` as they
+were before the Horn step became delta-driven: every round instantiates every
+clause over every tuple of class representatives. It shares the
+``DerivationDB`` primitives (union-find, merge fold, distance writes) with the
+engine, so a difference between the two is a difference of the round loop.
+The recorded saturation fixture gates this loop on every field, the
+instance count included; the engine is cross-checked against it.
+"""
+from __future__ import annotations
+
+import itertools
+
+from qeqlog.deduce import DerivationDB, _validate_inputs
+from qeqlog.gmet import FuzzySpace, GMetSpec, compile_clause
+from qeqlog.qalg import Theory
+from qeqlog.terms import Signature, Var
+
+
+def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
+             depth: int, budget: int | None = None) -> DerivationDB:
+    """Run all rules to their least fixpoint over the bounded universe."""
+    _validate_inputs(sig, theory, spec, target)
+    db = DerivationDB(sig, theory, spec, target, depth, budget)
+    for ax_i, j in enumerate(theory.judgments):
+        db._axiom_events.append(
+            db._record("INIT", f"{theory.name}[{ax_i}]", (), ("axiom", ax_i))
+        )
+    for a in target.carrier:
+        for b in target.carrier:
+            db._count()
+            db._lower(
+                db.index_of(Var(a)), db.index_of(Var(b)), target.d(a, b),
+                "USEVAR", None, (),
+            )
+    while True:
+        changed = _step_cong(db)
+        changed = _step_horn(db) or changed
+        changed = _step_subst(db) or changed
+        if not changed:
+            break
+    return db
+
+
+def _step_cong(db: DerivationDB) -> bool:
+    changed = False
+    groups: dict[tuple, list[int]] = {}
+    children = db._children
+    for idx, t in enumerate(db.universe):
+        if children[idx]:
+            key = (t.op, tuple(db.find(a) for a in children[idx]))
+            groups.setdefault(key, []).append(idx)
+    for key in sorted(groups):
+        members = groups[key]
+        first = members[0]
+        for other in members[1:]:
+            db._count()
+            if db.same(first, other):
+                continue
+            premises = tuple(
+                ("eq", x, y) for x, y in zip(children[first], children[other])
+            )
+            changed |= db._merge(first, other, "CONG", db.universe[first].op, premises)
+    return changed
+
+
+def _step_horn(db: DerivationDB) -> bool:
+    changed = False
+    q = db.grid.q
+    dmin, find = db.dmin, db.find
+    for clause in db.spec.clauses:
+        params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
+        merging = conc_bounds is None
+        root_list = db.roots()
+        db._count(len(root_list) ** len(clause.vars) * len(vectors))
+        for assignment in itertools.product(root_list, repeat=len(clause.vars)):
+            # only a merging clause turns members of root_list into non-roots
+            reps = [find(r) for r in assignment] if merging else assignment
+            for pvec in vectors:
+                vals = list(pvec)
+                for xp, yp, si, bounds in prems:
+                    if bounds is None:
+                        if reps[xp] != reps[yp]:
+                            break
+                    elif si >= 0:
+                        d = dmin[reps[xp]][reps[yp]]
+                        if d > vals[si]:
+                            vals[si] = d
+                    elif dmin[reps[xp]][reps[yp]] > bounds[pvec]:
+                        break
+                else:
+                    # nearly every instance fires nothing: record premises only
+                    # for one whose conclusion is new
+                    x, y = reps[cx], reps[cy]
+                    if merging:
+                        if x == y:
+                            continue
+                    else:
+                        value = conc_bounds[tuple(vals)]
+                        if value >= dmin[x][y]:
+                            continue
+                    premises = tuple(
+                        ("eq", assignment[xp], assignment[yp]) if bounds is None
+                        else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
+                        for xp, yp, si, bounds in prems
+                    )
+                    if merging:
+                        changed |= db._merge(
+                            assignment[cx], assignment[cy], "HORN", clause.name, premises
+                        )
+                    else:
+                        changed |= db._lower(x, y, value, "HORN", clause.name, premises)
+    return changed
+
+
+def _step_subst(db: DerivationDB) -> bool:
+    changed = False
+    for ax_i, j in enumerate(db.theory.judgments):
+        ctx = j.context
+        elems = ctx.carrier
+        k = len(elems)
+        root_list = db.roots()
+        chosen: list[int] = []
+
+        def assign(pos: int) -> None:
+            nonlocal changed
+            if pos == k:
+                db._count()
+                sigma = {elems[m]: db.find(chosen[m]) for m in range(k)}
+                li = db.subst_index(sigma, j.lhs)
+                ri = li if li is None else db.subst_index(sigma, j.rhs)
+                if ri is None:
+                    return
+                premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
+                    (
+                        "dist",
+                        db.find(chosen[a]),
+                        db.find(chosen[b]),
+                        ctx.dist[a][b],
+                    )
+                    for a in range(k)
+                    for b in range(k)
+                )
+                if j.eps is None:
+                    changed |= db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
+                else:
+                    changed |= db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
+                return
+            for r in root_list:
+                if db.class_distance(r, r) > ctx.dist[pos][pos]:
+                    continue
+                if any(
+                    db.class_distance(chosen[m], r) > ctx.dist[m][pos]
+                    or db.class_distance(r, chosen[m]) > ctx.dist[pos][m]
+                    for m in range(pos)
+                ):
+                    continue
+                chosen.append(r)
+                assign(pos + 1)
+                chosen.pop()
+
+        assign(0)
+    return changed
+

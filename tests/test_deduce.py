@@ -40,6 +40,8 @@ from test_terms import terms_strategy
 GRID = EpsGrid(4)
 EMPTY_SIG = Signature.of({})
 U_SIG = Signature.of({"u": 1})
+F_SIG = Signature.of({"f": 2})
+UF_SIG = Signature.of({"u": 1, "f": 2})
 
 
 def unary_axiom_quarter(grid) -> Theory:
@@ -131,6 +133,32 @@ class TestSaturateFixtures:
     def test_budget(self, ab_half):
         with pytest.raises(BudgetExceeded):
             saturate(U_SIG, unary_axiom_quarter(GRID), MET, ab_half, 3, budget=10)
+
+
+_BUDGET_RE = re.compile(
+    r"^saturation considered more than (\d+) rule instances in round (\d+) at (\S+)$"
+)
+
+
+class TestBudgetNamesPhase:
+    """Every phase that counts instances can trip the budget, and says so."""
+
+    @pytest.mark.parametrize("phase,round_", [
+        ("USEVAR", 0), ("HORN:triangle", 1), ("SUBST:PHI1[0]", 1), ("CONG", 3),
+    ])
+    def test_first_budget_tripping_in_phase(self, ab_half, phase, round_):
+        # a = b at distance 0: the merge makes u(a), u(b) a congruence pair
+        th = Theory("PHI1", (Judgment(ab_half, Var("a"), Var("b"), 0),))
+        needed = saturate(U_SIG, th, MET, ab_half, 2).instances
+        for budget in range(needed):
+            with pytest.raises(BudgetExceeded) as exc:
+                saturate(U_SIG, th, MET, ab_half, 2, budget=budget)
+            m = _BUDGET_RE.match(str(exc.value))
+            assert m and int(m[1]) == budget, str(exc.value)
+            if m[3] == phase:
+                assert int(m[2]) == round_
+                return
+        pytest.fail(f"no budget below {needed} trips in {phase}")
 
 
 class TestDerivesAndDistance:
@@ -281,6 +309,19 @@ class TestTrace:
         assert tree.rule == "HORN" and tree.detail == "triangle"
         replay_node(tree, ab_half, GRID)
 
+    def test_premise_at_one_is_not_its_own_conclusion(self):
+        # the axiom's context puts a and b at distance 1, so the SUBST that
+        # lowers d(a, b) to 1/2 reads that same cell at 1: the premise is
+        # ONEMAX, not the event it justifies
+        grid = EpsGrid(2)
+        far = space(grid, ["a", "b"], [["0", "1"], ["1", "0"]])
+        th = Theory("T", (Judgment(far, Var("a"), Var("b"), 1),))
+        db = saturate(EMPTY_SIG, th, PMET, far, 1)
+        tree = trace(db, Judgment(far, Var("a"), Var("b"), 1))
+        assert tree.rule == "SUBST"
+        assert [c.rule for c in tree.children] == ["INIT", "USEVAR", "ONEMAX", "ONEMAX", "USEVAR"]
+        replay_node(tree, far, grid)
+
     def test_unknown_fact(self, ab_half):
         db = saturate(EMPTY_SIG, Theory("E", ()), MET, ab_half, 1)
         with pytest.raises(UnknownFact):
@@ -317,6 +358,21 @@ def _walk(node):
         yield from _walk(c)
 
 
+def replay_derived_facts(db, target: FuzzySpace) -> None:
+    """Replay the trace of every cell below q and of every merged term."""
+    grid = target.grid
+    roots = db.roots()
+    for r1 in roots:
+        for r2 in roots:
+            eps = db.dmin[r1][r2]
+            if eps < grid.q:
+                j = Judgment(target, db.universe[r1], db.universe[r2], eps)
+                replay_node(trace(db, j), target, grid)
+    for i, t in enumerate(db.universe):
+        if db.find(i) != i:
+            replay_node(trace(db, Judgment(target, t, db.universe[db.find(i)])), target, grid)
+
+
 class TestAgainstOracle:
     CASES = [
         (EMPTY_SIG, "MET", 2, 2, 1),
@@ -324,6 +380,14 @@ class TestAgainstOracle:
         (U_SIG, "MET", 2, 2, 2),
         (U_SIG, "FREL", 2, 2, 2),
         (Signature.of({"u": 1, "c": 0}), "MET", 2, 2, 2),
+        (F_SIG, "MET", 3, 2, 2),
+        (F_SIG, "PMET", 4, 2, 2),
+        (UF_SIG, "MET", 4, 2, 2),
+        (UF_SIG, "FREL", 3, 2, 2),
+        (U_SIG, "MET", 4, 3, 2),
+        (U_SIG, "PMET", 3, 3, 2),
+        (Signature.of({"u": 1, "c": 0}), "MET", 3, 3, 2),
+        (F_SIG, "MET", 4, 3, 2),
     ]
 
     @pytest.mark.parametrize("sig,preset,q,size,depth", CASES)
@@ -331,7 +395,7 @@ class TestAgainstOracle:
         from qeqlog.gmet import PRESETS
 
         spec = PRESETS[preset]
-        rng = random.Random(hash((preset, len(sig.ops), q, size, depth)) & 0xFFFF)
+        rng = random.Random(f"{preset}-{sorted(sig.ops)}-{q}-{size}-{depth}")
         for _ in range(4):
             grid = EpsGrid(q)
             target = random_space(rng, grid, size, spec)
@@ -343,6 +407,7 @@ class TestAgainstOracle:
                     i, j = db.index_of(s), db.index_of(t)
                     assert db.same(i, j) == oracle.equal(s, t), (s, t)
                     assert db.class_distance(i, j) == oracle.distance(s, t), (s, t)
+            replay_derived_facts(db, target)
 
     def test_paper_fixture_against_oracle(self, ab_half):
         theory = unary_axiom_quarter(GRID)

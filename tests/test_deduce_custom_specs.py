@@ -31,6 +31,7 @@ from qeqlog.qalg import Judgment, Theory
 from qeqlog.deduce import distance, saturate
 from qeqlog.terms import App, Signature, Var
 
+import reference_engine
 from conftest import random_space, random_theory, space
 from oracle import OracleDB
 
@@ -193,9 +194,15 @@ class TestLazyClauseBounds:
     def test_unreached_off_grid_constant_is_never_evaluated(self):
         grid = EpsGrid(4)
         sp = space(grid, ["a", "b"], [["1/4", "1/2"], ["1/2", "1/4"]])
-        db = saturate(U_SIG, Theory("E", ()), OFF_GRID_BEHIND_ZERO, sp, 2)
-        assert db.instances == 20
-        assert len(db.events) == 4
+        args = (U_SIG, Theory("E", ()), OFF_GRID_BEHIND_ZERO, sp, 2)
+        ref = reference_engine.saturate(*args)
+        assert ref.instances == 20
+        assert len(ref.events) == 4
+        # 4 USEVAR instances, then one clause instance per USEVAR cell: no
+        # cell is at distance 0, so the second premise is never reached
+        db = saturate(*args)
+        assert db.instances == 8
+        assert db.events == ref.events
 
     def test_reached_off_grid_constant_raises(self):
         # the spaces pass the spec; the axiom derives d(u(a), u(a)) <= 0,

@@ -1,0 +1,160 @@
+"""The delta-driven Horn step against the naive round loop it replaces.
+
+``reference_engine.saturate`` evaluates every clause instance in every round.
+The engine evaluates only instances that a written cell or a merge can have
+changed, in the same order, so it must record the very same events, minimal
+distances, distance history and merge forest, raise the same error, and
+consider no more instances.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from qeqlog.deduce import saturate
+from qeqlog.errors import GridMismatch, QeqlogError
+from qeqlog.gmet import (
+    FREL,
+    MET,
+    PMET,
+    DistAtom,
+    EpsConst,
+    EpsGrid,
+    EqAtom,
+    FuzzySpace,
+    GMetSpec,
+    HornClause,
+    space_passes,
+)
+from qeqlog.qalg import Judgment, Theory
+from qeqlog.terms import Signature
+
+import reference_engine
+from conftest import random_frel_space, random_met_space, random_space, random_term
+from test_deduce import _universe_size
+from test_deduce_custom_specs import HALVING, MIXED, OFF_GRID_BEHIND_ZERO, SHARED_PARAM
+from test_saturation_golden import MET_EQ_PREMISE, PMET_GRID_EQ, ZEQ_CHAIN
+
+SIGS = (
+    Signature.of({"u": 1}),
+    Signature.of({"f": 2}),
+    Signature.of({"u": 1, "c": 0}),
+    Signature.of({"u": 1, "f": 2}),
+)
+
+
+def _near(k: int, q: int) -> GMetSpec:
+    """Every pair within k/q, by a clause without premises: it can fire on
+    cells that nothing wrote, so its first pass visits every tuple."""
+    clause = HornClause("near", ("x", "y"), (), DistAtom("x", "y", EpsConst(Fraction(k, q))))
+    return GMetSpec(f"near{k}", (clause,))
+
+
+def _space(rng: random.Random, grid: EpsGrid, size: int, spec: GMetSpec) -> FuzzySpace:
+    """A random space of the spec. For a custom spec, the first of a random
+    metric space, a random relation, all distances 1 and all distances 0
+    that the spec accepts; an off-grid constant the check reaches rejects."""
+    if spec in (MET, PMET, FREL):
+        return random_space(rng, grid, size, spec)
+    names = tuple("abc"[:size])
+    tries = (random_met_space(rng, grid, size), random_frel_space(rng, grid, size),
+             *(FuzzySpace(grid, names, ((v,) * size,) * size) for v in (grid.q, 0)))
+    for sp in tries:
+        try:
+            if space_passes(spec, sp):
+                return sp
+        except GridMismatch:
+            pass
+    return tries[-1]
+
+
+def _theory(rng: random.Random, sig: Signature, grid: EpsGrid, spec: GMetSpec) -> Theory:
+    judgments = []
+    for _ in range(rng.randint(0, 2)):
+        ctx = _space(rng, grid, rng.randint(1, 2), spec)
+        lhs = random_term(rng, sig, ctx.carrier, 2)
+        rhs = random_term(rng, sig, ctx.carrier, 2)
+        judgments.append(Judgment(ctx, lhs, rhs, rng.choice([None] + list(range(grid.q + 1)))))
+    return Theory("random", tuple(judgments))
+
+
+def _run(engine, *args):
+    try:
+        db = engine(*args)
+    except QeqlogError as exc:
+        return None, (type(exc).__name__, str(exc))
+    return db, None
+
+
+def assert_same_saturation(sig, theory, spec, target, depth):
+    ref, ref_err = _run(reference_engine.saturate, sig, theory, spec, target, depth)
+    db, err = _run(saturate, sig, theory, spec, target, depth)
+    assert err == ref_err
+    if ref is None:
+        return
+    assert db.events == ref.events
+    assert db.dmin == ref.dmin
+    assert db._hist == ref._hist
+    assert db._forest == ref._forest
+    assert db.instances <= ref.instances
+
+
+def _naive_cost(spec: GMetSpec, sig: Signature, size: int, depth: int) -> int:
+    """Tuples the naive loop visits per round: n ** |vars| per clause."""
+    n = _universe_size(sig, size, depth)
+    return sum(n ** len(c.vars) for c in spec.clauses)
+
+
+NAMED = {s.name: s for s in (MET, PMET, FREL, HALVING, SHARED_PARAM, MIXED, PMET_GRID_EQ,
+                              ZEQ_CHAIN, MET_EQ_PREMISE, OFF_GRID_BEHIND_ZERO)}
+
+
+class TestAgainstNaiveLoop:
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(
+        st.sampled_from(sorted(NAMED) + ["near"]),
+        st.integers(0, len(SIGS) - 1),
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_events_and_error(self, spec_name, sig_i, q, size, depth, k, seed):
+        sig = SIGS[sig_i]
+        spec = _near(min(k, q), q) if spec_name == "near" else NAMED[spec_name]
+        assume(_universe_size(sig, size, depth) <= 300)
+        assume(_naive_cost(spec, sig, size, depth) <= 30_000)
+        rng = random.Random(seed)
+        grid = EpsGrid(q)
+        target = _space(rng, grid, size, spec)
+        assert_same_saturation(sig, _theory(rng, sig, grid, spec), spec, target, depth)
+
+    @pytest.mark.parametrize("spec_name", sorted(NAMED) + ["near"])
+    def test_every_signature_and_grid(self, spec_name):
+        for sig_i, sig in enumerate(SIGS):
+            for q in (2, 3, 4):
+                spec = _near(q // 2, q) if spec_name == "near" else NAMED[spec_name]
+                size = 1 + (q + sig_i) % 3
+                depth = max(d for d in (1, 2, 3) if _naive_cost(spec, sig, size, d) <= 30_000)
+                rng = random.Random(f"{spec_name}-{sig_i}-{q}")
+                target = _space(rng, EpsGrid(q), size, spec)
+                theory = _theory(rng, sig, EpsGrid(q), spec)
+                assert_same_saturation(sig, theory, spec, target, depth)
+
+    def test_off_grid_constant_reached_before_any_cell_is_written(self):
+        # no carrier, so no cell is written before the first Horn pass; every
+        # x = x instance reaches the off-grid constant, and both loops raise
+        clause = HornClause("eq_then_third", ("x", "y"),
+                            (EqAtom("x", "y"), DistAtom("x", "y", EpsConst(Fraction(1, 3)))),
+                            DistAtom("y", "x", EpsConst(Fraction(0))))
+        spec = GMetSpec("eq_offgrid", (clause,))
+        target = FuzzySpace(EpsGrid(4), (), ())
+        args = (Signature.of({"u": 1, "c": 0}), Theory("E", ()), spec, target, 2)
+        with pytest.raises(GridMismatch, match="1/3"):
+            reference_engine.saturate(*args)
+        assert_same_saturation(*args)
