@@ -91,7 +91,8 @@ class DerivationDB:
 
     Built by :func:`saturate`, which ends with every union-find entry
     pointing at its root: after it, :meth:`find` is one lookup and reads
-    change nothing.
+    change nothing. Classes are read off the union-find alone: the roots are
+    the entries that are their own parent (:meth:`roots`).
 
     Terms are handled by universe id. A hashcons maps each operation and
     tuple of argument ids to the id of that application, and each variable to
@@ -120,18 +121,19 @@ class DerivationDB:
         self.var_ids: dict[str, int] = {}
         # universe ids of each term's arguments; they never change
         self._children: list[tuple[int, ...]] = []
+        # the enumeration builds each application from earlier members
+        ids: dict[int, int] = {}
         for i, t in enumerate(self.universe):
+            ids[id(t)] = i
             if isinstance(t, Var):
                 self.var_ids[t.name] = i
                 kids = ()
             else:
-                # the canonical order puts every subterm before the term
-                kids = tuple(self.index_of(a) for a in t.args)
+                kids = tuple(ids[id(a)] for a in t.args)
                 self._hashcons[t.op][kids] = i
             self._children.append(kids)
         n = len(self.universe)
         self._parent = list(range(n))
-        self._roots = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         q = self.grid.q
         self.dmin = [[q] * n for _ in range(n)]
@@ -159,11 +161,8 @@ class DerivationDB:
         return self.find(i) == self.find(j)
 
     def roots(self) -> list[int]:
-        """The class representatives in ascending order, as a new list.
-
-        The sorted list is kept up to date by :meth:`_merge`, not recomputed.
-        """
-        return list(self._roots)
+        """The class representatives in ascending order, as a new list."""
+        return [i for i, p in enumerate(self._parent) if p == i]
 
     def _lookup(self, t: Term) -> int | None:
         try:
@@ -258,7 +257,6 @@ class DerivationDB:
         self._forest[j].append((i, cause))
         winner, loser = min(ri, rj), max(ri, rj)
         self._parent[loser] = winner
-        self._roots.remove(loser)
         eq_premise = ("eq", winner, loser)
         # 2x2 block between the two old classes
         block = [(winner, winner), (winner, loser), (loser, winner), (loser, loser)]
@@ -393,10 +391,7 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     for a in target.carrier:
         for b in target.carrier:
             db._count()
-            db._lower(
-                db.index_of(Var(a)), db.index_of(Var(b)), target.d(a, b),
-                "USEVAR", None, (),
-            )
+            db._lower(db.var_ids[a], db.var_ids[b], target.d(a, b), "USEVAR", None, ())
     while True:
         db._round += 1
         changed = _step_cong(db)
@@ -447,11 +442,12 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
 
     ``since`` is the event count when the clause's previous pass began, None
     before its first. A first pass whose clause could fire with every
-    distance premise at q evaluates every tuple. Any other pass evaluates
-    only the tuples with a distance premise on a cell written since then;
-    a write or merge during the pass queues the later tuples it reaches.
-    The tuples left out are those whose premises are unchanged since they
-    last failed or fired, so the pass records what a full pass records.
+    distance premise at q starts from every tuple. Any other pass starts
+    from the tuples with a distance premise on a cell written since then.
+    In both, a write or merge during the pass queues the later tuples it
+    reaches. The tuples left out are those whose premises are unchanged
+    since they last failed or fired, so the pass records what a full pass
+    records.
     """
     changed = False
     q = db.grid.q
@@ -460,12 +456,11 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     merging = conc_bounds is None
     arity = len(clause.vars)
     # a tuple, so that itertools.product takes it without a copy
-    root_list = tuple(db._roots)
+    root_list = tuple(db.roots())
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
+    queue = _Worklist()
     if since is None and _fires_at_top(q, vectors, prems, conc_bounds):
-        db._count(len(root_list) ** arity * len(vectors))
-        order = itertools.product(root_list, repeat=arity)
-        queue = None
+        queue.add(itertools.product(root_list, repeat=arity))
     else:
         # a cell between roots is written under their ids
         written = set()
@@ -473,12 +468,10 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
             c = ev.conclusion
             if c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]:
                 written.add((c[1], c[2]))
-        queue = order = _Worklist()
         for a, b in written:
             queue.add(*_on_cell(arity, cells, a, b, root_list))
-    for assignment in order:
-        if queue is not None:
-            db._count(len(vectors))
+    for assignment in queue:
+        db._count(len(vectors))
         # only a merging clause turns members of root_list into non-roots
         reps = [find(r) for r in assignment] if merging else assignment
         for pvec in vectors:
@@ -512,20 +505,18 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
                 changed = True
                 if merging:
                     db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
-                    if queue is not None:
-                        # every tuple holding a member of the merged class
-                        # now reads that class's cells
-                        w = find(x)
-                        members = tuple(r for r in root_list if find(r) == w)
-                        queue.add(*(
-                            itertools.product(*(members if p == k else root_list
-                                                for k in range(arity)))
-                            for p in range(arity)
-                        ))
+                    # every tuple holding a member of the merged class now
+                    # reads that class's cells
+                    w = find(x)
+                    members = tuple(r for r in root_list if find(r) == w)
+                    queue.add(*(
+                        itertools.product(*(members if p == k else root_list
+                                            for k in range(arity)))
+                        for p in range(arity)
+                    ))
                 else:
                     db._lower(x, y, value, "HORN", clause.name, premises)
-                    if queue is not None:
-                        queue.add(*_on_cell(arity, cells, x, y, root_list))
+                    queue.add(*_on_cell(arity, cells, x, y, root_list))
     return changed
 
 
@@ -616,7 +607,10 @@ def _step_subst(db: DerivationDB) -> bool:
                 sigma = {elems[m]: db.find(chosen[m]) for m in range(k)}
                 li = db.subst_index(sigma, j.lhs)
                 ri = li if li is None else db.subst_index(sigma, j.rhs)
-                if ri is None:
+                # build premises only for a new conclusion, as _merge and
+                # _lower would record nothing for the others
+                if ri is None or (db.same(li, ri) if j.eps is None
+                                  else j.eps >= db.class_distance(li, ri)):
                     return
                 premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
                     (

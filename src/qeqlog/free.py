@@ -19,7 +19,7 @@ from .errors import BudgetExceeded, NotAModel, NotNonexpansive, OutOfUniverse, Q
 from .deduce import DerivationDB, saturate
 from .gmet import FuzzySpace, GMetSpec, enumerate_nonexpansive, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, is_model
-from .terms import Signature, Term, Var, term_label, term_to_str
+from .terms import Signature, Term, term_label, term_to_str
 
 
 class _Overflow:
@@ -86,9 +86,7 @@ class FreeAlgebra:
                 i = base.app_index(op, tuple(roots[a] for a in args))
                 table[args] = OVERFLOW if i is None else self.class_at(i)
             self.optable[op] = table
-        self.unit: dict[str, int] = {
-            a: self.class_of(Var(a)) for a in base.target.carrier
-        }
+        self.unit: dict[str, int] = {a: self.class_at(base.var_ids[a]) for a in base.target.carrier}
         symbols = frozenset(base.sig.symbols)
         self.space = FuzzySpace(
             base.grid,

@@ -403,7 +403,7 @@ def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def space_passes(spec: GMetSpec, sp: FuzzySpace) -> bool:
     return not check_space(spec, sp)
 

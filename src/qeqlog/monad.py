@@ -31,8 +31,9 @@ from .terms import Signature, term_vars
 class MonadInstance:
     """Free-construction and EM-law cache for one theory, spec and depth.
 
-    Not safe for concurrent use: lookups in the cached algebras compress
-    union-find paths.
+    Lookups in the cached algebras change nothing, because saturation ends
+    with every union-find entry pointing at its root; filling the caches is
+    not synchronised.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,

@@ -217,6 +217,10 @@ def enumerate_universe(sig: Signature, carrier: Iterable[str], depth: int) -> li
     Layer by layer: the leaves by name, a variable first; then each operation
     in name order over argument positions in lexicographic order, keeping the
     tuples that reach into the previous layer. That is the canonical order.
+
+    Each application is built from the member objects of earlier layers: its
+    arguments are (``is``) terms at lower positions of the returned list, so
+    a caller can map them to their positions by object identity.
     """
     carrier = tuple(dict.fromkeys(carrier))
     if depth < 1:

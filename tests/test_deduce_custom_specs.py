@@ -215,6 +215,19 @@ class TestLazyClauseBounds:
         with pytest.raises(GridMismatch, match="1/3"):
             saturate(U_SIG, theory, OFF_GRID_BEHIND_ZERO, sp, 2)
 
+    def test_full_first_pass_counts_each_tuple_as_it_is_taken(self):
+        # the premise-free clause's first pass evaluates every tuple; its
+        # first instance reaches the off-grid constant before the second
+        # instance passes the budget
+        grid = EpsGrid(4)
+        third = GMetSpec("third", (
+            HornClause("third", ("x", "y"), (), DistAtom("x", "y", EpsConst(Fraction(1, 3)))),
+        ))
+        empty = FuzzySpace(grid, (), ())
+        sig = Signature.of({"u": 1, "c": 0})
+        with pytest.raises(GridMismatch, match="1/3"):
+            saturate(sig, Theory("E", ()), third, empty, 2, budget=1)
+
 
 class TestBinarySignature:
     @pytest.mark.parametrize("seed", range(3))

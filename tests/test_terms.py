@@ -132,11 +132,14 @@ def _sorted_set_universe(sig, carrier, depth):
     return sorted(universe, key=term_key)
 
 
-class TestUniverseOrder:
-    # op names include carrier point names, so a constant can share a name
-    # with a variable; the signature tuple is left in drawn order
-    @settings(deadline=None)
-    @given(
+def _universe_cases(test):
+    """Draw (ops, n_carrier, depth) for a universe of at most 300 terms.
+
+    Op names include carrier point names, so a constant can share a name
+    with a variable; the signature tuple is left in drawn order.
+    """
+    test = example(ops=[("u", 1), ("a", 0), ("f", 2)], n_carrier=2, depth=2)(test)
+    test = given(
         st.lists(
             st.tuples(st.sampled_from(("f", "a", "u", "b", "c", "g")), st.sampled_from((0, 1, 2))),
             max_size=4,
@@ -144,17 +147,36 @@ class TestUniverseOrder:
         ),
         st.integers(0, 3),
         st.integers(1, 3),
-    )
-    @example(ops=[("u", 1), ("a", 0), ("f", 2)], n_carrier=2, depth=2)
+    )(test)
+    return settings(deadline=None)(test)
+
+
+def _universe_case(ops, n_carrier, depth):
+    sig = Signature(tuple(ops))
+    carrier = ("b", "a", "c")[:n_carrier]
+    assume(check_nontrivial(sig, carrier))
+    size = leaves = n_carrier + sum(ar == 0 for _, ar in ops)
+    for _ in range(depth - 1):
+        size = leaves + sum(size ** ar for _, ar in ops if ar)
+    assume(size <= 300)
+    return sig, carrier, depth
+
+
+class TestUniverseOrder:
+    @_universe_cases
     def test_matches_sorted_set(self, ops, n_carrier, depth):
-        sig = Signature(tuple(ops))
-        carrier = ("b", "a", "c")[:n_carrier]
-        assume(check_nontrivial(sig, carrier))
-        size = leaves = n_carrier + sum(ar == 0 for _, ar in ops)
-        for _ in range(depth - 1):
-            size = leaves + sum(size ** ar for _, ar in ops if ar)
-        assume(size <= 300)
+        sig, carrier, depth = _universe_case(ops, n_carrier, depth)
         assert enumerate_universe(sig, carrier, depth) == _sorted_set_universe(sig, carrier, depth)
+
+    @_universe_cases
+    def test_arguments_are_earlier_members(self, ops, n_carrier, depth):
+        # DerivationDB maps arguments to universe ids by object identity
+        universe = enumerate_universe(*_universe_case(ops, n_carrier, depth))
+        position = {id(t): i for i, t in enumerate(universe)}
+        for i, t in enumerate(universe):
+            for a in getattr(t, "args", ()):
+                k = position.get(id(a))
+                assert k is not None and k < i and universe[k] is a
 
 
 class TestCanonicalOrder:
