@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .deduce import derives, distance, saturate, trace
 from .errors import QeqlogError
 from .free import OVERFLOW, build_free, check_free_is_model, check_ump
@@ -21,8 +21,7 @@ from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, satisfies
 from .terms import Signature, parse_term
 
 
-@dataclass
-class Workspace:
+class Workspace(Record):
     grid: EpsGrid
     sig: Signature
     spec: GMetSpec
@@ -74,14 +73,13 @@ def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:
         obj = json.load(fh)
     if overrides.grid is not None:
         obj["grid"] = overrides.grid
-    ws = Workspace.from_json(obj)
-    if overrides.depth is not None:
-        ws.depth = overrides.depth
-    if overrides.budget_interps is not None:
-        ws.budget_interps = overrides.budget_interps
-    if overrides.budget_instances is not None:
-        ws.budget_instances = overrides.budget_instances
-    return ws
+    budgets = obj.setdefault("budgets", {})
+    for key, value in (("depth", overrides.depth),
+                       ("interpretations", overrides.budget_interps),
+                       ("instances", overrides.budget_instances)):
+        if value is not None:
+            budgets[key] = value
+    return Workspace.from_json(obj)
 
 
 def _named(kind: str, table: dict, name: str):

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     BudgetExceeded,
     GridMismatch,
@@ -56,16 +56,14 @@ from .terms import (
 #   ("eq", i, j) | ("dist", i, j, value) | ("axiom", axiom_index)
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(Record):
     rule: str
     detail: str | None
     premises: tuple
     conclusion: tuple
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(Record):
     rule: str
     detail: str | None
     conclusion: str
@@ -579,6 +577,18 @@ class _Worklist:
     def __iter__(self):
         heap = self._heap
         while heap:
+            if len(heap) == 1:
+                # a lone stream is drained directly until an add joins it
+                t, i, stream = heap.pop()
+                while t is not None:
+                    if t > self._last:
+                        self._last = t
+                        yield t
+                    t = next(stream, None)
+                    if heap and t is not None:
+                        heapq.heappush(heap, (t, i, stream))
+                        break
+                continue
             t, i, stream = heap[0]
             nxt = next(stream, None)
             if nxt is None:

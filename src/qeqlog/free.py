@@ -12,9 +12,9 @@ instances were skipped for that reason.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .errors import BudgetExceeded, NotAModel, NotNonexpansive, OutOfUniverse, QeqlogError
 from .deduce import DerivationDB, saturate
 from .gmet import FuzzySpace, GMetSpec, enumerate_nonexpansive, is_nonexpansive
@@ -32,8 +32,7 @@ class _Overflow:
 OVERFLOW = _Overflow()
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     """Instances of one law (or of a theory's axioms): checked, skipped
     because an intermediate overflowed, and failed, with the first failure."""
 
@@ -191,8 +190,7 @@ def _is_quotient_hom(f: FreeAlgebra, alg: QuantAlgebra, g: Mapping[int, str]) ->
     return True
 
 
-@dataclass(frozen=True)
-class UmpResult:
+class UmpResult(Record):
     exists: bool
     unique: bool
     candidates: int

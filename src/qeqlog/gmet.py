@@ -8,16 +8,15 @@ atoms ``x = y`` and ``d(x, y) <= expr``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
 
 
-@dataclass(frozen=True)
-class EpsGrid:
+class EpsGrid(Record):
     """The value set {0, 1/q, ..., 1}; members are handled as numerators over q."""
 
     q: int
@@ -55,8 +54,7 @@ class EpsGrid:
         return range(self.q + 1)
 
 
-@dataclass(frozen=True)
-class FuzzySpace:
+class FuzzySpace(Record):
     """Finite carrier with a total grid-valued distance table."""
 
     grid: EpsGrid
@@ -113,8 +111,7 @@ class EpsExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class EpsConst(EpsExpr):
+class EpsConst(EpsExpr, Record):
     value: Fraction
 
     def eval(self, env, q):
@@ -127,8 +124,7 @@ class EpsConst(EpsExpr):
         return frozenset()
 
 
-@dataclass(frozen=True)
-class EpsParam(EpsExpr):
+class EpsParam(EpsExpr, Record):
     name: str
 
     def eval(self, env, q):
@@ -138,8 +134,7 @@ class EpsParam(EpsExpr):
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
-class EpsPlus(EpsExpr):
+class EpsPlus(EpsExpr, Record):
     terms: tuple[EpsExpr, ...]
 
     def eval(self, env, q):
@@ -152,8 +147,7 @@ class EpsPlus(EpsExpr):
         return out
 
 
-@dataclass(frozen=True)
-class EpsMin1(EpsExpr):
+class EpsMin1(EpsExpr, Record):
     inner: EpsExpr
 
     def eval(self, env, q):
@@ -191,14 +185,12 @@ def eps_expr_to_json(e: EpsExpr):
     raise TypeError(e)
 
 
-@dataclass(frozen=True)
-class EqAtom:
+class EqAtom(Record):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
-class DistAtom:
+class DistAtom(Record):
     x: str
     y: str
     eps: EpsExpr
@@ -207,8 +199,7 @@ class DistAtom:
 Atom = EqAtom | DistAtom
 
 
-@dataclass(frozen=True)
-class HornClause:
+class HornClause(Record):
     name: str
     vars: tuple[str, ...]
     premises: tuple[Atom, ...]
@@ -244,8 +235,7 @@ def _atom_to_json(atom: Atom):
     return {"dist": [atom.x, atom.y, eps_expr_to_json(atom.eps)]}
 
 
-@dataclass(frozen=True)
-class GMetSpec:
+class GMetSpec(Record):
     """A Horn-definable class of fuzzy-relation spaces."""
 
     name: str
@@ -309,8 +299,7 @@ MET = GMetSpec("MET", (_REFL, _SYMM, _TRIANGLE, _ZERO_IMPLIES_EQ, _EQ_IMPLIES_ZE
 PRESETS = {"FREL": FREL, "PMET": PMET, "MET": MET}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     clause: str
     assignment: tuple[tuple[str, str], ...]
     params: tuple[tuple[str, int], ...]

@@ -12,9 +12,9 @@ because an intermediate overflowed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import Record
 from .errors import (
     EMLawViolation,
     NotAModel,
@@ -151,8 +151,7 @@ def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class EMCandidate:
+class EMCandidate(Record):
     """A space with a candidate structure map from its quotient classes."""
 
     space: FuzzySpace

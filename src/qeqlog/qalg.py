@@ -8,9 +8,9 @@ its context space, so satisfaction is decided by exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .errors import GridMismatch, UnknownVariable
 from .gmet import (
     EpsGrid,
@@ -23,8 +23,7 @@ from .gmet import (
 from .terms import Signature, Term, Var, parse_term, term_to_str, term_vars
 
 
-@dataclass(frozen=True, eq=True)
-class QuantAlgebra:
+class QuantAlgebra(Record):
     """Space + operation tables. Tables map argument tuples to carrier elements."""
 
     space: FuzzySpace
@@ -78,8 +77,7 @@ class QuantAlgebra:
         return self.ops[op][args]
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
     """Context space plus a pair of terms; eps present means a quantitative equation."""
 
     context: FuzzySpace
@@ -124,8 +122,7 @@ class Judgment:
         return f"{term_to_str(self.lhs)} {rel} {term_to_str(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     name: str
     judgments: tuple[Judgment, ...]
 
@@ -140,8 +137,7 @@ def eval_term(alg: QuantAlgebra, tau: Mapping[str, str], t: Term) -> str:
     return alg.apply(t.op, tuple(eval_term(alg, tau, a) for a in t.args))
 
 
-@dataclass(frozen=True)
-class SatisfactionResult:
+class SatisfactionResult(Record):
     holds: bool
     counterexample: dict[str, str] | None = None
 

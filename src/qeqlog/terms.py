@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .errors import TrivialPair, UnknownVariable
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Finite set of operation symbols with arities. Arity-0 symbols are constants."""
 
     ops: tuple[tuple[str, int], ...]
@@ -65,13 +64,11 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
+class Var(Term, Record):
     name: str
 
 
-@dataclass(frozen=True)
-class App(Term):
+class App(Term, Record):
     op: str
     args: tuple[Term, ...]
 

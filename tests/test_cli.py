@@ -237,6 +237,35 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestBudgets:
+    DISTANCE = ("distance", "--theory", "QUARTER", "--target", "AB", "--lhs", "u(a)", "--rhs", "b")
+    CHECK = ("check-model", "--algebra", "stay", "--theory", "QUARTER")
+
+    def test_instances_flag(self, capsys):
+        code, out, err = run(capsys, "--workspace", WS, "--budget-instances", "1", *self.DISTANCE)
+        assert code == 2 and out == ""
+        assert "considered more than 1 rule instances" in err
+
+    def test_interps_flag(self, capsys):
+        code, out, err = run(capsys, "--workspace", WS, "--budget-interps", "1", *self.CHECK)
+        assert code == 2 and out == ""
+        assert err == "error: 2 candidate interpretations exceed budget 1\n"
+
+    def test_flags_override_workspace_budgets(self, capsys, tmp_path):
+        ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
+        ws["budgets"] = {"depth": 1, "interpretations": 1, "instances": 1}
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(ws), encoding="utf-8")
+        assert run(capsys, "--workspace", str(path), *self.DISTANCE)[0] == 2
+        assert run(capsys, "--workspace", str(path), *self.CHECK)[0] == 2
+        code, report = run_json(capsys, "--workspace", str(path), "--depth", "2",
+                                "--budget-instances", "100000", *self.DISTANCE)
+        assert code == 0 and report["depth"] == 2 and report["distance"] == "3/4"
+        code, report = run_json(capsys, "--workspace", str(path), "--budget-interps", "2",
+                                *self.CHECK)
+        assert code == 0 and report["model"] is True
+
+
 class TestErrors:
     def test_bad_workspace_path(self, capsys):
         code, out, err = run(capsys, "--workspace", "/nonexistent.json",

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import saturate
+from qeqlog.deduce import _Worklist, saturate
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -158,3 +158,30 @@ class TestAgainstNaiveLoop:
         with pytest.raises(GridMismatch, match="1/3"):
             reference_engine.saturate(*args)
         assert_same_saturation(*args)
+
+
+_TUPLES = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_STREAMS = st.lists(st.sets(_TUPLES, max_size=8), max_size=3)
+
+
+class TestWorklist:
+    @settings(deadline=None, max_examples=200)
+    @given(_STREAMS, st.dictionaries(st.integers(1, 12), _STREAMS, max_size=4))
+    def test_merge_with_streams_added_mid_pass(self, initial, schedule):
+        # the worklist against its contract: each tuple once, ascending, and
+        # a stream added after the n-th tuple contributes only later tuples;
+        # a lone stream and one joined mid-drain both occur
+        queue = _Worklist()
+        queue.add(*(iter(sorted(s)) for s in initial))
+        out = []
+        for t in queue:
+            out.append(t)
+            queue.add(*(iter(sorted(s)) for s in schedule.get(len(out), ())))
+
+        pending, expected, last = set().union(*initial), [], ()
+        while any(t > last for t in pending):
+            last = min(t for t in pending if t > last)
+            expected.append(last)
+            for s in schedule.get(len(expected), ()):
+                pending |= {t for t in s if t > last}
+        assert out == expected
