@@ -17,7 +17,7 @@ from .errors import QeqlogError
 from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
-from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, satisfies
+from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
 from .terms import Signature, parse_term
 
 
@@ -118,14 +118,14 @@ def _laws_report(ws: Workspace, reports, **extra) -> dict:
 def cmd_check_model(ws: Workspace, args) -> int:
     alg = _named("algebra", ws.algebras, args.algebra)
     theory = _named("theory", ws.theories, args.theory)
-    for j in theory.judgments:
-        res = satisfies(alg, ws.spec, j, ws.budget_interps)
-        if not res.holds:
-            report = _base_report(
-                ws, model=False,
-                counterexample={"judgment": j.describe(), "interpretation": res.counterexample},
-            )
-            return _emit(report, 1)
+    failure = first_failure(alg, ws.spec, theory, ws.budget_interps)
+    if failure is not None:
+        j, tau = failure
+        report = _base_report(
+            ws, model=False,
+            counterexample={"judgment": j.describe(), "interpretation": tau},
+        )
+        return _emit(report, 1)
     return _emit(_base_report(ws, model=True), 0)
 
 

@@ -15,9 +15,10 @@ import itertools
 from typing import Iterable, Mapping
 
 from ._record import Record
-from .errors import BudgetExceeded, NotAModel, NotNonexpansive, OutOfUniverse, QeqlogError
+from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, OutOfUniverse,
+                     PreconditionViolation, QeqlogError)
 from .deduce import DerivationDB, saturate
-from .gmet import FuzzySpace, GMetSpec, enumerate_nonexpansive, is_nonexpansive
+from .gmet import FuzzySpace, GMetSpec, is_nonexpansive, nonexpansive_images
 from .qalg import QuantAlgebra, Theory, is_model
 from .terms import Signature, Term, term_label, term_to_str
 
@@ -148,14 +149,14 @@ def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
     interpretation whose two sides stay within the depth bound."""
     def outcomes():
         for j in theory.judgments:
-            for tau_names in enumerate_nonexpansive(j.context, f.space, budget):
-                tau = {x: f.space.index(v) for x, v in tau_names.items()}
+            for images in nonexpansive_images(j.context, f.space, budget):
+                tau = dict(zip(j.context.carrier, images))
                 left, right = free_eval(f, tau, j.lhs), free_eval(f, tau, j.rhs)
                 if left is OVERFLOW or right is OVERFLOW:
                     yield None
                     continue
                 ok = left == right if j.eps is None else f.delta[left][right] <= j.eps
-                yield ok or f"{j.describe()} under {tau_names}"
+                yield ok or f"{j.describe()} under {dict(zip(j.context.carrier, map(f.class_name, images)))}"
 
     return LawReport.tally(theory.name, outcomes())
 
@@ -164,9 +165,11 @@ def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
                budget: int | None = None) -> dict[int, str]:
     """The homomorphic extension: class of s maps to the evaluation of s.
 
-    Requires the target to model the theory and the generator map to be
-    nonexpansive; the result then extends the generator map through the unit.
+    Requires a generator map from exactly the generators into the target's
+    points that is nonexpansive, and a target that models the theory; the
+    result then extends the generator map through the unit.
     """
+    _check_gen_map(f, alg, gen_map)
     if not is_model(alg, f.base.spec, f.base.theory, budget):
         raise NotAModel(f"target algebra does not model {f.base.theory.name}")
     if not is_nonexpansive(gen_map, f.base.target, alg.space):
@@ -175,19 +178,21 @@ def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
     return dict(enumerate(images))
 
 
-def _is_quotient_hom(f: FreeAlgebra, alg: QuantAlgebra, g: Mapping[int, str]) -> bool:
-    """Nonexpansive + commutes with every non-Overflow op-table entry."""
-    for c1 in range(len(f.classes)):
-        for c2 in range(len(f.classes)):
-            if alg.space.d(g[c1], g[c2]) > f.delta[c1][c2]:
-                return False
-    for op, table in f.optable.items():
-        for args, res in table.items():
-            if res is OVERFLOW:
-                continue
-            if g[res] != alg.apply(op, tuple(g[a] for a in args)):
-                return False
-    return True
+def _check_gen_map(f: FreeAlgebra, alg: QuantAlgebra, gen_map) -> None:
+    if not isinstance(gen_map, Mapping):
+        raise PreconditionViolation(
+            f"generator map must be a JSON object, not {type(gen_map).__name__}")
+    generators = f.base.target.carrier
+    for a, b in gen_map.items():
+        if a not in generators:
+            raise PreconditionViolation(
+                f"generator map has a key {a!r} that is not a point of the space")
+        if b not in alg.space.carrier:
+            raise PreconditionViolation(
+                f"generator map sends {a!r} to {b!r}, which is not a point of the algebra")
+    for a in generators:
+        if a not in gen_map:
+            raise PreconditionViolation(f"generator map has no image for {a!r}")
 
 
 class UmpResult(Record):
@@ -198,24 +203,40 @@ class UmpResult(Record):
 
 def check_ump(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
               budget: int | None = None) -> UmpResult:
-    """Existence and uniqueness of the extension, by exhausting all maps.
+    """Existence and uniqueness of the extension among the maps from classes
+    to the target carrier that are nonexpansive, agree with every non-Overflow
+    table entry and extend the generator map.
 
-    Uniqueness quantifies over every function from classes to the target
-    carrier, keeping those that are nonexpansive homomorphisms on non-Overflow
-    entries and extend the generator map.
+    Classes are assigned in order, depth first: a prefix is dropped at the
+    first pair that expands a distance, the first unit class off its
+    generator's image, or the first non-Overflow entry whose arguments and
+    result are assigned and disagree; the search stops at a second map.
+    ``candidates`` and the budget still count all |B|^n maps.
     """
     ext = extend_hom(f, alg, gen_map, budget)
-    exists = _is_quotient_hom(f, alg, ext) and all(
-        ext[f.unit[a]] == gen_map[a] for a in f.base.target.carrier
-    )
     n = len(f.classes)
     total = len(alg.space.carrier) ** n
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
-    matching = 0
-    for images in itertools.product(alg.space.carrier, repeat=n):
-        g = dict(enumerate(images))
-        if all(g[f.unit[a]] == gen_map[a] for a in f.base.target.carrier) and \
-                _is_quotient_hom(f, alg, g):
-            matching += 1
+    # (table, argument classes, result class) to check once the last of them
+    # is assigned; a generator a is the constant entry () -> gen_map[a]
+    checks: list[list] = [[] for _ in range(n)]
+    for a in f.base.target.carrier:
+        checks[f.unit[a]].append(({(): alg.space.index(gen_map[a])}, (), f.unit[a]))
+    for op, table in f.optable.items():
+        for args, res in table.items():
+            if res is not OVERFLOW:
+                checks[max((*args, res))].append((alg.index_tables[op], args, res))
+
+    def keep(g: list[int]) -> bool:
+        return all(table[tuple([g[a] for a in args])] == g[res]
+                   for table, args, res in checks[len(g) - 1])
+
+    ext_images = [alg.space.index(ext[c]) for c in range(n)]
+
+    def keep_ext(g: list[int]) -> bool:
+        return g[-1] == ext_images[len(g) - 1] and keep(g)
+
+    exists = next(nonexpansive_images(f.space, alg.space, keep=keep_ext), None) is not None
+    matching = len(list(itertools.islice(nonexpansive_images(f.space, alg.space, keep=keep), 2)))
     return UmpResult(exists, matching == 1, total)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
@@ -412,27 +412,28 @@ def is_nonexpansive(f: Mapping[str, str], src: FuzzySpace, dst: FuzzySpace) -> b
     )
 
 
-def enumerate_nonexpansive(
-    src: FuzzySpace, dst: FuzzySpace, budget: int | None = None
-) -> list[dict[str, str]]:
-    """All total nonexpansive maps src -> dst, in carrier-product order.
+def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = None,
+                        keep: Callable[[list[int]], bool] | None = None) -> Iterator[tuple[int, ...]]:
+    """The total nonexpansive maps src -> dst as image tuples, lazily, in
+    carrier-product order: entry i is the dst index of src point i.
 
     A depth-first search over image prefixes: a prefix is extended only by an
-    image that keeps every pair of assigned points nonexpansive, so dead
-    prefixes are pruned. The budget still counts all |dst|^|src| candidates.
+    image that keeps every pair of assigned points nonexpansive and, when
+    given, that ``keep`` accepts (it sees the extended prefix), so dead
+    prefixes are pruned. The budget still counts all |dst|^|src| candidates;
+    it is checked when iteration begins, before anything is searched.
     """
     total = len(dst.carrier) ** len(src.carrier)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
     sd, dd = src.dist, dst.dist
     n, m = len(sd), len(dd)
-    out = []
     images: list[int] = []  # dst indices of src points 0 .. len(images) - 1
     b = 0  # the next image to try for src point len(images)
     while True:
         k = len(images)
         if k == n:
-            out.append(dict(zip(src.carrier, (dst.carrier[c] for c in images))))
+            yield tuple(images)
         else:
             while b < m and not (
                 dd[b][b] <= sd[k][k]
@@ -441,11 +442,21 @@ def enumerate_nonexpansive(
                 b += 1
             if b < m:
                 images.append(b)
-                b = 0
-                continue
+                if keep is None or keep(images):
+                    b = 0
+                    continue
         if not images:
-            return out
+            return
         b = images.pop() + 1
+
+
+def enumerate_nonexpansive(
+    src: FuzzySpace, dst: FuzzySpace, budget: int | None = None
+) -> list[dict[str, str]]:
+    """All total nonexpansive maps src -> dst, in carrier-product order: the
+    maps of :func:`nonexpansive_images`, by name."""
+    named = dst.carrier.__getitem__
+    return [dict(zip(src.carrier, map(named, images))) for images in nonexpansive_images(src, dst, budget)]
 
 
 def tuple_name(names: Iterable[str]) -> str:

@@ -3,12 +3,17 @@
 An algebra is a fuzzy-relation space plus a total operation table per symbol;
 operations are arbitrary set functions, deliberately not required to be
 nonexpansive. A judgment quantifies over all nonexpansive interpretations of
-its context space, so satisfaction is decided by exhaustive enumeration.
+its context space, so satisfaction is decided by enumerating them.
+Interpretations are image tuples of carrier indices, searched once per context
+for all the judgments that one call checks, and each side of a judgment is
+compiled once into a function of such a tuple.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from ._record import Record
 from .errors import GridMismatch, UnknownVariable
@@ -16,8 +21,8 @@ from .gmet import (
     EpsGrid,
     FuzzySpace,
     GMetSpec,
-    enumerate_nonexpansive,
     is_nonexpansive,
+    nonexpansive_images,
     require_space,
 )
 from .terms import Signature, Term, Var, parse_term, term_to_str, term_vars
@@ -75,6 +80,33 @@ class QuantAlgebra(Record):
 
     def apply(self, op: str, args: tuple[str, ...]) -> str:
         return self.ops[op][args]
+
+    @cached_property
+    def index_tables(self) -> dict[str, dict[tuple[int, ...], int]]:
+        """The operation tables over carrier indices, built on first use."""
+        index = self.space.index
+        return {
+            name: {tuple(map(index, args)): index(val) for args, val in table.items()}
+            for name, table in self.ops.items()
+        }
+
+    def evaluator(self, t: Term, ctx: FuzzySpace) -> Callable[[tuple[int, ...]], int]:
+        """``t`` compiled into a function of an image tuple ``tau`` of ``ctx``:
+        the carrier index of its value when context point i is carrier point
+        ``tau[i]``."""
+        if isinstance(t, Var):
+            return itemgetter(ctx.index(t.name))
+        table = self.index_tables[t.op]
+        args = tuple(self.evaluator(a, ctx) for a in t.args)
+        # most of a model check is spent here: spare unary and binary
+        # operations the argument list
+        if len(args) == 1:
+            (arg,) = args
+            return lambda tau: table[(arg(tau),)]
+        if len(args) == 2:
+            first, second = args
+            return lambda tau: table[first(tau), second(tau)]
+        return lambda tau: table[tuple([arg(tau) for arg in args])]
 
 
 class Judgment(Record):
@@ -147,9 +179,14 @@ def satisfies(
     spec: GMetSpec,
     j: Judgment,
     budget: int | None = None,
+    *,
+    _maps: dict | None = None,
 ) -> SatisfactionResult:
     """Check one judgment against all nonexpansive interpretations of its context.
 
+    The interpretations are image tuples from one search per context, which
+    the judgments of one ``first_failure`` or ``entails_catalog`` call share
+    through ``_maps``; the budget still counts |B|^|X| for every judgment.
     The counterexample, when present, is the first failing interpretation in
     enumeration order, which is fixed by the carrier orders.
     """
@@ -157,16 +194,35 @@ def satisfies(
     require_space(spec, j.context, "judgment context")
     if alg.space.grid != j.context.grid:
         raise GridMismatch("algebra and judgment use different grids")
-    for tau in enumerate_nonexpansive(j.context, alg.space, budget):
-        left = eval_term(alg, tau, j.lhs)
-        right = eval_term(alg, tau, j.rhs)
-        if j.eps is None:
-            ok = left == right
-        else:
-            ok = alg.space.d(left, right) <= j.eps
-        if not ok:
-            return SatisfactionResult(False, tau)
+    maps = {} if _maps is None else _maps
+    if j.context not in maps:
+        maps[j.context] = list(nonexpansive_images(j.context, alg.space, budget))
+    left, right = alg.evaluator(j.lhs, j.context), alg.evaluator(j.rhs, j.context)
+    dist, eps = alg.space.dist, j.eps
+    for tau in maps[j.context]:
+        a, b = left(tau), right(tau)
+        if a != b if eps is None else dist[a][b] > eps:
+            named = (alg.space.carrier[c] for c in tau)
+            return SatisfactionResult(False, dict(zip(j.context.carrier, named)))
     return SatisfactionResult(True, None)
+
+
+def first_failure(
+    alg: QuantAlgebra,
+    spec: GMetSpec,
+    theory: Theory,
+    budget: int | None = None,
+    *,
+    _maps: dict | None = None,
+) -> tuple[Judgment, dict[str, str]] | None:
+    """The first judgment of the theory that fails in the algebra, with its
+    first failing interpretation, or None when the algebra is a model."""
+    maps = {} if _maps is None else _maps
+    for j in theory.judgments:
+        res = satisfies(alg, spec, j, budget, _maps=maps)
+        if not res.holds:
+            return j, res.counterexample
+    return None
 
 
 def is_model(
@@ -175,7 +231,7 @@ def is_model(
     theory: Theory,
     budget: int | None = None,
 ) -> bool:
-    return all(satisfies(alg, spec, j, budget).holds for j in theory.judgments)
+    return first_failure(alg, spec, theory, budget) is None
 
 
 def is_homomorphism(f: Mapping[str, str], a: QuantAlgebra, b: QuantAlgebra) -> bool:
@@ -206,6 +262,8 @@ def entails_catalog(
     """
     for alg in catalog:
         require_space(spec, alg.space, "catalog algebra space")
-        if is_model(alg, spec, theory, budget) and not satisfies(alg, spec, j, budget).holds:
+        maps: dict = {}
+        if first_failure(alg, spec, theory, budget, _maps=maps) is None and \
+                not satisfies(alg, spec, j, budget, _maps=maps).holds:
             return False
     return True

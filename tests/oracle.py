@@ -8,12 +8,17 @@ all grid parameter vectors until nothing changes.
 
 ``check_space_exhaustive`` is the same kind of reference for
 ``gmet.check_space``: every assignment times every grid parameter vector.
+``satisfies_exhaustive`` and ``check_ump_exhaustive`` are the references
+for the model checker: every map into the carrier is tried.
 """
 from __future__ import annotations
 
 import itertools
 
-from qeqlog.gmet import Atom, DistAtom, EqAtom, Violation
+from qeqlog.errors import BudgetExceeded, GridMismatch
+from qeqlog.free import OVERFLOW, UmpResult, extend_hom
+from qeqlog.gmet import Atom, DistAtom, EqAtom, Violation, is_nonexpansive, require_space
+from qeqlog.qalg import SatisfactionResult, eval_term
 from qeqlog.terms import App, Var, apply_subst, enumerate_universe
 
 
@@ -172,3 +177,73 @@ def check_space_exhaustive(spec, sp) -> list[Violation]:
                         Violation(clause.name, tuple(env.items()), tuple(penv.items()))
                     )
     return out
+
+
+def satisfies_exhaustive(alg, spec, j, budget=None) -> SatisfactionResult:
+    """Every one of the |B|^|X| maps from the context into the algebra's
+    carrier, in product order, filtered by ``is_nonexpansive`` and evaluated
+    by ``eval_term``; the first that fails is the counterexample."""
+    require_space(spec, alg.space, "algebra space")
+    require_space(spec, j.context, "judgment context")
+    if alg.space.grid != j.context.grid:
+        raise GridMismatch("algebra and judgment use different grids")
+    total = len(alg.space.carrier) ** len(j.context.carrier)
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
+    for images in itertools.product(alg.space.carrier, repeat=len(j.context.carrier)):
+        tau = dict(zip(j.context.carrier, images))
+        if not is_nonexpansive(tau, j.context, alg.space):
+            continue
+        left, right = eval_term(alg, tau, j.lhs), eval_term(alg, tau, j.rhs)
+        if not (left == right if j.eps is None else alg.space.d(left, right) <= j.eps):
+            return SatisfactionResult(False, tau)
+    return SatisfactionResult(True, None)
+
+
+def first_failure_exhaustive(alg, spec, theory, budget=None):
+    """(index, counterexample) of the first failing judgment, or None."""
+    for k, j in enumerate(theory.judgments):
+        res = satisfies_exhaustive(alg, spec, j, budget)
+        if not res.holds:
+            return k, res.counterexample
+    return None
+
+
+def _is_quotient_hom(f, alg, g) -> bool:
+    """Nonexpansive + commutes with every non-Overflow op-table entry."""
+    for c1 in range(len(f.classes)):
+        for c2 in range(len(f.classes)):
+            if alg.space.d(g[c1], g[c2]) > f.delta[c1][c2]:
+                return False
+    for op, table in f.optable.items():
+        for args, res in table.items():
+            if res is OVERFLOW:
+                continue
+            if g[res] != alg.apply(op, tuple(g[a] for a in args)):
+                return False
+    return True
+
+
+def check_ump_exhaustive(f, alg, gen_map, budget=None) -> UmpResult:
+    """Existence and uniqueness of the extension, by exhausting all maps.
+
+    Uniqueness quantifies over every function from classes to the target
+    carrier, keeping those that are nonexpansive homomorphisms on non-Overflow
+    entries and extend the generator map. This was ``free.check_ump`` before
+    it assigned classes depth-first.
+    """
+    ext = extend_hom(f, alg, gen_map, budget)
+    exists = _is_quotient_hom(f, alg, ext) and all(
+        ext[f.unit[a]] == gen_map[a] for a in f.base.target.carrier
+    )
+    n = len(f.classes)
+    total = len(alg.space.carrier) ** n
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
+    matching = 0
+    for images in itertools.product(alg.space.carrier, repeat=n):
+        g = dict(enumerate(images))
+        if all(g[f.unit[a]] == gen_map[a] for a in f.base.target.carrier) and \
+                _is_quotient_hom(f, alg, g):
+            matching += 1
+    return UmpResult(exists, matching == 1, total)

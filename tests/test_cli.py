@@ -194,6 +194,21 @@ class TestUmp:
         )
         assert code == 2 and "model" in err
 
+    @pytest.mark.parametrize("gen_map, stderr", [
+        ('[1]', "error: generator map must be a JSON object, not list\n"),
+        ('{"a": "p"}', "error: generator map has no image for 'b'\n"),
+        ('{"a": "p", "b": "zz"}',
+         "error: generator map sends 'b' to 'zz', which is not a point of the algebra\n"),
+        ('{"a": "p", "b": "q", "c": "p"}',
+         "error: generator map has a key 'c' that is not a point of the space\n"),
+    ])
+    def test_bad_map_exit_two(self, capsys, gen_map, stderr):
+        code, out, err = run(
+            capsys, "--workspace", WS, "--depth", "2", "ump",
+            "--theory", "EMPTY", "--space", "AB", "--algebra", "swap", "--map", gen_map,
+        )
+        assert (code, out, err) == (2, "", stderr)
+
 
 class TestEmCheck:
     def test_swap_round_trip(self, capsys):

@@ -2,8 +2,11 @@
 
 ``fixtures/cli_golden.json`` holds stdout, stderr and the exit code of every
 case below, recorded from a known-good build. Any change to a report, a trace
-body or an error message fails here. To record the fixture again after an
-intended output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
+body or an error message fails here. To record a newly added case, run
+``PYTHONPATH=src python tests/test_cli_golden.py``: it records only the cases
+missing from the fixture, and exits non-zero without writing anything when a
+recorded case's output differs or a recorded case has no entry below, so no
+case is ever re-recorded or dropped.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -31,6 +35,7 @@ CASES = {
     "check-model-swap-EMPTY": ("workspace.json", ["check-model", "--algebra", "swap", "--theory", "EMPTY"]),
     "check-model-stay-QUARTER": ("workspace.json", ["check-model", "--algebra", "stay", "--theory", "QUARTER"]),
     "check-model-swap-PHI1": ("workspace.json", ["check-model", "--algebra", "swap", "--theory", "PHI1"]),
+    "check-model-stay-QUARTER-PHI1": ("workspace_two_judgments.json", ["check-model", "--algebra", "stay", "--theory", "QUARTER_PHI1"]),
     "check-model-unknown": ("workspace.json", ["check-model", "--algebra", "nope", "--theory", "EMPTY"]),
     "derive-PHI1-eq": ("workspace.json", ["derive", "--theory", "PHI1", "--target", "AB", "--judgment", _j("a", "b", None)]),
     "derive-QUARTER-not": ("workspace.json", ["derive", "--theory", "QUARTER", "--target", "AB", "--judgment", _j("u(a)", "b", "1/2")]),
@@ -41,12 +46,15 @@ CASES = {
     "free-EMPTY": ("workspace.json", ["free", "--theory", "EMPTY", "--space", "AB"]),
     "free-QUARTER": ("workspace.json", ["free", "--theory", "QUARTER", "--space", "AB"]),
     "free-PHI1": ("workspace.json", ["free", "--theory", "PHI1", "--space", "AB"]),
+    "entail-holds": ("workspace.json", ["entail", "--theory", "EMPTY", "--judgment", _j("u(u(a))", "a", None), "--catalog", "swap,stay"]),
     "entail-refuted": ("workspace.json", ["entail", "--theory", "EMPTY", "--judgment", _j("u(a)", "a", None), "--catalog", "swap,stay"]),
     "monad-laws-EMPTY": ("workspace.json", ["monad-laws", "--theory", "EMPTY", "--space", "AB"]),
     "monad-laws-QUARTER": ("workspace.json", ["monad-laws", "--theory", "QUARTER", "--space", "AB"]),
     "monad-laws-PHI1": ("workspace.json", ["monad-laws", "--theory", "PHI1", "--space", "AB"]),
     "ump-EMPTY": ("workspace.json", ["--depth", "2", "ump", "--theory", "EMPTY", "--space", "AB", "--algebra", "swap", "--map", SWAP_MAP]),
     "ump-QUARTER": ("workspace.json", ["--depth", "2", "ump", "--theory", "QUARTER", "--space", "AB", "--algebra", "swap", "--map", SWAP_MAP]),
+    "ump-EMPTY-depth1": ("workspace.json", ["--depth", "1", "ump", "--theory", "EMPTY", "--space", "AB", "--algebra", "swap", "--map", SWAP_MAP]),
+    "ump-QUARTER-depth3": ("workspace.json", ["--depth", "3", "ump", "--theory", "QUARTER", "--space", "AB", "--algebra", "stay", "--map", SWAP_MAP]),
     "em-check-EMPTY": ("workspace.json", ["--depth", "2", "em-check", "--theory", "EMPTY", "--algebra", "swap"]),
     "em-check-QUARTER-stay": ("workspace.json", ["--depth", "2", "em-check", "--theory", "QUARTER", "--algebra", "stay"]),
     "em-check-QUARTER": ("workspace.json", ["--depth", "2", "em-check", "--theory", "QUARTER", "--algebra", "swap"]),
@@ -77,7 +85,23 @@ def test_fixture_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
 
 
-if __name__ == "__main__":
-    golden = {case_id: run_case(case_id) for case_id in sorted(CASES)}
+def record_missing() -> int:
+    """Add the cases missing from the fixture; refuse to change any other."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    dropped = sorted(set(golden) - set(CASES))
+    changed = sorted(c for c in golden if c in CASES and run_case(c) != golden[c])
+    if dropped or changed:
+        for what, ids in (("has no case", dropped), ("differs", changed)):
+            if ids:
+                print(f"recorded output {what}: {', '.join(ids)}", file=sys.stderr)
+        print(f"{GOLDEN} left unchanged", file=sys.stderr)
+        return 1
+    missing = sorted(set(CASES) - set(golden))
+    golden.update((case_id, run_case(case_id)) for case_id in missing)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(golden)} cases to {GOLDEN}")
+    print(f"added {len(missing)} cases to {GOLDEN}: {', '.join(missing) or 'none'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(record_missing())
