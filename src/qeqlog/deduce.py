@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 from ._record import Record
 from .errors import (
@@ -46,7 +47,12 @@ from .terms import (
     check_nontrivial,
     enumerate_universe,
     term_to_str,
+    universe_size,
 )
+
+# the most distance cells a saturation allocates: a larger universe is refused
+# before it is enumerated
+MAX_CELLS = 2**28
 
 # Premise descriptors:
 #   ("axiom", event_id)        a theory axiom, recorded as an INIT event
@@ -96,10 +102,14 @@ class DerivationDB:
     tuple of argument ids to the id of that application, and each variable to
     its id: a membership test walks a term bottom-up through it
     (:meth:`index_of`, :meth:`subst_index`), and a term over known ids needs
-    no tree at all (:meth:`app_index`, :meth:`fold`). ``dmin`` is dense, but a near-cell
-    index holds, for each id, the ids on the other side of its cells below q;
-    a merge folds only those, so it costs the loser's derived distances, not
-    the class count.
+    no tree at all (:meth:`app_index`, :meth:`fold`).
+
+    ``dmin`` is one flat n·n array of the smallest unsigned typecode holding
+    q, with the cell of ids i and j at ``i * n + j`` (:meth:`cell`). A
+    near-cell index holds, for each id, the ids on the other side of its
+    cells below q; a merge folds only those, so it costs the loser's derived
+    distances, not the class count. A universe whose table would pass
+    ``MAX_CELLS`` cells is refused before it is enumerated.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
@@ -111,6 +121,13 @@ class DerivationDB:
         self.depth = depth
         self.grid = target.grid
         self.budget = budget
+        n = universe_size(sig, target.carrier, depth)
+        if n * n > MAX_CELLS:
+            raise BudgetExceeded(
+                f"universe: depth {depth} has {n} terms, and their distance table"
+                f" of {n * n} cells passes the limit of {MAX_CELLS}"
+            )
+        self._n = n
         self.universe: tuple[Term, ...] = tuple(
             enumerate_universe(sig, target.carrier, depth)
         )
@@ -130,11 +147,14 @@ class DerivationDB:
                 kids = tuple(ids[id(a)] for a in t.args)
                 self._hashcons[t.op][kids] = i
             self._children.append(kids)
-        n = len(self.universe)
         self._parent = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # imported here, so that a CLI call that saturates nothing never loads it
+        from array import array
+
         q = self.grid.q
-        self.dmin = [[q] * n for _ in range(n)]
+        code = next((c for c in "BHL" if q < 1 << 8 * array(c).itemsize), "Q")
+        self.dmin = array(code, [q]) * (n * n)
         # filled on the first cell below q of each id
         self._near: dict[int, set[int]] = {}
         self._hist: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -212,8 +232,12 @@ class DerivationDB:
             out.append(leaf(t.name) if isinstance(t, Var) else node(t.op, tuple(out[k] for k in kids)))
         return out
 
+    def cell(self, i: int, j: int) -> int:
+        """The table cell of ids i and j, whether or not they are roots."""
+        return self.dmin[i * self._n + j]
+
     def class_distance(self, i: int, j: int) -> int:
-        return self.dmin[self.find(i)][self.find(j)]
+        return self.dmin[self.find(i) * self._n + self.find(j)]
 
     # --- recording ---
 
@@ -224,14 +248,17 @@ class DerivationDB:
     def _count(self, k: int = 1) -> None:
         self.instances += k
         if self.budget is not None and self.instances > self.budget:
-            raise BudgetExceeded(
-                f"saturation considered more than {self.budget} rule instances"
-                f" in round {self._round} at {self._phase}"
-            )
+            raise self._over_budget()
+
+    def _over_budget(self) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"saturation considered more than {self.budget} rule instances"
+            f" in round {self._round} at {self._phase}"
+        )
 
     def _set_dist(self, a: int, b: int, value: int, rule: str, detail: str | None,
                   premises: tuple) -> None:
-        self.dmin[a][b] = value
+        self.dmin[a * self._n + b] = value
         near = self._near
         near.setdefault(a, set()).add(b)
         near.setdefault(b, set()).add(a)
@@ -241,7 +268,7 @@ class DerivationDB:
     def _lower(self, i: int, j: int, value: int, rule: str, detail: str | None,
                premises: tuple) -> bool:
         ri, rj = self.find(i), self.find(j)
-        if value >= self.dmin[ri][rj]:
+        if value >= self.dmin[ri * self._n + rj]:
             return False
         self._set_dist(ri, rj, value, rule, detail, premises)
         return True
@@ -254,14 +281,15 @@ class DerivationDB:
         self._forest[i].append((j, cause))
         self._forest[j].append((i, cause))
         winner, loser = min(ri, rj), max(ri, rj)
-        self._parent[loser] = winner
+        parent, dmin, n = self._parent, self.dmin, self._n
+        parent[loser] = winner
         eq_premise = ("eq", winner, loser)
         # 2x2 block between the two old classes
         block = [(winner, winner), (winner, loser), (loser, winner), (loser, loser)]
         best_val, best_pair = min(
-            (self.dmin[a][b], (a, b)) for a, b in block
+            (dmin[a * n + b], (a, b)) for a, b in block
         )
-        if best_val < self.dmin[winner][winner]:
+        if best_val < dmin[winner * n + winner]:
             a, b = best_pair
             last_fact = ("dist", a, b, best_val)
             if a != winner:
@@ -271,13 +299,12 @@ class DerivationDB:
                 self._set_dist(winner, winner, best_val, "RCONG", None, (eq_premise, last_fact))
         # fold rows and columns against every other class; a cell at q lowers
         # nothing, so only classes with a cell below q to the loser can change
-        parent = self._parent
         for k in sorted(k for k in self._near.pop(loser, ()) if k != winner and parent[k] == k):
-            v = self.dmin[loser][k]
-            if v < self.dmin[winner][k]:
+            v = dmin[loser * n + k]
+            if v < dmin[winner * n + k]:
                 self._set_dist(winner, k, v, "LCONG", None, (eq_premise, ("dist", loser, k, v)))
-            v = self.dmin[k][loser]
-            if v < self.dmin[k][winner]:
+            v = dmin[k * n + loser]
+            if v < dmin[k * n + winner]:
                 self._set_dist(k, winner, v, "RCONG", None, (eq_premise, ("dist", k, loser, v)))
         return True
 
@@ -440,17 +467,19 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
 
     ``since`` is the event count when the clause's previous pass began, None
     before its first. A first pass whose clause could fire with every
-    distance premise at q starts from every tuple. Any other pass starts
-    from the tuples with a distance premise on a cell written since then.
+    distance premise at q starts from every tuple whose positions tied by
+    an equality premise hold one root. Any other pass starts from the
+    tuples with a distance premise on a cell written since then.
     In both, a write or merge during the pass queues the later tuples it
     reaches. The tuples left out are those whose premises are unchanged
     since they last failed or fired, so the pass records what a full pass
     records.
     """
     changed = False
-    q = db.grid.q
-    dmin, find, parent = db.dmin, db.find, db._parent
+    q, budget = db.grid.q, db.budget
+    dmin, n, find, parent = db.dmin, db._n, db.find, db._parent
     _, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
+    per_tuple = len(vectors)
     merging = conc_bounds is None
     arity = len(clause.vars)
     # a tuple, so that itertools.product takes it without a copy
@@ -458,7 +487,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
     queue = _Worklist()
     if since is None and _fires_at_top(q, vectors, prems, conc_bounds):
-        queue.add(itertools.product(root_list, repeat=arity))
+        queue.add(_tied(arity, prems, root_list))
     else:
         # a cell between roots is written under their ids
         written = set()
@@ -469,7 +498,10 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
         for a, b in written:
             queue.add(*_on_cell(arity, cells, a, b, root_list))
     for assignment in queue:
-        db._count(len(vectors))
+        # db._count inlined: this loop is the hot path
+        db.instances += per_tuple
+        if budget is not None and db.instances > budget:
+            raise db._over_budget()
         # only a merging clause turns members of root_list into non-roots
         reps = [find(r) for r in assignment] if merging else assignment
         for pvec in vectors:
@@ -479,10 +511,10 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
                     if reps[xp] != reps[yp]:
                         break
                 elif si >= 0:
-                    d = dmin[reps[xp]][reps[yp]]
+                    d = dmin[reps[xp] * n + reps[yp]]
                     if d > vals[si]:
                         vals[si] = d
-                elif dmin[reps[xp]][reps[yp]] > bounds[pvec]:
+                elif dmin[reps[xp] * n + reps[yp]] > bounds[pvec]:
                     break
             else:
                 # nearly every instance fires nothing: record premises only
@@ -493,7 +525,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
                         continue
                 else:
                     value = conc_bounds[tuple(vals)]
-                    if value >= dmin[x][y]:
+                    if value >= dmin[x * n + y]:
                         continue
                 premises = tuple(
                     ("eq", assignment[xp], assignment[yp]) if bounds is None
@@ -543,6 +575,29 @@ def _fires_at_top(q: int, vectors, prems, conc_bounds) -> bool:
     except GridMismatch:
         return True
     return False
+
+
+def _tied(arity: int, prems, pool: tuple[int, ...]):
+    """The tuples over ``pool`` that hold one value at the positions an
+    equality premise ties, in ascending order.
+
+    Only the equality premises before the first bound lookup tie positions,
+    as an instance stops at a failed one before it can reach an off-grid
+    constant. Over distinct roots, every tuple left out fails one of them.
+    """
+    lead = list(range(arity))
+    for xp, yp, si, bounds in prems:
+        if bounds is None:
+            lo, hi = sorted((lead[xp], lead[yp]))
+            lead = [lo if k == hi else k for k in lead]
+        elif si < 0:
+            break
+    free = sorted(set(lead))
+    if len(free) == arity:
+        return itertools.product(pool, repeat=arity)
+    # two or more positions, so itemgetter returns tuples
+    at = itemgetter(*(free.index(k) for k in lead))
+    return map(at, itertools.product(pool, repeat=len(free)))
 
 
 def _on_cell(arity: int, cells, a: int, b: int, pool: tuple[int, ...]):
@@ -602,6 +657,7 @@ class _Worklist:
 
 def _step_subst(db: DerivationDB) -> bool:
     changed = False
+    dmin, n, find = db.dmin, db._n, db.find
     for ax_i, j in enumerate(db.theory.judgments):
         db._phase = f"SUBST:{db.theory.name}[{ax_i}]"
         ctx = j.context
@@ -614,13 +670,13 @@ def _step_subst(db: DerivationDB) -> bool:
             nonlocal changed
             if pos == k:
                 db._count()
-                sigma = {elems[m]: db.find(chosen[m]) for m in range(k)}
+                sigma = {elems[m]: find(chosen[m]) for m in range(k)}
                 li = db.subst_index(sigma, j.lhs)
                 ri = li if li is None else db.subst_index(sigma, j.rhs)
                 # build premises only for a new conclusion, as _merge and
                 # _lower would record nothing for the others
                 if ri is None or (db.same(li, ri) if j.eps is None
-                                  else j.eps >= db.class_distance(li, ri)):
+                                  else j.eps >= dmin[find(li) * n + find(ri)]):
                     return
                 premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
                     (
@@ -638,11 +694,13 @@ def _step_subst(db: DerivationDB) -> bool:
                     changed |= db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
                 return
             for r in root_list:
-                if db.class_distance(r, r) > ctx.dist[pos][pos]:
+                # class_distance inlined: this loop is the hot path
+                rr = find(r)
+                if dmin[rr * n + rr] > ctx.dist[pos][pos]:
                     continue
                 if any(
-                    db.class_distance(chosen[m], r) > ctx.dist[m][pos]
-                    or db.class_distance(r, chosen[m]) > ctx.dist[pos][m]
+                    dmin[find(chosen[m]) * n + rr] > ctx.dist[m][pos]
+                    or dmin[rr * n + find(chosen[m])] > ctx.dist[pos][m]
                     for m in range(pos)
                 ):
                     continue

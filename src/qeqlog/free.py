@@ -77,7 +77,7 @@ class FreeAlgebra:
         self.classes: tuple[Term, ...] = tuple(base.universe[r] for r in roots)
         self._root_to_class = {r: c for c, r in enumerate(roots)}
         self.delta: tuple[tuple[int, ...], ...] = tuple(
-            tuple(base.dmin[r1][r2] for r2 in roots) for r1 in roots
+            tuple(base.cell(r1, r2) for r2 in roots) for r1 in roots
         )
         self.optable: dict[str, dict[tuple[int, ...], int | _Overflow]] = {}
         for op, arity in base.sig.ops:

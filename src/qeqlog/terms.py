@@ -208,6 +208,16 @@ def apply_subst(subst: Mapping[str, Term], t: Term) -> Term:
     return App(t.op, tuple(apply_subst(subst, a) for a in t.args))
 
 
+def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:
+    """``len(enumerate_universe(sig, carrier, depth))``, without building it:
+    each layer holds the leaves and every operation over the layer below."""
+    leaves = len(dict.fromkeys(carrier)) + sum(1 for _, ar in sig.ops if ar == 0)
+    size = leaves
+    for _ in range(depth - 1):
+        size = leaves + sum(size ** ar for _, ar in sig.ops if ar > 0)
+    return size
+
+
 def enumerate_universe(sig: Signature, carrier: Iterable[str], depth: int) -> list[Term]:
     """All terms of depth <= depth over the carrier, in canonical order.
 

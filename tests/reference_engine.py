@@ -68,7 +68,7 @@ def _step_cong(db: DerivationDB) -> bool:
 def _step_horn(db: DerivationDB) -> bool:
     changed = False
     q = db.grid.q
-    dmin, find = db.dmin, db.find
+    dmin, n, find = db.dmin, len(db.universe), db.find
     for clause in db.spec.clauses:
         params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
         merging = conc_bounds is None
@@ -84,10 +84,10 @@ def _step_horn(db: DerivationDB) -> bool:
                         if reps[xp] != reps[yp]:
                             break
                     elif si >= 0:
-                        d = dmin[reps[xp]][reps[yp]]
+                        d = dmin[reps[xp] * n + reps[yp]]
                         if d > vals[si]:
                             vals[si] = d
-                    elif dmin[reps[xp]][reps[yp]] > bounds[pvec]:
+                    elif dmin[reps[xp] * n + reps[yp]] > bounds[pvec]:
                         break
                 else:
                     # nearly every instance fires nothing: record premises only
@@ -98,7 +98,7 @@ def _step_horn(db: DerivationDB) -> bool:
                             continue
                     else:
                         value = conc_bounds[tuple(vals)]
-                        if value >= dmin[x][y]:
+                        if value >= dmin[x * n + y]:
                             continue
                     premises = tuple(
                         ("eq", assignment[xp], assignment[yp]) if bounds is None

@@ -103,12 +103,12 @@ def test_criterion_03_met_axiom_suite():
         roots = db.roots()
         q = grid.q
         for r1 in roots:
-            assert db.dmin[r1][r1] == 0
+            assert db.cell(r1, r1) == 0
             for r2 in roots:
-                assert db.dmin[r1][r2] == db.dmin[r2][r1]
-                assert (db.dmin[r1][r2] == 0) == (r1 == r2)
+                assert db.cell(r1, r2) == db.cell(r2, r1)
+                assert (db.cell(r1, r2) == 0) == (r1 == r2)
                 for r3 in roots:
-                    assert db.dmin[r1][r3] <= min(q, db.dmin[r1][r2] + db.dmin[r2][r3])
+                    assert db.cell(r1, r3) <= min(q, db.cell(r1, r2) + db.cell(r2, r3))
         assert_connection_lemma(db)
         runs += 1
     assert runs >= 20
@@ -140,7 +140,7 @@ def test_criterion_04_soundness_sweep():
         for r1 in roots:
             for r2 in roots:
                 s, t = db.universe[r1], db.universe[r2]
-                j = Judgment(target, s, t, db.dmin[r1][r2])
+                j = Judgment(target, s, t, db.cell(r1, r2))
                 for alg in models:
                     assert satisfies(alg, spec, j).holds, (theory, j.describe())
                     checked_judgments += 1

@@ -23,7 +23,7 @@ from qeqlog.deduce import (
     saturate,
     trace,
 )
-from qeqlog.terms import App, Signature, Var, apply_subst, term_vars
+from qeqlog.terms import App, Signature, Var, apply_subst, term_vars, universe_size
 
 from conftest import (
     random_algebra,
@@ -51,11 +51,7 @@ def unary_axiom_quarter(grid) -> Theory:
 
 
 def _universe_size(sig: Signature, n_carrier: int, depth: int) -> int:
-    leaves = n_carrier + sum(1 for _, ar in sig.ops if ar == 0)
-    size = leaves
-    for _ in range(depth - 1):
-        size = leaves + sum(size ** ar for _, ar in sig.ops if ar > 0)
-    return size
+    return universe_size(sig, [f"p{i}" for i in range(n_carrier)], depth)
 
 
 class TestSubstIndex:
@@ -364,7 +360,7 @@ def replay_derived_facts(db, target: FuzzySpace) -> None:
     roots = db.roots()
     for r1 in roots:
         for r2 in roots:
-            eps = db.dmin[r1][r2]
+            eps = db.cell(r1, r2)
             if eps < grid.q:
                 j = Judgment(target, db.universe[r1], db.universe[r2], eps)
                 replay_node(trace(db, j), target, grid)
@@ -462,12 +458,12 @@ class TestMetAxiomSuite:
         roots = db.roots()
         q = grid.q
         for r1 in roots:
-            assert db.dmin[r1][r1] == 0
+            assert db.cell(r1, r1) == 0
             for r2 in roots:
-                assert db.dmin[r1][r2] == db.dmin[r2][r1]
-                assert (db.dmin[r1][r2] == 0) == (r1 == r2)
+                assert db.cell(r1, r2) == db.cell(r2, r1)
+                assert (db.cell(r1, r2) == 0) == (r1 == r2)
                 for r3 in roots:
-                    assert db.dmin[r1][r3] <= min(q, db.dmin[r1][r2] + db.dmin[r2][r3])
+                    assert db.cell(r1, r3) <= min(q, db.cell(r1, r2) + db.cell(r2, r3))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pmet_runs_symmetric_triangular(self, seed):
@@ -477,9 +473,9 @@ class TestMetAxiomSuite:
         db = saturate(U_SIG, random_theory(rng, U_SIG, grid, PMET, 1), PMET, target, 2)
         roots = db.roots()
         for r1 in roots:
-            assert db.dmin[r1][r1] == 0
+            assert db.cell(r1, r1) == 0
             for r2 in roots:
-                assert db.dmin[r1][r2] == db.dmin[r2][r1]
+                assert db.cell(r1, r2) == db.cell(r2, r1)
 
 
 class TestSoundness:
@@ -500,7 +496,7 @@ class TestSoundness:
         for r1 in roots:
             for r2 in roots:
                 s, t = db.universe[r1], db.universe[r2]
-                j = Judgment(target, s, t, db.dmin[r1][r2])
+                j = Judgment(target, s, t, db.cell(r1, r2))
                 for alg in models:
                     assert satisfies(alg, spec, j).holds, (j.describe(), alg)
                 if r1 != r2 and db.same(r1, r2):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import _Worklist, saturate
+from qeqlog.deduce import _tied, _Worklist, saturate
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -27,6 +27,7 @@ from qeqlog.gmet import (
     FuzzySpace,
     GMetSpec,
     HornClause,
+    compile_clause,
     space_passes,
 )
 from qeqlog.qalg import Judgment, Theory
@@ -108,8 +109,19 @@ def _naive_cost(spec: GMetSpec, sig: Signature, size: int, depth: int) -> int:
     return sum(n ** len(c.vars) for c in spec.clauses)
 
 
+# first passes over tied positions: z = x and y = z tie all three; an
+# equality after a bound lookup ties nothing
+TIED = GMetSpec("tied", PMET.clauses + (
+    HornClause("tie_three", ("x", "y", "z"), (EqAtom("z", "x"), EqAtom("y", "z")),
+               DistAtom("y", "x", EpsConst(Fraction(0)))),
+    HornClause("tie_two", ("x", "y", "z"), (EqAtom("z", "x"),),
+               DistAtom("z", "x", EpsConst(Fraction(0)))),
+    HornClause("late_eq", ("x", "y"), (DistAtom("x", "y", EpsConst(Fraction(1))), EqAtom("x", "y")),
+               DistAtom("x", "y", EpsConst(Fraction(0)))),
+))
+
 NAMED = {s.name: s for s in (MET, PMET, FREL, HALVING, SHARED_PARAM, MIXED, PMET_GRID_EQ,
-                              ZEQ_CHAIN, MET_EQ_PREMISE, OFF_GRID_BEHIND_ZERO)}
+                              ZEQ_CHAIN, MET_EQ_PREMISE, OFF_GRID_BEHIND_ZERO, TIED)}
 
 
 class TestAgainstNaiveLoop:
@@ -158,6 +170,20 @@ class TestAgainstNaiveLoop:
         with pytest.raises(GridMismatch, match="1/3"):
             reference_engine.saturate(*args)
         assert_same_saturation(*args)
+
+
+class TestTied:
+    def _tuples(self, name, pool=(0, 1, 2)):
+        clause = next(c for c in TIED.clauses if c.name == name)
+        prems = compile_clause(clause, 4)[2]
+        return list(_tied(len(clause.vars), prems, pool))
+
+    def test_equalities_tie_positions(self):
+        assert self._tuples("tie_three") == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+        assert self._tuples("tie_two") == [(a, b, a) for a in (0, 1, 2) for b in (0, 1, 2)]
+
+    def test_equality_after_a_bound_lookup_ties_nothing(self):
+        assert self._tuples("late_eq") == [(a, b) for a in (0, 1, 2) for b in (0, 1, 2)]
 
 
 _TUPLES = st.tuples(st.integers(0, 3), st.integers(0, 3))

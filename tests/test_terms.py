@@ -19,6 +19,7 @@ from qeqlog.terms import (
     term_depth,
     term_key,
     term_to_str,
+    universe_size,
 )
 
 
@@ -177,6 +178,16 @@ class TestUniverseOrder:
             for a in getattr(t, "args", ()):
                 k = position.get(id(a))
                 assert k is not None and k < i and universe[k] is a
+
+
+class TestUniverseSize:
+    @_universe_cases
+    def test_matches_enumeration(self, ops, n_carrier, depth):
+        sig, carrier, depth = _universe_case(ops, n_carrier, depth)
+        assert universe_size(sig, carrier, depth) == len(enumerate_universe(sig, carrier, depth))
+
+    def test_repeated_carrier_name_counts_once(self):
+        assert universe_size(SIG_UC, ["a", "a"], 2) == len(enumerate_universe(SIG_UC, ["a", "a"], 2)) == 4
 
 
 class TestCanonicalOrder:
