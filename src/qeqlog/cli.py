@@ -18,7 +18,7 @@ from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
 from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
-from .terms import Signature, parse_term
+from .terms import Signature, check_carrier, parse_term
 
 
 class Workspace(Record):
@@ -36,25 +36,14 @@ class Workspace(Record):
     def from_json(cls, obj) -> "Workspace":
         grid = EpsGrid(int(obj.get("grid", 24)))
         sig = Signature.from_json(obj.get("signature", {"ops": {}}))
-        for name in sig.symbols:
-            for space_obj in obj.get("spaces", {}).values():
-                if name in space_obj.get("carrier", []):
-                    raise ValueError(
-                        f"carrier element {name!r} collides with an operation symbol"
-                    )
         spec = GMetSpec.from_json(obj.get("spec", {"preset": "MET"}))
-        spaces = {
-            str(k): FuzzySpace.from_json(v, grid)
-            for k, v in obj.get("spaces", {}).items()
+        spaces = {str(k): FuzzySpace.from_json(v, grid) for k, v in obj.get("spaces", {}).items()}
+        for space in spaces.values():
+            check_carrier(sig, space.carrier)
+        theories = {
+            str(name): Theory(str(name), tuple(Judgment.from_json(j, sig, grid, spaces) for j in js))
+            for name, js in obj.get("theories", {}).items()
         }
-        theories = {}
-        for name, judgments in obj.get("theories", {}).items():
-            theories[str(name)] = Theory(
-                str(name),
-                tuple(
-                    Judgment.from_json(j, sig, grid, spaces) for j in judgments
-                ),
-            )
         algebras = {
             str(k): QuantAlgebra.from_json(v, sig, grid)
             for k, v in obj.get("algebras", {}).items()
@@ -62,24 +51,41 @@ class Workspace(Record):
         budgets = obj.get("budgets", {})
         return cls(
             grid, sig, spec, spaces, theories, algebras,
-            depth=int(budgets.get("depth", 3)),
-            budget_interps=budgets.get("interpretations"),
-            budget_instances=budgets.get("instances"),
+            depth=_whole(budgets, "depth", 3),
+            budget_interps=_whole(budgets, "interpretations"),
+            budget_instances=_whole(budgets, "instances"),
         )
 
 
+def _whole(budgets: dict, key: str, default: int | None = None) -> int | None:
+    """A budget entry as an int, from an int, an integral float or a string
+    of digits; a bool or any other value is refused."""
+    value = budgets.get(key, default)
+    if value is None or type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str) and value.strip().isdecimal():
+        return int(value)
+    raise QeqlogError(f"budget {key!r} is not an integer: {value!r}")
+
+
 def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:
+    """The workspace in a JSON file; JSON of the wrong shape is a QeqlogError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if overrides.grid is not None:
-        obj["grid"] = overrides.grid
-    budgets = obj.setdefault("budgets", {})
-    for key, value in (("depth", overrides.depth),
-                       ("interpretations", overrides.budget_interps),
-                       ("instances", overrides.budget_instances)):
-        if value is not None:
-            budgets[key] = value
-    return Workspace.from_json(obj)
+    try:
+        if overrides.grid is not None:
+            obj["grid"] = overrides.grid
+        budgets = obj.setdefault("budgets", {})
+        for key, value in (("depth", overrides.depth),
+                           ("interpretations", overrides.budget_interps),
+                           ("instances", overrides.budget_instances)):
+            if value is not None:
+                budgets[key] = value
+        return Workspace.from_json(obj)
+    except (TypeError, AttributeError) as exc:
+        raise QeqlogError(f"malformed workspace: {exc}") from None
 
 
 def _named(kind: str, table: dict, name: str):
@@ -95,7 +101,10 @@ def _judgment(ws: Workspace, raw: str) -> Judgment:
     else:
         with open(raw, encoding="utf-8") as fh:
             obj = json.load(fh)
-    return Judgment.from_json(obj, ws.sig, ws.grid, ws.spaces)
+    try:
+        return Judgment.from_json(obj, ws.sig, ws.grid, ws.spaces)
+    except (TypeError, AttributeError) as exc:
+        raise QeqlogError(f"malformed judgment: {exc}") from None
 
 
 def _emit(report: dict, code: int) -> int:

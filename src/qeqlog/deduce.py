@@ -37,7 +37,8 @@ from .errors import (
     UnknownFact,
     UnknownVariable,
 )
-from .gmet import EpsGrid, FuzzySpace, GMetSpec, HornClause, compile_clause, require_space
+from .gmet import (EpsGrid, FuzzySpace, GMetSpec, HornClause, check_space, compile_clause,
+                   images_within, require_space)
 from .qalg import Judgment, Theory
 from .terms import (
     App,
@@ -466,11 +467,11 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     """One pass of a clause over the tuples of the roots, in product order.
 
     ``since`` is the event count when the clause's previous pass began, None
-    before its first. A first pass whose clause could fire with every
-    distance premise at q starts from every tuple whose positions tied by
-    an equality premise hold one root. Any other pass starts from the
-    tuples with a distance premise on a cell written since then.
-    In both, a write or merge during the pass queues the later tuples it
+    before its first. A first pass of a clause that the two-point space with
+    every distance 1 violates (:func:`_fires_at_top`) starts from every tuple
+    whose positions tied by an equality premise hold one root. Any other pass
+    starts from the tuples with a distance premise on a cell written since
+    then. In both, a write or merge during the pass queues the later tuples it
     reaches. The tuples left out are those whose premises are unchanged
     since they last failed or fired, so the pass records what a full pass
     records.
@@ -486,7 +487,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     root_list = tuple(db.roots())
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
     queue = _Worklist()
-    if since is None and _fires_at_top(q, vectors, prems, conc_bounds):
+    if since is None and _fires_at_top(clause, q):
         queue.add(_tied(arity, prems, root_list))
     else:
         # a cell between roots is written under their ids
@@ -550,31 +551,19 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     return changed
 
 
-def _fires_at_top(q: int, vectors, prems, conc_bounds) -> bool:
-    """Whether an instance whose equality premises hold and whose distance
-    premises all read q could fire.
+def _fires_at_top(clause: HornClause, q: int) -> bool:
+    """Whether the two-point space with every distance 1 violates the clause.
 
-    If not, every instance that can fire has a premise cell below q. This
-    evaluates premises in the order an instance does, so an off-grid
-    constant it reaches may be one no instance reaches yet: that counts as
-    firing, and the caller's full pass raises exactly where instances do.
+    If not, every instance over classes that can fire has a distance premise
+    below 1. An off-grid constant that the check reaches may be one that no
+    instance reaches yet: that counts as firing, and the caller's full pass
+    raises exactly where instances do.
     """
+    top = FuzzySpace(EpsGrid(q), ("a", "b"), ((q, q), (q, q)))
     try:
-        for pvec in vectors:
-            vals = list(pvec)
-            for _, _, si, bounds in prems:
-                if bounds is None:
-                    continue
-                if si >= 0:
-                    vals[si] = q
-                elif q > bounds[pvec]:
-                    break
-            else:
-                if conc_bounds is None or conc_bounds[tuple(vals)] < q:
-                    return True
+        return bool(check_space(GMetSpec(clause.name, (clause,)), top))
     except GridMismatch:
         return True
-    return False
 
 
 def _tied(arity: int, prems, pool: tuple[int, ...]):
@@ -661,54 +650,31 @@ def _step_subst(db: DerivationDB) -> bool:
     for ax_i, j in enumerate(db.theory.judgments):
         db._phase = f"SUBST:{db.theory.name}[{ax_i}]"
         ctx = j.context
-        elems = ctx.carrier
-        k = len(elems)
-        root_list = db.roots()
-        chosen: list[int] = []
-
-        def assign(pos: int) -> None:
-            nonlocal changed
-            if pos == k:
-                db._count()
-                sigma = {elems[m]: find(chosen[m]) for m in range(k)}
-                li = db.subst_index(sigma, j.lhs)
-                ri = li if li is None else db.subst_index(sigma, j.rhs)
-                # build premises only for a new conclusion, as _merge and
-                # _lower would record nothing for the others
-                if ri is None or (db.same(li, ri) if j.eps is None
-                                  else j.eps >= dmin[find(li) * n + find(ri)]):
-                    return
-                premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
-                    (
-                        "dist",
-                        db.find(chosen[a]),
-                        db.find(chosen[b]),
-                        ctx.dist[a][b],
-                    )
-                    for a in range(k)
-                    for b in range(k)
-                )
-                if j.eps is None:
-                    changed |= db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
-                else:
-                    changed |= db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
-                return
-            for r in root_list:
-                # class_distance inlined: this loop is the hot path
-                rr = find(r)
-                if dmin[rr * n + rr] > ctx.dist[pos][pos]:
-                    continue
-                if any(
-                    dmin[find(chosen[m]) * n + rr] > ctx.dist[m][pos]
-                    or dmin[rr * n + find(chosen[m])] > ctx.dist[pos][m]
-                    for m in range(pos)
-                ):
-                    continue
-                chosen.append(r)
-                assign(pos + 1)
-                chosen.pop()
-
-        assign(0)
+        cols = db.roots()
+        rows = [r * n for r in cols]
+        for images in images_within(ctx.dist, dmin, rows, cols):
+            db._count()
+            chosen = [cols[b] for b in images]
+            sigma = dict(zip(ctx.carrier, chosen))
+            li = db.subst_index(sigma, j.lhs)
+            ri = li if li is None else db.subst_index(sigma, j.rhs)
+            # build premises only for a new conclusion, as _merge and _lower
+            # would record nothing for the others
+            if ri is None or (db.same(li, ri) if j.eps is None
+                              else j.eps >= dmin[find(li) * n + find(ri)]):
+                continue
+            premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
+                ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
+            )
+            changed = True
+            if j.eps is None:
+                db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
+                # the search reads cells when it reaches them, so the
+                # assignments after a merge see the merged class
+                cols[:] = map(find, cols)
+                rows[:] = [r * n for r in cols]
+            else:
+                db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
     return changed
 
 

@@ -412,33 +412,35 @@ def is_nonexpansive(f: Mapping[str, str], src: FuzzySpace, dst: FuzzySpace) -> b
     )
 
 
-def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = None,
-                        keep: Callable[[list[int]], bool] | None = None) -> Iterator[tuple[int, ...]]:
-    """The total nonexpansive maps src -> dst as image tuples, lazily, in
-    carrier-product order: entry i is the dst index of src point i.
+def images_within(sd, flat, rows, cols, keep: Callable[[list[int]], bool] | None = None
+                  ) -> Iterator[tuple[int, ...]]:
+    """The tuples of candidate indices, one per source point, under which no
+    distance exceeds the source's ``sd``, lazily, in product order; the
+    distance from candidate b to candidate c is ``flat[rows[b] + cols[c]]``.
 
-    A depth-first search over image prefixes: a prefix is extended only by an
-    image that keeps every pair of assigned points nonexpansive and, when
-    given, that ``keep`` accepts (it sees the extended prefix), so dead
-    prefixes are pruned. The budget still counts all |dst|^|src| candidates;
-    it is checked when iteration begins, before anything is searched.
+    A depth-first search: a prefix is extended only by a candidate that keeps
+    every pair within ``sd`` and, when given, that ``keep`` accepts (it sees
+    the extended prefix). A cell is read when the search reaches it, so a
+    caller may change ``flat``, ``rows`` and ``cols`` in place between two
+    tuples: later candidates see the change; the prefix taken is not rechecked.
     """
-    total = len(dst.carrier) ** len(src.carrier)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
-    sd, dd = src.dist, dst.dist
-    n, m = len(sd), len(dd)
-    images: list[int] = []  # dst indices of src points 0 .. len(images) - 1
-    b = 0  # the next image to try for src point len(images)
+    n, m = len(sd), len(cols)
+    images: list[int] = []  # candidates of source points 0 .. len(images) - 1
+    b = 0  # the next candidate to try for source point len(images)
     while True:
         k = len(images)
         if k == n:
             yield tuple(images)
         else:
-            while b < m and not (
-                dd[b][b] <= sd[k][k]
-                and all(dd[b][c] <= sd[k][i] and dd[c][b] <= sd[i][k] for i, c in enumerate(images))
-            ):
+            sk = sd[k]
+            while b < m:
+                rb, cb = rows[b], cols[b]
+                if flat[rb + cb] <= sk[k]:
+                    for i, c in enumerate(images):
+                        if flat[rb + cols[c]] > sk[i] or flat[rows[c] + cb] > sd[i][k]:
+                            break
+                    else:
+                        break
                 b += 1
             if b < m:
                 images.append(b)
@@ -448,6 +450,19 @@ def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = N
         if not images:
             return
         b = images.pop() + 1
+
+
+def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = None,
+                        keep: Callable[[list[int]], bool] | None = None) -> Iterator[tuple[int, ...]]:
+    """The total nonexpansive maps src -> dst as image tuples (entry i is the
+    dst index of src point i), from :func:`images_within` over dst's points.
+    The budget counts all |dst|^|src| candidates, when iteration begins."""
+    m = len(dst.carrier)
+    total = m ** len(src.carrier)
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
+    flat = [v for row in dst.dist for v in row]
+    yield from images_within(src.dist, flat, range(0, m * m, m), range(m), keep)
 
 
 def enumerate_nonexpansive(

@@ -25,7 +25,7 @@ from .gmet import (
     nonexpansive_images,
     require_space,
 )
-from .terms import Signature, Term, Var, parse_term, term_to_str, term_vars
+from .terms import Signature, Term, Var, check_carrier, parse_term, term_to_str, term_vars
 
 
 class QuantAlgebra(Record):
@@ -135,6 +135,7 @@ class Judgment(Record):
             ctx = spaces[raw_ctx]
         else:
             ctx = FuzzySpace.from_json(raw_ctx, grid)
+            check_carrier(sig, ctx.carrier)
         lhs = parse_term(str(obj["lhs"]), sig, ctx.carrier)
         rhs = parse_term(str(obj["rhs"]), sig, ctx.carrier)
         eps = None if obj.get("eps") is None else grid.value(obj["eps"])

@@ -193,6 +193,13 @@ def term_vars(t: Term) -> frozenset[str]:
     return out
 
 
+def check_carrier(sig: Signature, carrier: Iterable[str]) -> None:
+    """Refuse a carrier element named like an operation symbol: terms read it as a variable."""
+    for name in carrier:
+        if name in sig.symbols:
+            raise ValueError(f"carrier element {name!r} collides with an operation symbol")
+
+
 def check_nontrivial(sig: Signature, carrier: Iterable[str]) -> bool:
     """True iff terms exist: nonempty carrier or at least one constant."""
     return bool(tuple(carrier)) or sig.has_constant()

@@ -25,6 +25,22 @@ def run_json(capsys, *args):
     return code, json.loads(out)
 
 
+def _edited(tmp_path, keys, value) -> str:
+    """The path of a copy of the fixture workspace with the entry at ``keys``
+    set to ``value`` (the whole workspace for no keys)."""
+    ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
+    if keys:
+        node = ws
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    else:
+        ws = value
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    return str(path)
+
+
 class TestCheckModel:
     def test_model_exit_zero(self, capsys):
         code, report = run_json(
@@ -301,3 +317,59 @@ class TestErrors:
     ])
     def test_unknown_name_exact_message(self, capsys, args, stderr):
         assert run(capsys, "--workspace", WS, *args) == (2, "", stderr)
+
+    # each case sets one part of the fixture workspace to the wrong JSON shape
+    @pytest.mark.parametrize("keys, value", [
+        (["signature"], []),
+        (["spaces"], []),
+        (["spaces", "AB", "carrier"], 5),
+        (["spaces", "AB", "dist"], None),
+        (["theories", "PHI1"], 5),
+        (["theories", "PHI1", 0], ["AB", "a", "b"]),
+        (["algebras", "swap", "ops"], {"u": 5}),
+        (["budgets"], []),
+        ([], []),
+    ], ids=["signature", "spaces", "carrier", "dist", "theory", "judgment", "ops",
+            "budgets", "top-level"])
+    def test_wrong_shape_is_an_error(self, capsys, tmp_path, keys, value):
+        code, out, err = run(capsys, "--workspace", _edited(tmp_path, keys, value), "distance",
+                             "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
+        assert (code, out) == (2, "") and err.startswith("error: malformed workspace: ")
+
+    def test_wrong_shape_inline_judgment_is_an_error(self, capsys):
+        j = json.dumps({"context": 5, "lhs": "a", "rhs": "a"})
+        code, out, err = run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY",
+                             "--target", "AB", "--judgment", j)
+        assert (code, out) == (2, "") and err.startswith("error: malformed judgment: ")
+
+    @pytest.mark.parametrize("key", ["depth", "instances", "interpretations"])
+    @pytest.mark.parametrize("value", [True, 2.5, "2.5", "many", [3], {"n": 3}])
+    def test_non_integral_budget_is_an_error(self, capsys, tmp_path, key, value):
+        assert run(capsys, "--workspace", _edited(tmp_path, ["budgets", key], value), "distance",
+                   "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", f"error: budget {key!r} is not an integer: {value!r}\n")
+
+    @pytest.mark.parametrize("instances", ["2000000", 2000000.0])
+    def test_integral_budget_reads_as_an_integer(self, capsys, tmp_path, instances):
+        path = _edited(tmp_path, ["budgets", "instances"], instances)
+        args = ("distance", "--theory", "QUARTER", "--target", "AB", "--lhs", "u(a)", "--rhs", "b")
+        assert run(capsys, "--workspace", path, *args) == run(capsys, "--workspace", WS, *args)
+
+    # under a constant c, a carrier point c would read u(c) = c as an axiom
+    # over a variable: named and inline contexts are refused alike
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_carrier_colliding_with_a_symbol(self, capsys, tmp_path, inline):
+        ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
+        ws["signature"] = {"ops": {"u": 1, "c": 0}}
+        del ws["algebras"]
+        ctx = {"carrier": ["c"], "dist": [["0"]]}
+        if not inline:
+            ws["spaces"]["C"], ctx = ctx, "C"
+        ws["theories"]["FIX"] = [{"context": ctx, "lhs": "u(c)", "rhs": "c"}]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(ws))
+        j = json.dumps({"context": "AB", "lhs": "u(a)", "rhs": "a"})
+        assert run(capsys, "--workspace", str(path), "derive", "--theory", "FIX",
+                   "--target", "AB", "--judgment", j) == (
+            2, "", "error: carrier element 'c' collides with an operation symbol\n")
+

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import _tied, _Worklist, saturate
+from qeqlog.deduce import _fires_at_top, _tied, _Worklist, saturate
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -118,7 +118,14 @@ TIED = GMetSpec("tied", PMET.clauses + (
                DistAtom("z", "x", EpsConst(Fraction(0)))),
     HornClause("late_eq", ("x", "y"), (DistAtom("x", "y", EpsConst(Fraction(1))), EqAtom("x", "y")),
                DistAtom("x", "y", EpsConst(Fraction(0)))),
+    # an equality its own premise ties: no instance over classes can fire
+    HornClause("eq_symm", ("x", "y"), (EqAtom("x", "y"),), EqAtom("y", "x")),
 ))
+
+# x = y reaches the off-grid constant 1/3 (at q = 4) before any cell is read
+EQ_THEN_THIRD = HornClause("eq_then_third", ("x", "y"),
+                           (EqAtom("x", "y"), DistAtom("x", "y", EpsConst(Fraction(1, 3)))),
+                           DistAtom("y", "x", EpsConst(Fraction(0))))
 
 NAMED = {s.name: s for s in (MET, PMET, FREL, HALVING, SHARED_PARAM, MIXED, PMET_GRID_EQ,
                               ZEQ_CHAIN, MET_EQ_PREMISE, OFF_GRID_BEHIND_ZERO, TIED)}
@@ -161,15 +168,24 @@ class TestAgainstNaiveLoop:
     def test_off_grid_constant_reached_before_any_cell_is_written(self):
         # no carrier, so no cell is written before the first Horn pass; every
         # x = x instance reaches the off-grid constant, and both loops raise
-        clause = HornClause("eq_then_third", ("x", "y"),
-                            (EqAtom("x", "y"), DistAtom("x", "y", EpsConst(Fraction(1, 3)))),
-                            DistAtom("y", "x", EpsConst(Fraction(0))))
-        spec = GMetSpec("eq_offgrid", (clause,))
+        spec = GMetSpec("eq_offgrid", (EQ_THEN_THIRD,))
         target = FuzzySpace(EpsGrid(4), (), ())
         args = (Signature.of({"u": 1, "c": 0}), Theory("E", ()), spec, target, 2)
         with pytest.raises(GridMismatch, match="1/3"):
             reference_engine.saturate(*args)
         assert_same_saturation(*args)
+
+
+class TestFiresAtTop:
+    # a first pass starts from every tuple only for a clause that the
+    # two-point space with every distance 1 violates
+    @pytest.mark.parametrize("clause, fires", [
+        *((c, c.name in ("refl", "eq_implies_zero")) for c in MET.clauses),
+        (EQ_THEN_THIRD, True),
+        (TIED.clauses[-1], False),
+    ], ids=lambda v: v.name if isinstance(v, HornClause) else None)
+    def test_first_pass_predicate(self, clause, fires):
+        assert _fires_at_top(clause, 4) is fires
 
 
 class TestTied:
