@@ -18,7 +18,7 @@ from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
 from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
-from .terms import Signature, check_carrier, parse_term
+from .terms import Signature, check_carrier, parse_term, whole
 
 
 class Workspace(Record):
@@ -34,7 +34,7 @@ class Workspace(Record):
 
     @classmethod
     def from_json(cls, obj) -> "Workspace":
-        grid = EpsGrid(int(obj.get("grid", 24)))
+        grid = EpsGrid(whole(obj.get("grid", 24), "grid"))
         sig = Signature.from_json(obj.get("signature", {"ops": {}}))
         spec = GMetSpec.from_json(obj.get("spec", {"preset": "MET"}))
         spaces = {str(k): FuzzySpace.from_json(v, grid) for k, v in obj.get("spaces", {}).items()}
@@ -51,23 +51,10 @@ class Workspace(Record):
         budgets = obj.get("budgets", {})
         return cls(
             grid, sig, spec, spaces, theories, algebras,
-            depth=_whole(budgets, "depth", 3),
-            budget_interps=_whole(budgets, "interpretations"),
-            budget_instances=_whole(budgets, "instances"),
+            depth=whole(budgets.get("depth", 3), "budget 'depth'"),
+            budget_interps=whole(budgets.get("interpretations"), "budget 'interpretations'"),
+            budget_instances=whole(budgets.get("instances"), "budget 'instances'"),
         )
-
-
-def _whole(budgets: dict, key: str, default: int | None = None) -> int | None:
-    """A budget entry as an int, from an int, an integral float or a string
-    of digits; a bool or any other value is refused."""
-    value = budgets.get(key, default)
-    if value is None or type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str) and value.strip().isdecimal():
-        return int(value)
-    raise QeqlogError(f"budget {key!r} is not an integer: {value!r}")
 
 
 def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:

@@ -37,8 +37,8 @@ from .errors import (
     UnknownFact,
     UnknownVariable,
 )
-from .gmet import (EpsGrid, FuzzySpace, GMetSpec, HornClause, check_space, compile_clause,
-                   images_within, require_space)
+from .gmet import (EpsGrid, FuzzySpace, GMetSpec, HornClause, check_space, clause_failures,
+                   compile_clause, images_within, require_space)
 from .qalg import Judgment, Theory
 from .terms import (
     App,
@@ -46,6 +46,7 @@ from .terms import (
     Term,
     Var,
     check_nontrivial,
+    compile_term,
     enumerate_universe,
     term_to_str,
     universe_size,
@@ -101,7 +102,7 @@ class DerivationDB:
 
     Terms are handled by universe id. A hashcons maps each operation and
     tuple of argument ids to the id of that application, and each variable to
-    its id: a membership test walks a term bottom-up through it
+    its id: a membership test runs a term compiled over its tables
     (:meth:`index_of`, :meth:`subst_index`), and a term over known ids needs
     no tree at all (:meth:`app_index`, :meth:`fold`).
 
@@ -212,18 +213,7 @@ class DerivationDB:
         ``apply_subst`` over the same terms whenever that term is in it. A
         variable missing from ``sigma`` raises :class:`UnknownVariable`.
         """
-        if isinstance(t, Var):
-            try:
-                return sigma[t.name]
-            except KeyError:
-                raise UnknownVariable(t.name) from None
-        kids = []
-        for a in t.args:
-            i = self.subst_index(sigma, a)
-            if i is None:
-                return None
-            kids.append(i)
-        return self.app_index(t.op, tuple(kids))
+        return compile_term(t, tuple(sigma), self._hashcons)(tuple(sigma.values()))
 
     def fold(self, leaf, node) -> list:
         """One value per universe id, bottom up: ``leaf(name)`` for a
@@ -415,8 +405,7 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
             db._record("INIT", f"{theory.name}[{ax_i}]", (), ("axiom", ax_i))
         )
     for a in target.carrier:
-        for b in target.carrier:
-            db._count()
+        for b in _counted(db, target.carrier):
             db._lower(db.var_ids[a], db.var_ids[b], target.d(a, b), "USEVAR", None, ())
     while True:
         db._round += 1
@@ -443,8 +432,7 @@ def _step_cong(db: DerivationDB) -> bool:
     for key in sorted(groups):
         members = groups[key]
         first = members[0]
-        for other in members[1:]:
-            db._count()
+        for other in _counted(db, members[1:]):
             if db.same(first, other):
                 continue
             premises = tuple(
@@ -477,17 +465,16 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     records.
     """
     changed = False
-    q, budget = db.grid.q, db.budget
     dmin, n, find, parent = db.dmin, db._n, db.find, db._parent
-    _, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
-    per_tuple = len(vectors)
+    compiled = compile_clause(clause, db.grid.q)
+    _, vectors, prems, cx, cy, conc_bounds = compiled
     merging = conc_bounds is None
     arity = len(clause.vars)
     # a tuple, so that itertools.product takes it without a copy
     root_list = tuple(db.roots())
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
     queue = _Worklist()
-    if since is None and _fires_at_top(clause, q):
+    if since is None and _fires_at_top(clause, db.grid.q):
         queue.add(_tied(arity, prems, root_list))
     else:
         # a cell between roots is written under their ids
@@ -498,57 +485,45 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
                 written.add((c[1], c[2]))
         for a, b in written:
             queue.add(*_on_cell(arity, cells, a, b, root_list))
-    for assignment in queue:
-        # db._count inlined: this loop is the hot path
-        db.instances += per_tuple
+    # only a merging clause turns members of root_list into non-roots
+    for assignment, reps, pvec, vals in clause_failures(
+            compiled, dmin, n, _counted(db, queue, len(vectors)), find if merging else None):
+        # nearly every instance fires nothing: premises are built only for
+        # one whose conclusion is new
+        premises = tuple(
+            ("eq", assignment[xp], assignment[yp]) if bounds is None
+            else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
+            for xp, yp, si, bounds in prems
+        )
+        changed = True
+        x, y = reps[cx], reps[cy]
+        if merging:
+            db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
+            # every tuple holding a member of the merged class now
+            # reads that class's cells
+            w = find(x)
+            members = tuple(r for r in root_list if find(r) == w)
+            queue.add(*(
+                itertools.product(*(members if p == k else root_list
+                                    for k in range(arity)))
+                for p in range(arity)
+            ))
+        else:
+            db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
+            queue.add(*_on_cell(arity, cells, x, y, root_list))
+    return changed
+
+
+def _counted(db: DerivationDB, items, per_item: int = 1):
+    """``items``, counting ``per_item`` rule instances for each before it is
+    taken."""
+    budget = db.budget
+    for item in items:
+        # db._count inlined: the Horn step takes its tuples through here
+        db.instances += per_item
         if budget is not None and db.instances > budget:
             raise db._over_budget()
-        # only a merging clause turns members of root_list into non-roots
-        reps = [find(r) for r in assignment] if merging else assignment
-        for pvec in vectors:
-            vals = list(pvec)
-            for xp, yp, si, bounds in prems:
-                if bounds is None:
-                    if reps[xp] != reps[yp]:
-                        break
-                elif si >= 0:
-                    d = dmin[reps[xp] * n + reps[yp]]
-                    if d > vals[si]:
-                        vals[si] = d
-                elif dmin[reps[xp] * n + reps[yp]] > bounds[pvec]:
-                    break
-            else:
-                # nearly every instance fires nothing: record premises only
-                # for one whose conclusion is new
-                x, y = reps[cx], reps[cy]
-                if merging:
-                    if x == y:
-                        continue
-                else:
-                    value = conc_bounds[tuple(vals)]
-                    if value >= dmin[x * n + y]:
-                        continue
-                premises = tuple(
-                    ("eq", assignment[xp], assignment[yp]) if bounds is None
-                    else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
-                    for xp, yp, si, bounds in prems
-                )
-                changed = True
-                if merging:
-                    db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
-                    # every tuple holding a member of the merged class now
-                    # reads that class's cells
-                    w = find(x)
-                    members = tuple(r for r in root_list if find(r) == w)
-                    queue.add(*(
-                        itertools.product(*(members if p == k else root_list
-                                            for k in range(arity)))
-                        for p in range(arity)
-                    ))
-                else:
-                    db._lower(x, y, value, "HORN", clause.name, premises)
-                    queue.add(*_on_cell(arity, cells, x, y, root_list))
-    return changed
+        yield item
 
 
 def _fires_at_top(clause: HornClause, q: int) -> bool:
@@ -652,12 +627,11 @@ def _step_subst(db: DerivationDB) -> bool:
         ctx = j.context
         cols = db.roots()
         rows = [r * n for r in cols]
-        for images in images_within(ctx.dist, dmin, rows, cols):
-            db._count()
+        left, right = (compile_term(side, ctx.carrier, db._hashcons) for side in (j.lhs, j.rhs))
+        for images in _counted(db, images_within(ctx.dist, dmin, rows, cols)):
             chosen = [cols[b] for b in images]
-            sigma = dict(zip(ctx.carrier, chosen))
-            li = db.subst_index(sigma, j.lhs)
-            ri = li if li is None else db.subst_index(sigma, j.rhs)
+            li = left(chosen)
+            ri = li if li is None else right(chosen)
             # build premises only for a new conclusion, as _merge and _lower
             # would record nothing for the others
             if ri is None or (db.same(li, ri) if j.eps is None

@@ -3,11 +3,11 @@
 Classes are the saturated equality classes with their minimal canonical-order
 representative; the induced distance table is the saturated minimal-distance
 matrix read off on representatives. Below the API a term is its universe id
-in the saturated database: substitution walks ids through its hashcons, and a
-value per term comes from one bottom-up pass over the ids. Operation tables
-are partial: entries whose canonical application exceeds the depth bound hold
-the ``OVERFLOW`` sentinel, and every check over the algebra reports how many
-instances were skipped for that reason.
+in the saturated database: substitution runs a term compiled over its
+hashcons, and a value per term comes from one bottom-up pass over the ids.
+Operation tables are partial: entries whose canonical application exceeds
+the depth bound hold the ``OVERFLOW`` sentinel, and every check over the
+algebra reports how many instances were skipped for that reason.
 """
 from __future__ import annotations
 

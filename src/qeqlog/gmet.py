@@ -359,6 +359,34 @@ def compile_clause(clause: HornClause, q: int):
     return params, vectors, prems, pos[conc.x], pos[conc.y], conc_bounds
 
 
+def clause_failures(compiled, flat, n: int, tuples: Iterable, find: Callable | None = None):
+    """The instances of a clause compiled by :func:`compile_clause` over
+    ``tuples`` of table positions (read through ``find`` when given) whose
+    premises hold and whose conclusion the table violates, lazily, as (tuple,
+    positions read, parameter vector, parameter values). The distance of
+    positions i and j is ``flat[i * n + j]``, read when an instance reaches
+    it: a write between two yields is seen by the later instances."""
+    _, vectors, prems, cx, cy, conc_bounds = compiled
+    for a in tuples:
+        reps = a if find is None else [find(r) for r in a]
+        for pvec in vectors:
+            vals = list(pvec)
+            for xp, yp, si, bounds in prems:
+                if bounds is None:
+                    if reps[xp] != reps[yp]:
+                        break
+                elif si >= 0:
+                    d = flat[reps[xp] * n + reps[yp]]
+                    if d > vals[si]:
+                        vals[si] = d
+                elif flat[reps[xp] * n + reps[yp]] > bounds[pvec]:
+                    break
+            else:
+                x, y = reps[cx], reps[cy]
+                if x != y if conc_bounds is None else flat[x * n + y] > conc_bounds[tuple(vals)]:
+                    yield a, reps, pvec, vals
+
+
 def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     """Instantiate every clause over the carrier; list the instances that fail.
 
@@ -367,28 +395,15 @@ def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     any other clause lists every failing grid vector. Either way the first
     entry is that of the exhaustive reference loop in ``tests/oracle.py``.
     """
-    q, dist = sp.grid.q, sp.dist
+    m = len(sp.carrier)
+    flat = [v for row in sp.dist for v in row]
     out: list[Violation] = []
     for clause in spec.clauses:
-        params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
-        for a in itertools.product(range(len(sp.carrier)), repeat=len(clause.vars)):
-            for pvec in vectors:
-                vals = list(pvec)
-                for xp, yp, si, bounds in prems:
-                    if bounds is None:
-                        if a[xp] != a[yp]:
-                            break
-                    elif si >= 0:
-                        d = dist[a[xp]][a[yp]]
-                        if d > vals[si]:
-                            vals[si] = d
-                    elif dist[a[xp]][a[yp]] > bounds[pvec]:
-                        break
-                else:
-                    x, y = a[cx], a[cy]
-                    if x != y if conc_bounds is None else dist[x][y] > conc_bounds[tuple(vals)]:
-                        names = tuple(zip(clause.vars, (sp.carrier[i] for i in a)))
-                        out.append(Violation(clause.name, names, tuple(zip(params, vals))))
+        compiled = compile_clause(clause, sp.grid.q)
+        tuples = itertools.product(range(m), repeat=len(clause.vars))
+        for a, _, _, vals in clause_failures(compiled, flat, m, tuples):
+            names = tuple(zip(clause.vars, (sp.carrier[i] for i in a)))
+            out.append(Violation(clause.name, names, tuple(zip(compiled[0], vals))))
     return out
 
 

@@ -3,8 +3,8 @@
 Object action, unit and flattening multiplication all operate on the carrier
 *names* of the quotient spaces (one name per class, the printed canonical
 representative). Below that, a term is its universe id: flattening and
-renaming walk a representative through the hashcons of the algebra it lands
-in, and the map action is one bottom-up pass over the ids. Flattening can
+renaming run a representative compiled over the hashcons of the algebra it
+lands in, and the map action is one bottom-up pass over the ids. Flattening can
 leave the depth bound, so the multiplication is a partial map with an
 ``overflow`` value; every law check reports how many instances were skipped
 because an intermediate overflowed.

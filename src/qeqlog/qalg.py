@@ -6,14 +6,14 @@ nonexpansive. A judgment quantifies over all nonexpansive interpretations of
 its context space, so satisfaction is decided by enumerating them.
 Interpretations are image tuples of carrier indices, searched once per context
 for all the judgments that one call checks, and each side of a judgment is
-compiled once into a function of such a tuple.
+compiled once into a function of such a tuple over the index tables (the
+compiler that substitution runs over the saturated hashcons).
 """
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._record import Record
 from .errors import GridMismatch, UnknownVariable
@@ -25,7 +25,8 @@ from .gmet import (
     nonexpansive_images,
     require_space,
 )
-from .terms import Signature, Term, Var, check_carrier, parse_term, term_to_str, term_vars
+from .terms import (Signature, Term, Var, check_carrier, compile_term, parse_term, term_to_str,
+                    term_vars)
 
 
 class QuantAlgebra(Record):
@@ -89,24 +90,6 @@ class QuantAlgebra(Record):
             name: {tuple(map(index, args)): index(val) for args, val in table.items()}
             for name, table in self.ops.items()
         }
-
-    def evaluator(self, t: Term, ctx: FuzzySpace) -> Callable[[tuple[int, ...]], int]:
-        """``t`` compiled into a function of an image tuple ``tau`` of ``ctx``:
-        the carrier index of its value when context point i is carrier point
-        ``tau[i]``."""
-        if isinstance(t, Var):
-            return itemgetter(ctx.index(t.name))
-        table = self.index_tables[t.op]
-        args = tuple(self.evaluator(a, ctx) for a in t.args)
-        # most of a model check is spent here: spare unary and binary
-        # operations the argument list
-        if len(args) == 1:
-            (arg,) = args
-            return lambda tau: table[(arg(tau),)]
-        if len(args) == 2:
-            first, second = args
-            return lambda tau: table[first(tau), second(tau)]
-        return lambda tau: table[tuple([arg(tau) for arg in args])]
 
 
 class Judgment(Record):
@@ -198,7 +181,7 @@ def satisfies(
     maps = {} if _maps is None else _maps
     if j.context not in maps:
         maps[j.context] = list(nonexpansive_images(j.context, alg.space, budget))
-    left, right = alg.evaluator(j.lhs, j.context), alg.evaluator(j.rhs, j.context)
+    left, right = (compile_term(side, j.context.carrier, alg.index_tables) for side in (j.lhs, j.rhs))
     dist, eps = alg.space.dist, j.eps
     for tau in maps[j.context]:
         a, b = left(tau), right(tau)

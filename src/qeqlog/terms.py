@@ -10,12 +10,26 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import Record
-from .errors import TrivialPair, UnknownVariable
+from .errors import QeqlogError, TrivialPair, UnknownVariable
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+
+
+def whole(value, what: str) -> int | None:
+    """A whole number read from an int, an integral float or a string of
+    digits; None stays None. Anything else is an error that names ``what``."""
+    if isinstance(value, float) and value.is_integer() or \
+            isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    elif value is not None and type(value) is not int:
+        raise QeqlogError(f"{what} is not an integer: {value!r}")
+    if value is not None and value < 0:
+        raise QeqlogError(f"{what} is negative: {value!r}")
+    return value
 
 
 class Signature(Record):
@@ -39,7 +53,7 @@ class Signature(Record):
 
     @classmethod
     def from_json(cls, obj) -> "Signature":
-        return cls.of({str(k): int(v) for k, v in obj["ops"].items()})
+        return cls.of({str(k): whole(v, f"arity of {k!r}") for k, v in obj["ops"].items()})
 
     def to_json(self) -> dict:
         return {"ops": {name: arity for name, arity in self.ops}}
@@ -213,6 +227,31 @@ def apply_subst(subst: Mapping[str, Term], t: Term) -> Term:
         except KeyError:
             raise UnknownVariable(t.name) from None
     return App(t.op, tuple(apply_subst(subst, a) for a in t.args))
+
+
+def compile_term(t: Term, names: Sequence[str], tables: Mapping[str, Mapping]) -> Callable:
+    """``t`` as a function of one value per name (entry i is the value of
+    ``names[i]``): an application looks its argument values up in
+    ``tables[op]``. A missing entry gives None, and so does every
+    application above it, as no key holds None. A variable not in ``names``
+    raises :class:`UnknownVariable` at once."""
+    if isinstance(t, Var):
+        try:
+            return itemgetter(names.index(t.name))
+        except ValueError:
+            raise UnknownVariable(t.name) from None
+    # an operation without a table has no entries
+    get = tables.get(t.op, {}).get
+    args = tuple(compile_term(a, names, tables) for a in t.args)
+    # most of a model check is spent here: spare unary and binary
+    # operations the argument list
+    if len(args) == 1:
+        (arg,) = args
+        return lambda tau: get((arg(tau),))
+    if len(args) == 2:
+        first, second = args
+        return lambda tau: get((first(tau), second(tau)))
+    return lambda tau: get(tuple([arg(tau) for arg in args]))
 
 
 def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:

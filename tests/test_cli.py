@@ -355,6 +355,27 @@ class TestErrors:
         args = ("distance", "--theory", "QUARTER", "--target", "AB", "--lhs", "u(a)", "--rhs", "b")
         assert run(capsys, "--workspace", path, *args) == run(capsys, "--workspace", WS, *args)
 
+    # a grid or an arity read by truncation would run a different workspace
+    # (4.5 as q = 4, an arity true or 1.5 as 1), and a negative budget would
+    # be reported as exceeded
+    @pytest.mark.parametrize("keys, value, stderr", [
+        (["grid"], 4.5, "grid is not an integer: 4.5"),
+        (["grid"], True, "grid is not an integer: True"),
+        (["grid"], -4, "grid is negative: -4"),
+        (["signature", "ops", "u"], 1.5, "arity of 'u' is not an integer: 1.5"),
+        (["signature", "ops", "u"], True, "arity of 'u' is not an integer: True"),
+        (["signature", "ops", "u"], -1, "arity of 'u' is negative: -1"),
+        (["budgets", "instances"], -5, "budget 'instances' is negative: -5"),
+        (["budgets", "interpretations"], -1, "budget 'interpretations' is negative: -1"),
+        (["budgets", "depth"], -2.0, "budget 'depth' is negative: -2"),
+    ], ids=["grid-fraction", "grid-bool", "grid-negative", "arity-fraction", "arity-bool",
+            "arity-negative", "instances-negative", "interpretations-negative",
+            "depth-negative"])
+    def test_malformed_whole_number_is_an_error(self, capsys, tmp_path, keys, value, stderr):
+        args = ("distance", "--theory", "QUARTER", "--target", "AB", "--lhs", "u(a)", "--rhs", "b")
+        assert run(capsys, "--workspace", _edited(tmp_path, keys, value), *args) == (
+            2, "", f"error: {stderr}\n")
+
     # under a constant c, a carrier point c would read u(c) = c as an axiom
     # over a variable: named and inline contexts are refused alike
     @pytest.mark.parametrize("inline", [False, True])

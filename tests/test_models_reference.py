@@ -34,6 +34,8 @@ SIGS = (
     Signature.of({"f": 2}),
     Signature.of({"u": 1, "f": 2}),
     Signature.of({"u": 1, "c": 0}),
+    # an arity above 2 takes the compiled term's generic path
+    Signature.of({"u": 1, "g": 3}),
 )
 U_SIG = Signature.of({"u": 1})
 GRID = EpsGrid(4)
@@ -152,7 +154,10 @@ class TestUmpAgainstReference:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(
         st.sampled_from(sorted(SPECS)),
-        st.integers(0, len(SIGS) - 1),
+        # not the ternary signature: at depth 3 over two generators its free
+        # algebra has 1,742 classes, and build_free tabulates g on all
+        # 1,742^3 argument tuples, which no budget bounds
+        st.integers(0, len(SIGS) - 2),
         st.integers(2, 4),
         st.integers(1, 3),
         st.integers(1, 2),

@@ -14,6 +14,7 @@ from qeqlog.terms import (
     apply_subst,
     canonical_cmp,
     check_nontrivial,
+    compile_term,
     enumerate_universe,
     parse_term,
     term_depth,
@@ -80,6 +81,32 @@ class TestApplySubst:
             lhs = apply_subst(sigma, t)
             rhs = App(t.op, tuple(apply_subst(sigma, a) for a in t.args))
             assert lhs == rhs
+
+
+class TestCompileTerm:
+    # g encodes its three arguments as base-3 digits, u adds one below 2
+    TABLES = {
+        "g": {args: 9 * args[0] + 3 * args[1] + args[2]
+              for args in itertools.product(range(3), repeat=3)},
+        "u": {(0,): 1, (1,): 2},
+        "c": {(): 2},
+    }
+
+    def test_each_arity_reads_its_arguments_in_order(self):
+        t = App("g", (Var("y"), App("u", (Var("x"),)), App("c", ())))
+        f = compile_term(t, ("x", "y"), self.TABLES)
+        for x, y in itertools.product(range(2), range(3)):
+            assert f((x, y)) == 9 * y + 3 * (x + 1) + 2
+
+    def test_missing_entry_gives_none_at_the_root(self):
+        t = App("g", (Var("x"), Var("x"), App("u", (Var("x"),))))
+        f = compile_term(t, ("x",), self.TABLES)
+        assert f((1,)) == 9 + 3 + 2
+        assert f((2,)) is None
+
+    def test_unknown_variable_is_refused_when_compiled(self):
+        with pytest.raises(UnknownVariable):
+            compile_term(App("u", (Var("y"),)), ("x",), self.TABLES)
 
 
 class TestEnumerateUniverse:
