@@ -18,7 +18,8 @@ that failed or fired cannot fire again until one of its premise cells is
 written. Each pass of a clause therefore evaluates only the tuples on cells
 written since its previous pass began (the event list is the write log),
 plus the later tuples that its own writes and merges reach, in the product
-order of a full pass. It records the same events as evaluating every tuple,
+order of a full pass, joining a written cell only with the roots near it
+(:func:`_on_cell`). It records the same events as evaluating every tuple,
 and only the count of instances considered falls.
 """
 from __future__ import annotations
@@ -459,10 +460,13 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     every distance 1 violates (:func:`_fires_at_top`) starts from every tuple
     whose positions tied by an equality premise hold one root. Any other pass
     starts from the tuples with a distance premise on a cell written since
-    then. In both, a write or merge during the pass queues the later tuples it
-    reaches. The tuples left out are those whose premises are unchanged
-    since they last failed or fired, so the pass records what a full pass
-    records.
+    then, joined through the near-cell index. In both, a write or merge
+    during the pass queues the later tuples it reaches. The tuples left out
+    are those whose premises are unchanged since they last failed or fired,
+    and those that read 1 at a blocking premise (:func:`_links`) when queued:
+    a later write to that cell queues them while they are ahead, and one
+    behind read 1 there in a full pass too. So the pass records what a full
+    pass records.
     """
     changed = False
     dmin, n, find, parent = db.dmin, db._n, db.find, db._parent
@@ -473,6 +477,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     # a tuple, so that itertools.product takes it without a copy
     root_list = tuple(db.roots())
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
+    links = _links(compiled, db.grid.q)
     queue = _Worklist()
     if since is None and _fires_at_top(clause, db.grid.q):
         queue.add(_tied(arity, prems, root_list))
@@ -484,7 +489,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
             if c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]:
                 written.add((c[1], c[2]))
         for a, b in written:
-            queue.add(*_on_cell(arity, cells, a, b, root_list))
+            queue.add(*_on_cell(db, arity, cells, links, a, b, root_list))
     # only a merging clause turns members of root_list into non-roots
     for assignment, reps, pvec, vals in clause_failures(
             compiled, dmin, n, _counted(db, queue, len(vectors)), find if merging else None):
@@ -510,7 +515,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
             ))
         else:
             db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
-            queue.add(*_on_cell(arity, cells, x, y, root_list))
+            queue.add(*_on_cell(db, arity, cells, links, x, y, root_list))
     return changed
 
 
@@ -564,13 +569,39 @@ def _tied(arity: int, prems, pool: tuple[int, ...]):
     return map(at, itertools.product(pool, repeat=len(free)))
 
 
-def _on_cell(arity: int, cells, a: int, b: int, pool: tuple[int, ...]):
+def _links(compiled, q: int) -> list[tuple[int, int]]:
+    """The position pairs, both ways round, of the distance premises that
+    block at top: a constant bound below 1, or a bare parameter that puts the
+    monotone conclusion bound at 1 when it reads 1 and the others 0. While
+    such a cell reads 1, no instance fires. A grid-vector clause, one that
+    concludes an equality and one with an off-grid constant have none."""
+    _, vectors, prems, _, _, conc_bounds = compiled
+    if conc_bounds is None or len(vectors) > 1:
+        return []
+    zero = vectors[0]
+    try:
+        conc_bounds[zero]
+        blocking = [(xp, yp) for xp, yp, si, bounds in prems if bounds is not None and (
+            conc_bounds[zero[:si] + (q,) + zero[si + 1:]] == q if si >= 0 else bounds[zero] < q)]
+    except GridMismatch:
+        return []
+    return [pair for xp, yp in blocking if xp != yp for pair in ((xp, yp), (yp, xp))]
+
+
+def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
+             pool: tuple[int, ...]):
     """Per premise cell (x, y), the tuples over ``pool`` with a at x and b
-    at y, in ascending order."""
+    at y, in ascending order. A position that a link ties to x or y takes
+    only the roots with a cell below 1 to a or b (``db._near``)."""
+    near, parent = db._near, db._parent
     for xp, yp in cells:
         if xp != yp or a == b:
             choices = [pool] * arity
             choices[xp], choices[yp] = (a,), (b,)
+            for fixed, free in links:
+                if fixed in (xp, yp) and choices[free] is pool:
+                    v = a if fixed == xp else b
+                    choices[free] = sorted(r for r in near.get(v, ()) if parent[r] == r)
             yield itertools.product(*choices)
 
 

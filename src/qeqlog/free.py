@@ -74,6 +74,13 @@ class FreeAlgebra:
     def __init__(self, base: DerivationDB):
         self.base = base
         self.rep_ids = roots = tuple(base.roots())
+        # |classes|^arity entries per operation, bounded by the saturation's budget
+        entries = 0
+        for op, arity in base.sig.ops:
+            entries += len(roots) ** arity
+            if base.budget is not None and entries > base.budget:
+                raise BudgetExceeded(f"free algebra over {len(roots)} classes: the tables up to"
+                                     f" {op} hold {entries} entries, more than the budget of {base.budget}")
         self.classes: tuple[Term, ...] = tuple(base.universe[r] for r in roots)
         self._root_to_class = {r: c for c, r in enumerate(roots)}
         self.delta: tuple[tuple[int, ...], ...] = tuple(

@@ -6,8 +6,8 @@ import pytest
 
 import qeqlog.free as free_mod
 from qeqlog.errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError
-from qeqlog.free import OVERFLOW, build_free, check_free_is_model, check_ump, extend_hom, free_eval
-from qeqlog.gmet import MET, PMET, EpsGrid, check_space
+from qeqlog.free import OVERFLOW, FreeAlgebra, build_free, check_free_is_model, check_ump, extend_hom, free_eval
+from qeqlog.gmet import FREL, MET, PMET, EpsGrid, check_space
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory
 from qeqlog.deduce import derives, saturate
 from qeqlog.terms import App, Signature, Var, term_to_str
@@ -57,6 +57,23 @@ class TestBuildFree:
         th = quarter_theory()
         fa = build_free(U_SIG, th, MET, ab_half, 3)
         assert check_space(MET, fa.space) == []
+
+    def test_table_size_is_checked_against_the_budget(self, ab_half):
+        # {u/1, g/3} at depth 3 under FREL saturates in 4 instances into
+        # 1,742 classes: the g table alone would have 1,742^3 entries
+        sig = Signature.of({"u": 1, "g": 3})
+        db = saturate(sig, Theory("E", ()), FREL, ab_half, 3, 20_000)
+        assert len(db.roots()) == 1742 and db.instances <= 20_000
+        with pytest.raises(BudgetExceeded, match=r"^free algebra over 1742 classes: the tables"
+                           r" up to g hold 5286210488 entries, more than the budget of 20000$"):
+            FreeAlgebra(db)
+
+    def test_table_budget_boundary(self, ab_half):
+        # u and c over two generators at depth 2: six classes, 6 + 1 entries
+        args = (UC_SIG, Theory("E", ()), FREL, ab_half, 2)
+        assert sum(len(t) for t in build_free(*args, 7).optable.values()) == 7
+        with pytest.raises(BudgetExceeded, match="tables up to u hold 7 entries"):
+            build_free(*args, 6)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_quotient_passes_spec_randomized(self, seed):

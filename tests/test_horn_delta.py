@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import _fires_at_top, _tied, _Worklist, saturate
+from qeqlog.deduce import _fires_at_top, _links, _tied, _Worklist, saturate
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -23,6 +23,9 @@ from qeqlog.gmet import (
     DistAtom,
     EpsConst,
     EpsGrid,
+    EpsMin1,
+    EpsParam,
+    EpsPlus,
     EqAtom,
     FuzzySpace,
     GMetSpec,
@@ -31,7 +34,7 @@ from qeqlog.gmet import (
     space_passes,
 )
 from qeqlog.qalg import Judgment, Theory
-from qeqlog.terms import Signature
+from qeqlog.terms import App, Signature, Var
 
 import reference_engine
 from conftest import random_frel_space, random_met_space, random_space, random_term
@@ -127,8 +130,33 @@ EQ_THEN_THIRD = HornClause("eq_then_third", ("x", "y"),
                            (EqAtom("x", "y"), DistAtom("x", "y", EpsConst(Fraction(1, 3)))),
                            DistAtom("y", "x", EpsConst(Fraction(0))))
 
+
+def _d(x: str, y: str, eps) -> DistAtom:
+    return DistAtom(x, y, EpsParam(eps) if isinstance(eps, str) else EpsConst(Fraction(eps)))
+
+
+# a chain of three cells: a write on the middle one joins w and z, two
+# positions, through the near-cell index
+CHAIN4 = HornClause("chain4", ("w", "x", "y", "z"),
+                    (_d("w", "x", "e1"), _d("x", "y", "e2"), _d("y", "z", "e3")),
+                    DistAtom("w", "z", EpsMin1(EpsPlus(tuple(EpsParam(e) for e in ("e1", "e2", "e3"))))))
+# the conclusion holds below 1 whatever e is, so e's premise blocks nothing
+LOOSE = HornClause("loose", ("x", "y", "z"), (_d("x", "y", "e"),), _d("x", "z", Fraction(1, 2)))
+# the same behind a zero premise: no pass starts from every tuple, and a
+# write on d(x, y) joins z with every root, not just those near y
+LOOSE_AFTER_ZERO = HornClause("loose_after_zero", ("x", "y", "z"),
+                              (_d("x", "y", 0), _d("y", "z", "e")), _d("x", "z", Fraction(1, 2)))
+# a bound of 1 holds on every cell, so x ranges over every root
+ONE_BOUND = HornClause("one_bound", ("x", "y", "z"), (_d("x", "y", 1), _d("y", "z", "e")),
+                       _d("x", "z", "e"))
+JOIN = GMetSpec("join", (CHAIN4, ONE_BOUND, LOOSE_AFTER_ZERO))
+# the loose clause fires at top: in the join spec, its first pass would bring
+# every cell below 1 and leave no tuple for a wrong join to miss
+LOOSE_PMET = GMetSpec("loose_pmet", PMET.clauses + (LOOSE,))
+
 NAMED = {s.name: s for s in (MET, PMET, FREL, HALVING, SHARED_PARAM, MIXED, PMET_GRID_EQ,
-                              ZEQ_CHAIN, MET_EQ_PREMISE, OFF_GRID_BEHIND_ZERO, TIED)}
+                              ZEQ_CHAIN, MET_EQ_PREMISE, OFF_GRID_BEHIND_ZERO, TIED, JOIN,
+                              LOOSE_PMET)}
 
 
 class TestAgainstNaiveLoop:
@@ -186,6 +214,67 @@ class TestFiresAtTop:
     ], ids=lambda v: v.name if isinstance(v, HornClause) else None)
     def test_first_pass_predicate(self, clause, fires):
         assert _fires_at_top(clause, 4) is fires
+
+
+class TestLinks:
+    # a premise blocks at top when no instance fires while its cell reads 1;
+    # a write then joins the position it ties only with the near roots
+    @pytest.mark.parametrize("clause, links", [
+        (MET.clauses[2], [(0, 1), (1, 0), (1, 2), (2, 1)]),
+        (MET.clauses[1], [(0, 1), (1, 0)]),
+        (CHAIN4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]),
+        (LOOSE, []),
+        (LOOSE_AFTER_ZERO, [(0, 1), (1, 0)]),
+        (ONE_BOUND, [(1, 2), (2, 1)]),
+        # the constant 1/3 is off the q = 4 grid
+        (OFF_GRID_BEHIND_ZERO.clauses[0], []),
+        # grid-vector and merging clauses keep full streams
+        (MIXED.clauses[0], []),
+        (MET.clauses[3], []),
+    ], ids=lambda v: v.name if isinstance(v, HornClause) else None)
+    def test_blocking_premises(self, clause, links):
+        assert _links(compile_clause(clause, 4), 4) == links
+
+    # each case has a tuple that fires and that a wrong join leaves out: one
+    # through a bound of 1 or a parameter the conclusion ignores, or one that
+    # reads the cells on the wrong side of the fixed root
+    GRID = EpsGrid(4)
+    POINT = FuzzySpace(GRID, ("a",), ((0,),))
+    # d(a, b) = 1/4 and d(b, a) = 1
+    ARROW = FuzzySpace(GRID, ("a", "b"), ((0, 1), (4, 0)))
+    CLOSE = FuzzySpace(GRID, ("a", "b"), ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("clause, target, axiom", [
+        (LOOSE_AFTER_ZERO, POINT, False),
+        (ONE_BOUND, POINT, False),
+        (MET.clauses[2], ARROW, True),
+        (CHAIN4, CLOSE, True),
+    ], ids=lambda v: v.name if isinstance(v, HornClause) else None)
+    def test_join_matches_naive_loop(self, clause, target, axiom):
+        # the axiom x =1/4 u(x) writes cells one way round, a round after
+        # the target's
+        ctx = FuzzySpace(self.GRID, ("x",), ((0,),))
+        theory = Theory("Q", (Judgment(ctx, Var("x"), App("u", (Var("x"),)), 1),) if axiom else ())
+        assert_same_saturation(SIGS[0], theory, GMetSpec(clause.name, (clause,)), target, 3)
+
+
+class TestNearJoinScale:
+    # the written cell joins only near roots: on these universes a join
+    # over every class took 61.7 million and 152,247 instances
+    GRID = EpsGrid(4)
+    SIG = Signature.of({"u": 1, "f": 2})
+
+    def test_depth_four_without_axioms(self):
+        two = FuzzySpace(self.GRID, ("a", "b"), ((0, 2), (2, 0)))
+        db = saturate(self.SIG, Theory("E", ()), MET, two, 4, budget=100_000)
+        assert (len(db.universe), len(db.events)) == (5552, 5554)
+
+    def test_three_points_with_a_quarter_axiom(self):
+        three = FuzzySpace(self.GRID, ("a", "b", "c"), ((0, 2, 2), (2, 0, 2), (2, 2, 0)))
+        ctx = FuzzySpace(self.GRID, ("x",), ((0,),))
+        theory = Theory("Q", (Judgment(ctx, App("u", (Var("x"),)), Var("x"), 1),))
+        db = saturate(self.SIG, theory, MET, three, 3, budget=10_000)
+        assert (len(db.universe), len(db.events)) == (243, 298)
 
 
 class TestTied:

@@ -154,9 +154,10 @@ class TestUmpAgainstReference:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(
         st.sampled_from(sorted(SPECS)),
-        # not the ternary signature: at depth 3 over two generators its free
-        # algebra has 1,742 classes, and build_free tabulates g on all
-        # 1,742^3 argument tuples, which no budget bounds
+        # not the ternary signature: at depth 3 over two generators its
+        # universe has 1,742 terms, and saturation's substitution search over
+        # them counts only the assignments it yields, so the budget can take
+        # seconds to fire
         st.integers(0, len(SIGS) - 2),
         st.integers(2, 4),
         st.integers(1, 3),
