@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from ._record import Record
@@ -48,8 +49,9 @@ from .terms import (
     Var,
     check_nontrivial,
     compile_term,
-    enumerate_universe,
+    fold_nodes,
     term_to_str,
+    universe_nodes,
     universe_size,
 )
 
@@ -101,11 +103,12 @@ class DerivationDB:
     change nothing. Classes are read off the union-find alone: the roots are
     the entries that are their own parent (:meth:`roots`).
 
-    Terms are handled by universe id. A hashcons maps each operation and
-    tuple of argument ids to the id of that application, and each variable to
-    its id: a membership test runs a term compiled over its tables
-    (:meth:`index_of`, :meth:`subst_index`), and a term over known ids needs
-    no tree at all (:meth:`app_index`, :meth:`fold`).
+    Terms are universe ids, read off :func:`~qeqlog.terms.universe_nodes`
+    without building a tree. A hashcons maps each operation and tuple of
+    argument ids to the id of that application, and each variable to its id:
+    a membership test runs a term compiled over its tables (:meth:`index_of`,
+    :meth:`subst_index`), and a term over known ids needs no tree at all
+    (:meth:`app_index`, :meth:`fold`). ``universe`` is built once, on first read.
 
     ``dmin`` is one flat n·n array of the smallest unsigned typecode holding
     q, with the cell of ids i and j at ``i * n + j`` (:meth:`cell`). A
@@ -131,25 +134,13 @@ class DerivationDB:
                 f" of {n * n} cells passes the limit of {MAX_CELLS}"
             )
         self._n = n
-        self.universe: tuple[Term, ...] = tuple(
-            enumerate_universe(sig, target.carrier, depth)
-        )
+        self._nodes = universe_nodes(sig, target.carrier, depth)
         # op -> (argument ids -> id)
         self._hashcons: dict[str, dict[tuple[int, ...], int]] = {op: {} for op, _ in sig.ops}
-        self.var_ids: dict[str, int] = {}
-        # universe ids of each term's arguments; they never change
-        self._children: list[tuple[int, ...]] = []
-        # the enumeration builds each application from earlier members
-        ids: dict[int, int] = {}
-        for i, t in enumerate(self.universe):
-            ids[id(t)] = i
-            if isinstance(t, Var):
-                self.var_ids[t.name] = i
-                kids = ()
-            else:
-                kids = tuple(ids[id(a)] for a in t.args)
-                self._hashcons[t.op][kids] = i
-            self._children.append(kids)
+        self.var_ids = {name: i for i, (name, args) in enumerate(self._nodes) if args is None}
+        for i, (name, args) in enumerate(self._nodes):
+            if args is not None:
+                self._hashcons[name][args] = i
         self._parent = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         # imported here, so that a CLI call that saturates nothing never loads it
@@ -217,12 +208,13 @@ class DerivationDB:
         return compile_term(t, tuple(sigma), self._hashcons)(tuple(sigma.values()))
 
     def fold(self, leaf, node) -> list:
-        """One value per universe id, bottom up: ``leaf(name)`` for a
-        variable, ``node(op, argument values)`` for an application."""
-        out: list = []
-        for t, kids in zip(self.universe, self._children):
-            out.append(leaf(t.name) if isinstance(t, Var) else node(t.op, tuple(out[k] for k in kids)))
-        return out
+        """One value per universe id: :func:`~qeqlog.terms.fold_nodes`."""
+        return fold_nodes(self._nodes, leaf, node)
+
+    @cached_property
+    def universe(self) -> tuple[Term, ...]:
+        """The term of each universe id, built on first read."""
+        return tuple(self.fold(Var, App))
 
     def cell(self, i: int, j: int) -> int:
         """The table cell of ids i and j, whether or not they are roots."""
@@ -425,21 +417,17 @@ def _step_cong(db: DerivationDB) -> bool:
     db._phase = "CONG"
     changed = False
     groups: dict[tuple, list[int]] = {}
-    children = db._children
-    for idx, t in enumerate(db.universe):
-        if children[idx]:
-            key = (t.op, tuple(db.find(a) for a in children[idx]))
-            groups.setdefault(key, []).append(idx)
-    for key in sorted(groups):
-        members = groups[key]
+    nodes, find = db._nodes, db.find
+    for idx, (op, args) in enumerate(nodes):
+        if args:
+            groups.setdefault((op, tuple([find(a) for a in args])), []).append(idx)
+    for (op, _), members in sorted(groups.items()):
         first = members[0]
         for other in _counted(db, members[1:]):
             if db.same(first, other):
                 continue
-            premises = tuple(
-                ("eq", x, y) for x, y in zip(children[first], children[other])
-            )
-            changed |= db._merge(first, other, "CONG", db.universe[first].op, premises)
+            premises = tuple(("eq", x, y) for x, y in zip(nodes[first][1], nodes[other][1]))
+            changed |= db._merge(first, other, "CONG", op, premises)
     return changed
 
 

@@ -3,8 +3,9 @@
 Classes are the saturated equality classes with their minimal canonical-order
 representative; the induced distance table is the saturated minimal-distance
 matrix read off on representatives. Below the API a term is its universe id
-in the saturated database: substitution runs a term compiled over its
-hashcons, and a value per term comes from one bottom-up pass over the ids.
+in the saturated database, which builds no tree: substitution runs a term
+compiled over its hashcons, and a value per term comes from one bottom-up
+pass over the ids. Only ``classes`` reads the representatives' trees.
 Operation tables are partial: entries whose canonical application exceeds
 the depth bound hold the ``OVERFLOW`` sentinel, and every check over the
 algebra reports how many instances were skipped for that reason.
@@ -15,8 +16,8 @@ import itertools
 from typing import Iterable, Mapping
 
 from ._record import Record
-from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, OutOfUniverse,
-                     PreconditionViolation, QeqlogError)
+from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, PreconditionViolation,
+                     QeqlogError)
 from .deduce import DerivationDB, saturate
 from .gmet import FuzzySpace, GMetSpec, is_nonexpansive, nonexpansive_images
 from .qalg import QuantAlgebra, Theory, is_model
@@ -110,20 +111,6 @@ class FreeAlgebra:
 
     def class_name(self, c: int) -> str:
         return self.space.carrier[c]
-
-    def renamed(self, names: Mapping[str, str]):
-        """Class of a term with each variable x renamed to the generator
-        ``names[x]``, as a function of the term. A name that is no generator
-        puts the term outside the universe, which raises OutOfUniverse."""
-        sigma = {x: self.base.var_ids.get(v) for x, v in names.items()}
-
-        def class_of_renamed(t: Term) -> int:
-            i = self.base.subst_index(sigma, t)
-            if i is None:
-                raise OutOfUniverse(f"renaming {term_to_str(t)} leaves the depth-{self.base.depth} universe")
-            return self.class_at(i)
-
-        return class_of_renamed
 
     def class_images(self, values: list, mismatch: str) -> list:
         """The value of each class, given one value per universe id (as

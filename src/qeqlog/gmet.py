@@ -84,7 +84,12 @@ class FuzzySpace(Record):
 
     @classmethod
     def from_json(cls, obj, grid: EpsGrid) -> "FuzzySpace":
-        return cls.of(grid, [str(a) for a in obj["carrier"]], obj["dist"])
+        carrier, rows = obj["carrier"], obj["dist"]
+        # a JSON string would otherwise be read as a list of its characters
+        if not (isinstance(carrier, list) and isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise TypeError(f"space carrier, dist and its rows must be JSON lists: {obj!r}")
+        return cls.of(grid, [str(a) for a in carrier], rows)
 
     def to_json(self) -> dict:
         return {

@@ -2,12 +2,12 @@
 
 Object action, unit and flattening multiplication all operate on the carrier
 *names* of the quotient spaces (one name per class, the printed canonical
-representative). Below that, a term is its universe id: flattening and
-renaming run a representative compiled over the hashcons of the algebra it
-lands in, and the map action is one bottom-up pass over the ids. Flattening can
-leave the depth bound, so the multiplication is a partial map with an
-``overflow`` value; every law check reports how many instances were skipped
-because an intermediate overflowed.
+representative). Below that, a term is its universe id: the map action,
+flattening and the law checks' renamings each fold one free algebra's ids
+into another's applications, with None for a term outside the universe.
+Flattening can leave the depth bound, so the multiplication is a partial map
+with an ``overflow`` value; every law check reports how many instances were
+skipped because an intermediate overflowed.
 """
 from __future__ import annotations
 
@@ -19,13 +19,14 @@ from .errors import (
     EMLawViolation,
     NotAModel,
     NotNonexpansive,
+    OutOfUniverse,
     PreconditionViolation,
     QeqlogError,
 )
-from .free import FreeAlgebra, LawReport, OVERFLOW, build_free, free_eval
+from .free import FreeAlgebra, LawReport, OVERFLOW, build_free
 from .gmet import FuzzySpace, GMetSpec, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, is_homomorphism, is_model
-from .terms import Signature, term_vars
+from .terms import Signature
 
 
 class MonadInstance:
@@ -59,6 +60,14 @@ class MonadInstance:
         if key not in self._em_reports:
             self._em_reports[key] = check_em_laws(self, cand)
         return list(self._em_reports[key])
+
+
+def _renamed(src: FreeAlgebra, dst: FreeAlgebra, leaf) -> list[int | None]:
+    """Per class of ``src``, the class of ``dst`` holding its representative
+    with each generator x replaced by the term of id ``leaf(x)`` in ``dst``;
+    None when that term, or a leaf of it, is outside ``dst``'s universe."""
+    ids = src.base.fold(leaf, dst.base.app_index)
+    return [None if ids[r] is None else dst.class_at(ids[r]) for r in src.rep_ids]
 
 
 def m_object(mi: MonadInstance, sp: FuzzySpace) -> FuzzySpace:
@@ -95,12 +104,9 @@ def m_mult(mi: MonadInstance, sp: FuzzySpace):
     """
     fa = mi.free(sp)
     outer = mi.free(fa.space)
-    tau = {name: c for c, name in enumerate(fa.space.carrier)}
-    out: dict[str, object] = {}
-    for c, rep in enumerate(outer.classes):
-        flat = free_eval(fa, tau, rep)
-        out[outer.class_name(c)] = flat if flat is OVERFLOW else fa.class_name(flat)
-    return out
+    flat = _renamed(outer, fa, lambda name: fa.rep_ids[fa.space.index(name)])
+    return {outer.class_name(c): OVERFLOW if d is None else fa.class_name(d)
+            for c, d in enumerate(flat)}
 
 
 def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
@@ -117,31 +123,25 @@ def check_monad_laws(mi: MonadInstance, sp: FuzzySpace) -> list[LawReport]:
         mult[unit_m[n]] == n or f"mult(unit_M({n})) = {mult[unit_m[n]]}" for n in sp1.carrier))]
 
     # mult . M(unit) = id  (rename generators to their unit classes, flatten)
-    unit_renamed = outer.renamed(unit)
-
-    def m_unit_then_mult():
-        for c, rep in enumerate(fa.classes):
-            res = mult[outer.class_name(unit_renamed(rep))]
-            yield res == fa.class_name(c) or f"mult(M(unit)({fa.class_name(c)})) = {res}"
-
-    reports.append(LawReport.tally("mult.M(unit)=id", m_unit_then_mult()))
+    flat = [mult[outer.class_name(d)] for d in _renamed(fa, outer, lambda a: outer.base.var_ids[unit[a]])]
+    reports.append(LawReport.tally("mult.M(unit)=id", (
+        res == name or f"mult(M(unit)({name})) = {res}" for name, res in zip(fa.space.carrier, flat))))
 
     # mult . M(mult) = mult . mult_M  on classes of M^3
     f3 = mi.free(m_object(mi, sp1))
     mult1 = m_mult(mi, sp1)
-    mult_renamed = outer.renamed({k: v for k, v in mult.items() if v is not OVERFLOW})
+    # a generator whose flattening overflows takes every term above it along
+    pushed = _renamed(f3, outer, lambda name: None if mult[name] is OVERFLOW
+                      else outer.base.var_ids[mult[name]])
 
     def associativity():
-        for c3, rep3 in enumerate(f3.classes):
+        for c3, d in enumerate(pushed):
             name3 = f3.class_name(c3)
             # path A: flatten the outer level first
             mid_a = mult1[name3]
             res_a = OVERFLOW if mid_a is OVERFLOW else mult[mid_a]
             # path B: push the inner flattening through, then flatten
-            if any(mult[name] is OVERFLOW for name in term_vars(rep3)):
-                res_b = OVERFLOW
-            else:
-                res_b = mult[outer.class_name(mult_renamed(rep3))]
+            res_b = OVERFLOW if d is None else mult[outer.class_name(d)]
             if res_a is OVERFLOW or res_b is OVERFLOW:
                 yield None
             else:
@@ -181,12 +181,15 @@ def check_em_laws(mi: MonadInstance, cand: EMCandidate) -> list[LawReport]:
     mult = m_mult(mi, cand.space)
     outer = mi.free(fa.space)
     h = cand.h
-    h_renamed = fa.renamed(h)
+    # an image that is no generator puts the renamed class outside the universe
+    renamed = _renamed(outer, fa, lambda x: fa.base.var_ids.get(h[x]))
 
     def m_h_then_h():
-        for c2, rep2 in enumerate(outer.classes):
+        for c2, d in enumerate(renamed):
             name2 = outer.class_name(c2)
-            lhs = h[fa.class_name(h_renamed(rep2))]
+            if d is None:
+                raise OutOfUniverse(f"renaming {name2} leaves the depth-{mi.depth} universe")
+            lhs = h[fa.class_name(d)]
             mid = mult[name2]
             if mid is OVERFLOW:
                 yield None

@@ -3,8 +3,10 @@
 Terms use carrier-element names directly as variables; there is no separate
 variable sort. The canonical order (depth first, then symbol, then arguments)
 makes universe enumeration and quotient representatives deterministic. The
-universe is built in that order, so a term's position in it (its universe id)
-names it below the API boundary; trees are for parsing, printing and results.
+universe is enumerated in that order as ids (:func:`universe_nodes`): a
+term's position (its universe id) names it below the API boundary, and an
+application is its operation over the ids of its arguments. Trees are for
+parsing, printing and results.
 """
 from __future__ import annotations
 
@@ -156,23 +158,26 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
         tokens.append(m.group(1))
         pos = m.end()
 
-    def parse(i: int) -> tuple[Term, int]:
+    def token(i: int) -> str:
         if i >= len(tokens):
             raise ValueError(f"unexpected end of term in {text!r}")
-        name = tokens[i]
+        return tokens[i]
+
+    def parse(i: int) -> tuple[Term, int]:
+        name = token(i)
         if name in ("(", ")", ","):
             raise ValueError(f"unexpected {name!r} in {text!r}")
-        if i + 1 < len(tokens) and tokens[i + 1] == "(":
+        if tokens[i + 1:i + 2] == ["("]:
             args = []
             i += 2
-            if tokens[i] == ")":
+            if token(i) == ")":
                 return App(name, ()), i + 1
             while True:
                 arg, i = parse(i)
                 args.append(arg)
-                if tokens[i] == ")":
+                if token(i) == ")":
                     return App(name, tuple(args)), i + 1
-                if tokens[i] != ",":
+                if token(i) != ",":
                     raise ValueError(f"expected ',' or ')' in {text!r}")
                 i += 1
         if name in carrier:
@@ -264,16 +269,14 @@ def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:
     return size
 
 
-def enumerate_universe(sig: Signature, carrier: Iterable[str], depth: int) -> list[Term]:
-    """All terms of depth <= depth over the carrier, in canonical order.
+def universe_nodes(sig: Signature, carrier: Iterable[str], depth: int) -> list[tuple]:
+    """The terms of depth <= depth over the carrier as ids, in canonical
+    order: entry i is ``(name, None)`` for a variable and ``(op, argument
+    ids)`` for an application, every argument id below i.
 
     Layer by layer: the leaves by name, a variable first; then each operation
-    in name order over argument positions in lexicographic order, keeping the
+    in name order over argument ids in lexicographic order, keeping the
     tuples that reach into the previous layer. That is the canonical order.
-
-    Each application is built from the member objects of earlier layers: its
-    arguments are (``is``) terms at lower positions of the returned list, so
-    a caller can map them to their positions by object identity.
     """
     carrier = tuple(dict.fromkeys(carrier))
     if depth < 1:
@@ -281,15 +284,28 @@ def enumerate_universe(sig: Signature, carrier: Iterable[str], depth: int) -> li
     if not check_nontrivial(sig, carrier):
         raise TrivialPair("empty carrier and no constants")
     leaves = sorted([(a, False) for a in carrier] + [(op, True) for op, ar in sig.ops if ar == 0])
-    universe: list[Term] = [App(name, ()) if is_op else Var(name) for name, is_op in leaves]
+    nodes: list = [(name, () if is_op else None) for name, is_op in leaves]
     start = 0
     for _ in range(depth - 1):
-        end = len(universe)
+        end = len(nodes)
         for name, arity in sorted(sig.ops):
-            if arity == 0:
-                continue
-            for args in itertools.product(range(end), repeat=arity):
-                if max(args) >= start:
-                    universe.append(App(name, tuple(universe[k] for k in args)))
+            if arity:
+                nodes += [(name, args) for args in itertools.product(range(end), repeat=arity)
+                          if max(args) >= start]
         start = end
-    return universe
+    return nodes
+
+
+def fold_nodes(nodes, leaf: Callable, node: Callable) -> list:
+    """One value per entry of :func:`universe_nodes`, bottom up: ``leaf(name)``
+    for a variable, ``node(op, argument values)`` for an application."""
+    out: list = []
+    for name, args in nodes:
+        out.append(leaf(name) if args is None else node(name, tuple([out[k] for k in args])))
+    return out
+
+
+def enumerate_universe(sig: Signature, carrier: Iterable[str], depth: int) -> list[Term]:
+    """All terms of depth <= depth over the carrier, in canonical order: the
+    trees of :func:`universe_nodes`."""
+    return fold_nodes(universe_nodes(sig, carrier, depth), Var, App)

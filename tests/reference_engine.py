@@ -34,8 +34,12 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
                 db.index_of(Var(a)), db.index_of(Var(b)), target.d(a, b),
                 "USEVAR", None, (),
             )
+    # argument ids through a term -> id map of the tree view, not the
+    # engine's id enumeration
+    index = {t: i for i, t in enumerate(db.universe)}
+    children = [tuple(index[a] for a in getattr(t, "args", ())) for t in db.universe]
     while True:
-        changed = _step_cong(db)
+        changed = _step_cong(db, children)
         changed = _step_horn(db) or changed
         changed = _step_subst(db) or changed
         if not changed:
@@ -43,10 +47,9 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     return db
 
 
-def _step_cong(db: DerivationDB) -> bool:
+def _step_cong(db: DerivationDB, children: list[tuple[int, ...]]) -> bool:
     changed = False
     groups: dict[tuple, list[int]] = {}
-    children = db._children
     for idx, t in enumerate(db.universe):
         if children[idx]:
             key = (t.op, tuple(db.find(a) for a in children[idx]))

@@ -329,8 +329,14 @@ class TestErrors:
         (["algebras", "swap", "ops"], {"u": 5}),
         (["budgets"], []),
         ([], []),
+        # a string is not a list of its characters
+        (["spaces", "AB"], {"carrier": "ab", "dist": ["01", "10"]}),
+        (["spaces", "AB", "carrier"], "ab"),
+        (["spaces", "AB", "dist"], "01"),
+        (["spaces", "AB", "dist", 1], "10"),
     ], ids=["signature", "spaces", "carrier", "dist", "theory", "judgment", "ops",
-            "budgets", "top-level"])
+            "budgets", "top-level", "string-space", "string-carrier", "string-dist",
+            "string-row"])
     def test_wrong_shape_is_an_error(self, capsys, tmp_path, keys, value):
         code, out, err = run(capsys, "--workspace", _edited(tmp_path, keys, value), "distance",
                              "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
@@ -341,6 +347,21 @@ class TestErrors:
         code, out, err = run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY",
                              "--target", "AB", "--judgment", j)
         assert (code, out) == (2, "") and err.startswith("error: malformed judgment: ")
+
+    @pytest.mark.parametrize("context", [{"carrier": "ab", "dist": [["0", "1"], ["1", "0"]]},
+                                         {"carrier": ["a", "b"], "dist": ["01", "10"]}],
+                             ids=["carrier", "rows"])
+    def test_string_inline_context_is_an_error(self, capsys, context):
+        # a string is not a list of its characters
+        j = json.dumps({"context": context, "lhs": "a", "rhs": "a"})
+        code, out, err = run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY",
+                             "--target", "AB", "--judgment", j)
+        assert (code, out) == (2, "") and err.startswith("error: malformed judgment: ")
+
+    @pytest.mark.parametrize("lhs", ["u(a", "u(u(a)", "a(", "u(", "u(a,"])
+    def test_truncated_term_is_an_error(self, capsys, lhs):
+        assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
+                   "--lhs", lhs, "--rhs", "b") == (2, "", f"error: unexpected end of term in {lhs!r}\n")
 
     @pytest.mark.parametrize("key", ["depth", "instances", "interpretations"])
     @pytest.mark.parametrize("value", [True, 2.5, "2.5", "many", [3], {"n": 3}])

@@ -13,7 +13,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -83,6 +86,43 @@ def test_matches_golden(case_id):
 
 def test_fixture_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+# runs every case given on stdin as {id: argv} in one process and prints
+# {id: {"code", "stdout", "stderr"}}
+REPLAY = """
+import contextlib, io, json, sys
+from qeqlog.cli import main
+results = {}
+for case_id, argv in json.load(sys.stdin).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[case_id] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+json.dump(results, sys.stdout)
+"""
+
+
+def _python310() -> str | None:
+    """A ``python3.10`` on PATH that starts, or None."""
+    path = shutil.which("python3.10")
+    probe = "import sys; sys.exit(sys.version_info[:2] != (3, 10))"
+    if path and subprocess.run([path, "-c", probe], capture_output=True, timeout=60).returncode == 0:
+        return path
+    return None
+
+
+def test_oldest_supported_python_matches_golden():
+    # pyproject.toml declares requires-python >= 3.10
+    python = _python310()
+    if python is None:
+        pytest.skip("no python3.10 on PATH")
+    argvs = {case_id: ["--workspace", str(FIXTURES / ws), *args] for case_id, (ws, args) in CASES.items()}
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+    proc = subprocess.run([python, "-c", REPLAY], input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def record_missing() -> int:

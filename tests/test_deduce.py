@@ -23,7 +23,8 @@ from qeqlog.deduce import (
     saturate,
     trace,
 )
-from qeqlog.terms import App, Signature, Var, apply_subst, term_vars, universe_size
+from qeqlog.terms import (App, Signature, Var, apply_subst, enumerate_universe, term_vars,
+                          universe_size)
 
 from conftest import (
     random_algebra,
@@ -184,6 +185,34 @@ class TestDerivesAndDistance:
         db = saturate(U_SIG, Theory("E", ()), MET, ab_half, 2)
         for t in db.universe:
             assert distance(db, t, t) == 0
+
+
+class TestIdsNotTrees:
+    """Saturation and the queries on it run on universe ids; the tree of
+    each id is a view built on its first read."""
+
+    def test_saturate_builds_no_tree(self, ab_half, monkeypatch):
+        ua, b = App("u", (Var("a"),)), Var("b")
+        judgments = (Judgment(ab_half, ua, b, 3), Judgment(ab_half, ua, App("f", (b, b))))
+        theory = unary_axiom_quarter(GRID)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a term tree was built")
+
+        monkeypatch.setattr(App, "__init__", refuse)
+        monkeypatch.setattr(Var, "__init__", refuse)
+        db = saturate(UF_SIG, theory, MET, ab_half, 3)
+        answers = [derives(db, j) for j in judgments], distance(db, ua, b)
+        monkeypatch.undo()
+        assert answers == ([True, False], GRID.fraction(3))
+        assert "universe" not in vars(db)
+
+    def test_universe_view(self, ab_half):
+        db = saturate(UF_SIG, unary_axiom_quarter(GRID), MET, ab_half, 3)
+        trace(db, Judgment(ab_half, App("u", (Var("a"),)), Var("b"), 3))
+        assert "universe" in vars(db)
+        assert db.universe is db.universe
+        assert db.universe == tuple(enumerate_universe(UF_SIG, ab_half.carrier, 3))
 
 
 # --- trace machinery: structure, leaves, local replay of each rule ---

@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 import qeqlog.deduce as deduce
+import qeqlog.terms as terms
 from qeqlog.cli import main
 from qeqlog.deduce import MAX_CELLS, saturate
 from qeqlog.errors import BudgetExceeded
@@ -74,7 +75,10 @@ def test_depth_four_table_stays_small():
 def _refuse_enumeration(monkeypatch):
     def fail(*args):
         raise AssertionError("the universe was enumerated")
-    monkeypatch.setattr(deduce, "enumerate_universe", fail)
+    # saturation enumerates ids; the trees are built from the same ids
+    monkeypatch.setattr(deduce, "universe_nodes", fail)
+    monkeypatch.setattr(terms, "universe_nodes", fail)
+    monkeypatch.setattr(terms, "enumerate_universe", fail)
 
 
 class TestUniverseRefused:

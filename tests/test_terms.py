@@ -20,6 +20,7 @@ from qeqlog.terms import (
     term_depth,
     term_key,
     term_to_str,
+    universe_nodes,
     universe_size,
 )
 
@@ -198,20 +199,26 @@ class TestUniverseOrder:
 
     @_universe_cases
     def test_arguments_are_earlier_members(self, ops, n_carrier, depth):
-        # DerivationDB maps arguments to universe ids by object identity
-        universe = enumerate_universe(*_universe_case(ops, n_carrier, depth))
-        position = {id(t): i for i, t in enumerate(universe)}
-        for i, t in enumerate(universe):
-            for a in getattr(t, "args", ()):
-                k = position.get(id(a))
-                assert k is not None and k < i and universe[k] is a
+        # DerivationDB reads the ids off universe_nodes and builds no tree:
+        # entry i must be the tree at position i, over earlier argument ids
+        case = _universe_case(ops, n_carrier, depth)
+        universe = enumerate_universe(*case)
+        nodes = universe_nodes(*case)
+        assert len(nodes) == len(universe)
+        for i, ((name, args), t) in enumerate(zip(nodes, universe)):
+            if args is None:
+                assert t == Var(name)
+            else:
+                assert all(k < i for k in args)
+                assert t == App(name, tuple(universe[k] for k in args))
 
 
 class TestUniverseSize:
     @_universe_cases
     def test_matches_enumeration(self, ops, n_carrier, depth):
         sig, carrier, depth = _universe_case(ops, n_carrier, depth)
-        assert universe_size(sig, carrier, depth) == len(enumerate_universe(sig, carrier, depth))
+        assert universe_size(sig, carrier, depth) == len(enumerate_universe(sig, carrier, depth)) \
+            == len(universe_nodes(sig, carrier, depth))
 
     def test_repeated_carrier_name_counts_once(self):
         assert universe_size(SIG_UC, ["a", "a"], 2) == len(enumerate_universe(SIG_UC, ["a", "a"], 2)) == 4
@@ -258,6 +265,12 @@ class TestParseAndPrint:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             parse_term("w(a)", SIG_UC, ["a"])
+
+    @pytest.mark.parametrize("text", ["f(a", "f(a,b", "f(a,", "c(", "f(u(a),u(b"])
+    def test_truncated_input(self, text):
+        sig = Signature.of({"f": 2, "u": 1, "c": 0})
+        with pytest.raises(ValueError, match=r"^unexpected end of term in "):
+            parse_term(text, sig, ["a", "b"])
 
     def test_binary(self):
         sig = Signature.of({"f": 2})
