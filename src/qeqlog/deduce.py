@@ -2,10 +2,10 @@
 
 The engine computes, for one target context space, the least fixpoint of the
 deduction rules on all terms up to a depth bound: a union-find holds the
-derived equality classes, and an exact grid-valued matrix holds the minimal
-derived distance per class pair. Every productive step records the rule
-instance that produced it, so any derived fact can be expanded into a finite,
-replayable derivation tree.
+derived equality classes, and an exact grid-valued store holds the minimal
+derived distance per class pair, for the pairs below 1. Every productive
+step records the rule instance that produced it, so any derived fact can be
+expanded into a finite, replayable derivation tree.
 
 Bounded-universe contract: congruence and substitution instances are generated
 only when every produced term stays within the depth bound, so derivability is
@@ -50,14 +50,15 @@ from .terms import (
     check_nontrivial,
     compile_term,
     fold_nodes,
+    term_depth,
     term_to_str,
     universe_nodes,
     universe_size,
 )
 
-# the most distance cells a saturation allocates: a larger universe is refused
-# before it is enumerated
-MAX_CELLS = 2**28
+# the most terms a saturation enumerates, refused before it is built: about
+# 0.3 GB at the 2.3 KB per term that MET without axioms peaks at
+MAX_TERMS = 2**17
 
 # Premise descriptors:
 #   ("axiom", event_id)        a theory axiom, recorded as an INIT event
@@ -96,7 +97,7 @@ class TraceNode(Record):
 
 
 class DerivationDB:
-    """Saturated classes, minimal-distance matrix and trace events.
+    """Saturated classes, minimal distances and trace events.
 
     Built by :func:`saturate`, which ends with every union-find entry
     pointing at its root: after it, :meth:`find` is one lookup and reads
@@ -110,12 +111,12 @@ class DerivationDB:
     :meth:`subst_index`), and a term over known ids needs no tree at all
     (:meth:`app_index`, :meth:`fold`). ``universe`` is built once, on first read.
 
-    ``dmin`` is one flat n·n array of the smallest unsigned typecode holding
-    q, with the cell of ids i and j at ``i * n + j`` (:meth:`cell`). A
+    ``dmin`` holds only the cells below q, the cell of ids i and j under
+    ``i * n + j``, read as ``dmin.get(i * n + j, q)`` (:meth:`cell`). A
     near-cell index holds, for each id, the ids on the other side of its
     cells below q; a merge folds only those, so it costs the loser's derived
-    distances, not the class count. A universe whose table would pass
-    ``MAX_CELLS`` cells is refused before it is enumerated.
+    distances, not the class count. A universe of more than ``MAX_TERMS``
+    terms is refused before it is enumerated.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
@@ -128,10 +129,9 @@ class DerivationDB:
         self.grid = target.grid
         self.budget = budget
         n = universe_size(sig, target.carrier, depth)
-        if n * n > MAX_CELLS:
+        if n > MAX_TERMS:
             raise BudgetExceeded(
-                f"universe: depth {depth} has {n} terms, and their distance table"
-                f" of {n * n} cells passes the limit of {MAX_CELLS}"
+                f"universe: depth {depth} has {n} terms, more than the limit of {MAX_TERMS}"
             )
         self._n = n
         self._nodes = universe_nodes(sig, target.carrier, depth)
@@ -143,12 +143,7 @@ class DerivationDB:
                 self._hashcons[name][args] = i
         self._parent = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        # imported here, so that a CLI call that saturates nothing never loads it
-        from array import array
-
-        q = self.grid.q
-        code = next((c for c in "BHL" if q < 1 << 8 * array(c).itemsize), "Q")
-        self.dmin = array(code, [q]) * (n * n)
+        self.dmin: dict[int, int] = {}
         # filled on the first cell below q of each id
         self._near: dict[int, set[int]] = {}
         self._hist: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -177,6 +172,8 @@ class DerivationDB:
         return [i for i, p in enumerate(self._parent) if p == i]
 
     def _lookup(self, t: Term) -> int | None:
+        if term_depth(t) > self.depth:
+            return None
         try:
             return self.subst_index(self.var_ids, t)
         except UnknownVariable:
@@ -218,10 +215,10 @@ class DerivationDB:
 
     def cell(self, i: int, j: int) -> int:
         """The table cell of ids i and j, whether or not they are roots."""
-        return self.dmin[i * self._n + j]
+        return self.dmin.get(i * self._n + j, self.grid.q)
 
     def class_distance(self, i: int, j: int) -> int:
-        return self.dmin[self.find(i) * self._n + self.find(j)]
+        return self.cell(self.find(i), self.find(j))
 
     # --- recording ---
 
@@ -252,7 +249,7 @@ class DerivationDB:
     def _lower(self, i: int, j: int, value: int, rule: str, detail: str | None,
                premises: tuple) -> bool:
         ri, rj = self.find(i), self.find(j)
-        if value >= self.dmin[ri * self._n + rj]:
+        if value >= self.dmin.get(ri * self._n + rj, self.grid.q):
             return False
         self._set_dist(ri, rj, value, rule, detail, premises)
         return True
@@ -265,15 +262,16 @@ class DerivationDB:
         self._forest[i].append((j, cause))
         self._forest[j].append((i, cause))
         winner, loser = min(ri, rj), max(ri, rj)
-        parent, dmin, n = self._parent, self.dmin, self._n
+        parent, get, n, q = self._parent, self.dmin.get, self._n, self.grid.q
         parent[loser] = winner
+        if loser not in self._near:
+            # every cell of the loser reads q, so it lowers nothing
+            return True
         eq_premise = ("eq", winner, loser)
         # 2x2 block between the two old classes
         block = [(winner, winner), (winner, loser), (loser, winner), (loser, loser)]
-        best_val, best_pair = min(
-            (dmin[a * n + b], (a, b)) for a, b in block
-        )
-        if best_val < dmin[winner * n + winner]:
+        best_val, best_pair = min((get(a * n + b, q), (a, b)) for a, b in block)
+        if best_val < get(winner * n + winner, q):
             a, b = best_pair
             last_fact = ("dist", a, b, best_val)
             if a != winner:
@@ -284,11 +282,11 @@ class DerivationDB:
         # fold rows and columns against every other class; a cell at q lowers
         # nothing, so only classes with a cell below q to the loser can change
         for k in sorted(k for k in self._near.pop(loser, ()) if k != winner and parent[k] == k):
-            v = dmin[loser * n + k]
-            if v < dmin[winner * n + k]:
+            v = get(loser * n + k, q)
+            if v < get(winner * n + k, q):
                 self._set_dist(winner, k, v, "LCONG", None, (eq_premise, ("dist", loser, k, v)))
-            v = dmin[k * n + loser]
-            if v < dmin[k * n + winner]:
+            v = get(k * n + loser, q)
+            if v < get(k * n + winner, q):
                 self._set_dist(k, winner, v, "RCONG", None, (eq_premise, ("dist", k, loser, v)))
         return True
 
@@ -480,7 +478,8 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
             queue.add(*_on_cell(db, arity, cells, links, a, b, root_list))
     # only a merging clause turns members of root_list into non-roots
     for assignment, reps, pvec, vals in clause_failures(
-            compiled, dmin, n, _counted(db, queue, len(vectors)), find if merging else None):
+            compiled, dmin, db.grid.q, n, _counted(db, queue, len(vectors)),
+            find if merging else None):
         # nearly every instance fires nothing: premises are built only for
         # one whose conclusion is new
         premises = tuple(
@@ -640,21 +639,21 @@ class _Worklist:
 
 def _step_subst(db: DerivationDB) -> bool:
     changed = False
-    dmin, n, find = db.dmin, db._n, db.find
+    dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     for ax_i, j in enumerate(db.theory.judgments):
         db._phase = f"SUBST:{db.theory.name}[{ax_i}]"
         ctx = j.context
         cols = db.roots()
         rows = [r * n for r in cols]
         left, right = (compile_term(side, ctx.carrier, db._hashcons) for side in (j.lhs, j.rhs))
-        for images in _counted(db, images_within(ctx.dist, dmin, rows, cols)):
+        for images in _counted(db, images_within(ctx.dist, dmin, q, rows, cols)):
             chosen = [cols[b] for b in images]
             li = left(chosen)
             ri = li if li is None else right(chosen)
             # build premises only for a new conclusion, as _merge and _lower
             # would record nothing for the others
             if ri is None or (db.same(li, ri) if j.eps is None
-                              else j.eps >= dmin[find(li) * n + find(ri)]):
+                              else j.eps >= dmin.get(find(li) * n + find(ri), q)):
                 continue
             premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
                 ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)

@@ -33,6 +33,10 @@ class _Overflow:
 
 OVERFLOW = _Overflow()
 
+# the most cells of the dense class distance table: a larger quotient is
+# refused before any table is built
+MAX_CELLS = 2**28
+
 
 class LawReport(Record):
     """Instances of one law (or of a theory's axioms): checked, skipped
@@ -75,6 +79,9 @@ class FreeAlgebra:
     def __init__(self, base: DerivationDB):
         self.base = base
         self.rep_ids = roots = tuple(base.roots())
+        if len(roots) ** 2 > MAX_CELLS:
+            raise BudgetExceeded(f"free algebra over {len(roots)} classes: its distance table of"
+                                 f" {len(roots) ** 2} cells passes the limit of {MAX_CELLS}")
         # |classes|^arity entries per operation, bounded by the saturation's budget
         entries = 0
         for op, arity in base.sig.ops:

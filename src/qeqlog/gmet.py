@@ -364,14 +364,16 @@ def compile_clause(clause: HornClause, q: int):
     return params, vectors, prems, pos[conc.x], pos[conc.y], conc_bounds
 
 
-def clause_failures(compiled, flat, n: int, tuples: Iterable, find: Callable | None = None):
+def clause_failures(compiled, cells: dict[int, int], q: int, n: int, tuples: Iterable,
+                    find: Callable | None = None):
     """The instances of a clause compiled by :func:`compile_clause` over
     ``tuples`` of table positions (read through ``find`` when given) whose
     premises hold and whose conclusion the table violates, lazily, as (tuple,
     positions read, parameter vector, parameter values). The distance of
-    positions i and j is ``flat[i * n + j]``, read when an instance reaches
-    it: a write between two yields is seen by the later instances."""
+    positions i and j is ``cells.get(i * n + j, q)``, read when an instance
+    reaches it: a write between two yields is seen by the later instances."""
     _, vectors, prems, cx, cy, conc_bounds = compiled
+    get = cells.get
     for a in tuples:
         reps = a if find is None else [find(r) for r in a]
         for pvec in vectors:
@@ -381,14 +383,14 @@ def clause_failures(compiled, flat, n: int, tuples: Iterable, find: Callable | N
                     if reps[xp] != reps[yp]:
                         break
                 elif si >= 0:
-                    d = flat[reps[xp] * n + reps[yp]]
+                    d = get(reps[xp] * n + reps[yp], q)
                     if d > vals[si]:
                         vals[si] = d
-                elif flat[reps[xp] * n + reps[yp]] > bounds[pvec]:
+                elif get(reps[xp] * n + reps[yp], q) > bounds[pvec]:
                     break
             else:
                 x, y = reps[cx], reps[cy]
-                if x != y if conc_bounds is None else flat[x * n + y] > conc_bounds[tuple(vals)]:
+                if x != y if conc_bounds is None else get(x * n + y, q) > conc_bounds[tuple(vals)]:
                     yield a, reps, pvec, vals
 
 
@@ -400,13 +402,13 @@ def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     any other clause lists every failing grid vector. Either way the first
     entry is that of the exhaustive reference loop in ``tests/oracle.py``.
     """
-    m = len(sp.carrier)
-    flat = [v for row in sp.dist for v in row]
+    m, q = len(sp.carrier), sp.grid.q
+    cells = _cells(sp)
     out: list[Violation] = []
     for clause in spec.clauses:
-        compiled = compile_clause(clause, sp.grid.q)
+        compiled = compile_clause(clause, q)
         tuples = itertools.product(range(m), repeat=len(clause.vars))
-        for a, _, _, vals in clause_failures(compiled, flat, m, tuples):
+        for a, _, _, vals in clause_failures(compiled, cells, q, m, tuples):
             names = tuple(zip(clause.vars, (sp.carrier[i] for i in a)))
             out.append(Violation(clause.name, names, tuple(zip(compiled[0], vals))))
     return out
@@ -432,18 +434,25 @@ def is_nonexpansive(f: Mapping[str, str], src: FuzzySpace, dst: FuzzySpace) -> b
     )
 
 
-def images_within(sd, flat, rows, cols, keep: Callable[[list[int]], bool] | None = None
-                  ) -> Iterator[tuple[int, ...]]:
+def _cells(sp: FuzzySpace) -> dict[int, int]:
+    """The distances of ``sp`` below 1 under ``i * m + j``, as saturation stores its own."""
+    m, q = len(sp.carrier), sp.grid.q
+    return {i * m + j: v for i, row in enumerate(sp.dist) for j, v in enumerate(row) if v < q}
+
+
+def images_within(sd, cells: dict[int, int], q: int, rows, cols,
+                  keep: Callable[[list[int]], bool] | None = None) -> Iterator[tuple[int, ...]]:
     """The tuples of candidate indices, one per source point, under which no
-    distance exceeds the source's ``sd``, lazily, in product order; the
-    distance from candidate b to candidate c is ``flat[rows[b] + cols[c]]``.
+    distance exceeds the source's ``sd``, lazily, in product order; the distance
+    from candidate b to candidate c is ``cells.get(rows[b] + cols[c], q)``.
 
     A depth-first search: a prefix is extended only by a candidate that keeps
     every pair within ``sd`` and, when given, that ``keep`` accepts (it sees
     the extended prefix). A cell is read when the search reaches it, so a
-    caller may change ``flat``, ``rows`` and ``cols`` in place between two
+    caller may change ``cells``, ``rows`` and ``cols`` in place between two
     tuples: later candidates see the change; the prefix taken is not rechecked.
     """
+    get = cells.get
     n, m = len(sd), len(cols)
     images: list[int] = []  # candidates of source points 0 .. len(images) - 1
     b = 0  # the next candidate to try for source point len(images)
@@ -455,9 +464,9 @@ def images_within(sd, flat, rows, cols, keep: Callable[[list[int]], bool] | None
             sk = sd[k]
             while b < m:
                 rb, cb = rows[b], cols[b]
-                if flat[rb + cb] <= sk[k]:
+                if get(rb + cb, q) <= sk[k]:
                     for i, c in enumerate(images):
-                        if flat[rb + cols[c]] > sk[i] or flat[rows[c] + cb] > sd[i][k]:
+                        if get(rb + cols[c], q) > sk[i] or get(rows[c] + cb, q) > sd[i][k]:
                             break
                     else:
                         break
@@ -481,8 +490,7 @@ def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = N
     total = m ** len(src.carrier)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
-    flat = [v for row in dst.dist for v in row]
-    yield from images_within(src.dist, flat, range(0, m * m, m), range(m), keep)
+    yield from images_within(src.dist, _cells(dst), dst.grid.q, range(0, m * m, m), range(m), keep)
 
 
 def enumerate_nonexpansive(

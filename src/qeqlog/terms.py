@@ -92,10 +92,27 @@ class App(Term, Record):
 EMPTY_SIGNATURE = Signature(())
 
 
+# Walks over a tree keep their own stack, so that a term nested past the
+# interpreter's recursion limit is still parsed, printed and measured.
+
+def _preorder(t: Term):
+    """The subterms of ``t``, each before its arguments, left to right."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack += reversed(t.args)
+
+
 def term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + max((term_depth(a) for a in t.args), default=0)
+    depth, stack = 0, [(t, 1)]
+    while stack:
+        t, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(t, App):
+            stack += [(a, d + 1) for a in t.args]
+    return depth
 
 
 def term_key(t: Term):
@@ -114,12 +131,29 @@ def canonical_cmp(t1: Term, t2: Term) -> int:
     return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
+def _render(t: Term, var: Callable[[str], str]) -> str:
+    """Prefix syntax, with ``var(name)`` for each variable."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(var(t.name))
+        elif not t.args:
+            out.append(t.op)
+        else:
+            out.append(f"{t.op}(")
+            stack.append(")")
+            for k in range(len(t.args) - 1, 0, -1):
+                stack += (t.args[k], ",")
+            stack.append(t.args[0])
+    return "".join(out)
+
+
 def term_to_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.op
-    return f"{t.op}({','.join(term_to_str(a) for a in t.args)})"
+    return _render(t, str)
 
 
 def term_label(t: Term, symbols: frozenset[str]) -> str:
@@ -130,13 +164,8 @@ def term_label(t: Term, symbols: frozenset[str]) -> str:
     quotients (carrier names that are themselves labels) therefore stay
     collision-free: ``[u(a)]`` names the generator, ``u([a])`` an application.
     """
-    if isinstance(t, Var):
-        if _IDENT_RE.match(t.name) and t.name not in symbols:
-            return t.name
-        return f"[{t.name}]"
-    if not t.args:
-        return t.op
-    return f"{t.op}({','.join(term_label(a, symbols) for a in t.args)})"
+    return _render(t, lambda name: name if _IDENT_RE.match(name) and name not in symbols
+                   else f"[{name}]")
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z0-9_'.\-]+|\(|\)|,)")
@@ -163,53 +192,50 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
             raise ValueError(f"unexpected end of term in {text!r}")
         return tokens[i]
 
-    def parse(i: int) -> tuple[Term, int]:
+    # the applications still open, innermost last, with their arguments so far
+    open_apps: list[tuple[str, list[Term]]] = []
+    i = 0
+    while True:
         name = token(i)
         if name in ("(", ")", ","):
             raise ValueError(f"unexpected {name!r} in {text!r}")
         if tokens[i + 1:i + 2] == ["("]:
-            args = []
             i += 2
-            if token(i) == ")":
-                return App(name, ()), i + 1
-            while True:
-                arg, i = parse(i)
-                args.append(arg)
-                if token(i) == ")":
-                    return App(name, tuple(args)), i + 1
-                if token(i) != ",":
-                    raise ValueError(f"expected ',' or ')' in {text!r}")
+            if token(i) != ")":
+                open_apps.append((name, []))
+                continue
+            term, i = App(name, ()), i + 1
+        elif name in carrier:
+            term, i = Var(name), i + 1
+        elif name in sig.symbols and sig.arity(name) == 0:
+            term, i = App(name, ()), i + 1
+        else:
+            raise ValueError(f"unknown name {name!r} in {text!r}")
+        # the term just read is an argument: close each application it ends
+        while open_apps:
+            open_apps[-1][1].append(term)
+            if token(i) == ",":
                 i += 1
-        if name in carrier:
-            return Var(name), i + 1
-        if name in sig.symbols and sig.arity(name) == 0:
-            return App(name, ()), i + 1
-        raise ValueError(f"unknown name {name!r} in {text!r}")
-
-    term, end = parse(0)
-    if end != len(tokens):
+                break
+            if token(i) != ")":
+                raise ValueError(f"expected ',' or ')' in {text!r}")
+            op, args = open_apps.pop()
+            term, i = App(op, tuple(args)), i + 1
+        else:
+            break
+    if i != len(tokens):
         raise ValueError(f"trailing tokens in {text!r}")
-    _check_arities(term, sig)
+    for t in _preorder(term):
+        if isinstance(t, App):
+            if t.op not in sig.symbols:
+                raise ValueError(f"unknown operation {t.op!r}")
+            if sig.arity(t.op) != len(t.args):
+                raise ValueError(f"arity mismatch for {t.op!r}")
     return term
 
 
-def _check_arities(t: Term, sig: Signature) -> None:
-    if isinstance(t, App):
-        if t.op not in sig.symbols:
-            raise ValueError(f"unknown operation {t.op!r}")
-        if sig.arity(t.op) != len(t.args):
-            raise ValueError(f"arity mismatch for {t.op!r}")
-        for a in t.args:
-            _check_arities(a, sig)
-
-
 def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    return frozenset(s.name for s in _preorder(t) if isinstance(s, Var))
 
 
 def check_carrier(sig: Signature, carrier: Iterable[str]) -> None:
@@ -234,12 +260,25 @@ def apply_subst(subst: Mapping[str, Term], t: Term) -> Term:
     return App(t.op, tuple(apply_subst(subst, a) for a in t.args))
 
 
+# the deepest term compile_term compiles: compiling and evaluating a term take
+# about two frames per level, within the default recursion limit of 1,000
+MAX_COMPILED_DEPTH = 200
+
+
 def compile_term(t: Term, names: Sequence[str], tables: Mapping[str, Mapping]) -> Callable:
     """``t`` as a function of one value per name (entry i is the value of
     ``names[i]``): an application looks its argument values up in
     ``tables[op]``. A missing entry gives None, and so does every
     application above it, as no key holds None. A variable not in ``names``
-    raises :class:`UnknownVariable` at once."""
+    raises :class:`UnknownVariable` at once, and a term nested more than
+    ``MAX_COMPILED_DEPTH`` levels deep a :class:`QeqlogError`."""
+    return _compile(t, names, tables, MAX_COMPILED_DEPTH)
+
+
+def _compile(t: Term, names: Sequence[str], tables: Mapping[str, Mapping], room: int) -> Callable:
+    if not room:
+        raise QeqlogError(f"a term nested more than {MAX_COMPILED_DEPTH} levels deep"
+                          " cannot be evaluated")
     if isinstance(t, Var):
         try:
             return itemgetter(names.index(t.name))
@@ -247,7 +286,7 @@ def compile_term(t: Term, names: Sequence[str], tables: Mapping[str, Mapping]) -
             raise UnknownVariable(t.name) from None
     # an operation without a table has no entries
     get = tables.get(t.op, {}).get
-    args = tuple(compile_term(a, names, tables) for a in t.args)
+    args = tuple(_compile(a, names, tables, room - 1) for a in t.args)
     # most of a model check is spent here: spare unary and binary
     # operations the argument list
     if len(args) == 1:

@@ -71,7 +71,7 @@ def _step_cong(db: DerivationDB, children: list[tuple[int, ...]]) -> bool:
 def _step_horn(db: DerivationDB) -> bool:
     changed = False
     q = db.grid.q
-    dmin, n, find = db.dmin, len(db.universe), db.find
+    get, n, find = db.dmin.get, len(db.universe), db.find
     for clause in db.spec.clauses:
         params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
         merging = conc_bounds is None
@@ -87,10 +87,10 @@ def _step_horn(db: DerivationDB) -> bool:
                         if reps[xp] != reps[yp]:
                             break
                     elif si >= 0:
-                        d = dmin[reps[xp] * n + reps[yp]]
+                        d = get(reps[xp] * n + reps[yp], q)
                         if d > vals[si]:
                             vals[si] = d
-                    elif dmin[reps[xp] * n + reps[yp]] > bounds[pvec]:
+                    elif get(reps[xp] * n + reps[yp], q) > bounds[pvec]:
                         break
                 else:
                     # nearly every instance fires nothing: record premises only
@@ -101,7 +101,7 @@ def _step_horn(db: DerivationDB) -> bool:
                             continue
                     else:
                         value = conc_bounds[tuple(vals)]
-                        if value >= dmin[x * n + y]:
+                        if value >= get(x * n + y, q):
                             continue
                     premises = tuple(
                         ("eq", assignment[xp], assignment[yp]) if bounds is None

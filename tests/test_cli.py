@@ -363,6 +363,28 @@ class TestErrors:
         assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
                    "--lhs", lhs, "--rhs", "b") == (2, "", f"error: unexpected end of term in {lhs!r}\n")
 
+    # parsing, the universe lookup and the message's rendering each walk the
+    # whole term, past the interpreter's recursion limit at 5,000 levels
+    @pytest.mark.parametrize("levels", [500, 5000])
+    def test_deep_term_is_outside_the_universe(self, capsys, levels):
+        lhs = "u(" * levels + "a" + ")" * levels
+        assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
+                   "--lhs", lhs, "--rhs", "b") == (
+            2, "", f"error: {lhs} is outside the depth-3 universe\n")
+
+    @pytest.mark.parametrize("levels", [500, 5000])
+    def test_deep_term_is_not_evaluated(self, capsys, levels):
+        j = json.dumps({"context": "AB", "lhs": "u(" * levels + "a" + ")" * levels, "rhs": "b"})
+        assert run(capsys, "--workspace", WS, "entail", "--theory", "EMPTY", "--judgment", j,
+                   "--catalog", "swap") == (
+            2, "", "error: a term nested more than 200 levels deep cannot be evaluated\n")
+
+    @pytest.mark.parametrize("levels", [500, 5000])
+    def test_deep_term_with_a_bad_tail_is_an_error(self, capsys, levels):
+        lhs = "u(" * levels + "a" + ")" * (levels + 1)
+        assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
+                   "--lhs", lhs, "--rhs", "b") == (2, "", f"error: trailing tokens in {lhs!r}\n")
+
     @pytest.mark.parametrize("key", ["depth", "instances", "interpretations"])
     @pytest.mark.parametrize("value", [True, 2.5, "2.5", "many", [3], {"n": 3}])
     def test_non_integral_budget_is_an_error(self, capsys, tmp_path, key, value):

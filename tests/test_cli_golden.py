@@ -104,11 +104,13 @@ json.dump(results, sys.stdout)
 
 
 def _python310() -> str | None:
-    """A ``python3.10`` on PATH that starts, or None."""
-    path = shutil.which("python3.10")
+    """A ``python3.10`` that starts, or None: the one on PATH, then any
+    installed under pyenv (whose PATH shim may refuse to run it)."""
     probe = "import sys; sys.exit(sys.version_info[:2] != (3, 10))"
-    if path and subprocess.run([path, "-c", probe], capture_output=True, timeout=60).returncode == 0:
-        return path
+    pyenv = sorted(pathlib.Path.home().glob(".pyenv/versions/3.10*/bin/python3.10"))
+    for path in [shutil.which("python3.10"), *map(str, pyenv)]:
+        if path and subprocess.run([path, "-c", probe], capture_output=True, timeout=60).returncode == 0:
+            return path
     return None
 
 
@@ -116,7 +118,7 @@ def test_oldest_supported_python_matches_golden():
     # pyproject.toml declares requires-python >= 3.10
     python = _python310()
     if python is None:
-        pytest.skip("no python3.10 on PATH")
+        pytest.skip("no python3.10 that starts")
     argvs = {case_id: ["--workspace", str(FIXTURES / ws), *args] for case_id, (ws, args) in CASES.items()}
     env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
     proc = subprocess.run([python, "-c", REPLAY], input=json.dumps(argvs), capture_output=True,

@@ -1,10 +1,11 @@
-"""The flat distance table: its typecode, its memory and the size refusal.
+"""The sparse distance table: its values, its memory and the size refusals.
 
-``DerivationDB.dmin`` holds one cell per pair of universe ids in the
-smallest unsigned typecode that holds q. A grid past one byte must derive
-what the reference loop derives, a large universe must stay within a fixed
-memory bound, and a universe whose table would pass ``MAX_CELLS`` is refused
-before a single term of it is built.
+``DerivationDB.dmin`` holds only the cells below q, and a missing cell reads
+q. A wide grid must derive what the reference loop derives, a large universe
+must stay within a fixed memory bound, a universe of more than ``MAX_TERMS``
+terms is refused before a single term of it is built, and a free algebra
+whose dense class table would pass ``free.MAX_CELLS`` is refused before it
+is built.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import pytest
 import qeqlog.deduce as deduce
 import qeqlog.terms as terms
 from qeqlog.cli import main
-from qeqlog.deduce import MAX_CELLS, saturate
+from qeqlog.deduce import MAX_TERMS, saturate
+from qeqlog.free import MAX_CELLS
 from qeqlog.errors import BudgetExceeded
 from qeqlog.gmet import FREL, MET, EpsGrid, FuzzySpace
 from qeqlog.qalg import Judgment, Theory
@@ -34,8 +36,8 @@ def _pair(q: int, d: int) -> FuzzySpace:
 
 
 class TestWideGrids:
-    @pytest.mark.parametrize("q, code", [(300, "H"), (70_000, "L")])
-    def test_same_as_reference(self, q, code):
+    @pytest.mark.parametrize("q", [300, 70_000])
+    def test_same_as_reference(self, q):
         # u(x) within a quarter of x over two points at a half: the triangle
         # and substitution write cells that need more than one byte
         target = _pair(q, q // 2)
@@ -43,7 +45,6 @@ class TestWideGrids:
         theory = Theory("T", (Judgment(ctx, App("u", (Var("x"),)), Var("x"), q // 4),))
         args = (U_SIG, theory, MET, target, 3)
         db, ref = saturate(*args), reference_engine.saturate(*args)
-        assert db.dmin.typecode == code
         assert db.events == ref.events
         n = len(db.universe)
         assert [db.find(i) for i in range(n)] == [ref.find(i) for i in range(n)]
@@ -51,13 +52,10 @@ class TestWideGrids:
             [ref.cell(i, j) for i in range(n) for j in range(n)]
         assert {db.cell(i, j) for i in range(n) for j in range(n)} > {0, q // 4, q}
 
-    def test_one_byte_up_to_255(self):
-        assert saturate(U_SIG, Theory("E", ()), MET, _pair(255, 1), 2).dmin.typecode == "B"
-        assert saturate(U_SIG, Theory("E", ()), MET, _pair(256, 1), 2).dmin.typecode == "H"
-
 
 def test_depth_four_table_stays_small():
-    # 5,552 terms: 30.8 M cells, one byte each; as lists they took 239 MB
+    # 5,552 terms and 4 cells below q: a dense table of one byte per cell
+    # took 31 MB, and one as lists 239 MB
     target = _pair(4, 2)
     tracemalloc.start()
     try:
@@ -68,7 +66,7 @@ def test_depth_four_table_stays_small():
     finally:
         tracemalloc.stop()
     assert len(db.universe) == 5_552
-    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MB traced"
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB traced"
     assert elapsed < 1.0
 
 
@@ -81,38 +79,67 @@ def _refuse_enumeration(monkeypatch):
     monkeypatch.setattr(terms, "enumerate_universe", fail)
 
 
+def _space(points: int) -> FuzzySpace:
+    carrier = "abc"[:points]
+    half = tuple(tuple(0 if i == j else 2 for j in range(points)) for i in range(points))
+    return FuzzySpace(EpsGrid(4), tuple(carrier), half)
+
+
+def _workspace(tmp_path, spec: str, points: int, depth: int) -> str:
+    ws = {
+        "grid": 4,
+        "signature": {"ops": {"u": 1, "f": 2}},
+        "spec": {"preset": spec},
+        "budgets": {"depth": depth},
+        "spaces": {"S": {
+            "carrier": list("abc"[:points]),
+            "dist": [["0" if i == j else "1/2" for j in range(points)] for i in range(points)],
+        }},
+        "theories": {"EMPTY": []},
+        "algebras": {},
+    }
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps(ws), encoding="utf-8")
+    return str(path)
+
+
+class TestPastTheSquareWall:
+    # universes whose n^2 cells passed 2^28: each saturates, holding only
+    # the cells below q that USEVAR writes
+    @pytest.mark.parametrize("points, depth, size", [(3, 4, 59_295), (1, 5, 33_673)])
+    def test_saturates(self, points, depth, size):
+        start = time.perf_counter()
+        db = saturate(UF_SIG, Theory("E", ()), FREL, _space(points), depth)
+        elapsed = time.perf_counter() - start
+        assert db._n == size and len(db.roots()) == size
+        assert len(db.events) == len(db.dmin) == points * points
+        assert db.cell(0, 0) == 0 and db.cell(0, size - 1) == 4
+        assert elapsed < 5.0
+
+    def test_free_refuses_its_dense_table(self, capsys, tmp_path):
+        code = main(["--workspace", _workspace(tmp_path, "FREL", 3, 4), "free", "--theory", "EMPTY",
+                     "--space", "S"])
+        captured = capsys.readouterr()
+        message = ("free algebra over 59295 classes: its distance table of 3515897025 cells"
+                   f" passes the limit of {MAX_CELLS}")
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 class TestUniverseRefused:
-    # 3 points at depth 4: 59,295 terms, 3.5e9 cells
-    CARRIER = ("a", "b", "c")
-    MESSAGE = ("universe: depth 4 has 59295 terms, and their distance table of"
-               f" 3515897025 cells passes the limit of {MAX_CELLS}")
+    # 2 points at depth 5: 30,830,258 terms
+    MESSAGE = f"universe: depth 5 has 30830258 terms, more than the limit of {MAX_TERMS}"
 
     def test_refused_before_enumeration(self, monkeypatch):
-        assert universe_size(UF_SIG, self.CARRIER, 4) == 59_295
-        half = tuple(tuple(0 if i == j else 2 for j in range(3)) for i in range(3))
-        target = FuzzySpace(EpsGrid(4), self.CARRIER, half)
+        assert universe_size(UF_SIG, ("a", "b"), 5) == 30_830_258
         _refuse_enumeration(monkeypatch)
         with pytest.raises(BudgetExceeded) as exc:
-            saturate(UF_SIG, Theory("E", ()), MET, target, 4)
+            saturate(UF_SIG, Theory("E", ()), MET, _space(2), 5)
         assert str(exc.value) == self.MESSAGE
 
     def test_cli_exit_two(self, monkeypatch, capsys, tmp_path):
-        ws = {
-            "grid": 4,
-            "signature": {"ops": {"u": 1, "f": 2}},
-            "spec": {"preset": "MET"},
-            "budgets": {"depth": 4},
-            "spaces": {"ABC": {
-                "carrier": list(self.CARRIER),
-                "dist": [["0" if i == j else "1/2" for j in range(3)] for i in range(3)],
-            }},
-            "theories": {"EMPTY": []},
-            "algebras": {},
-        }
-        path = tmp_path / "deep.json"
-        path.write_text(json.dumps(ws), encoding="utf-8")
+        path = _workspace(tmp_path, "MET", 2, 5)
         _refuse_enumeration(monkeypatch)
-        code = main(["--workspace", str(path), "distance", "--theory", "EMPTY",
-                     "--target", "ABC", "--lhs", "a", "--rhs", "b"])
+        code = main(["--workspace", path, "distance", "--theory", "EMPTY",
+                     "--target", "S", "--lhs", "a", "--rhs", "b"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {self.MESSAGE}\n")

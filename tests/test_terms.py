@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qeqlog.errors import TrivialPair, UnknownVariable
+from qeqlog.errors import QeqlogError, TrivialPair, UnknownVariable
 from qeqlog.terms import (
+    MAX_COMPILED_DEPTH,
     App,
     Signature,
     Var,
@@ -108,6 +109,17 @@ class TestCompileTerm:
     def test_unknown_variable_is_refused_when_compiled(self):
         with pytest.raises(UnknownVariable):
             compile_term(App("u", (Var("y"),)), ("x",), self.TABLES)
+
+    def test_depth_limit(self):
+        def nested(levels):
+            t = Var("x")
+            for _ in range(levels - 1):
+                t = App("u", (t,))
+            return t
+        tables = {"u": {(0,): 0}}
+        assert compile_term(nested(MAX_COMPILED_DEPTH), ("x",), tables)((0,)) == 0
+        with pytest.raises(QeqlogError, match=f"more than {MAX_COMPILED_DEPTH} levels deep"):
+            compile_term(nested(MAX_COMPILED_DEPTH + 1), ("x",), tables)
 
 
 class TestEnumerateUniverse:
@@ -276,6 +288,17 @@ class TestParseAndPrint:
         sig = Signature.of({"f": 2})
         t = parse_term("f(a,f(b,a))", sig, ["a", "b"])
         assert t == App("f", (Var("a"), App("f", (Var("b"), Var("a")))))
+
+    @pytest.mark.parametrize("levels", [500, 5000])
+    def test_deep_terms(self, levels):
+        # past the interpreter's recursion limit: each walk keeps its own stack
+        sig = Signature.of({"f": 2, "u": 1, "c": 0})
+        text = "f(u(" * levels + "a" + "),c)" * levels
+        t = parse_term(text, sig, ["a"])
+        assert term_to_str(t) == text
+        assert term_depth(t) == 2 * levels + 1
+        with pytest.raises(ValueError, match="^arity mismatch for 'u'$"):
+            parse_term(text.replace("a", "a,a"), sig, ["a"])
 
 
 class TestSignature:
