@@ -155,25 +155,27 @@ def cmd_free(ws: Workspace, args) -> int:
     theory = _named("theory", ws.theories, args.theory)
     space = _named("space", ws.spaces, args.space)
     fa = build_free(ws.sig, theory, ws.spec, space, ws.depth, ws.budget_instances)
+    names = fa.space.carrier
     ops = {}
     overflow_count = 0
     for op, table in sorted(fa.optable.items()):
         entry = {}
         for argtuple, res in sorted(table.items()):
-            key = ",".join(fa.class_name(a) for a in argtuple)
+            key = ",".join([names[a] for a in argtuple])
             if res is OVERFLOW:
                 entry[key] = "overflow"
                 overflow_count += 1
             else:
-                entry[key] = fa.class_name(res)
+                entry[key] = names[res]
         ops[op] = entry
     model_report = check_free_is_model(fa, theory, ws.spec, ws.budget_interps)
+    labels = [ws.grid.format(v) for v in ws.grid.values()]
     report = _base_report(
         ws,
-        classes=[fa.class_name(c) for c in range(len(fa.classes))],
-        delta=[[ws.grid.format(v) for v in row] for row in fa.delta],
+        classes=list(names),
+        delta=[[labels[v] for v in row] for row in fa.delta],
         ops=ops,
-        unit={a: fa.class_name(c) for a, c in sorted(fa.unit.items())},
+        unit={a: names[c] for a, c in sorted(fa.unit.items())},
         model_check={
             "checked": model_report.checked,
             "skipped_overflow": model_report.skipped_overflow,

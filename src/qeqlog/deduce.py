@@ -12,15 +12,35 @@ only when every produced term stays within the depth bound, so derivability is
 sound but possibly incomplete for the unbounded term algebra; raising the
 depth never removes derivations.
 
-The Horn step is delta-driven and order-preserving. A clause's conclusion is
-monotone in its premise distances, and distances only fall, so an instance
-that failed or fired cannot fire again until one of its premise cells is
-written. Each pass of a clause therefore evaluates only the tuples on cells
-written since its previous pass began (the event list is the write log),
-plus the later tuples that its own writes and merges reach, in the product
-order of a full pass, joining a written cell only with the roots near it
-(:func:`_on_cell`). It records the same events as evaluating every tuple,
-and only the count of instances considered falls.
+All three rule steps are delta-driven and order-preserving: each evaluates
+only what the merges and writes since its previous run can have changed, in
+the order of evaluating everything, so it records the same events, and only
+the count of instances considered falls.
+
+- Horn clauses. A clause's conclusion is monotone in its premise distances,
+  and distances only fall, so an instance that failed or fired cannot fire
+  again until one of its premise cells is written. A pass of a clause
+  evaluates the tuples on cells written since its previous pass began (the
+  event list is the write log), plus the later tuples that its own writes
+  and merges reach, in the product order of a full pass, joining a written
+  cell only with the roots near it (:func:`_on_cell`).
+- Congruence. An application's key is its operation over the roots of its
+  arguments. A root is the least id of its class, and ids ascend by depth,
+  then by argument ids, so the application over a key's own roots is in the
+  universe and is the least under the key; a step merges every application
+  under a key with it. A key changes only when a class loses its root, and
+  then the least application under the old key, which is over that root
+  itself (``_uses``), is re-keyed to the new key. Every other application
+  under the old key is already in its class and comes later, so a full
+  step would skip it. A step therefore re-keys only the applications over
+  the ids that lost their root since the previous step took its keys.
+- Substitution. Over a fixed tuple of roots, both sides of an axiom are
+  fixed ids; the conclusion's cell can only fall, and a merge can only make
+  the two sides one class. So an instance that failed or fired can fire
+  later only once one of its premise cells, those at a context distance
+  below 1, is written. After an axiom's first pass, a pass starts from the
+  tuples on cells written since its previous pass began, and an axiom with
+  no premise below 1 needs its first pass only (:func:`_subst_pass`).
 """
 from __future__ import annotations
 
@@ -52,6 +72,7 @@ from .terms import (
     fold_nodes,
     term_depth,
     term_to_str,
+    term_vars,
     universe_nodes,
     universe_size,
 )
@@ -73,6 +94,13 @@ class RuleInstance(Record):
     detail: str | None
     premises: tuple
     conclusion: tuple
+
+    def __init__(self, rule: str, detail: str | None, premises: tuple, conclusion: tuple):
+        # one per event, nearly all of them merges: a fourth of the
+        # generic field loop's cost
+        fields = self.__dict__
+        fields["rule"], fields["detail"] = rule, detail
+        fields["premises"], fields["conclusion"] = premises, conclusion
 
 
 class TraceNode(Record):
@@ -117,6 +145,13 @@ class DerivationDB:
     cells below q; a merge folds only those, so it costs the loser's derived
     distances, not the class count. A universe of more than ``MAX_TERMS``
     terms is refused before it is enumerated.
+
+    Use-lists hold, for each id that is an argument, the applications over
+    it; they are fixed by the universe, and only the ids with parents have
+    one. A merge appends the loser's use-list to a dirty list, which the next
+    congruence step re-keys and empties. The step needs no record of the
+    keys it has seen: the least application under a key is the one over the
+    key's roots, found in the hashcons.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
@@ -138,9 +173,16 @@ class DerivationDB:
         # op -> (argument ids -> id)
         self._hashcons: dict[str, dict[tuple[int, ...], int]] = {op: {} for op, _ in sig.ops}
         self.var_ids = {name: i for i, (name, args) in enumerate(self._nodes) if args is None}
+        # per id with parents, the applications over it
+        self._uses: dict[int, list[int]] = {}
         for i, (name, args) in enumerate(self._nodes):
             if args is not None:
                 self._hashcons[name][args] = i
+                for a in args:
+                    self._uses.setdefault(a, []).append(i)
+        # the applications over the ids that lost their root since the last
+        # congruence step took its keys
+        self._dirty: list[int] = []
         self._parent = list(range(n))
         self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.dmin: dict[int, int] = {}
@@ -154,6 +196,7 @@ class DerivationDB:
         self._phase = "USEVAR"
         # per clause, the event count when its previous Horn pass began
         self._horn_since: list[int | None] = [None] * len(spec.clauses)
+        self._subst_since: list[int | None] = [None] * len(theory.judgments)
         self._axiom_events: list[int] = []
 
     # --- union-find with a proof forest ---
@@ -172,8 +215,6 @@ class DerivationDB:
         return [i for i, p in enumerate(self._parent) if p == i]
 
     def _lookup(self, t: Term) -> int | None:
-        if term_depth(t) > self.depth:
-            return None
         try:
             return self.subst_index(self.var_ids, t)
         except UnknownVariable:
@@ -202,11 +243,39 @@ class DerivationDB:
         ``apply_subst`` over the same terms whenever that term is in it. A
         variable missing from ``sigma`` raises :class:`UnknownVariable`.
         """
-        return compile_term(t, tuple(sigma), self._hashcons)(tuple(sigma.values()))
+        return self.compiled(t, tuple(sigma))(tuple(sigma.values()))
+
+    def compiled(self, t: Term, names: tuple[str, ...]):
+        """``t`` as a function of one id per name: the id of ``t`` with
+        ``names[k]`` replaced by the term with the k-th id, or None when it
+        is outside the universe. A term deeper than the universe is outside
+        it under every substitution, and is not compiled; a variable not in
+        ``names`` raises :class:`UnknownVariable` all the same."""
+        if term_depth(t) <= self.depth:
+            return compile_term(t, names, self._hashcons)
+        stray = term_vars(t).difference(names)
+        if stray:
+            raise UnknownVariable(min(stray))
+        return lambda ids: None
 
     def fold(self, leaf, node) -> list:
         """One value per universe id: :func:`~qeqlog.terms.fold_nodes`."""
         return fold_nodes(self._nodes, leaf, node)
+
+    def terms(self, ids) -> list[Term]:
+        """The term of each id in ``ids``, building only their subterms."""
+        nodes, need, todo = self._nodes, set(), list(ids)
+        while todo:
+            i = todo.pop()
+            if i not in need:
+                need.add(i)
+                todo.extend(nodes[i][1] or ())
+        built: dict[int, Term] = {}
+        # an argument id is below its application's
+        for i in sorted(need):
+            name, args = nodes[i]
+            built[i] = Var(name) if args is None else App(name, tuple([built[a] for a in args]))
+        return [built[i] for i in ids]
 
     @cached_property
     def universe(self) -> tuple[Term, ...]:
@@ -264,6 +333,7 @@ class DerivationDB:
         winner, loser = min(ri, rj), max(ri, rj)
         parent, get, n, q = self._parent, self.dmin.get, self._n, self.grid.q
         parent[loser] = winner
+        self._dirty += self._uses.get(loser, ())
         if loser not in self._near:
             # every cell of the loser reads q, so it lowers nothing
             return True
@@ -412,19 +482,25 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
 
 
 def _step_cong(db: DerivationDB) -> bool:
+    """Merge the applications that share a key, an operation over argument
+    roots, re-keying only the applications over the ids that lost their
+    root since the last step (:meth:`DerivationDB._merge`)."""
     db._phase = "CONG"
+    dirty, db._dirty = sorted(set(db._dirty)), []
     changed = False
     groups: dict[tuple, list[int]] = {}
     nodes, find = db._nodes, db.find
-    for idx, (op, args) in enumerate(nodes):
-        if args:
-            groups.setdefault((op, tuple([find(a) for a in args])), []).append(idx)
-    for (op, _), members in sorted(groups.items()):
-        first = members[0]
-        for other in _counted(db, members[1:]):
-            if db.same(first, other):
+    for idx in dirty:
+        op, args = nodes[idx]
+        groups.setdefault((op, tuple([find(a) for a in args])), []).append(idx)
+    for (op, roots), members in sorted(groups.items()):
+        # the application over the key's roots is in the universe and is the
+        # least under the key, and no merge has re-keyed it
+        first = db._hashcons[op][roots]
+        for other in _counted(db, members):
+            if find(first) == find(other):
                 continue
-            premises = tuple(("eq", x, y) for x, y in zip(nodes[first][1], nodes[other][1]))
+            premises = tuple([("eq", x, y) for x, y in zip(roots, nodes[other][1])])
             changed |= db._merge(first, other, "CONG", op, premises)
     return changed
 
@@ -455,7 +531,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     pass records.
     """
     changed = False
-    dmin, n, find, parent = db.dmin, db._n, db.find, db._parent
+    dmin, n, find = db.dmin, db._n, db.find
     compiled = compile_clause(clause, db.grid.q)
     _, vectors, prems, cx, cy, conc_bounds = compiled
     merging = conc_bounds is None
@@ -468,13 +544,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     if since is None and _fires_at_top(clause, db.grid.q):
         queue.add(_tied(arity, prems, root_list))
     else:
-        # a cell between roots is written under their ids
-        written = set()
-        for ev in db.events[since or 0:]:
-            c = ev.conclusion
-            if c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]:
-                written.add((c[1], c[2]))
-        for a, b in written:
+        for a, b in _written(db, since or 0):
             queue.add(*_on_cell(db, arity, cells, links, a, b, root_list))
     # only a merging clause turns members of root_list into non-roots
     for assignment, reps, pvec, vals in clause_failures(
@@ -504,6 +574,18 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
             db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
             queue.add(*_on_cell(db, arity, cells, links, x, y, root_list))
     return changed
+
+
+def _written(db: DerivationDB, since: int) -> set[tuple[int, int]]:
+    """The root pairs whose cells the events from ``since`` on wrote: a cell
+    between roots is written under their ids."""
+    parent = db._parent
+    written = set()
+    for ev in db.events[since:]:
+        c = ev.conclusion
+        if c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]:
+            written.add((c[1], c[2]))
+    return written
 
 
 def _counted(db: DerivationDB, items, per_item: int = 1):
@@ -639,34 +721,79 @@ class _Worklist:
 
 def _step_subst(db: DerivationDB) -> bool:
     changed = False
-    dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     for ax_i, j in enumerate(db.theory.judgments):
         db._phase = f"SUBST:{db.theory.name}[{ax_i}]"
-        ctx = j.context
-        cols = db.roots()
+        since, db._subst_since[ax_i] = db._subst_since[ax_i], len(db.events)
+        changed |= _subst_pass(db, ax_i, j, since)
+    return changed
+
+
+def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> bool:
+    """One pass of an axiom over the tuples of the roots, in product order.
+
+    ``since`` is the event count when the axiom's previous pass began, None
+    before its first, which searches every tuple (:func:`images_within`).
+    Any other pass starts from the tuples with a premise pair, two points at
+    a context distance below 1, on a cell written since then, joined through
+    the near-cell index. A merge the pass derives maps the members of the
+    merged class onto its root, as the search does, so it queues the later
+    tuples that hold one. A tuple counts as an instance when it passes its
+    premises as it is reached, as in the search.
+    """
+    changed = False
+    dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
+    ctx, merging = j.context, j.eps is None
+    arity = len(ctx.carrier)
+    if since is not None:
+        pairs = [(x, y, d) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
+        # a cell above every premise bound starts no instance
+        top = max((d for _, _, d in pairs), default=-1)
+        written = [(a, b) for a, b in _written(db, since) if dmin.get(a * n + b, q) <= top]
+        if not written:
+            return False
+    left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
+    cols = db.roots()
+    if since is None:
         rows = [r * n for r in cols]
-        left, right = (compile_term(side, ctx.carrier, db._hashcons) for side in (j.lhs, j.rhs))
-        for images in _counted(db, images_within(ctx.dist, dmin, q, rows, cols)):
-            chosen = [cols[b] for b in images]
-            li = left(chosen)
-            ri = li if li is None else right(chosen)
-            # build premises only for a new conclusion, as _merge and _lower
-            # would record nothing for the others
-            if ri is None or (db.same(li, ri) if j.eps is None
-                              else j.eps >= dmin.get(find(li) * n + find(ri), q)):
-                continue
-            premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
-                ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
-            )
-            changed = True
-            if j.eps is None:
-                db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
+        assignments = ([cols[b] for b in images]
+                       for images in images_within(ctx.dist, dmin, q, rows, cols))
+    else:
+        cells = [(x, y) for x, y, _ in pairs]
+        links = [link for x, y, _ in pairs if x != y for link in ((x, y), (y, x))]
+        pool = tuple(cols)
+        queue = _Worklist()
+        for a, b in written:
+            queue.add(*_on_cell(db, arity, cells, links, a, b, pool))
+        assignments = (chosen for chosen in (list(map(find, t)) for t in queue)
+                       if all(dmin.get(chosen[x] * n + chosen[y], q) <= d for x, y, d in pairs))
+    for chosen in _counted(db, assignments):
+        li = left(chosen)
+        ri = li if li is None else right(chosen)
+        # build premises only for a new conclusion, as _merge and _lower
+        # would record nothing for the others
+        if ri is None or (db.same(li, ri) if merging
+                          else j.eps >= dmin.get(find(li) * n + find(ri), q)):
+            continue
+        premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
+            ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
+        )
+        changed = True
+        if merging:
+            db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
+            if since is None:
                 # the search reads cells when it reaches them, so the
                 # assignments after a merge see the merged class
                 cols[:] = map(find, cols)
                 rows[:] = [r * n for r in cols]
             else:
-                db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
+                w = find(li)
+                members = tuple(r for r in pool if find(r) == w)
+                queue.add(*(itertools.product(*(members if p == k else pool for k in range(arity)))
+                            for p in range(arity)))
+        else:
+            db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
+            if since is not None:
+                queue.add(*_on_cell(db, arity, cells, links, find(li), find(ri), pool))
     return changed
 
 

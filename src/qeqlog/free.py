@@ -5,7 +5,7 @@ representative; the induced distance table is the saturated minimal-distance
 matrix read off on representatives. Below the API a term is its universe id
 in the saturated database, which builds no tree: substitution runs a term
 compiled over its hashcons, and a value per term comes from one bottom-up
-pass over the ids. Only ``classes`` reads the representatives' trees.
+pass over the ids. Only ``classes`` builds trees: the representatives' own.
 Operation tables are partial: entries whose canonical application exceeds
 the depth bound hold the ``OVERFLOW`` sentinel, and every check over the
 algebra reports how many instances were skipped for that reason.
@@ -89,17 +89,21 @@ class FreeAlgebra:
             if base.budget is not None and entries > base.budget:
                 raise BudgetExceeded(f"free algebra over {len(roots)} classes: the tables up to"
                                      f" {op} hold {entries} entries, more than the budget of {base.budget}")
-        self.classes: tuple[Term, ...] = tuple(base.universe[r] for r in roots)
-        self._root_to_class = {r: c for c, r in enumerate(roots)}
+        self.classes: tuple[Term, ...] = tuple(base.terms(roots))
+        self._root_to_class = root_to_class = {r: c for c, r in enumerate(roots)}
+        # the cells below q, read as DerivationDB.cell reads them; saturate
+        # leaves every union-find entry on its root
+        cell, n, q, parent = base.dmin.get, base._n, base.grid.q, base._parent
         self.delta: tuple[tuple[int, ...], ...] = tuple(
-            tuple(base.cell(r1, r2) for r2 in roots) for r1 in roots
+            tuple([cell(r1 * n + r2, q) for r2 in roots]) for r1 in roots
         )
         self.optable: dict[str, dict[tuple[int, ...], int | _Overflow]] = {}
         for op, arity in base.sig.ops:
             table: dict[tuple[int, ...], int | _Overflow] = {}
+            app = base._hashcons[op].get
             for args in itertools.product(range(len(roots)), repeat=arity):
-                i = base.app_index(op, tuple(roots[a] for a in args))
-                table[args] = OVERFLOW if i is None else self.class_at(i)
+                i = app(tuple([roots[a] for a in args]))
+                table[args] = OVERFLOW if i is None else root_to_class[parent[i]]
             self.optable[op] = table
         self.unit: dict[str, int] = {a: self.class_at(base.var_ids[a]) for a in base.target.carrier}
         symbols = frozenset(base.sig.symbols)

@@ -1,8 +1,9 @@
 """The naive round loop of the saturation engine, kept as its reference.
 
 ``saturate`` with ``_step_cong``, ``_step_horn`` and ``_step_subst`` as they
-were before the Horn step became delta-driven: every round instantiates every
-clause over every tuple of class representatives. It shares the
+were before the engine's steps became delta-driven: every round re-keys every
+application, and instantiates every clause and every axiom over every tuple
+of class representatives. It shares the
 ``DerivationDB`` primitives (union-find, merge fold, distance writes) with the
 engine, so a difference between the two is a difference of the round loop.
 The recorded saturation fixture gates this loop on every field, the

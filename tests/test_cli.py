@@ -385,6 +385,28 @@ class TestErrors:
         assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
                    "--lhs", lhs, "--rhs", "b") == (2, "", f"error: trailing tokens in {lhs!r}\n")
 
+    # an axiom deeper than the universe has no instance in it, so saturation
+    # never evaluates it; a model check must
+    DEEP = [{"context": "X0", "lhs": "u(" * 500 + "x" + ")" * 500, "rhs": "x", "eps": "1/4"}]
+
+    def test_deep_axiom_has_no_instance_in_the_universe(self, capsys, tmp_path):
+        path = _edited(tmp_path, ["theories", "DEEP"], self.DEEP)
+        for theory in ("DEEP", "EMPTY"):
+            assert run_json(capsys, "--workspace", path, "distance", "--theory", theory,
+                            "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+                0, {"depth": 3, "distance": "1/2", "grid": 4, "skipped_overflow": 0})
+        # the free algebra's model check skips the axiom as overflowing
+        code, report = run_json(capsys, "--workspace", path, "free", "--theory", "DEEP",
+                                "--space", "AB")
+        assert code == 0 and report["model_check"] == {
+            "checked": 0, "failed": 0, "skipped_overflow": len(report["classes"])}
+
+    def test_deep_axiom_is_evaluated_by_a_model_check(self, capsys, tmp_path):
+        path = _edited(tmp_path, ["theories", "DEEP"], self.DEEP)
+        assert run(capsys, "--workspace", path, "check-model", "--algebra", "swap",
+                   "--theory", "DEEP") == (
+            2, "", "error: a term nested more than 200 levels deep cannot be evaluated\n")
+
     @pytest.mark.parametrize("key", ["depth", "instances", "interpretations"])
     @pytest.mark.parametrize("value", [True, 2.5, "2.5", "many", [3], {"n": 3}])
     def test_non_integral_budget_is_an_error(self, capsys, tmp_path, key, value):

@@ -1,10 +1,11 @@
-"""The delta-driven Horn step against the naive round loop it replaces.
+"""The delta-driven saturation steps against the naive round loop they replace.
 
-``reference_engine.saturate`` evaluates every clause instance in every round.
-The engine evaluates only instances that a written cell or a merge can have
-changed, in the same order, so it must record the very same events, minimal
-distances, distance history and merge forest, raise the same error, and
-consider no more instances.
+``reference_engine.saturate`` evaluates every clause instance, every
+congruence key and every axiom substitution in every round. The engine
+evaluates only instances that a written cell or a merge can have changed, in
+the same order, so it must record the very same events, minimal distances,
+distance history and merge forest, raise the same error, and consider no
+more instances.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import _fires_at_top, _links, _tied, _Worklist, saturate
+from qeqlog.deduce import (DerivationDB, _fires_at_top, _links, _step_cong, _tied, _Worklist,
+                           saturate)
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -40,7 +42,7 @@ import reference_engine
 from conftest import random_frel_space, random_met_space, random_space, random_term
 from test_deduce import _universe_size
 from test_deduce_custom_specs import HALVING, MIXED, OFF_GRID_BEHIND_ZERO, SHARED_PARAM
-from test_saturation_golden import MET_EQ_PREMISE, PMET_GRID_EQ, ZEQ_CHAIN
+from test_saturation_golden import CASES, MET_EQ_PREMISE, PMET_GRID_EQ, ZEQ_CHAIN
 
 SIGS = (
     Signature.of({"u": 1}),
@@ -275,6 +277,85 @@ class TestNearJoinScale:
         theory = Theory("Q", (Judgment(ctx, App("u", (Var("x"),)), Var("x"), 1),))
         db = saturate(self.SIG, theory, MET, three, 3, budget=10_000)
         assert (len(db.universe), len(db.events)) == (243, 298)
+
+
+class TestCongruenceAndSubstitution:
+    # shapes whose work is congruence and substitution rather than Horn
+    # clauses: the benchmark's CI theory over FREL, whose congruence merges
+    # 1,446 terms into 63 classes at depth 4, and merges of u(a) and u(b)
+    # into a constant whose folds read cells in a fixed order
+    @pytest.mark.parametrize("case_id", ["equational-CI-T-d3", "equational-CI-T-d4",
+                                         "fold-COLUMN", "fold-ROWS"])
+    def test_recorded_shapes(self, case_id):
+        assert_same_saturation(*CASES[case_id])
+
+    # u(x) =1/4 x over a MET target: substitution writes a cell in every
+    # round, and the Horn step spreads it
+    @pytest.mark.parametrize("sig_i, points, depth", [(0, 2, 4), (2, 2, 3), (3, 1, 3)])
+    def test_quarter_axiom(self, sig_i, points, depth):
+        grid = EpsGrid(4)
+        x0 = FuzzySpace(grid, ("x",), ((0,),))
+        theory = Theory("Q", (Judgment(x0, App("u", (Var("x"),)), Var("x"), 1),))
+        target = FuzzySpace(grid, ("a", "b")[:points],
+                            tuple(row[:points] for row in ((0, 2), (2, 0))[:points]))
+        assert_same_saturation(SIGS[sig_i], theory, MET, target, depth)
+
+    # FREL over {u/1, c/0} and one point a at distance 1 from itself, so
+    # that only axioms write self-distances: ids a, c, u(a), u(c), u(u(a)),
+    # u(u(c)) are 0..5
+    LOOSE = FuzzySpace(EpsGrid(4), ("y",), ((4,),))
+    TIGHT = FuzzySpace(EpsGrid(4), ("y",), ((0,),))
+    Y, C = Var("y"), App("c", ())
+
+    def _lone_point(self, *axioms) -> list[tuple]:
+        theory = Theory("AX", axioms)
+        target = FuzzySpace(EpsGrid(4), ("a",), ((4,),))
+        assert_same_saturation(SIGS[2], theory, FREL, target, 3)
+        return [ev.conclusion for ev in saturate(SIGS[2], theory, FREL, target, 3).events
+                if ev.rule == "SUBST"]
+
+    def test_merge_mid_pass_maps_a_later_column_onto_the_winner(self):
+        # in round 1, axiom 0 writes d(4, 4) = 0 before axiom 1's first pass,
+        # and axiom 2 writes d(2, 2) and d(3, 3) after it. Axiom 1's second
+        # pass starts from tuples 2 and 3 only; at 2 it merges u(u(a)) into
+        # c, whose fold writes d(c, c) = 0. Tuple 4 now stands for c, so a
+        # full pass derives u(c) = c there, before axiom 3 would bound
+        # d(u(c), c) in round 2: the pass must queue it
+        u_y, uu_y = App("u", (self.Y,)), App("u", (App("u", (self.Y,)),))
+        conclusions = self._lone_point(
+            Judgment(self.LOOSE, uu_y, uu_y, 0), Judgment(self.TIGHT, u_y, self.C, None),
+            Judgment(self.LOOSE, u_y, u_y, 0), Judgment(self.TIGHT, u_y, self.C, 1))
+        assert [c for c in conclusions if c[0] == "eq"] == [("eq", 4, 1), ("eq", 5, 1), ("eq", 3, 1)]
+
+    def test_write_mid_pass_reaches_a_later_tuple(self):
+        # axiom 1 writes d(c, c) = 0 after axiom 0's first pass, so axiom 0's
+        # second pass starts from c alone; its write d(u(c), u(c)) = 0 must
+        # queue u(c) in the same pass, before axiom 2 bounds d(u(u(c)), c)
+        u_y = App("u", (self.Y,))
+        assert self._lone_point(
+            Judgment(self.TIGHT, u_y, u_y, 0), Judgment(self.LOOSE, self.C, self.C, 0),
+            Judgment(self.TIGHT, u_y, self.C, 1)) == [
+            ("dist", 1, 1, 0), ("dist", 3, 1, 1), ("dist", 3, 3, 0), ("dist", 5, 5, 0),
+            ("dist", 5, 1, 1)]
+
+    def test_application_re_keyed_in_successive_steps(self):
+        # f(c, b) is re-keyed when c merges into a and again when b does;
+        # each congruence step matches the naive one on the same database
+        sig = Signature.of({"f": 2})
+        target = FuzzySpace(EpsGrid(2), ("a", "b", "c"), ((0,) * 3,) * 3)
+        db, ref = (DerivationDB(sig, Theory("E", ()), FREL, target, 2, None) for _ in range(2))
+        index = {t: i for i, t in enumerate(ref.universe)}
+        children = [tuple(index[a] for a in getattr(t, "args", ())) for t in ref.universe]
+        fcb = db.app_index("f", (2, 1))
+        for loser in (2, 1, None):
+            for d in (db, ref):
+                if loser is not None:
+                    d._merge(0, loser, "TEST", None, ())
+            assert (fcb in db._dirty) is (loser is not None)
+            assert _step_cong(db) is reference_engine._step_cong(ref, children)
+            assert (db.events, db._forest, db.roots()) == (ref.events, ref._forest, ref.roots())
+            assert db.instances <= ref.instances
+        assert db.roots() == [0, 3]
 
 
 class TestTied:
