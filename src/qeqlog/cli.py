@@ -59,8 +59,7 @@ class Workspace(Record):
 
 def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:
     """The workspace in a JSON file; JSON of the wrong shape is a QeqlogError."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path, "workspace", inline=False)
     try:
         if overrides.grid is not None:
             obj["grid"] = overrides.grid
@@ -75,6 +74,19 @@ def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:
         raise QeqlogError(f"malformed workspace: {exc}") from None
 
 
+def _read_json(source: str, what: str, inline: bool):
+    """The JSON value of ``source``, the text itself if ``inline``, else the
+    file at that path. JSON nested past the decoder's recursion limit is a
+    QeqlogError, not a traceback."""
+    try:
+        if inline:
+            return json.loads(source)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise QeqlogError(f"{what} JSON is nested too deeply") from None
+
+
 def _named(kind: str, table: dict, name: str):
     if name not in table:
         raise QeqlogError(f"unknown {kind} {name!r}")
@@ -83,78 +95,51 @@ def _named(kind: str, table: dict, name: str):
 
 def _judgment(ws: Workspace, raw: str) -> Judgment:
     """A judgment given inline as JSON or as the path of a JSON file."""
-    if raw.lstrip().startswith("{"):
-        obj = json.loads(raw)
-    else:
-        with open(raw, encoding="utf-8") as fh:
-            obj = json.load(fh)
+    obj = _read_json(raw, "judgment", inline=raw.lstrip().startswith("{"))
     try:
         return Judgment.from_json(obj, ws.sig, ws.grid, ws.spaces)
     except (TypeError, AttributeError) as exc:
         raise QeqlogError(f"malformed judgment: {exc}") from None
 
 
-def _emit(report: dict, code: int) -> int:
-    print(json.dumps(report, sort_keys=True, indent=2))
-    return code
-
-
-def _base_report(ws: Workspace, **extra) -> dict:
-    out = {"grid": ws.grid.q, "depth": ws.depth, "skipped_overflow": 0}
-    out.update(extra)
+def _report(ws: Workspace, laws=(), **fields) -> dict:
+    """The shared fields, the law reports with their overflow skips summed, then ``fields``."""
+    out = {"grid": ws.grid.q, "depth": ws.depth,
+           "skipped_overflow": sum(r.skipped_overflow for r in laws)}
+    if laws:
+        out["laws"] = [r.to_json() for r in laws]
+    out.update(fields)
     return out
 
 
-def _laws_report(ws: Workspace, reports, **extra) -> dict:
-    out = _base_report(ws, laws=[r.to_json() for r in reports], **extra)
-    out["skipped_overflow"] = sum(r.skipped_overflow for r in reports)
-    return out
+def cmd_check_model(ws: Workspace, args) -> tuple[dict, bool]:
+    failure = first_failure(args.algebra, ws.spec, args.theory, ws.budget_interps)
+    if failure is None:
+        return _report(ws, model=True), True
+    j, tau = failure
+    return _report(ws, model=False,
+                   counterexample={"judgment": j.describe(), "interpretation": tau}), False
 
 
-def cmd_check_model(ws: Workspace, args) -> int:
-    alg = _named("algebra", ws.algebras, args.algebra)
-    theory = _named("theory", ws.theories, args.theory)
-    failure = first_failure(alg, ws.spec, theory, ws.budget_interps)
-    if failure is not None:
-        j, tau = failure
-        report = _base_report(
-            ws, model=False,
-            counterexample={"judgment": j.describe(), "interpretation": tau},
-        )
-        return _emit(report, 1)
-    return _emit(_base_report(ws, model=True), 0)
-
-
-def cmd_derive(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
-    target = _named("space", ws.spaces, args.target)
+def cmd_derive(ws: Workspace, args) -> tuple[dict, bool]:
     j = _judgment(ws, args.judgment)
-    db = saturate(ws.sig, theory, ws.spec, target, ws.depth, ws.budget_instances)
+    db = saturate(ws.sig, args.theory, ws.spec, args.target, ws.depth, ws.budget_instances)
     ok = derives(db, j)
-    report = _base_report(
-        ws,
-        derivable=ok,
-        distance=str(distance(db, j.lhs, j.rhs)),
-    )
+    report = _report(ws, derivable=ok, distance=str(distance(db, j.lhs, j.rhs)))
     if args.trace and ok:
         report["trace"] = [trace(db, j).to_json()]
-    return _emit(report, 0 if ok else 1)
+    return report, ok
 
 
-def cmd_distance(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
-    target = _named("space", ws.spaces, args.target)
-    lhs = parse_term(args.lhs, ws.sig, target.carrier)
-    rhs = parse_term(args.rhs, ws.sig, target.carrier)
-    db = saturate(ws.sig, theory, ws.spec, target, ws.depth, ws.budget_instances)
-    report = _base_report(ws, distance=str(distance(db, lhs, rhs)))
-    return _emit(report, 0)
+def cmd_distance(ws: Workspace, args) -> tuple[dict, bool]:
+    lhs = parse_term(args.lhs, ws.sig, args.target.carrier)
+    rhs = parse_term(args.rhs, ws.sig, args.target.carrier)
+    db = saturate(ws.sig, args.theory, ws.spec, args.target, ws.depth, ws.budget_instances)
+    return _report(ws, distance=str(distance(db, lhs, rhs))), True
 
 
-def cmd_free(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
-    space = _named("space", ws.spaces, args.space)
-    fa = build_free(ws.sig, theory, ws.spec, space, ws.depth, ws.budget_instances)
+def cmd_free(ws: Workspace, args) -> tuple[dict, bool]:
+    fa = build_free(ws.sig, args.theory, ws.spec, args.space, ws.depth, ws.budget_instances)
     names = fa.space.carrier
     ops = {}
     overflow_count = 0
@@ -168,9 +153,9 @@ def cmd_free(ws: Workspace, args) -> int:
             else:
                 entry[key] = names[res]
         ops[op] = entry
-    model_report = check_free_is_model(fa, theory, ws.spec, ws.budget_interps)
+    model_report = check_free_is_model(fa, args.theory, ws.spec, ws.budget_interps)
     labels = [ws.grid.format(v) for v in ws.grid.values()]
-    report = _base_report(
+    report = _report(
         ws,
         classes=list(names),
         delta=[[labels[v] for v in row] for row in fa.delta],
@@ -181,50 +166,61 @@ def cmd_free(ws: Workspace, args) -> int:
             "skipped_overflow": model_report.skipped_overflow,
             "failed": model_report.failed,
         },
+        skipped_overflow=overflow_count,
     )
-    report["skipped_overflow"] = overflow_count
-    return _emit(report, 0 if model_report.failed == 0 else 1)
+    return report, model_report.failed == 0
 
 
-def cmd_entail(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
+def cmd_entail(ws: Workspace, args) -> tuple[dict, bool]:
     j = _judgment(ws, args.judgment)
     catalog = [_named("algebra", ws.algebras, name) for name in args.catalog.split(",") if name]
-    ok = entails_catalog(catalog, ws.spec, theory, j, ws.budget_interps)
-    report = _base_report(ws, entailed=ok, catalog_size=len(catalog))
-    return _emit(report, 0 if ok else 1)
+    ok = entails_catalog(catalog, ws.spec, args.theory, j, ws.budget_interps)
+    return _report(ws, entailed=ok, catalog_size=len(catalog)), ok
 
 
-def cmd_monad_laws(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
-    space = _named("space", ws.spaces, args.space)
-    mi = MonadInstance(ws.sig, theory, ws.spec, ws.depth, ws.budget_instances)
-    reports = check_monad_laws(mi, space)
-    ok = all(r.failed == 0 for r in reports)
-    return _emit(_laws_report(ws, reports), 0 if ok else 1)
+def cmd_monad_laws(ws: Workspace, args) -> tuple[dict, bool]:
+    mi = MonadInstance(ws.sig, args.theory, ws.spec, ws.depth, ws.budget_instances)
+    reports = check_monad_laws(mi, args.space)
+    return _report(ws, reports), all(r.failed == 0 for r in reports)
 
 
-def cmd_ump(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
-    space = _named("space", ws.spaces, args.space)
-    alg = _named("algebra", ws.algebras, args.algebra)
-    gen_map = json.loads(args.map)
-    fa = build_free(ws.sig, theory, ws.spec, space, ws.depth, ws.budget_instances)
-    res = check_ump(fa, alg, gen_map, ws.budget_interps)
-    report = _base_report(
-        ws, exists=res.exists, unique=res.unique, candidates=res.candidates
-    )
-    return _emit(report, 0 if res.exists and res.unique else 1)
+def cmd_ump(ws: Workspace, args) -> tuple[dict, bool]:
+    gen_map = _read_json(args.map, "generator map", inline=True)
+    fa = build_free(ws.sig, args.theory, ws.spec, args.space, ws.depth, ws.budget_instances)
+    res = check_ump(fa, args.algebra, gen_map, ws.budget_interps)
+    report = _report(ws, exists=res.exists, unique=res.unique, candidates=res.candidates)
+    return report, res.exists and res.unique
 
 
-def cmd_em_check(ws: Workspace, args) -> int:
-    theory = _named("theory", ws.theories, args.theory)
-    alg = _named("algebra", ws.algebras, args.algebra)
-    mi = MonadInstance(ws.sig, theory, ws.spec, ws.depth, ws.budget_instances)
-    rebuilt, reports = model_from_em(mi, em_from_model(mi, alg))
-    round_trip = rebuilt.ops == alg.ops
+def cmd_em_check(ws: Workspace, args) -> tuple[dict, bool]:
+    mi = MonadInstance(ws.sig, args.theory, ws.spec, ws.depth, ws.budget_instances)
+    rebuilt, reports = model_from_em(mi, em_from_model(mi, args.algebra))
+    round_trip = rebuilt.ops == args.algebra.ops
     ok = round_trip and all(r.failed == 0 for r in reports)
-    return _emit(_laws_report(ws, reports, round_trip=round_trip), 0 if ok else 1)
+    return _report(ws, reports, round_trip=round_trip), ok
+
+
+# Each subcommand: its name, handler, help line and options. The options that
+# name a workspace entry are looked up in the order listed, and the first
+# unknown name is the error; the handler gets the entries in their place and
+# returns (report, whether the queried property holds).
+COMMANDS = (
+    ("check-model", cmd_check_model, "does an algebra model a theory", "algebra theory"),
+    ("derive", cmd_derive, "is a judgment derivable at this depth", "theory target judgment trace"),
+    ("distance", cmd_distance, "minimal derived distance of two terms", "theory target lhs rhs"),
+    ("free", cmd_free, "build the free algebra over a space", "theory space"),
+    ("entail", cmd_entail, "catalog-restricted entailment check", "theory judgment catalog"),
+    ("monad-laws", cmd_monad_laws, "check unit and associativity laws", "theory space"),
+    ("ump", cmd_ump, "existence/uniqueness of the extension", "theory space algebra map"),
+    ("em-check", cmd_em_check, "structure-map laws and round trip", "theory algebra"),
+)
+
+# option -> (the workspace table it names an entry of, the kind of entry)
+NAMED = {"theory": ("theories", "theory"), "target": ("spaces", "space"),
+         "space": ("spaces", "space"), "algebra": ("algebras", "algebra")}
+# --trace is the one switch; every other option is required
+HELP = {"judgment": "inline JSON or a file path", "catalog": "comma-separated algebra names",
+        "map": "generator map as JSON"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,70 +230,33 @@ def build_parser() -> argparse.ArgumentParser:
         "quantitative equational theories over generalized metric spaces.",
     )
     parser.add_argument("--workspace", required=True, help="workspace JSON file")
-    parser.add_argument("--depth", type=int, default=None)
-    parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--budget-interps", type=int, default=None, dest="budget_interps")
-    parser.add_argument("--budget-instances", type=int, default=None, dest="budget_instances")
+    for flag in ("--depth", "--grid", "--budget-interps", "--budget-instances"):
+        parser.add_argument(flag, type=int)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-model", help="does an algebra model a theory")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--theory", required=True)
-    p.set_defaults(func=cmd_check_model)
-
-    p = sub.add_parser("derive", help="is a judgment derivable at this depth")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--judgment", required=True, help="inline JSON or a file path")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("distance", help="minimal derived distance of two terms")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("free", help="build the free algebra over a space")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=cmd_free)
-
-    p = sub.add_parser("entail", help="catalog-restricted entailment check")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--judgment", required=True)
-    p.add_argument("--catalog", required=True, help="comma-separated algebra names")
-    p.set_defaults(func=cmd_entail)
-
-    p = sub.add_parser("monad-laws", help="check unit and associativity laws")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=cmd_monad_laws)
-
-    p = sub.add_parser("ump", help="existence/uniqueness of the extension")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--space", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--map", required=True, help="generator map as JSON")
-    p.set_defaults(func=cmd_ump)
-
-    p = sub.add_parser("em-check", help="structure-map laws and round trip")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_em_check)
+    for name, handler, help_line, options in COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        for option in options.split():
+            if option == "trace":
+                p.add_argument("--trace", action="store_true")
+            else:
+                p.add_argument(f"--{option}", required=True, help=HELP.get(option))
+        p.set_defaults(func=handler, named=[o for o in options.split() if o in NAMED])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         ws = load_workspace(args.workspace, args)
-        return args.func(ws, args)
-    except (QeqlogError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        for option in args.named:
+            table, kind = NAMED[option]
+            setattr(args, option, _named(kind, getattr(ws, table), getattr(args, option)))
+        report, holds = args.func(ws, args)
+        print(json.dumps(report, sort_keys=True, indent=2))
+    except (QeqlogError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if holds else 1
 
 
 if __name__ == "__main__":

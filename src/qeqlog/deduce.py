@@ -561,15 +561,7 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
         x, y = reps[cx], reps[cy]
         if merging:
             db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
-            # every tuple holding a member of the merged class now
-            # reads that class's cells
-            w = find(x)
-            members = tuple(r for r in root_list if find(r) == w)
-            queue.add(*(
-                itertools.product(*(members if p == k else root_list
-                                    for k in range(arity)))
-                for p in range(arity)
-            ))
+            queue.add(*_on_class(find, find(x), arity, root_list))
         else:
             db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
             queue.add(*_on_cell(db, arity, cells, links, x, y, root_list))
@@ -672,6 +664,15 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
                     v = a if fixed == xp else b
                     choices[free] = sorted(r for r in near.get(v, ()) if parent[r] == r)
             yield itertools.product(*choices)
+
+
+def _on_class(find, w: int, arity: int, pool: tuple[int, ...]):
+    """Per position, the tuples over ``pool`` with a member of ``w``'s class
+    there, in ascending order: after a merge into ``w``, every such tuple
+    reads the merged class's cells."""
+    members = tuple(r for r in pool if find(r) == w)
+    return (itertools.product(*(members if p == k else pool for k in range(arity)))
+            for p in range(arity))
 
 
 class _Worklist:
@@ -786,10 +787,7 @@ def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> 
                 cols[:] = map(find, cols)
                 rows[:] = [r * n for r in cols]
             else:
-                w = find(li)
-                members = tuple(r for r in pool if find(r) == w)
-                queue.add(*(itertools.product(*(members if p == k else pool for k in range(arity)))
-                            for p in range(arity)))
+                queue.add(*_on_class(find, find(li), arity, pool))
         else:
             db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
             if since is not None:

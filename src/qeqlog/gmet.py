@@ -332,6 +332,11 @@ class _Bounds(dict):
         return value
 
 
+# the most grid vectors a clause with a compound parameterised premise is
+# tried at, refused before they are listed: about 0.1 GB of tuples
+MAX_GRID_VECTORS = 2**20
+
+
 def compile_clause(clause: HornClause, q: int):
     """(params, vectors, prems, cx, cy, conc_bounds) for one clause.
 
@@ -339,7 +344,8 @@ def compile_clause(clause: HornClause, q: int):
     position, solved parameter index or -1, bounds), and equality atoms have
     no bounds. Bare-parameter premises are solved from the one zero vector:
     the least parameter is the max of their distances. A compound
-    parameterised premise cannot be solved, so then every grid vector is tried.
+    parameterised premise cannot be solved, so then every grid vector is tried;
+    more than ``MAX_GRID_VECTORS`` of them are refused before any is built.
     """
     params = clause.param_names()
     solve = not any(
@@ -349,6 +355,10 @@ def compile_clause(clause: HornClause, q: int):
     if solve:
         vectors = [(0,) * len(params)]
     else:
+        count = (q + 1) ** len(params)
+        if count > MAX_GRID_VECTORS:
+            raise BudgetExceeded(f"clause {clause.name!r}: {count} grid vectors, "
+                                 f"more than the limit of {MAX_GRID_VECTORS}")
         vectors = list(itertools.product(range(q + 1), repeat=len(params)))
     pos = {v: k for k, v in enumerate(clause.vars)}
     prems = [

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
 import qeqlog.monad as monad
-from qeqlog.cli import main
+from qeqlog.cli import COMMANDS, main
 
 
 WS = str(pathlib.Path(__file__).parent / "fixtures" / "workspace.json")
@@ -441,6 +442,35 @@ class TestErrors:
         assert run(capsys, "--workspace", _edited(tmp_path, keys, value), *args) == (
             2, "", f"error: {stderr}\n")
 
+    # the decoder recurses once per nesting level
+    DEEP_JSON = "[" * 100_000
+
+    @pytest.mark.parametrize("what, args", [
+        ("generator map", ["ump", "--theory", "EMPTY", "--space", "AB", "--algebra", "swap",
+                           "--map", DEEP_JSON]),
+        ("judgment", ["derive", "--theory", "EMPTY", "--target", "AB", "--judgment",
+                      '{"context": "AB", "lhs": "a", "rhs": "b", "eps": ' + DEEP_JSON]),
+        ("workspace", ["free", "--theory", "EMPTY", "--space", "AB"]),
+    ])
+    def test_deeply_nested_json_is_an_error(self, capsys, tmp_path, what, args):
+        ws = WS
+        if what == "workspace":
+            ws = tmp_path / "deep.json"
+            ws.write_text('{"grid": ' + self.DEEP_JSON)
+        assert run(capsys, "--workspace", str(ws), "--depth", "2", *args) == (
+            2, "", f"error: {what} JSON is nested too deeply\n")
+
+    # d(x, y) <= e + f cannot be solved for e and f: at q = 4000 the clause
+    # would be tried at 4001^2 grid vectors, listed before any budget is read
+    def test_too_many_grid_vectors_is_an_error(self, capsys, tmp_path):
+        spec = {"clauses": [{"name": "sum", "vars": ["x", "y"],
+                             "premises": [{"dist": ["x", "y", {"plus": ["e", "f"]}]}],
+                             "conclusion": {"dist": ["y", "x", {"plus": ["e", "f"]}]}}]}
+        assert run(capsys, "--workspace", _edited(tmp_path, ["spec"], spec), "--grid", "4000",
+                   "--budget-instances", "1000", "distance", "--theory", "EMPTY",
+                   "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", "error: clause 'sum': 16008001 grid vectors, more than the limit of 1048576\n")
+
     # under a constant c, a carrier point c would read u(c) = c as an axiom
     # over a variable: named and inline contexts are refused alike
     @pytest.mark.parametrize("inline", [False, True])
@@ -459,3 +489,68 @@ class TestErrors:
                    "--target", "AB", "--judgment", j) == (
             2, "", "error: carrier element 'c' collides with an operation symbol\n")
 
+
+
+# a judgment, a map and a term that would each fail to parse: a name error
+# before them shows that the names are looked up first
+GOOD_J = json.dumps({"context": "AB", "lhs": "a", "rhs": "b"})
+
+
+class TestNameErrorOrder:
+    @pytest.mark.parametrize("args, stderr", [
+        (["check-model", "--algebra", "nope", "--theory", "nope"], "unknown algebra 'nope'"),
+        (["derive", "--theory", "nope", "--target", "nope", "--judgment", "{"],
+         "unknown theory 'nope'"),
+        (["distance", "--theory", "nope", "--target", "nope", "--lhs", "u(", "--rhs", "b"],
+         "unknown theory 'nope'"),
+        (["free", "--theory", "nope", "--space", "nope"], "unknown theory 'nope'"),
+        (["entail", "--theory", "nope", "--judgment", "{", "--catalog", "nope"],
+         "unknown theory 'nope'"),
+        (["monad-laws", "--theory", "nope", "--space", "nope"], "unknown theory 'nope'"),
+        (["ump", "--theory", "nope", "--space", "nope", "--algebra", "nope", "--map", "["],
+         "unknown theory 'nope'"),
+        (["em-check", "--theory", "nope", "--algebra", "nope"], "unknown theory 'nope'"),
+        (["check-model", "--algebra", "swap", "--theory", "nope"], "unknown theory 'nope'"),
+        (["derive", "--theory", "EMPTY", "--target", "nope", "--judgment", "{"],
+         "unknown space 'nope'"),
+        (["distance", "--theory", "EMPTY", "--target", "nope", "--lhs", "u(", "--rhs", "b"],
+         "unknown space 'nope'"),
+        (["ump", "--theory", "EMPTY", "--space", "nope", "--algebra", "nope", "--map", "["],
+         "unknown space 'nope'"),
+        (["ump", "--theory", "EMPTY", "--space", "AB", "--algebra", "nope", "--map", "["],
+         "unknown algebra 'nope'"),
+        (["entail", "--theory", "EMPTY", "--judgment", GOOD_J, "--catalog", "stay,W"],
+         "unknown algebra 'W'"),
+        (["entail", "--theory", "EMPTY", "--judgment", "{", "--catalog", "W"],
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["em-check", "--theory", "EMPTY", "--algebra", "nope"], "unknown algebra 'nope'"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_first_error_wins(self, capsys, args, stderr):
+        assert run(capsys, "--workspace", WS, *args) == (2, "", f"error: {stderr}\n")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, options", [
+        ("check-model", ["--algebra", "--theory"]),
+        ("derive", ["--theory", "--target", "--judgment", "--trace"]),
+        ("distance", ["--theory", "--target", "--lhs", "--rhs"]),
+        ("free", ["--theory", "--space"]),
+        ("entail", ["--theory", "--judgment", "--catalog"]),
+        ("monad-laws", ["--theory", "--space"]),
+        ("ump", ["--theory", "--space", "--algebra", "--map"]),
+        ("em-check", ["--theory", "--algebra"]),
+    ])
+    def test_lists_every_option(self, capsys, command, options):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert stop.value.code == 0 and out.startswith(f"usage: qeqlog {command} ")
+        for option in options:
+            assert f"  {option}" in out
+
+
+def test_readme_names_every_subcommand():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^qeqlog --workspace \S+ (\S+)", block, re.MULTILINE)
+    assert sorted(named) == sorted(name for name, *_ in COMMANDS)

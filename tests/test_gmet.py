@@ -16,8 +16,10 @@ from qeqlog.gmet import (
     EpsParam,
     FuzzySpace,
     GMetSpec,
+    MAX_GRID_VECTORS,
     HornClause,
     check_space,
+    compile_clause,
     discrete_lift,
     enumerate_nonexpansive,
     is_nonexpansive,
@@ -259,3 +261,27 @@ class TestSpecJson:
 
     def test_space_json_roundtrip(self, ab_half):
         assert FuzzySpace.from_json(ab_half.to_json(), GRID) == ab_half
+
+
+class TestCompileClause:
+    # d(x, y) <= e + f cannot be solved for e and f, so every grid vector is tried
+    @staticmethod
+    def sum_clause() -> HornClause:
+        return GMetSpec.from_json({"clauses": [{
+            "name": "sum", "vars": ["x", "y"],
+            "premises": [{"dist": ["x", "y", {"plus": ["e", "f"]}]}],
+            "conclusion": {"dist": ["y", "x", {"plus": ["e", "f"]}]},
+        }]}).clauses[0]
+
+    def test_grid_vectors_at_the_limit_are_listed(self):
+        q = 2**10 - 1  # (q + 1)^2 is the limit itself
+        assert len(compile_clause(self.sum_clause(), q)[1]) == MAX_GRID_VECTORS
+
+    def test_more_grid_vectors_are_refused_before_listing(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("the grid vectors were listed")
+
+        monkeypatch.setattr(itertools, "product", listed)
+        with pytest.raises(BudgetExceeded, match=(
+                f"^clause 'sum': 16008001 grid vectors, more than the limit of {MAX_GRID_VECTORS}$")):
+            compile_clause(self.sum_clause(), 4000)
