@@ -7,9 +7,10 @@ and every numeric is an exact fraction string.
 """
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from ._record import Record
 from .deduce import derives, distance, saturate, trace
@@ -19,6 +20,13 @@ from .gmet import EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
 from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
 from .terms import Signature, check_carrier, parse_term, whole
+
+
+# the budgets of a workspace that sets none: over ten times the most that
+# any test or benchmark query counts, 182,176 rule instances and 46,656
+# candidate interpretations
+BUDGET_INSTANCES = 2_000_000
+BUDGET_INTERPS = 1_000_000
 
 
 class Workspace(Record):
@@ -51,14 +59,22 @@ class Workspace(Record):
         budgets = obj.get("budgets", {})
         return cls(
             grid, sig, spec, spaces, theories, algebras,
-            depth=whole(budgets.get("depth", 3), "budget 'depth'"),
-            budget_interps=whole(budgets.get("interpretations"), "budget 'interpretations'"),
-            budget_instances=whole(budgets.get("instances"), "budget 'instances'"),
+            depth=_budget(budgets, "depth", 3),
+            budget_interps=_budget(budgets, "interpretations", BUDGET_INTERPS),
+            budget_instances=_budget(budgets, "instances", BUDGET_INSTANCES),
         )
 
 
-def load_workspace(path: str, overrides: argparse.Namespace) -> Workspace:
-    """The workspace in a JSON file; JSON of the wrong shape is a QeqlogError."""
+def _budget(budgets: dict, key: str, default: int) -> int:
+    """A budget of a workspace, ``default`` where it is missing or null."""
+    value = whole(budgets.get(key), f"budget {key!r}")
+    return default if value is None else value
+
+
+def load_workspace(path: str, overrides) -> Workspace:
+    """The workspace in a JSON file, with the ``grid``, ``depth``,
+    ``budget_interps`` and ``budget_instances`` of ``overrides`` put in its
+    place where they are not None; JSON of the wrong shape is a QeqlogError."""
     obj = _read_json(path, "workspace", inline=False)
     try:
         if overrides.grid is not None:
@@ -218,34 +234,145 @@ COMMANDS = (
 # option -> (the workspace table it names an entry of, the kind of entry)
 NAMED = {"theory": ("theories", "theory"), "target": ("spaces", "space"),
          "space": ("spaces", "space"), "algebra": ("algebras", "algebra")}
-# --trace is the one switch; every other option is required
-HELP = {"judgment": "inline JSON or a file path", "catalog": "comma-separated algebra names",
-        "map": "generator map as JSON"}
+HELP = {"workspace": "workspace JSON file", "judgment": "inline JSON or a file path",
+        "catalog": "comma-separated algebra names", "map": "generator map as JSON"}
+# the options before the subcommand, each with how its value is read
+GLOBALS = {"workspace": str, "depth": int, "grid": int, "budget-interps": int,
+           "budget-instances": int}
+DESCRIPTION = ("Deduction, model checking and free algebras for quantitative equational"
+               " theories over generalized metric spaces.")
+_COMMANDS = {command[0]: command for command in COMMANDS}
+# compiled on first use: most command lines hold no token it is tried on
+_NEGATIVE = r"-\d+$|-\d*\.\d+$"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qeqlog",
-        description="Deduction, model checking and free algebras for "
-        "quantitative equational theories over generalized metric spaces.",
-    )
-    parser.add_argument("--workspace", required=True, help="workspace JSON file")
-    for flag in ("--depth", "--grid", "--budget-interps", "--budget-instances"):
-        parser.add_argument(flag, type=int)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_line, options in COMMANDS:
-        p = sub.add_parser(name, help=help_line)
-        for option in options.split():
-            if option == "trace":
-                p.add_argument("--trace", action="store_true")
-            else:
-                p.add_argument(f"--{option}", required=True, help=HELP.get(option))
-        p.set_defaults(func=handler, named=[o for o in options.split() if o in NAMED])
-    return parser
+class _Level:
+    """The options before the subcommand, or those of one subcommand. Each
+    option maps to how its value is read: ``str`` is required, ``int`` is
+    optional, and None is a switch."""
+
+    def __init__(self, prog: str, kinds: dict, about: str, commands: tuple = ()):
+        self.prog, self.kinds, self.about, self.commands = prog, kinds, about, commands
+
+    def usage(self) -> str:
+        flags = [_flag(name, kind) if kind is str else f"[{_flag(name, kind)}]"
+                 for name, kind in self.kinds.items()]
+        tail = ["COMMAND ..."] if self.commands else []
+        return " ".join([f"usage: {self.prog} [-h]", *flags, *tail])
+
+    def help(self) -> str:
+        options = [("-h, --help", "show this help and exit"),
+                   *((_flag(name, kind), HELP.get(name, "")) for name, kind in self.kinds.items())]
+        width = max(len(left) for left, _ in (*self.commands, *options)) + 2
+        lines = [self.usage(), "", self.about]
+        for title, rows in (("commands", self.commands), ("options", options)):
+            if rows:
+                lines += ["", f"{title}:", *(f"  {left:<{width}}{right}".rstrip()
+                                             for left, right in rows)]
+        return "\n".join(lines)
+
+    def fail(self, message: str):
+        print(self.usage(), f"{self.prog}: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+
+    def options(self, token: str) -> list[str]:
+        """The options a token that starts with "-" names: ``--name``,
+        ``--name=value`` or a prefix of a name, and ``-h`` with anything
+        after it. More than one is an ambiguous prefix."""
+        names = ["help", *self.kinds]
+        if token[1:2] != "-":
+            return names[:1] if token[:2] == "-h" else []
+        key = token[2:].partition("=")[0]
+        return [key] if key in names else [name for name in names if name.startswith(key)]
+
+    def is_value(self, token: str) -> bool:
+        """Whether a token is a value, not an option: it does not start with
+        "-", or it is "-", or it names no option and is a negative number or
+        holds a space."""
+        return token[:1] != "-" or token == "-" or not self.options(token) and (
+            " " in token or re.match(_NEGATIVE, token) is not None)
+
+    def read(self, argv: list[str], i: int) -> tuple[dict, int]:
+        """The options in ``argv`` from index ``i`` up to the first value that
+        no option takes (None where not given, False for a switch), and that
+        value's index (``len(argv)`` if none).
+        ``--name value`` and ``--name=value`` both give a value, a unique
+        prefix names its option, and the last of repeated options wins.
+        ``-h``/``--help`` prints this level's help and exits 0."""
+        values = {name: False if kind is None else None for name, kind in self.kinds.items()}
+        while i < len(argv) and not self.is_value(argv[i]):
+            token = argv[i]
+            i += 1
+            hits = self.options(token)
+            if len(hits) != 1:
+                self.fail(f"ambiguous option {token!r} could match --" + ", --".join(hits)
+                          if hits else f"unrecognized option {token!r}")
+            name = hits[0]
+            # what follows "=", or what follows -h
+            _, eq, value = token.partition("=") if token[1] == "-" else ("", token[2:], "")
+            kind = self.kinds.get(name)
+            if kind is None:
+                if eq:
+                    self.fail(f"option --{name} takes no value")
+                if name == "help":
+                    print(self.help())
+                    raise SystemExit(0)
+                values[name] = True
+                continue
+            if not eq:
+                if i == len(argv) or not self.is_value(argv[i]):
+                    self.fail(f"option --{name} needs a value")
+                value = argv[i]
+                i += 1
+            try:
+                values[name] = kind(value)
+            except ValueError:
+                self.fail(f"option --{name} needs an integer, not {value!r}")
+        return values, i
+
+    def require(self, values: dict):
+        missing = [f"--{name}" for name, kind in self.kinds.items()
+                   if kind is str and values[name] is None]
+        if missing:
+            self.fail("missing required option " + ", ".join(missing))
+
+
+def _flag(name: str, kind) -> str:
+    return f"--{name}" if kind is None else f"--{name} {'N' if kind is int else name.upper()}"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The global options, the subcommand and the subcommand's options of a
+    command line, with ``func``, the subcommand's handler, and ``named``, its
+    options that name a workspace entry. Global options come before the
+    subcommand. A command line that cannot be read prints a usage line and
+    an error to stderr and exits 2."""
+    top = _Level("qeqlog", GLOBALS, DESCRIPTION,
+                 tuple((name, about) for name, _, about, _ in COMMANDS))
+    top_values, i = top.read(argv, 0)
+    if i == len(argv):
+        top.require(top_values)
+        top.fail("missing subcommand, one of " + ", ".join(_COMMANDS))
+    name = argv[i]
+    if name not in _COMMANDS:
+        top.fail(f"unknown subcommand {name!r}, not one of " + ", ".join(_COMMANDS))
+    _, handler, about, options = _COMMANDS[name]
+    # --trace is the one switch; every other option is required
+    sub = _Level(f"qeqlog {name}", {o: None if o == "trace" else str for o in options.split()},
+                 about)
+    sub_values, j = sub.read(argv, i + 1)
+    if j < len(argv):
+        sub.fail(f"unrecognized argument {argv[j]!r}")
+    sub.require(sub_values)
+    top.require(top_values)
+    fields = {option.replace("-", "_"): value
+              for option, value in {**top_values, **sub_values}.items()}
+    return SimpleNamespace(**fields, command=name, func=handler,
+                           named=[o for o in options.split() if o in NAMED])
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         ws = load_workspace(args.workspace, args)
         for option in args.named:

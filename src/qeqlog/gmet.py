@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
+from .terms import MAX_COMPILED_DEPTH
 
 
 class EpsGrid(Record):
@@ -24,9 +25,22 @@ class EpsGrid(Record):
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("grid denominator must be >= 1")
+        # the numerators of the str and int values read so far: a workspace
+        # repeats a few distances many times
+        object.__setattr__(self, "_read", {})
 
     def value(self, x) -> int:
         """Parse a math value (Fraction, exact string, int, decimal float) to a numerator."""
+        # only an exact str or int is looked up, so True (== 1) never reads 1's entry
+        kind = type(x)
+        if kind is not str and kind is not int:
+            return self._parse(x)
+        num = self._read.get(x)
+        if num is None:
+            num = self._read[x] = self._parse(x)
+        return num
+
+    def _parse(self, x) -> int:
         if isinstance(x, Fraction):
             f = x
         elif isinstance(x, bool):
@@ -162,7 +176,10 @@ class EpsMin1(EpsExpr, Record):
         return self.inner.params()
 
 
-def eps_expr_from_json(obj) -> EpsExpr:
+def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
+    """The expression of a JSON value; ``min1`` and ``plus`` nested more than
+    ``room`` levels deep are an error, as hashing such a record would exhaust
+    the recursion limit."""
     if isinstance(obj, str):
         try:
             return EpsConst(Fraction(obj))
@@ -171,10 +188,13 @@ def eps_expr_from_json(obj) -> EpsExpr:
     if isinstance(obj, (int, float)):
         return EpsConst(Fraction(str(obj)))
     if isinstance(obj, dict):
+        if not room:
+            raise ValueError(f"an epsilon expression nested more than {MAX_COMPILED_DEPTH}"
+                             " levels deep")
         if "plus" in obj:
-            return EpsPlus(tuple(eps_expr_from_json(t) for t in obj["plus"]))
+            return EpsPlus(tuple(eps_expr_from_json(t, room - 1) for t in obj["plus"]))
         if "min1" in obj:
-            return EpsMin1(eps_expr_from_json(obj["min1"]))
+            return EpsMin1(eps_expr_from_json(obj["min1"], room - 1))
     raise ValueError(f"bad epsilon expression: {obj!r}")
 
 

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import qeqlog.cli as cli
 import qeqlog.monad as monad
 from qeqlog.cli import COMMANDS, main
 
@@ -298,6 +299,33 @@ class TestBudgets:
         assert code == 0 and report["model"] is True
 
 
+    # a workspace without budgets runs under the defaults, patched down here
+    @pytest.mark.parametrize("budgets", [
+        None, {"depth": 3}, {"depth": None, "interpretations": None, "instances": None}])
+    def test_defaults_when_the_workspace_sets_none(self, capsys, tmp_path, monkeypatch, budgets):
+        monkeypatch.setattr(cli, "BUDGET_INSTANCES", 10)
+        monkeypatch.setattr(cli, "BUDGET_INTERPS", 1)
+        ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
+        if budgets is None:
+            del ws["budgets"]
+        else:
+            ws["budgets"] = budgets
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(ws), encoding="utf-8")
+        code, out, err = run(capsys, "--workspace", str(path), *self.DISTANCE)
+        assert (code, out) == (2, "") and "considered more than 10 rule instances" in err
+        assert run(capsys, "--workspace", str(path), *self.CHECK) == (
+            2, "", "error: 2 candidate interpretations exceed budget 1\n")
+
+    # a null depth was a TypeError traceback with exit 1
+    def test_null_budgets_read_as_missing(self, capsys, tmp_path):
+        path = _edited(tmp_path, ["budgets"], {"depth": None, "interpretations": None,
+                                               "instances": None})
+        code, out, _ = run(capsys, "--workspace", path, *self.DISTANCE)
+        assert code == 0 and (code, out) == run(capsys, "--workspace", WS, *self.DISTANCE)[:2]
+        assert json.loads(out)["depth"] == 3
+
+
 class TestErrors:
     def test_bad_workspace_path(self, capsys):
         code, out, err = run(capsys, "--workspace", "/nonexistent.json",
@@ -470,6 +498,32 @@ class TestErrors:
                    "--budget-instances", "1000", "distance", "--theory", "EMPTY",
                    "--target", "AB", "--lhs", "a", "--rhs", "b") == (
             2, "", "error: clause 'sum': 16008001 grid vectors, more than the limit of 1048576\n")
+
+    # a clause d(x,y) <= e => d(y,x) <= min1(min1(... e)): hashing the spec
+    # recursed once per level and died past about 500 levels (a plus level is
+    # two JSON containers, so 600 of them are past what the decoder reads)
+    @pytest.mark.parametrize("kind, levels", [("min1", 200), ("min1", 201), ("min1", 600),
+                                              ("plus", 200), ("plus", 201), ("plus", 450)])
+    def test_deep_epsilon_expression(self, capsys, tmp_path, kind, levels):
+        bound = "e"
+        for _ in range(levels):
+            bound = {"min1": bound} if kind == "min1" else {"plus": [bound, "0"]}
+        spec = {"clauses": [{"name": "deep", "vars": ["x", "y"],
+                             "premises": [{"dist": ["x", "y", "e"]}],
+                             "conclusion": {"dist": ["y", "x", bound]}}]}
+        got = run(capsys, "--workspace", _edited(tmp_path, ["spec"], spec), "distance",
+                  "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
+        if levels <= 200:
+            assert got[0] == 0 and json.loads(got[1])["distance"] == "1/2"
+        else:
+            assert got == (2, "", "error: an epsilon expression nested more than 200 levels"
+                                  " deep\n")
+
+    def test_distance_of_the_wrong_shape(self, capsys, tmp_path):
+        path = _edited(tmp_path, ["spaces", "AB", "dist", 0, 1], ["1/2"])
+        assert run(capsys, "--workspace", path, "distance", "--theory", "EMPTY", "--target", "AB",
+                   "--lhs", "a", "--rhs", "b") == (
+            2, "", "error: cannot read grid value from ['1/2']\n")
 
     # under a constant c, a carrier point c would read u(c) = c as an axiom
     # over a variable: named and inline contexts are refused alike

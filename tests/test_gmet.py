@@ -47,6 +47,30 @@ class TestGrid:
     def test_format(self):
         assert [GRID.format(n) for n in GRID.values()] == ["0", "1/4", "1/2", "3/4", "1"]
 
+    # a grid remembers the str and int values it has read: no other value may
+    # read a remembered answer, and an error is raised on every read
+    def test_bool_after_int_is_refused(self):
+        grid = EpsGrid(4)
+        assert grid.value(1) == 4
+        with pytest.raises(GridMismatch, match="^not a distance: True$"):
+            grid.value(True)
+
+    @pytest.mark.parametrize("raw", [[1], {}])
+    def test_unhashable_is_refused(self, raw):
+        with pytest.raises(GridMismatch, match=r"^cannot read grid value from "):
+            EpsGrid(4).value(raw)
+
+    def test_off_grid_is_refused_on_every_read(self):
+        grid = EpsGrid(4)
+        for _ in range(2):
+            with pytest.raises(GridMismatch, match="^1/5 is not on the grid with denominator 4$"):
+                grid.value("1/5")
+
+    def test_forms_agree_on_every_read(self):
+        grid = EpsGrid(4)
+        for _ in range(2):
+            assert [grid.value(x) for x in ("1/2", 0.5, Fraction(1, 2), 1)] == [2, 2, 2, 4]
+
 
 class TestCheckSpace:
     def test_symmetric_metric_passes(self, ab_half):
