@@ -38,16 +38,17 @@ the count of instances considered falls.
   fixed ids; the conclusion's cell can only fall, and a merge can only make
   the two sides one class. So an instance that failed or fired can fire
   later only once one of its premise cells, those at a context distance
-  below 1, is written. After an axiom's first pass, a pass starts from the
-  tuples on cells written since its previous pass began, and an axiom with
-  no premise below 1 needs its first pass only (:func:`_subst_pass`).
+  below 1, is written. Every pass takes its tuples from one worklist of
+  pruned searches, after an axiom's first only from the cells written since
+  its previous pass began: an axiom with no premise below 1 needs its first
+  pass only (:func:`_subst_pass`).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from ._record import Record
@@ -540,12 +541,13 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     root_list = tuple(db.roots())
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
     links = _links(compiled, db.grid.q)
+    products = partial(itertools.starmap, itertools.product)
     queue = _Worklist()
     if since is None and _fires_at_top(clause, db.grid.q):
         queue.add(_tied(arity, prems, root_list))
     else:
         for a, b in _written(db, since or 0):
-            queue.add(*_on_cell(db, arity, cells, links, a, b, root_list))
+            queue.add(*products(_on_cell(db, arity, cells, links, a, b, root_list)))
     # only a merging clause turns members of root_list into non-roots
     for assignment, reps, pvec, vals in clause_failures(
             compiled, dmin, db.grid.q, n, _counted(db, queue, len(vectors)),
@@ -561,10 +563,10 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
         x, y = reps[cx], reps[cy]
         if merging:
             db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
-            queue.add(*_on_class(find, find(x), arity, root_list))
+            queue.add(*products(_on_class(find, find(x), arity, root_list)))
         else:
             db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
-            queue.add(*_on_cell(db, arity, cells, links, x, y, root_list))
+            queue.add(*products(_on_cell(db, arity, cells, links, x, y, root_list)))
     return changed
 
 
@@ -651,9 +653,9 @@ def _links(compiled, q: int) -> list[tuple[int, int]]:
 
 def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
              pool: tuple[int, ...]):
-    """Per premise cell (x, y), the tuples over ``pool`` with a at x and b
-    at y, in ascending order. A position that a link ties to x or y takes
-    only the roots with a cell below 1 to a or b (``db._near``)."""
+    """Per premise cell (x, y), the candidates per position of the tuples
+    over ``pool`` with a at x and b at y. A position that a link ties to x or
+    y takes only the roots with a cell below 1 to a or b (``db._near``)."""
     near, parent = db._near, db._parent
     for xp, yp in cells:
         if xp != yp or a == b:
@@ -663,34 +665,32 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
                 if fixed in (xp, yp) and choices[free] is pool:
                     v = a if fixed == xp else b
                     choices[free] = sorted(r for r in near.get(v, ()) if parent[r] == r)
-            yield itertools.product(*choices)
+            yield choices
 
 
 def _on_class(find, w: int, arity: int, pool: tuple[int, ...]):
-    """Per position, the tuples over ``pool`` with a member of ``w``'s class
-    there, in ascending order: after a merge into ``w``, every such tuple
-    reads the merged class's cells."""
+    """Per position p, the candidates per position of the tuples over ``pool``
+    with a member of ``w``'s class at p, which a merge into ``w`` changes."""
     members = tuple(r for r in pool if find(r) == w)
-    return (itertools.product(*(members if p == k else pool for k in range(arity)))
-            for p in range(arity))
+    return ([members if p == k else pool for k in range(arity)] for p in range(arity))
 
 
 class _Worklist:
     """The tuples of ascending streams, merged in ascending order, each once.
 
     A stream added while the merge runs contributes only the tuples after
-    the last one taken.
+    the last one taken, so the merge ascends and a repeat is the one taken.
     """
 
     def __init__(self):
         self._heap: list = []
-        self._last: tuple = ()
+        self._last: tuple | None = None  # nothing taken yet, not even ()
         self._ids = itertools.count()
 
     def add(self, *streams) -> None:
         for stream in streams:
             for t in stream:
-                if t > self._last:
+                if self._last is None or t > self._last:
                     heapq.heappush(self._heap, (t, next(self._ids), stream))
                     break
 
@@ -701,7 +701,7 @@ class _Worklist:
                 # a lone stream is drained directly until an add joins it
                 t, i, stream = heap.pop()
                 while t is not None:
-                    if t > self._last:
+                    if t != self._last:
                         self._last = t
                         yield t
                     t = next(stream, None)
@@ -715,7 +715,7 @@ class _Worklist:
                 heapq.heappop(heap)
             else:
                 heapq.heapreplace(heap, (nxt, i, stream))
-            if t > self._last:
+            if t != self._last:
                 self._last = t
                 yield t
 
@@ -730,44 +730,44 @@ def _step_subst(db: DerivationDB) -> bool:
 
 
 def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> bool:
-    """One pass of an axiom over the tuples of the roots, in product order.
-
-    ``since`` is the event count when the axiom's previous pass began, None
-    before its first, which searches every tuple (:func:`images_within`).
-    Any other pass starts from the tuples with a premise pair, two points at
-    a context distance below 1, on a cell written since then, joined through
-    the near-cell index. A merge the pass derives maps the members of the
-    merged class onto its root, as the search does, so it queues the later
-    tuples that hold one. A tuple counts as an instance when it passes its
-    premises as it is reached, as in the search.
+    """One pass of an axiom over the tuples of the roots, in product order,
+    each from a pruned search (:func:`images_within`) that reads a cell when
+    it reaches it, so a tuple counts as an instance when it passes its
+    premises as it is reached. ``since`` is the event count when the previous
+    pass began, None before the first, which searches every tuple. Any other
+    starts from the tuples with a premise pair, two points at a context
+    distance below 1, on a cell written since then. A write the pass derives
+    queues the later tuples on its cell, a merge those that hold its class.
     """
     changed = False
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     ctx, merging = j.context, j.eps is None
     arity = len(ctx.carrier)
+    cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
     if since is not None:
-        pairs = [(x, y, d) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
         # a cell above every premise bound starts no instance
-        top = max((d for _, _, d in pairs), default=-1)
+        top = max((ctx.dist[x][y] for x, y in cells), default=-1)
         written = [(a, b) for a, b in _written(db, since) if dmin.get(a * n + b, q) <= top]
         if not written:
             return False
-    left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
-    cols = db.roots()
-    if since is None:
-        rows = [r * n for r in cols]
-        assignments = ([cols[b] for b in images]
-                       for images in images_within(ctx.dist, dmin, q, rows, cols))
-    else:
-        cells = [(x, y) for x, y, _ in pairs]
-        links = [link for x, y, _ in pairs if x != y for link in ((x, y), (y, x))]
-        pool = tuple(cols)
-        queue = _Worklist()
+    links = [link for x, y in cells if x != y for link in ((x, y), (y, x))]
+    pool = tuple(db.roots())
+    # only a merging axiom turns members of pool into non-roots
+    search = partial(images_within, ctx.dist, dmin, q, n, find=find if merging else None)
+    queue = _Worklist()
+    if since is not None:
         for a, b in written:
-            queue.add(*_on_cell(db, arity, cells, links, a, b, pool))
-        assignments = (chosen for chosen in (list(map(find, t)) for t in queue)
-                       if all(dmin.get(chosen[x] * n + chosen[y], q) <= d for x, y, d in pairs))
-    for chosen in _counted(db, assignments):
+            queue.add(*map(search, _on_cell(db, arity, cells, links, a, b, pool)))
+    else:
+        # per root at point 0 (one with a cell below 1 if it is in a pair),
+        # joined as a written cell (0, 0) when reached; no points: just ()
+        heads = [r for r in pool if r in db._near] if any(0 in cell for cell in cells) else pool
+        queue.add(itertools.chain.from_iterable(
+            search(joined) for r in heads for joined in _on_cell(db, arity, [(0, 0)], links, r, r, pool))
+            if arity else search([]))
+    left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
+    for chosen in _counted(db, queue):
+        chosen = [find(r) for r in chosen] if merging else chosen
         li = left(chosen)
         ri = li if li is None else right(chosen)
         # build premises only for a new conclusion, as _merge and _lower
@@ -781,17 +781,10 @@ def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> 
         changed = True
         if merging:
             db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
-            if since is None:
-                # the search reads cells when it reaches them, so the
-                # assignments after a merge see the merged class
-                cols[:] = map(find, cols)
-                rows[:] = [r * n for r in cols]
-            else:
-                queue.add(*_on_class(find, find(li), arity, pool))
+            queue.add(*map(search, _on_class(find, find(li), arity, pool)))
         else:
             db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
-            if since is not None:
-                queue.add(*_on_cell(db, arity, cells, links, find(li), find(ri), pool))
+            queue.add(*map(search, _on_cell(db, arity, cells, links, find(li), find(ri), pool)))
     return changed
 
 

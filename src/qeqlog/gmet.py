@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
@@ -470,45 +470,52 @@ def _cells(sp: FuzzySpace) -> dict[int, int]:
     return {i * m + j: v for i, row in enumerate(sp.dist) for j, v in enumerate(row) if v < q}
 
 
-def images_within(sd, cells: dict[int, int], q: int, rows, cols,
-                  keep: Callable[[list[int]], bool] | None = None) -> Iterator[tuple[int, ...]]:
-    """The tuples of candidate indices, one per source point, under which no
-    distance exceeds the source's ``sd``, lazily, in product order; the distance
-    from candidate b to candidate c is ``cells.get(rows[b] + cols[c], q)``.
+def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[Sequence[int]],
+                  keep: Callable | None = None, find: Callable | None = None) -> Iterator[tuple[int, ...]]:
+    """The tuples of candidates, one from ``choices[i]`` per source point i,
+    under which no distance exceeds the source's ``sd``, lazily, in product
+    order; the distance from b to c is ``cells.get(find(b) * n + find(c), q)``,
+    with no ``find`` the identity.
 
     A depth-first search: a prefix is extended only by a candidate that keeps
     every pair within ``sd`` and, when given, that ``keep`` accepts (it sees
-    the extended prefix). A cell is read when the search reaches it, so a
-    caller may change ``cells``, ``rows`` and ``cols`` in place between two
-    tuples: later candidates see the change; the prefix taken is not rechecked.
+    the extended prefix). Cells and ``find`` are read when the search reaches
+    them, so later tuples see a change made between two; the prefix taken is
+    not rechecked.
     """
-    get = cells.get
-    n, m = len(sd), len(cols)
-    images: list[int] = []  # candidates of source points 0 .. len(images) - 1
-    b = 0  # the next candidate to try for source point len(images)
+    get, size = cells.get, len(sd)
+    taken: list[int] = []  # the index in its choices of each candidate in images
+    images: list[int] = []  # the candidates of source points 0 .. len(images) - 1
+    reads: list[int] = []  # each of them through find
+    b = 0  # the index of the next candidate to try for source point len(images)
     while True:
         k = len(images)
-        if k == n:
+        if k == size:
             yield tuple(images)
         else:
-            sk = sd[k]
+            pool, sk, m = choices[k], sd[k], len(choices[k])
             while b < m:
-                rb, cb = rows[b], cols[b]
-                if get(rb + cb, q) <= sk[k]:
-                    for i, c in enumerate(images):
-                        if get(rb + cols[c], q) > sk[i] or get(rows[c] + cb, q) > sd[i][k]:
+                c = pool[b]
+                r = c if find is None else find(c)
+                if get(r * n + r, q) <= sk[k]:
+                    for i, s in enumerate(reads):
+                        if get(r * n + s, q) > sk[i] or get(s * n + r, q) > sd[i][k]:
                             break
                     else:
                         break
                 b += 1
             if b < m:
-                images.append(b)
+                taken.append(b)
+                images.append(c)
+                reads.append(r)
                 if keep is None or keep(images):
                     b = 0
                     continue
         if not images:
             return
-        b = images.pop() + 1
+        b = taken.pop() + 1
+        images.pop()
+        reads.pop()
 
 
 def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = None,
@@ -520,7 +527,7 @@ def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = N
     total = m ** len(src.carrier)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
-    yield from images_within(src.dist, _cells(dst), dst.grid.q, range(0, m * m, m), range(m), keep)
+    yield from images_within(src.dist, _cells(dst), dst.grid.q, m, [range(m)] * len(src.carrier), keep)
 
 
 def enumerate_nonexpansive(

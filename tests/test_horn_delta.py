@@ -278,6 +278,20 @@ class TestNearJoinScale:
         db = saturate(self.SIG, theory, MET, three, 3, budget=10_000)
         assert (len(db.universe), len(db.events)) == (243, 298)
 
+    def test_first_substitution_pass_joins_near_roots(self):
+        # FREL at q = 2 with both points at 1/2: the premise d(x, y) = 0
+        # admits at x only a root with a cell below 1, and at y only the roots
+        # near it; a search over all 5,552 roots at each point took 12-16 s
+        # to count the same 4 instances, and a budget of 1,000 never fired
+        grid = EpsGrid(2)
+        two = FuzzySpace(grid, ("a", "b"), ((1, 1), (1, 1)))
+        ctx = FuzzySpace(grid, ("x", "y"), ((2, 0), (0, 2)))
+        x, y = Var("x"), Var("y")
+        theory = Theory("C", (Judgment(ctx, App("f", (x, y)), App("f", (y, x)), None),))
+        for budget in (None, 1_000):
+            db = saturate(self.SIG, theory, FREL, two, 4, budget=budget)
+            assert (db.instances, len(db.events), len(db.roots())) == (4, 5, 5552)
+
 
 class TestCongruenceAndSubstitution:
     # shapes whose work is congruence and substitution rather than Horn
@@ -337,6 +351,38 @@ class TestCongruenceAndSubstitution:
             Judgment(self.TIGHT, u_y, self.C, 1)) == [
             ("dist", 1, 1, 0), ("dist", 3, 1, 1), ("dist", 3, 3, 0), ("dist", 5, 5, 0),
             ("dist", 5, 1, 1)]
+
+    # axioms over two and three points: a premise pair can tie a point to
+    # point 0 or to another tied point, and a written cell fixes two of three
+    @pytest.mark.parametrize("seed", range(12))
+    def test_three_point_contexts(self, seed):
+        rng = random.Random(seed)
+        sig, spec = SIGS[seed % len(SIGS)], (MET, PMET, FREL)[seed % 3]
+        grid = EpsGrid(rng.randint(2, 4))
+        target = _space(rng, grid, 2, spec)
+        axioms = []
+        for _ in range(3):
+            ctx = _space(rng, grid, rng.randint(2, 3), spec)
+            lhs, rhs = (random_term(rng, sig, ctx.carrier, 2) for _ in range(2))
+            axioms.append(Judgment(ctx, lhs, rhs, rng.choice([None] + list(range(grid.q + 1)))))
+        # 8 to 38 terms, so that the naive loop stays fast
+        depth = (5, 3, 5, 2)[seed % len(SIGS)]
+        assert_same_saturation(sig, Theory("T3", tuple(axioms)), spec, target, depth)
+
+    def test_axioms_over_an_empty_context(self):
+        # a context with no points has one assignment, the empty one, and
+        # only an axiom's first pass instantiates it: u(c) = c merges, and
+        # c =1/4 u(u(c)) writes its cell before congruence merges u(u(c))
+        # into c
+        empty = FuzzySpace(EpsGrid(4), (), ())
+        u_c = App("u", (self.C,))
+        theory = Theory("E", (Judgment(empty, u_c, self.C, None),
+                              Judgment(empty, self.C, App("u", (u_c,)), 1)))
+        args = (SIGS[2], theory, MET, FuzzySpace(EpsGrid(4), ("a",), ((0,),)), 3)
+        assert_same_saturation(*args)
+        db = saturate(*args)
+        assert (db.instances, len(db.events), len(db.roots())) == (34, 11, 4)
+        assert [ev.rule for ev in db.events].count("SUBST") == 2
 
     def test_application_re_keyed_in_successive_steps(self):
         # f(c, b) is re-keyed when c merges into a and again when b does;

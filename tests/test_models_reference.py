@@ -16,7 +16,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qeqlog.errors import BudgetExceeded, QeqlogError
 import qeqlog.free as free_mod
@@ -154,11 +154,7 @@ class TestUmpAgainstReference:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(
         st.sampled_from(sorted(SPECS)),
-        # not the ternary signature: at depth 3 over two generators its
-        # universe has 1,742 terms, and saturation's substitution search over
-        # them counts only the assignments it yields, so the budget can take
-        # seconds to fire
-        st.integers(0, len(SIGS) - 2),
+        st.integers(0, len(SIGS) - 1),
         st.integers(2, 4),
         st.integers(1, 3),
         st.integers(1, 2),
@@ -169,6 +165,9 @@ class TestUmpAgainstReference:
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
+    # the ternary signature at depth 3 over two generators: 1,742 roots, and
+    # a three-point axiom context for the first substitution pass
+    @example("PMET", 4, 3, 1, 2, 3, 3, 2, True, True, 3361672518)
     def test_same_result_and_errors(self, spec_name, sig_i, q, size, gens, depth, n, cut,
                                     any_target, budgeted, seed):
         """``cut`` table entries are turned into overflow, so that some
