@@ -4,8 +4,8 @@ The engine computes, for one target context space, the least fixpoint of the
 deduction rules on all terms up to a depth bound: a union-find holds the
 derived equality classes, and an exact grid-valued store holds the minimal
 derived distance per class pair, for the pairs below 1. Every productive
-step records the rule instance that produced it, so any derived fact can be
-expanded into a finite, replayable derivation tree.
+step appends the rule instance that produced it to one event list, and a
+trace expands any derived fact from that list alone into a replayable tree.
 
 Bounded-universe contract: congruence and substitution instances are generated
 only when every produced term stays within the depth bound, so derivability is
@@ -79,11 +79,11 @@ from .terms import (
 )
 
 # the most terms a saturation enumerates, refused before it is built: about
-# 0.3 GB at the 2.3 KB per term that MET without axioms peaks at
+# 0.3 GB at the 2.0 KB per term that MET without axioms peaks at
 MAX_TERMS = 2**17
 
 # Premise descriptors:
-#   ("axiom", event_id)        a theory axiom, recorded as an INIT event
+#   ("axiom", k)               theory axiom k, whose INIT is event k
 #   ("eq", i, j)               universe indices already in one class
 #   ("dist", i, j, eps)        dmin(class(i), class(j)) <= eps held at rule time
 # Conclusions:
@@ -126,12 +126,13 @@ class TraceNode(Record):
 
 
 class DerivationDB:
-    """Saturated classes, minimal distances and trace events.
+    """Saturated classes, minimal distances and the events that derived them.
 
     Built by :func:`saturate`, which ends with every union-find entry
     pointing at its root: after it, :meth:`find` is one lookup and reads
     change nothing. Classes are read off the union-find alone: the roots are
-    the entries that are their own parent (:meth:`roots`).
+    the entries that are their own parent (:meth:`roots`). History is read
+    off ``events`` alone, whose event k is axiom k's INIT (:meth:`_history`).
 
     Terms are universe ids, read off :func:`~qeqlog.terms.universe_nodes`
     without building a tree. A hashcons maps each operation and tuple of
@@ -185,12 +186,12 @@ class DerivationDB:
         # congruence step took its keys
         self._dirty: list[int] = []
         self._parent = list(range(n))
-        self._forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.dmin: dict[int, int] = {}
         # filled on the first cell below q of each id
         self._near: dict[int, set[int]] = {}
-        self._hist: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self.events: list[RuleInstance] = []
+        # the one record of what saturation derived
+        self.events = [RuleInstance("INIT", f"{theory.name}[{k}]", (), ("axiom", k))
+                       for k in range(len(theory.judgments))]
         self.instances = 0
         # where the next counted instance belongs, for budget errors
         self._round = 0
@@ -198,9 +199,8 @@ class DerivationDB:
         # per clause, the event count when its previous Horn pass began
         self._horn_since: list[int | None] = [None] * len(spec.clauses)
         self._subst_since: list[int | None] = [None] * len(theory.judgments)
-        self._axiom_events: list[int] = []
 
-    # --- union-find with a proof forest ---
+    # --- union-find ---
 
     def find(self, i: int) -> int:
         while self._parent[i] != i:
@@ -292,10 +292,6 @@ class DerivationDB:
 
     # --- recording ---
 
-    def _record(self, rule: str, detail: str | None, premises: tuple, conclusion: tuple) -> int:
-        self.events.append(RuleInstance(rule, detail, premises, conclusion))
-        return len(self.events) - 1
-
     def _count(self, k: int = 1) -> None:
         self.instances += k
         if self.budget is not None and self.instances > self.budget:
@@ -313,8 +309,7 @@ class DerivationDB:
         near = self._near
         near.setdefault(a, set()).add(b)
         near.setdefault(b, set()).add(a)
-        eid = self._record(rule, detail, premises, ("dist", a, b, value))
-        self._hist.setdefault((a, b), []).append((value, eid))
+        self.events.append(RuleInstance(rule, detail, premises, ("dist", a, b, value)))
 
     def _lower(self, i: int, j: int, value: int, rule: str, detail: str | None,
                premises: tuple) -> bool:
@@ -328,9 +323,7 @@ class DerivationDB:
         ri, rj = self.find(i), self.find(j)
         if ri == rj:
             return False
-        cause = self._record(rule, detail, premises, ("eq", i, j))
-        self._forest[i].append((j, cause))
-        self._forest[j].append((i, cause))
+        self.events.append(RuleInstance(rule, detail, premises, ("eq", i, j)))
         winner, loser = min(ri, rj), max(ri, rj)
         parent, get, n, q = self._parent, self.dmin.get, self._n, self.grid.q
         parent[loser] = winner
@@ -363,6 +356,22 @@ class DerivationDB:
 
     # --- trace reconstruction ---
 
+    def _history(self) -> tuple[dict, list]:
+        """Two views of ``events``, built in one scan on the first read after
+        it grew: per cell the (value, event) of each write, and per id the
+        (other end, event) of each merge of it, the proof forest's edges."""
+        if self.__dict__.get("_views", (-1,))[0] != len(self.events):
+            hist, forest = {}, [[] for _ in range(self._n)]
+            for eid, ev in enumerate(self.events):
+                c = ev.conclusion
+                if c[0] == "dist":
+                    hist.setdefault(c[1:3], []).append((c[3], eid))
+                elif c[0] == "eq":
+                    forest[c[1]].append((c[2], eid))
+                    forest[c[2]].append((c[1], eid))
+            self._views = (len(self.events), (hist, forest))
+        return self._views[1]
+
     def _fact_str(self, conclusion: tuple) -> str:
         kind = conclusion[0]
         if kind == "axiom":
@@ -390,8 +399,7 @@ class DerivationDB:
 
     def _dist_tree(self, i: int, j: int, eps: int, before: int) -> TraceNode:
         """The derivation of d(i, j) <= eps from events before ``before``."""
-        hist = self._hist.get((i, j), [])
-        for value, eid in hist:
+        for value, eid in self._history()[0].get((i, j), ()):
             if value <= eps and eid < before:
                 node = self._expand_event(eid)
                 if value < eps:
@@ -405,42 +413,38 @@ class DerivationDB:
 
     def _forest_path(self, i: int, j: int) -> list[tuple[int, int, int]]:
         """Edges (u, v, event) along the unique forest path from i to j."""
+        forest = self._history()[1]
         prev: dict[int, tuple[int, int]] = {i: (-1, -1)}
+        # breadth first: the loop also takes the ids appended while it runs
         queue = [i]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:
             if u == j:
                 break
-            for v, eid in self._forest[u]:
+            for v, eid in forest[u]:
                 if v not in prev:
                     prev[v] = (u, eid)
                     queue.append(v)
         if j not in prev:
             raise UnknownFact("terms are not in the same class")
         path = []
-        cur = j
-        while cur != i:
-            u, eid = prev[cur]
-            path.append((u, cur, eid))
-            cur = u
-        path.reverse()
-        return path
+        while j != i:
+            u, eid = prev[j]
+            path.append((u, j, eid))
+            j = u
+        return path[::-1]
 
     def _eq_tree(self, i: int, j: int) -> TraceNode:
         if i == j:
             s = term_to_str(self.universe[i])
             return TraceNode("REFL", None, f"{s} = {s}", ())
         # an "eq" premise names class members; walk the merge forest between them
-        pieces = []
         for u, v, eid in self._forest_path(i, j):
             node = self._expand_event(eid)
-            a, b = self.events[eid].conclusion[1], self.events[eid].conclusion[2]
-            if (a, b) != (u, v):
+            if self.events[eid].conclusion[1:3] != (u, v):
                 node = TraceNode("SYMM", None, self._fact_str(("eq", u, v)), (node,))
-            pieces.append((v, node))
-        tree = pieces[0][1]
-        for v, node in pieces[1:]:
-            tree = TraceNode("TRANS", None, self._fact_str(("eq", i, v)), (tree, node))
+            if u != i:
+                node = TraceNode("TRANS", None, self._fact_str(("eq", i, v)), (tree, node))
+            tree = node
         return tree
 
 
@@ -462,10 +466,6 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     """Run all rules to their least fixpoint over the bounded universe."""
     _validate_inputs(sig, theory, spec, target)
     db = DerivationDB(sig, theory, spec, target, depth, budget)
-    for ax_i, j in enumerate(theory.judgments):
-        db._axiom_events.append(
-            db._record("INIT", f"{theory.name}[{ax_i}]", (), ("axiom", ax_i))
-        )
     for a in target.carrier:
         for b in _counted(db, target.carrier):
             db._lower(db.var_ids[a], db.var_ids[b], target.d(a, b), "USEVAR", None, ())
@@ -775,7 +775,7 @@ def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> 
         if ri is None or (db.same(li, ri) if merging
                           else j.eps >= dmin.get(find(li) * n + find(ri), q)):
             continue
-        premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
+        premises = (("axiom", ax_i),) + tuple(
             ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
         )
         changed = True

@@ -89,9 +89,6 @@ class App(Term, Record):
     args: tuple[Term, ...]
 
 
-EMPTY_SIGNATURE = Signature(())
-
-
 # Walks over a tree keep their own stack, so that a term nested past the
 # interpreter's recursion limit is still parsed, printed and measured.
 

@@ -4,8 +4,9 @@
 were before the engine's steps became delta-driven: every round re-keys every
 application, and instantiates every clause and every axiom over every tuple
 of class representatives. It shares the
-``DerivationDB`` primitives (union-find, merge fold, distance writes) with the
-engine, so a difference between the two is a difference of the round loop.
+``DerivationDB`` primitives (union-find, merge fold, distance writes, and the
+INIT event that ``DerivationDB`` records for each axiom) with the engine, so a
+difference between the two is a difference of the round loop.
 The recorded saturation fixture gates this loop on every field, the
 instance count included; the engine is cross-checked against it.
 """
@@ -24,10 +25,6 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     """Run all rules to their least fixpoint over the bounded universe."""
     _validate_inputs(sig, theory, spec, target)
     db = DerivationDB(sig, theory, spec, target, depth, budget)
-    for ax_i, j in enumerate(theory.judgments):
-        db._axiom_events.append(
-            db._record("INIT", f"{theory.name}[{ax_i}]", (), ("axiom", ax_i))
-        )
     for a in target.carrier:
         for b in target.carrier:
             db._count()
@@ -136,7 +133,7 @@ def _step_subst(db: DerivationDB) -> bool:
                 ri = li if li is None else db.subst_index(sigma, j.rhs)
                 if ri is None:
                     return
-                premises = (("axiom", db._axiom_events[ax_i]),) + tuple(
+                premises = (("axiom", ax_i),) + tuple(
                     (
                         "dist",
                         db.find(chosen[a]),

@@ -362,6 +362,29 @@ class TestTrace:
         assert tree.rule == "MAX"
         replay_node(tree, ab_half, GRID)
 
+    def test_history_is_read_off_the_events(self, ab_half):
+        # axiom 0 lowers u(x) to x, axiom 1 merges u(u(x)) with u(x)
+        one = FuzzySpace(GRID, ("x",), ((0,),))
+        ux = App("u", (Var("x"),))
+        th = Theory("T", (unary_axiom_quarter(GRID).judgments[0],
+                          Judgment(one, App("u", (ux,)), ux, None)))
+        db = saturate(U_SIG, th, MET, ab_half, 3)
+        state = dict(vars(db))
+        assert not {"_hist", "_forest", "_views", "_axiom_events"} & set(state)
+        hist, forest = db._history()
+        assert hist and any(forest)
+        assert all(v != hist and v != forest for v in state.values())
+        for k in range(len(th.judgments)):
+            assert (db.events[k].rule, db.events[k].conclusion) == ("INIT", ("axiom", k))
+        axioms = [ev.premises[0] for ev in db.events if ev.rule == "SUBST"]
+        assert set(axioms) == {("axiom", k) for k in range(len(th.judgments))}
+        ua = App("u", (Var("a"),))
+        uua = App("u", (ua,))
+        for j in (Judgment(ab_half, uua, ua), Judgment(ab_half, uua, Var("b"), 3)):
+            first = trace(db, j)
+            assert trace(db, j) == first
+            replay_node(first, ab_half, GRID)
+
     def test_every_saturated_fact_replays(self, ab_half):
         db = saturate(U_SIG, unary_axiom_quarter(GRID), MET, ab_half, 2)
         for i, s in enumerate(db.universe):

@@ -228,8 +228,8 @@ def snapshot(case_id: str, engine=saturate) -> dict:
         "events_sha256": _digest(db.events),
         "dmin_sha256": _digest([[db.cell(i, j) for j in range(n)] for i in range(n)]),
         "classes_sha256": _digest([db.find(i) for i in range(len(db.universe))]),
-        "hist_sha256": _digest(sorted(db._hist.items())),
-        "forest_sha256": _digest(db._forest),
+        "hist_sha256": _digest(sorted(db._history()[0].items())),
+        "forest_sha256": _digest(db._history()[1]),
     }
 
 
