@@ -18,12 +18,13 @@ class Record:
     """Base of the package's immutable value classes.
 
     A subclass's fields are its own annotated names, in order; a name that
-    also has a class-level value takes it as its default. Instances take the
-    fields positionally or by keyword, then run ``__post_init__`` if the
-    class has one. Equality (same class, equal fields), hash, repr and the
-    refusal to assign or delete are those of a frozen data class with the
-    same fields. An ``__init__``, ``__eq__`` or ``__hash__`` that a class
-    defines itself is kept.
+    also has a class-level value takes it as its default, unless that value
+    is the field's accessor (a data descriptor: a slot, or a property over a
+    tuple underneath). Instances take the fields positionally or by keyword,
+    then run ``__post_init__`` if the class has one. Equality (same class,
+    equal fields), hash, repr and the refusal to assign or delete are those
+    of a frozen data class with the same fields. An ``__init__``, ``__eq__``
+    or ``__hash__`` that a class defines itself is kept.
     """
 
     __slots__ = ()
@@ -32,7 +33,8 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = cls.__match_args__ = fields
-        cls._defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
+        cls._defaults = {f: v for f, v in vars(cls).items()
+                         if f in fields and not hasattr(v, "__set__")}
         post_init = getattr(cls, "__post_init__", None)
         n = len(fields)
         if n == 1:

@@ -7,6 +7,7 @@ and every numeric is an exact fraction string.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -27,6 +28,8 @@ from .terms import Signature, check_carrier, parse_term, whole
 # candidate interpretations
 BUDGET_INSTANCES = 2_000_000
 BUDGET_INTERPS = 1_000_000
+# the encoder's chunks that one write of a report joins, a few tens of KB
+EMIT_BATCH = 4096
 
 
 class Workspace(Record):
@@ -156,10 +159,12 @@ def cmd_distance(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_free(ws: Workspace, args) -> tuple[dict, bool]:
     fa = build_free(ws.sig, args.theory, ws.spec, args.space, ws.depth, ws.budget_instances)
-    names = fa.space.carrier
+    model_report = check_free_is_model(fa, args.theory, ws.spec, ws.budget_interps)
+    names, optable, delta, unit = fa.space.carrier, fa.optable, fa.delta, fa.unit
+    del fa  # the rest reads only these tables: the saturation is let go first
     ops = {}
     overflow_count = 0
-    for op, table in sorted(fa.optable.items()):
+    for op, table in sorted(optable.items()):
         entry = {}
         for argtuple, res in sorted(table.items()):
             key = ",".join([names[a] for a in argtuple])
@@ -169,14 +174,13 @@ def cmd_free(ws: Workspace, args) -> tuple[dict, bool]:
             else:
                 entry[key] = names[res]
         ops[op] = entry
-    model_report = check_free_is_model(fa, args.theory, ws.spec, ws.budget_interps)
     labels = [ws.grid.format(v) for v in ws.grid.values()]
     report = _report(
         ws,
         classes=list(names),
-        delta=[[labels[v] for v in row] for row in fa.delta],
+        delta=[[labels[v] for v in row] for row in delta],
         ops=ops,
-        unit={a: names[c] for a, c in sorted(fa.unit.items())},
+        unit={a: names[c] for a, c in sorted(unit.items())},
         model_check={
             "checked": model_report.checked,
             "skipped_overflow": model_report.skipped_overflow,
@@ -379,7 +383,11 @@ def main(argv: list[str] | None = None) -> int:
             table, kind = NAMED[option]
             setattr(args, option, _named(kind, getattr(ws, table), getattr(args, option)))
         report, holds = args.func(ws, args)
-        print(json.dumps(report, sort_keys=True, indent=2))
+        # what print(json.dumps(report, sort_keys=True, indent=2)) prints, never joined whole
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+        for batch in iter(lambda: "".join(itertools.islice(chunks, EMIT_BATCH)), ""):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     except (QeqlogError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,8 +78,9 @@ from .terms import (
     universe_size,
 )
 
+_new_tuple = tuple.__new__  # looked up once, not on every event
 # the most terms a saturation enumerates, refused before it is built: about
-# 0.3 GB at the 2.0 KB per term that MET without axioms peaks at
+# 0.1 GB at the 0.8 KB of max RSS per term that MET without axioms takes
 MAX_TERMS = 2**17
 
 # Premise descriptors:
@@ -90,18 +91,22 @@ MAX_TERMS = 2**17
 #   ("eq", i, j) | ("dist", i, j, value) | ("axiom", axiom_index)
 
 
-class RuleInstance(Record):
-    rule: str
-    detail: str | None
-    premises: tuple
-    conclusion: tuple
+class RuleInstance(Record, tuple):
+    """One event, under MET one per term or more: a tuple of the fields, with
+    no attribute dict. As a tuple it also equals the plain tuple of them."""
 
-    def __init__(self, rule: str, detail: str | None, premises: tuple, conclusion: tuple):
-        # one per event, nearly all of them merges: a fourth of the
-        # generic field loop's cost
-        fields = self.__dict__
-        fields["rule"], fields["detail"] = rule, detail
-        fields["premises"], fields["conclusion"] = premises, conclusion
+    __slots__ = ()
+    __init__ = object.__init__  # __new__ sets the fields
+    rule: str = property(itemgetter(0))
+    detail: str | None = property(itemgetter(1))
+    premises: tuple = property(itemgetter(2))
+    conclusion: tuple = property(itemgetter(3))
+
+    def __new__(cls, rule: str, detail: str | None, premises: tuple, conclusion: tuple):
+        return _new_tuple(cls, (rule, detail, premises, conclusion))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 class TraceNode(Record):
@@ -187,8 +192,8 @@ class DerivationDB:
         self._dirty: list[int] = []
         self._parent = list(range(n))
         self.dmin: dict[int, int] = {}
-        # filled on the first cell below q of each id
-        self._near: dict[int, set[int]] = {}
+        # per id, the ids across its cells below q, or None before its first
+        self._near: list[list[int] | None] = [None] * n
         # the one record of what saturation derived
         self.events = [RuleInstance("INIT", f"{theory.name}[{k}]", (), ("axiom", k))
                        for k in range(len(theory.judgments))]
@@ -305,10 +310,15 @@ class DerivationDB:
 
     def _set_dist(self, a: int, b: int, value: int, rule: str, detail: str | None,
                   premises: tuple) -> None:
-        self.dmin[a * self._n + b] = value
-        near = self._near
-        near.setdefault(a, set()).add(b)
-        near.setdefault(b, set()).add(a)
+        dmin, n, near = self.dmin, self._n, self._near
+        if a * n + b not in dmin and b * n + a not in dmin:
+            # the first cell below q between a and b: each joins the other's list
+            for u, v in ((a, b), (b, a)) if a != b else ((a, a),):
+                if near[u] is None:
+                    near[u] = [v]
+                else:
+                    near[u].append(v)
+        dmin[a * n + b] = value
         self.events.append(RuleInstance(rule, detail, premises, ("dist", a, b, value)))
 
     def _lower(self, i: int, j: int, value: int, rule: str, detail: str | None,
@@ -328,7 +338,7 @@ class DerivationDB:
         parent, get, n, q = self._parent, self.dmin.get, self._n, self.grid.q
         parent[loser] = winner
         self._dirty += self._uses.get(loser, ())
-        if loser not in self._near:
+        if self._near[loser] is None:
             # every cell of the loser reads q, so it lowers nothing
             return True
         eq_premise = ("eq", winner, loser)
@@ -345,7 +355,8 @@ class DerivationDB:
                 self._set_dist(winner, winner, best_val, "RCONG", None, (eq_premise, last_fact))
         # fold rows and columns against every other class; a cell at q lowers
         # nothing, so only classes with a cell below q to the loser can change
-        for k in sorted(k for k in self._near.pop(loser, ()) if k != winner and parent[k] == k):
+        loser_near, self._near[loser] = self._near[loser], None
+        for k in sorted(k for k in loser_near if k != winner and parent[k] == k):
             v = get(loser * n + k, q)
             if v < get(winner * n + k, q):
                 self._set_dist(winner, k, v, "LCONG", None, (eq_premise, ("dist", loser, k, v)))
@@ -378,7 +389,7 @@ class DerivationDB:
             j = self.theory.judgments[conclusion[1]]
             return f"axiom {j.describe()}"
         _, i, jj, *rest = conclusion
-        s, t = term_to_str(self.universe[i]), term_to_str(self.universe[jj])
+        s, t = map(term_to_str, self.terms((i, jj)))
         if kind == "eq":
             return f"{s} = {t}"
         return f"{s} ={self.grid.format(rest[0])} {t}"
@@ -435,7 +446,7 @@ class DerivationDB:
 
     def _eq_tree(self, i: int, j: int) -> TraceNode:
         if i == j:
-            s = term_to_str(self.universe[i])
+            s = term_to_str(self.terms((i,))[0])
             return TraceNode("REFL", None, f"{s} = {s}", ())
         # an "eq" premise names class members; walk the merge forest between them
         for u, v, eid in self._forest_path(i, j):
@@ -570,16 +581,16 @@ def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
     return changed
 
 
-def _written(db: DerivationDB, since: int) -> set[tuple[int, int]]:
-    """The root pairs whose cells the events from ``since`` on wrote: a cell
-    between roots is written under their ids."""
-    parent = db._parent
-    written = set()
+def _written(db: DerivationDB, since: int):
+    """The root pairs whose cells the events from ``since`` on wrote, each
+    once, lazily: a cell between roots is written under their ids, and as
+    its value only falls, just its last write holds the value it reads."""
+    parent, dmin, n = db._parent, db.dmin, db._n
     for ev in db.events[since:]:
         c = ev.conclusion
-        if c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]:
-            written.add((c[1], c[2]))
-    return written
+        if (c[0] == "dist" and parent[c[1]] == c[1] and parent[c[2]] == c[2]
+                and dmin[c[1] * n + c[2]] == c[3]):
+            yield c[1], c[2]
 
 
 def _counted(db: DerivationDB, items, per_item: int = 1):
@@ -664,7 +675,7 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
             for fixed, free in links:
                 if fixed in (xp, yp) and choices[free] is pool:
                     v = a if fixed == xp else b
-                    choices[free] = sorted(r for r in near.get(v, ()) if parent[r] == r)
+                    choices[free] = sorted(r for r in near[v] or () if parent[r] == r)
             yield choices
 
 
@@ -680,9 +691,12 @@ class _Worklist:
 
     A stream added while the merge runs contributes only the tuples after
     the last one taken, so the merge ascends and a repeat is the one taken.
+    A stream's first tuple waits in a heap of bare tuples, and only a stream
+    with a second joins a heap of (next tuple, order, stream): most hold one.
     """
 
     def __init__(self):
+        self._tuples: list = []
         self._heap: list = []
         self._last: tuple | None = None  # nothing taken yet, not even ()
         self._ids = itertools.count()
@@ -691,13 +705,18 @@ class _Worklist:
         for stream in streams:
             for t in stream:
                 if self._last is None or t > self._last:
-                    heapq.heappush(self._heap, (t, next(self._ids), stream))
+                    heapq.heappush(self._tuples, t)
+                    nxt = next(stream, None)
+                    if nxt is not None:
+                        heapq.heappush(self._heap, (nxt, next(self._ids), stream))
                     break
 
     def __iter__(self):
-        heap = self._heap
-        while heap:
-            if len(heap) == 1:
+        tuples, heap = self._tuples, self._heap
+        while tuples or heap:
+            if tuples and (not heap or tuples[0] < heap[0][0]):
+                t = heapq.heappop(tuples)
+            elif len(heap) == 1 and not tuples:
                 # a lone stream is drained directly until an add joins it
                 t, i, stream = heap.pop()
                 while t is not None:
@@ -705,16 +724,17 @@ class _Worklist:
                         self._last = t
                         yield t
                     t = next(stream, None)
-                    if heap and t is not None:
+                    if t is not None and (heap or tuples):
                         heapq.heappush(heap, (t, i, stream))
                         break
                 continue
-            t, i, stream = heap[0]
-            nxt = next(stream, None)
-            if nxt is None:
-                heapq.heappop(heap)
             else:
-                heapq.heapreplace(heap, (nxt, i, stream))
+                t, i, stream = heap[0]
+                nxt = next(stream, None)
+                if nxt is None:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, (nxt, i, stream))
             if t != self._last:
                 self._last = t
                 yield t
@@ -761,7 +781,7 @@ def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> 
     else:
         # per root at point 0 (one with a cell below 1 if it is in a pair),
         # joined as a written cell (0, 0) when reached; no points: just ()
-        heads = [r for r in pool if r in db._near] if any(0 in cell for cell in cells) else pool
+        heads = [r for r in pool if db._near[r]] if any(0 in cell for cell in cells) else pool
         queue.add(itertools.chain.from_iterable(
             search(joined) for r in heads for joined in _on_cell(db, arity, [(0, 0)], links, r, r, pool))
             if arity else search([]))

@@ -158,6 +158,28 @@ class TestFree:
         )
         assert code == 0 and report["classes"] == ["a"]
 
+    def test_report_of_many_batches_prints_as_json_dumps(self, capsys, tmp_path):
+        # {u/1, f/2} over two points at depth 3: 74 classes, so the report is
+        # streamed in several writes
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            "grid": 4, "signature": {"ops": {"u": 1, "f": 2}}, "spec": {"preset": "FREL"},
+            "spaces": {"S": {"carrier": ["a", "b"], "dist": [["0", "1/2"], ["1/2", "0"]]}},
+            "theories": {"EMPTY": []},
+        }))
+        argv = ["--workspace", str(path), "free", "--theory", "EMPTY", "--space", "S"]
+        args = cli.parse_args(argv)
+        ws = cli.load_workspace(args.workspace, args)
+        args.theory, args.space = ws.theories["EMPTY"], ws.spaces["S"]
+        report, _ = cli.cmd_free(ws, args)
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+        assert sum(1 for _ in chunks) > 3 * cli.EMIT_BATCH
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert run(capsys, *argv) == (0, expected, "")
+        # a query that fails before its report prints nothing on stdout
+        code, out, err = run(capsys, "--budget-instances", "1", *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
 
 class TestEntail:
     def test_vacuous_and_refuted(self, capsys):

@@ -9,6 +9,7 @@ is built.
 """
 from __future__ import annotations
 
+import gc
 import json
 import time
 import tracemalloc
@@ -68,6 +69,25 @@ def test_depth_four_table_stays_small():
     assert len(db.universe) == 5_552
     assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB traced"
     assert elapsed < 1.0
+
+
+def test_depth_four_saturation_transient_stays_small():
+    # MET over {u/1, f/2}, two points at 1/2, no axioms: 5,552 terms and one
+    # diagonal write each. The first triangle pass queues a one-tuple stream
+    # per written cell: the queue must keep the tuple, not the stream with
+    # its product, choices and near list, which put the peak at 2.1x
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = saturate(UF_SIG, Theory("E", ()), MET, _pair(4, 2), 4)
+        # objects freed into the interpreter's free lists are traced until a
+        # collection empties them
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert db._n == 5_552 and len(db.events) == 5_554
+    assert peak <= 1.6 * held, f"peak {peak / 2**20:.2f} MB, held {held / 2**20:.2f} MB"
 
 
 def _refuse_enumeration(monkeypatch):

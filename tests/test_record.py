@@ -8,8 +8,10 @@ load ``dataclasses`` or the modules it pulls in.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -82,11 +84,13 @@ SAMPLES = {
 
 
 def _twin(cls):
-    """A frozen data class with the fields and defaults of ``cls``."""
+    """A frozen data class with the fields and defaults of ``cls``. A field's
+    accessor, a data descriptor such as a slot, is no default."""
+    own = vars(cls)
     fields = [
-        (name, object, dataclasses.field(default=vars(cls)[name])) if name in vars(cls)
-        else (name, object)
-        for name in vars(cls)["__annotations__"]
+        (name, object, dataclasses.field(default=own[name]))
+        if name in own and not hasattr(own[name], "__set__") else (name, object)
+        for name in own["__annotations__"]
     ]
     twin = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
     twin.__qualname__ = cls.__qualname__
@@ -131,6 +135,19 @@ def test_frozen(cls):
     with pytest.raises(AttributeError):
         rec.unknown = 1
     assert getattr(rec, field) == SAMPLES[cls][0][0]
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_pickle_and_copies_are_equal(cls):
+    for args in SAMPLES[cls]:
+        rec = cls(*args)
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
+
+
+def test_an_event_holds_no_attribute_dict():
+    # saturation keeps one RuleInstance per event
+    assert not hasattr(RuleInstance(*SAMPLES[RuleInstance][0]), "__dict__")
 
 
 def test_missing_and_extra_arguments():
