@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -388,11 +389,29 @@ def main(argv: list[str] | None = None) -> int:
         for batch in iter(lambda: "".join(itertools.islice(chunks, EMIT_BATCH)), ""):
             sys.stdout.write(batch)
         sys.stdout.write("\n")
+        # a report that cannot be written whole is an error here, not at exit
+        sys.stdout.flush()
     except (QeqlogError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if holds else 1
 
 
+def run() -> None:
+    """The process entry point: ``main()`` on ``sys.argv``, then an exit
+    with its code that skips the interpreter's teardown, once both streams
+    are flushed; nothing in the package needs teardown. A flush that fails
+    here repeats a failed write that ``main`` has already reported as exit
+    2, so the exit code stays ``main``'s. ``--help``, a usage error and an
+    uncaught exception leave through the normal exit."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

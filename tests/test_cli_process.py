@@ -1,0 +1,126 @@
+"""The CLI as a process: ``python -m qeqlog.cli`` against in-process ``main()``.
+
+``cli.run`` ends the process without the interpreter's teardown, so these
+tests check what only a child process shows: the same stdout bytes and exit
+code as ``main()`` on the same command line, a large report that arrives
+whole through a pipe, and a report that cannot be written, which is exit 2
+with one error line, whether Python buffers stdout or not.
+"""
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import qeqlog.cli as cli
+from test_cli_golden import CASES, FIXTURES
+
+ROOT = FIXTURES.parent.parent
+WS = str(FIXTURES / "workspace.json")
+SMALL = ["--workspace", WS, *CASES["distance-QUARTER"][1]]
+
+
+@pytest.fixture(scope="module")
+def large(tmp_path_factory) -> list[str]:
+    """A ``free`` query whose report is over 64 KB: {u/1, f/2} over two
+    points at depth 3, 74 classes."""
+    path = tmp_path_factory.mktemp("ws") / "ws.json"
+    path.write_text(json.dumps({
+        "grid": 4, "signature": {"ops": {"u": 1, "f": 2}}, "spec": {"preset": "FREL"},
+        "spaces": {"S": {"carrier": ["a", "b"], "dist": [["0", "1/2"], ["1/2", "0"]]}},
+        "theories": {"EMPTY": []},
+    }))
+    return ["--workspace", str(path), "free", "--theory", "EMPTY", "--space", "S"]
+
+
+def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``main(argv)``, with the code of a
+    ``SystemExit`` it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "qeqlog.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (SMALL, 0),
+    (["--workspace", WS, *CASES["derive-QUARTER-not"][1]], 1),
+    (["--workspace", WS, *CASES["check-model-unknown"][1]], 2),
+    (["--help"], 0),
+    (["--workspace", WS, "distance", "--theory", "QUARTER"], 2),
+], ids=["holds", "fails", "error", "help", "usage"])
+def test_child_prints_what_main_prints(argv, code):
+    expected = in_process(argv)
+    assert expected[0] == code
+    done = child(argv, unbuffered=False)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_large_report_arrives_whole_through_a_pipe(large, unbuffered):
+    code, out, err = in_process(large)
+    assert (code, err) == (0, b"") and len(out) > 64 * 1024
+    done = child(large, unbuffered)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+@contextlib.contextmanager
+def closed_pipe():
+    """The write end of a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+@contextlib.contextmanager
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as sink:
+        yield sink
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("report", ["small", "large"])
+@pytest.mark.parametrize("sink", [closed_pipe, full_device], ids=["closed-pipe", "full"])
+def test_report_that_cannot_be_written_is_exit_2(large, sink, report, unbuffered):
+    with sink() as stdout:
+        done = child(SMALL if report == "small" else large, unbuffered, stdout)
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno"), lines
+
+
+def test_installed_command_is_run():
+    tomllib = pytest.importorskip("tomllib")  # 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"qeqlog": "qeqlog.cli:run"}
+
+
+def test_main_block_calls_run():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    block = tree.body[-1]
+    assert ast.unparse(block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(stmt) for stmt in block.body] == ["run()"]
