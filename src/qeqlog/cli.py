@@ -7,6 +7,7 @@ and every numeric is an exact fraction string.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -320,7 +321,7 @@ class _Level:
                 if eq:
                     self.fail(f"option --{name} takes no value")
                 if name == "help":
-                    print(self.help())
+                    print(self.help(), flush=True)
                     raise SystemExit(0)
                 values[name] = True
                 continue
@@ -377,8 +378,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         ws = load_workspace(args.workspace, args)
         for option in args.named:
             table, kind = NAMED[option]
@@ -392,7 +393,9 @@ def main(argv: list[str] | None = None) -> int:
         # a report that cannot be written whole is an error here, not at exit
         sys.stdout.flush()
     except (QeqlogError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # stderr may be the stream that failed
+        with contextlib.suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if holds else 1
 
@@ -402,8 +405,8 @@ def run() -> None:
     with its code that skips the interpreter's teardown, once both streams
     are flushed; nothing in the package needs teardown. A flush that fails
     here repeats a failed write that ``main`` has already reported as exit
-    2, so the exit code stays ``main``'s. ``--help``, a usage error and an
-    uncaught exception leave through the normal exit."""
+    2, so the exit code stays ``main``'s. ``--help`` and a usage error that
+    are written, and an uncaught exception, leave through the normal exit."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -17,13 +17,6 @@ only what the merges and writes since its previous run can have changed, in
 the order of evaluating everything, so it records the same events, and only
 the count of instances considered falls.
 
-- Horn clauses. A clause's conclusion is monotone in its premise distances,
-  and distances only fall, so an instance that failed or fired cannot fire
-  again until one of its premise cells is written. A pass of a clause
-  evaluates the tuples on cells written since its previous pass began (the
-  event list is the write log), plus the later tuples that its own writes
-  and merges reach, in the product order of a full pass, joining a written
-  cell only with the roots near it (:func:`_on_cell`).
 - Congruence. An application's key is its operation over the roots of its
   arguments. A root is the least id of its class, and ids ascend by depth,
   then by argument ids, so the application over a key's own roots is in the
@@ -34,14 +27,19 @@ the count of instances considered falls.
   under the old key is already in its class and comes later, so a full
   step would skip it. A step therefore re-keys only the applications over
   the ids that lost their root since the previous step took its keys.
-- Substitution. Over a fixed tuple of roots, both sides of an axiom are
-  fixed ids; the conclusion's cell can only fall, and a merge can only make
-  the two sides one class. So an instance that failed or fired can fire
-  later only once one of its premise cells, those at a context distance
-  below 1, is written. Every pass takes its tuples from one worklist of
-  pruned searches, after an axiom's first only from the cells written since
-  its previous pass began: an axiom with no premise below 1 needs its first
-  pass only (:func:`_subst_pass`).
+- Horn clauses, then theory axioms under substitution: one pass per rule
+  (:func:`_rule_pass`). Over a fixed tuple of roots, a conclusion is
+  monotone in the premise cells, which only fall, and a merge only joins
+  classes, so an instance that failed or fired can fire again only once a
+  premise cell is written. A pass starts from the cells written since the
+  rule's previous pass began (the event list is the write log), joins each
+  with the roots near it (:func:`_on_cell`), takes the tuples in product
+  order, and requeues the later tuples that its own writes and merges
+  reach. A rule gives what differs: its first pass (every tied tuple for a
+  clause that fires at top, every tuple for an axiom, else the written
+  cells), its tuple search (a product for a clause, a pruned search for an
+  axiom) and its count (per parameter vector for a clause, per tuple for an
+  axiom).
 """
 from __future__ import annotations
 
@@ -201,9 +199,6 @@ class DerivationDB:
         # where the next counted instance belongs, for budget errors
         self._round = 0
         self._phase = "USEVAR"
-        # per clause, the event count when its previous Horn pass began
-        self._horn_since: list[int | None] = [None] * len(spec.clauses)
-        self._subst_since: list[int | None] = [None] * len(theory.judgments)
 
     # --- union-find ---
 
@@ -480,13 +475,19 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     for a in target.carrier:
         for b in _counted(db, target.carrier):
             db._lower(db.var_ids[a], db.var_ids[b], target.d(a, b), "USEVAR", None, ())
-    while True:
+    rules = [(f"HORN:{c.name}", partial(_horn_rule, c)) for c in spec.clauses] + [
+        (f"SUBST:{theory.name}[{k}]", partial(_subst_rule, k, j))
+        for k, j in enumerate(theory.judgments)]
+    # per rule, the event count when its previous pass began
+    since: list[int | None] = [None] * len(rules)
+    changed = True
+    while changed:
         db._round += 1
         changed = _step_cong(db)
-        changed = _step_horn(db) or changed
-        changed = _step_subst(db) or changed
-        if not changed:
-            break
+        for k, (phase, rule) in enumerate(rules):
+            db._phase = phase
+            start, since[k] = since[k], len(db.events)
+            changed = _rule_pass(db, start, *rule(db)) or changed
     parent = db._parent
     for i in range(len(parent)):
         parent[i] = db.find(i)
@@ -517,68 +518,110 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
-def _step_horn(db: DerivationDB) -> bool:
-    changed = False
-    for c, clause in enumerate(db.spec.clauses):
-        db._phase = f"HORN:{clause.name}"
-        since, db._horn_since[c] = db._horn_since[c], len(db.events)
-        changed |= _horn_pass(db, clause, since)
-    return changed
+def _rule_pass(db: DerivationDB, since: int | None, arity: int, cells, links, merging: bool,
+               expand, seed, per_tuple: int, fire) -> bool:
+    """One pass of a rule over the tuples of the roots, in product order.
 
-
-def _horn_pass(db: DerivationDB, clause: HornClause, since: int | None) -> bool:
-    """One pass of a clause over the tuples of the roots, in product order.
-
-    ``since`` is the event count when the clause's previous pass began, None
-    before its first. A first pass of a clause that the two-point space with
-    every distance 1 violates (:func:`_fires_at_top`) starts from every tuple
-    whose positions tied by an equality premise hold one root. Any other pass
-    starts from the tuples with a distance premise on a cell written since
-    then, joined through the near-cell index. In both, a write or merge
-    during the pass queues the later tuples it reaches. The tuples left out
-    are those whose premises are unchanged since they last failed or fired,
-    and those that read 1 at a blocking premise (:func:`_links`) when queued:
-    a later write to that cell queues them while they are ahead, and one
-    behind read 1 there in a full pass too. So the pass records what a full
-    pass records.
+    ``since`` is the event count when the rule's previous pass began, None
+    before its first, which starts from ``seed(pool)`` unless that is None.
+    ``expand`` turns candidates per position into ascending tuple streams.
+    ``fire`` takes the tuples, each counted as ``per_tuple`` instances, and
+    yields the ids of each write, which requeues the later tuples on the
+    written cell, or for a ``merging`` rule those on the merged class.
     """
-    changed = False
-    dmin, n, find = db.dmin, db._n, db.find
-    compiled = compile_clause(clause, db.grid.q)
-    _, vectors, prems, cx, cy, conc_bounds = compiled
-    merging = conc_bounds is None
-    arity = len(clause.vars)
+    find = db.find
     # a tuple, so that itertools.product takes it without a copy
-    root_list = tuple(db.roots())
-    cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
-    links = _links(compiled, db.grid.q)
-    products = partial(itertools.starmap, itertools.product)
+    pool = tuple(db.roots())
     queue = _Worklist()
-    if since is None and _fires_at_top(clause, db.grid.q):
-        queue.add(_tied(arity, prems, root_list))
+    if since is None and (first := seed(pool)) is not None:
+        queue.add(first)
     else:
         for a, b in _written(db, since or 0):
-            queue.add(*products(_on_cell(db, arity, cells, links, a, b, root_list)))
-    # only a merging clause turns members of root_list into non-roots
-    for assignment, reps, pvec, vals in clause_failures(
-            compiled, dmin, db.grid.q, n, _counted(db, queue, len(vectors)),
-            find if merging else None):
-        # nearly every instance fires nothing: premises are built only for
-        # one whose conclusion is new
-        premises = tuple(
-            ("eq", assignment[xp], assignment[yp]) if bounds is None
-            else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
-            for xp, yp, si, bounds in prems
-        )
+            queue.add(*expand(_on_cell(db, arity, cells, links, a, b, pool)))
+    changed = False
+    for x, y in fire(_counted(db, queue, per_tuple)):
         changed = True
-        x, y = reps[cx], reps[cy]
-        if merging:
-            db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
-            queue.add(*products(_on_class(find, find(x), arity, root_list)))
-        else:
-            db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
-            queue.add(*products(_on_cell(db, arity, cells, links, x, y, root_list)))
+        queue.add(*expand(_on_class(find, find(x), arity, pool) if merging
+                          else _on_cell(db, arity, cells, links, x, y, pool)))
     return changed
+
+
+def _horn_rule(clause: HornClause, db: DerivationDB):
+    """A clause's parts for :func:`_rule_pass`: the products of the
+    candidates, one instance per parameter vector, and a first pass over the
+    tied tuples (:func:`_tied`) if the clause fires at top. The join leaves
+    out the tuples that read 1 at a blocking premise (:func:`_links`) when
+    queued: a later write to that cell queues them while they are ahead,
+    and one behind read 1 there in a full pass too."""
+    dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
+    compiled = compile_clause(clause, q)
+    _, vectors, prems, cx, cy, conc_bounds = compiled
+    merging, arity = conc_bounds is None, len(clause.vars)
+
+    def fire(tuples):
+        # only a merging clause turns members of the pool into non-roots
+        for assignment, reps, pvec, vals in clause_failures(
+                compiled, dmin, q, n, tuples, find if merging else None):
+            # nearly every instance fires nothing: premises are built only for
+            # one whose conclusion is new
+            premises = tuple(
+                ("eq", assignment[xp], assignment[yp]) if bounds is None
+                else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
+                for xp, yp, si, bounds in prems
+            )
+            x, y = reps[cx], reps[cy]
+            if merging:
+                db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
+            else:
+                db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
+            yield x, y
+
+    return (arity, [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None],
+            _links(compiled, q), merging, partial(itertools.starmap, itertools.product),
+            lambda pool: _tied(arity, prems, pool) if _fires_at_top(clause, q) else None,
+            len(vectors), fire)
+
+
+def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
+    """An axiom's parts for :func:`_rule_pass`: premise cells at a context
+    distance below 1, a pruned search (:func:`images_within`) that reads a
+    cell when it reaches it, one instance per tuple it yields, and a first
+    pass from each root at point 0, joined as a written cell (0, 0): when
+    point 0 is in a premise cell, only a root with a cell below 1."""
+    dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
+    ctx, merging, arity = j.context, j.eps is None, len(j.context.carrier)
+    cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
+    links = [link for x, y in cells if x != y for link in ((x, y), (y, x))]
+    # only a merging axiom turns members of the pool into non-roots
+    search = partial(images_within, ctx.dist, dmin, q, n, find=find if merging else None)
+    left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
+
+    def seed(pool):
+        heads = [r for r in pool if db._near[r]] if any(0 in cell for cell in cells) else pool
+        return itertools.chain.from_iterable(
+            search(joined) for r in heads for joined in _on_cell(db, arity, [(0, 0)], links, r, r, pool)
+        ) if arity else search([])
+
+    def fire(tuples):
+        for chosen in tuples:
+            chosen = [find(r) for r in chosen] if merging else chosen
+            li = left(chosen)
+            ri = li if li is None else right(chosen)
+            # build premises only for a new conclusion, as _merge and _lower
+            # would record nothing for the others
+            if ri is None or (db.same(li, ri) if merging
+                              else j.eps >= dmin.get(find(li) * n + find(ri), q)):
+                continue
+            premises = (("axiom", ax_i),) + tuple(
+                ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
+            )
+            if merging:
+                db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
+            else:
+                db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
+            yield find(li), find(ri)
+
+    return arity, cells, links, merging, partial(map, search), seed, 1, fire
 
 
 def _written(db: DerivationDB, since: int):
@@ -598,7 +641,7 @@ def _counted(db: DerivationDB, items, per_item: int = 1):
     taken."""
     budget = db.budget
     for item in items:
-        # db._count inlined: the Horn step takes its tuples through here
+        # db._count inlined: every rule pass takes its tuples through here
         db.instances += per_item
         if budget is not None and db.instances > budget:
             raise db._over_budget()
@@ -738,74 +781,6 @@ class _Worklist:
             if t != self._last:
                 self._last = t
                 yield t
-
-
-def _step_subst(db: DerivationDB) -> bool:
-    changed = False
-    for ax_i, j in enumerate(db.theory.judgments):
-        db._phase = f"SUBST:{db.theory.name}[{ax_i}]"
-        since, db._subst_since[ax_i] = db._subst_since[ax_i], len(db.events)
-        changed |= _subst_pass(db, ax_i, j, since)
-    return changed
-
-
-def _subst_pass(db: DerivationDB, ax_i: int, j: Judgment, since: int | None) -> bool:
-    """One pass of an axiom over the tuples of the roots, in product order,
-    each from a pruned search (:func:`images_within`) that reads a cell when
-    it reaches it, so a tuple counts as an instance when it passes its
-    premises as it is reached. ``since`` is the event count when the previous
-    pass began, None before the first, which searches every tuple. Any other
-    starts from the tuples with a premise pair, two points at a context
-    distance below 1, on a cell written since then. A write the pass derives
-    queues the later tuples on its cell, a merge those that hold its class.
-    """
-    changed = False
-    dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
-    ctx, merging = j.context, j.eps is None
-    arity = len(ctx.carrier)
-    cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
-    if since is not None:
-        # a cell above every premise bound starts no instance
-        top = max((ctx.dist[x][y] for x, y in cells), default=-1)
-        written = [(a, b) for a, b in _written(db, since) if dmin.get(a * n + b, q) <= top]
-        if not written:
-            return False
-    links = [link for x, y in cells if x != y for link in ((x, y), (y, x))]
-    pool = tuple(db.roots())
-    # only a merging axiom turns members of pool into non-roots
-    search = partial(images_within, ctx.dist, dmin, q, n, find=find if merging else None)
-    queue = _Worklist()
-    if since is not None:
-        for a, b in written:
-            queue.add(*map(search, _on_cell(db, arity, cells, links, a, b, pool)))
-    else:
-        # per root at point 0 (one with a cell below 1 if it is in a pair),
-        # joined as a written cell (0, 0) when reached; no points: just ()
-        heads = [r for r in pool if db._near[r]] if any(0 in cell for cell in cells) else pool
-        queue.add(itertools.chain.from_iterable(
-            search(joined) for r in heads for joined in _on_cell(db, arity, [(0, 0)], links, r, r, pool))
-            if arity else search([]))
-    left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
-    for chosen in _counted(db, queue):
-        chosen = [find(r) for r in chosen] if merging else chosen
-        li = left(chosen)
-        ri = li if li is None else right(chosen)
-        # build premises only for a new conclusion, as _merge and _lower
-        # would record nothing for the others
-        if ri is None or (db.same(li, ri) if merging
-                          else j.eps >= dmin.get(find(li) * n + find(ri), q)):
-            continue
-        premises = (("axiom", ax_i),) + tuple(
-            ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
-        )
-        changed = True
-        if merging:
-            db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
-            queue.add(*map(search, _on_class(find, find(li), arity, pool)))
-        else:
-            db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
-            queue.add(*map(search, _on_cell(db, arity, cells, links, find(li), find(ri), pool)))
-    return changed
 
 
 def derives(db: DerivationDB, j: Judgment) -> bool:

@@ -130,7 +130,7 @@ class FreeAlgebra:
         out = [values[r] for r in self.rep_ids]
         for i, v in enumerate(values):
             if v != out[self.class_at(i)]:
-                raise QeqlogError(f"{mismatch} on class members: {term_to_str(self.base.universe[i])}")
+                raise QeqlogError(f"{mismatch} on class members: {term_to_str(self.base.terms((i,))[0])}")
         return out
 
 

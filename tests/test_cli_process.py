@@ -3,8 +3,9 @@
 ``cli.run`` ends the process without the interpreter's teardown, so these
 tests check what only a child process shows: the same stdout bytes and exit
 code as ``main()`` on the same command line, a large report that arrives
-whole through a pipe, and a report that cannot be written, which is exit 2
-with one error line, whether Python buffers stdout or not.
+whole through a pipe, and a report, a help text or a usage error that cannot
+be written, which is exit 2 with one error line where stderr takes it,
+whether Python buffers stdout or not.
 """
 from __future__ import annotations
 
@@ -52,13 +53,14 @@ def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE,
+          stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "qeqlog.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=120)
+                          stderr=stderr, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -111,6 +113,25 @@ def test_report_that_cannot_be_written_is_exit_2(large, sink, report, unbuffered
     lines = done.stderr.decode().splitlines()
     assert done.returncode == 2, lines
     assert len(lines) == 1 and lines[0].startswith("error: [Errno"), lines
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["distance", "--help"]], ids=["top", "subcommand"])
+def test_help_into_a_closed_pipe_is_exit_2(argv, unbuffered):
+    with closed_pipe() as stdout:
+        done = child(argv, unbuffered, stdout)
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno"), lines
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_usage_error_with_stderr_closed_is_exit_2(unbuffered):
+    # a traceback would end the process with exit 1 or 120
+    with closed_pipe() as stderr:
+        done = child(["--workspace", WS, "distance", "--theory", "QUARTER"], unbuffered,
+                     stderr=stderr)
+    assert (done.returncode, done.stdout) == (2, b"")
 
 
 def test_installed_command_is_run():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -154,6 +155,41 @@ class TestBudgetNamesPhase:
                 assert int(m[2]) == round_
                 return
         pytest.fail(f"no budget below {needed} trips in {phase}")
+
+    # per fixture, the (phase, round, how many budgets in a row trip there)
+    # of every budget below the total, in budget order
+    PHI1_TRIPS = [
+        ("USEVAR", 0, 4), ("HORN:refl", 1, 4), ("HORN:symm", 1, 6), ("HORN:triangle", 1, 10),
+        ("HORN:zero_implies_eq", 1, 6), ("HORN:eq_implies_zero", 1, 4), ("SUBST:PHI1[0]", 1, 6),
+        ("HORN:symm", 2, 2), ("HORN:triangle", 2, 6), ("HORN:zero_implies_eq", 2, 11),
+        ("CONG", 3, 1),
+    ]
+    MIXED_TRIPS = [
+        ("USEVAR", 0, 4), ("HORN:refl", 1, 6), ("HORN:symm", 1, 8), ("HORN:triangle", 1, 12),
+        ("HORN:zero_implies_eq", 1, 8), ("HORN:eq_implies_zero", 1, 6), ("SUBST:MIX[0]", 1, 6),
+        ("SUBST:MIX[1]", 1, 10), ("CONG", 2, 1), ("HORN:symm", 2, 3), ("HORN:triangle", 2, 42),
+        ("HORN:zero_implies_eq", 2, 10), ("SUBST:MIX[1]", 2, 12), ("HORN:symm", 3, 2),
+    ]
+
+    @pytest.mark.parametrize("fixture", ["PHI1", "MIXED"])
+    def test_every_budget_names_its_phase_and_round(self, ab_half, fixture):
+        if fixture == "PHI1":
+            th, depth, expected = (Theory("PHI1", (Judgment(ab_half, Var("a"), Var("b"), 0),)),
+                                   2, self.PHI1_TRIPS)
+        else:
+            # u(x) within 1/4 of x lowers; u(a) = u(b) over a pair at 1/2 merges
+            ua, ub = App("u", (Var("a"),)), App("u", (Var("b"),))
+            th = Theory("MIX", unary_axiom_quarter(GRID).judgments + (Judgment(ab_half, ua, ub),))
+            depth, expected = 3, self.MIXED_TRIPS
+        needed = saturate(U_SIG, th, MET, ab_half, depth).instances
+        trips = []
+        for budget in range(needed):
+            with pytest.raises(BudgetExceeded) as exc:
+                saturate(U_SIG, th, MET, ab_half, depth, budget=budget)
+            m = _BUDGET_RE.match(str(exc.value))
+            assert m and int(m[1]) == budget, str(exc.value)
+            trips.append((m[3], int(m[2])))
+        assert [(*trip, len(list(run))) for trip, run in itertools.groupby(trips)] == expected
 
 
 class TestDerivesAndDistance:

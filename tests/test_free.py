@@ -211,6 +211,20 @@ class TestExtendHom:
         with pytest.raises(QeqlogError, match=r"^extension disagrees on class members: b$"):
             extend_hom(fa, swap_algebra, {"a": "p", "b": "q"})
 
+    def test_class_images_names_the_member_without_the_universe(self, ab_half):
+        th = Theory("PHI1", (Judgment(ab_half, Var("a"), Var("b"), 0),))
+        fa = build_free(U_SIG, th, MET, ab_half, 2)
+        n = len(fa.base._parent)
+        ub = fa.base.index_of(App("u", (Var("b"),)))
+        assert ub not in fa.rep_ids
+        values = [fa.class_at(i) for i in range(n)]
+        assert fa.class_images(values, "same") == list(range(len(fa.classes)))
+        values[ub] = -1
+        with pytest.raises(QeqlogError, match=r"^altered on class members: u\(b\)$"):
+            fa.class_images(values, "altered")
+        # naming one member builds its term alone, not every term tree
+        assert "universe" not in vars(fa.base)
+
 
 class TestCheckUmp:
     def test_swap_fixture_exists_unique(self, swap_algebra, ab_half):
