@@ -16,7 +16,7 @@ import sys
 from types import SimpleNamespace
 
 from ._record import Record
-from .deduce import derives, distance, saturate, trace
+from .deduce import derives, saturate, trace
 from .errors import QeqlogError
 from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import EpsGrid, FuzzySpace, GMetSpec
@@ -146,7 +146,7 @@ def cmd_derive(ws: Workspace, args) -> tuple[dict, bool]:
     j = _judgment(ws, args.judgment)
     db = saturate(ws.sig, args.theory, ws.spec, args.target, ws.depth, ws.budget_instances)
     ok = derives(db, j)
-    report = _report(ws, derivable=ok, distance=str(distance(db, j.lhs, j.rhs)))
+    report = _report(ws, derivable=ok, distance=_distance(db, j.lhs, j.rhs))
     if args.trace and ok:
         report["trace"] = [trace(db, j).to_json()]
     return report, ok
@@ -156,7 +156,12 @@ def cmd_distance(ws: Workspace, args) -> tuple[dict, bool]:
     lhs = parse_term(args.lhs, ws.sig, args.target.carrier)
     rhs = parse_term(args.rhs, ws.sig, args.target.carrier)
     db = saturate(ws.sig, args.theory, ws.spec, args.target, ws.depth, ws.budget_instances)
-    return _report(ws, distance=str(distance(db, lhs, rhs))), True
+    return _report(ws, distance=_distance(db, lhs, rhs)), True
+
+
+def _distance(db, s, t) -> str:
+    """What ``str(distance(db, s, t))`` prints, read off the grid without ``Fraction``."""
+    return db.grid.format(db.class_distance(db.index_of(s), db.index_of(t)))
 
 
 def cmd_free(ws: Workspace, args) -> tuple[dict, bool]:

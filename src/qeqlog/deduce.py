@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import (
@@ -75,6 +75,9 @@ from .terms import (
     universe_nodes,
     universe_size,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _new_tuple = tuple.__new__  # looked up once, not on every event
 # the most terms a saturation enumerates, refused before it is built: about

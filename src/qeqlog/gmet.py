@@ -8,17 +8,27 @@ atoms ``x = y`` and ``d(x, y) <= expr``.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
 from .terms import MAX_COMPILED_DEPTH
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 class EpsGrid(Record):
-    """The value set {0, 1/q, ..., 1}; members are handled as numerators over q."""
+    """The value set {0, 1/q, ..., 1}; members are handled as numerators over q.
+
+    The int 0 or 1, and an ASCII string "n" or "n/d" of digits alone, are
+    read with integer arithmetic when they lie on the grid. Every other
+    form (a Fraction, a float, a sign, spaces, a decimal point, an exponent,
+    "_", non-ASCII digits) and every value off the grid is read through
+    ``Fraction``, which is imported only then.
+    """
 
     q: int
 
@@ -41,6 +51,25 @@ class EpsGrid(Record):
         return num
 
     def _parse(self, x) -> int:
+        if type(x) is int and 0 <= x <= 1:
+            return x * self.q
+        if type(x) is str and x.isascii():
+            top, slash, bottom = x.partition("/")
+            if top.isdigit() and (bottom.isdigit() or not slash):
+                try:
+                    n, d = int(top), int(bottom or 1)
+                except ValueError:  # more digits than int() reads
+                    pass
+                else:
+                    if 0 < d and n <= d:
+                        num, rem = divmod(n * self.q, d)
+                        if not rem:
+                            return num
+        return self._parse_fraction(x)
+
+    def _parse_fraction(self, x) -> int:
+        from fractions import Fraction
+
         if isinstance(x, Fraction):
             f = x
         elif isinstance(x, bool):
@@ -50,7 +79,10 @@ class EpsGrid(Record):
         elif isinstance(x, float):
             f = Fraction(str(x))
         elif isinstance(x, str):
-            f = Fraction(x)
+            try:
+                f = Fraction(x)
+            except ZeroDivisionError:
+                raise GridMismatch(f"zero denominator in {x!r}") from None
         else:
             raise GridMismatch(f"cannot read grid value from {x!r}")
         scaled = f * self.q
@@ -59,10 +91,14 @@ class EpsGrid(Record):
         return int(scaled)
 
     def fraction(self, num: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(num, self.q)
 
     def format(self, num: int) -> str:
-        return str(Fraction(num, self.q))
+        """``str(Fraction(num, q))``: "n/d" in lowest terms, or "n" when d is 1."""
+        g = math.gcd(num, self.q)
+        return str(num // g) if g == self.q else f"{num // g}/{self.q // g}"
 
     def values(self) -> range:
         return range(self.q + 1)
@@ -131,7 +167,8 @@ class EpsExpr:
 
 
 class EpsConst(EpsExpr, Record):
-    value: Fraction
+    # an int or a Fraction: the presets hold the int 0, equal to Fraction(0)
+    value: int | Fraction
 
     def eval(self, env, q):
         scaled = self.value * q
@@ -180,11 +217,15 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
     """The expression of a JSON value; ``min1`` and ``plus`` nested more than
     ``room`` levels deep are an error, as hashing such a record would exhaust
     the recursion limit."""
+    from fractions import Fraction
+
     if isinstance(obj, str):
         try:
             return EpsConst(Fraction(obj))
         except ValueError:
             return EpsParam(obj)
+        except ZeroDivisionError:
+            raise ValueError(f"bad epsilon expression: {obj!r}") from None
     if isinstance(obj, (int, float)):
         return EpsConst(Fraction(str(obj)))
     if isinstance(obj, dict):
@@ -301,7 +342,7 @@ class GMetSpec(Record):
         }
 
 
-_REFL = HornClause("refl", ("x",), (), DistAtom("x", "x", EpsConst(Fraction(0))))
+_REFL = HornClause("refl", ("x",), (), DistAtom("x", "x", EpsConst(0)))
 _SYMM = HornClause(
     "symm", ("x", "y"), (DistAtom("x", "y", EpsParam("e")),), DistAtom("y", "x", EpsParam("e"))
 )
@@ -312,10 +353,10 @@ _TRIANGLE = HornClause(
     DistAtom("x", "z", EpsMin1(EpsPlus((EpsParam("e1"), EpsParam("e2"))))),
 )
 _ZERO_IMPLIES_EQ = HornClause(
-    "zero_implies_eq", ("x", "y"), (DistAtom("x", "y", EpsConst(Fraction(0))),), EqAtom("x", "y")
+    "zero_implies_eq", ("x", "y"), (DistAtom("x", "y", EpsConst(0)),), EqAtom("x", "y")
 )
 _EQ_IMPLIES_ZERO = HornClause(
-    "eq_implies_zero", ("x", "y"), (EqAtom("x", "y"),), DistAtom("x", "y", EpsConst(Fraction(0)))
+    "eq_implies_zero", ("x", "y"), (EqAtom("x", "y"),), DistAtom("x", "y", EpsConst(0))
 )
 
 FREL = GMetSpec("FREL", ())

@@ -547,6 +547,26 @@ class TestErrors:
                    "--lhs", "a", "--rhs", "b") == (
             2, "", "error: cannot read grid value from ['1/2']\n")
 
+    # a zero denominator was an uncaught ZeroDivisionError: a traceback with exit 1
+    @pytest.mark.parametrize("eps", ["1/0", "0/0"])
+    def test_zero_denominator_in_a_space(self, capsys, tmp_path, eps):
+        path = _edited(tmp_path, ["spaces", "AB", "dist", 0, 1], eps)
+        assert run(capsys, "--workspace", path, "distance", "--theory", "EMPTY", "--target", "AB",
+                   "--lhs", "a", "--rhs", "b") == (2, "", f"error: zero denominator in {eps!r}\n")
+
+    @pytest.mark.parametrize("eps", ["1/0", "0/0"])
+    def test_zero_denominator_in_a_judgment(self, capsys, eps):
+        j = json.dumps({"context": "AB", "lhs": "a", "rhs": "b", "eps": eps})
+        assert run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY", "--target", "AB",
+                   "--judgment", j) == (2, "", f"error: zero denominator in {eps!r}\n")
+
+    @pytest.mark.parametrize("eps", ["1/0", "0/0"])
+    def test_zero_denominator_in_a_clause_constant(self, capsys, tmp_path, eps):
+        spec = {"clauses": [{"name": "c", "vars": ["x"], "conclusion": {"dist": ["x", "x", eps]}}]}
+        assert run(capsys, "--workspace", _edited(tmp_path, ["spec"], spec), "distance",
+                   "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", f"error: bad epsilon expression: {eps!r}\n")
+
     # under a constant c, a carrier point c would read u(c) = c as an axiom
     # over a variable: named and inline contexts are refused alike
     @pytest.mark.parametrize("inline", [False, True])

@@ -5,7 +5,7 @@ tests check what only a child process shows: the same stdout bytes and exit
 code as ``main()`` on the same command line, a large report that arrives
 whole through a pipe, and a report, a help text or a usage error that cannot
 be written, which is exit 2 with one error line where stderr takes it,
-whether Python buffers stdout or not.
+whether Python buffers stdout or not. No subcommand loads ``fractions``.
 """
 from __future__ import annotations
 
@@ -132,6 +132,29 @@ def test_usage_error_with_stderr_closed_is_exit_2(unbuffered):
         done = child(["--workspace", WS, "distance", "--theory", "QUARTER"], unbuffered,
                      stderr=stderr)
     assert (done.returncode, done.stdout) == (2, b"")
+
+
+# one case of each subcommand on the fixture workspace, run in one child
+NO_FRACTIONS_CASES = ["distance-QUARTER", "derive-QUARTER-trace", "free-QUARTER",
+                      "check-model-swap-EMPTY", "entail-holds", "ump-EMPTY", "em-check-EMPTY",
+                      "monad-laws-EMPTY"]
+
+
+def test_no_subcommand_loads_fractions():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import qeqlog.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        qeqlog.cli.main(argv)\n"
+        "    print('fractions' in sys.modules)\n"
+    )
+    argvs = [["--workspace", WS, *CASES[case][1]] for case in NO_FRACTIONS_CASES]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert dict(zip(NO_FRACTIONS_CASES, done.stdout.split())) == dict.fromkeys(
+        NO_FRACTIONS_CASES, "False")
 
 
 def test_installed_command_is_run():

@@ -4,7 +4,7 @@
 classes, so each is checked against a frozen data class twin built from its
 annotations and defaults: ``repr`` (digested by the saturation goldens),
 ``==`` and ``hash`` must agree on every sample. Importing the CLI must not
-load ``dataclasses`` or the modules it pulls in.
+load ``dataclasses`` or the modules it pulls in, nor ``fractions``.
 """
 from __future__ import annotations
 
@@ -185,14 +185,25 @@ def test_equal_fields_of_different_classes_differ():
     assert EqAtom("x", "y") != ("x", "y")
 
 
-def test_cli_import_loads_no_class_generation_machinery():
+def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
+    """Those of ``modules`` that ``import qeqlog.cli`` loads in a fresh
+    interpreter without ``site``, as the printed sorted list."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import qeqlog.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     )
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_class_generation_machinery():
+    assert _loaded_by_cli_import(("dataclasses", "inspect", "ast", "dis")) == "[]\n"
+
+
+# grid values are read and printed as integer numerators; Fraction, and the
+# decimal and numbers modules it imports, load only for other forms
+def test_cli_import_loads_no_fractions():
+    assert _loaded_by_cli_import(("fractions", "decimal", "_decimal", "numbers")) == "[]\n"
