@@ -27,19 +27,19 @@ the count of instances considered falls.
   under the old key is already in its class and comes later, so a full
   step would skip it. A step therefore re-keys only the applications over
   the ids that lost their root since the previous step took its keys.
-- Horn clauses, then theory axioms under substitution: one pass per rule
-  (:func:`_rule_pass`). Over a fixed tuple of roots, a conclusion is
-  monotone in the premise cells, which only fall, and a merge only joins
+- Horn clauses, then theory axioms under substitution: each rule is one
+  generator of passes (:func:`_passes`), one pass a round, that builds its
+  parts once, at its first pass. Over a fixed tuple of roots, a conclusion
+  is monotone in the premise cells, which only fall, and a merge only joins
   classes, so an instance that failed or fired can fire again only once a
   premise cell is written. A pass starts from the cells written since the
   rule's previous pass began (the event list is the write log), joins each
   with the roots near it (:func:`_on_cell`), takes the tuples in product
-  order, and requeues the later tuples that its own writes and merges
-  reach. A rule gives what differs: its first pass (every tied tuple for a
-  clause that fires at top, every tuple for an axiom, else the written
-  cells), its tuple search (a product for a clause, a pruned search for an
-  axiom) and its count (per parameter vector for a clause, per tuple for an
-  axiom).
+  order, and requeues the later tuples that its own writes and merges reach.
+  A rule gives what differs: its first pass (every tied tuple for a clause
+  that fires at top, every tuple for an axiom, else the written cells), its
+  tuple search (a product for a clause, a pruned search for an axiom) and
+  its count (per parameter vector for a clause, per tuple for an axiom).
 """
 from __future__ import annotations
 
@@ -478,19 +478,18 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     for a in target.carrier:
         for b in _counted(db, target.carrier):
             db._lower(db.var_ids[a], db.var_ids[b], target.d(a, b), "USEVAR", None, ())
-    rules = [(f"HORN:{c.name}", partial(_horn_rule, c)) for c in spec.clauses] + [
-        (f"SUBST:{theory.name}[{k}]", partial(_subst_rule, k, j))
+    # a rule builds its parts at its first pass, so that a build error comes
+    # in its phase of round 1, after any budget trip before it
+    rules = [(f"HORN:{c.name}", _horn_rule(c, db)) for c in spec.clauses] + [
+        (f"SUBST:{theory.name}[{k}]", _subst_rule(k, j, db))
         for k, j in enumerate(theory.judgments)]
-    # per rule, the event count when its previous pass began
-    since: list[int | None] = [None] * len(rules)
     changed = True
     while changed:
         db._round += 1
         changed = _step_cong(db)
-        for k, (phase, rule) in enumerate(rules):
+        for phase, passes in rules:
             db._phase = phase
-            start, since[k] = since[k], len(db.events)
-            changed = _rule_pass(db, start, *rule(db)) or changed
+            changed = next(passes) or changed
     parent = db._parent
     for i in range(len(parent)):
         parent[i] = db.find(i)
@@ -521,41 +520,45 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
-def _rule_pass(db: DerivationDB, since: int | None, arity: int, cells, links, merging: bool,
-               expand, seed, per_tuple: int, fire) -> bool:
-    """One pass of a rule over the tuples of the roots, in product order.
+def _passes(db: DerivationDB, arity: int, cells, links, merging: bool, expand, seed, fire):
+    """A rule's passes over the tuples of the roots, each in product order,
+    yielding after each pass whether it wrote or merged.
 
-    ``since`` is the event count when the rule's previous pass began, None
-    before its first, which starts from ``seed(pool)`` unless that is None.
+    The first pass starts from ``seed(pool)`` unless ``seed`` is None, and
+    every other from the cells written since the previous pass began.
     ``expand`` turns candidates per position into ascending tuple streams.
-    ``fire`` takes the tuples, each counted as ``per_tuple`` instances, and
-    yields the ids of each write, which requeues the later tuples on the
-    written cell, or for a ``merging`` rule those on the merged class.
+    ``fire`` counts and runs the tuples it takes, and yields the ids of each
+    write, which requeues the later tuples on the written cell, or for a
+    ``merging`` rule those on the merged class.
     """
-    find = db.find
-    # a tuple, so that itertools.product takes it without a copy
-    pool = tuple(db.roots())
-    queue = _Worklist()
-    if since is None and (first := seed(pool)) is not None:
-        queue.add(first)
-    else:
-        for a, b in _written(db, since or 0):
-            queue.add(*expand(_on_cell(db, arity, cells, links, a, b, pool)))
-    changed = False
-    for x, y in fire(_counted(db, queue, per_tuple)):
-        changed = True
-        queue.add(*expand(_on_class(find, find(x), arity, pool) if merging
-                          else _on_cell(db, arity, cells, links, x, y, pool)))
-    return changed
+    find, since = db.find, None
+    while True:
+        # a tuple, so that itertools.product takes it without a copy
+        pool = tuple(db.roots())
+        queue = _Worklist()
+        start, since = since, len(db.events)
+        if start is None and seed is not None:
+            queue.add(seed(pool))
+        else:
+            for a, b in _written(db, start or 0):
+                queue.add(*expand(_on_cell(db, arity, cells, links, a, b, pool)))
+        changed = False
+        for x, y in fire(queue):
+            changed = True
+            queue.add(*expand(_on_class(find, find(x), arity, pool) if merging
+                              else _on_cell(db, arity, cells, links, x, y, pool)))
+        # the frame lives on between passes: keep nothing the size of a pass
+        del pool, queue
+        yield changed
 
 
 def _horn_rule(clause: HornClause, db: DerivationDB):
-    """A clause's parts for :func:`_rule_pass`: the products of the
-    candidates, one instance per parameter vector, and a first pass over the
-    tied tuples (:func:`_tied`) if the clause fires at top. The join leaves
-    out the tuples that read 1 at a blocking premise (:func:`_links`) when
-    queued: a later write to that cell queues them while they are ahead,
-    and one behind read 1 there in a full pass too."""
+    """A clause's passes (:func:`_passes`), built at its first: the products
+    of the candidates, one instance per parameter vector, and a first pass
+    over the tied tuples (:func:`_tied`) if the clause fires at top. The
+    join leaves out the tuples that read 1 at a blocking premise
+    (:func:`_links`) when queued: a later write to that cell queues them
+    while they are ahead, and one behind read 1 there in a full pass too."""
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     compiled = compile_clause(clause, q)
     _, vectors, prems, cx, cy, conc_bounds = compiled
@@ -564,7 +567,7 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
     def fire(tuples):
         # only a merging clause turns members of the pool into non-roots
         for assignment, reps, pvec, vals in clause_failures(
-                compiled, dmin, q, n, tuples, find if merging else None):
+                compiled, dmin, q, n, _counted(db, tuples, len(vectors)), find if merging else None):
             # nearly every instance fires nothing: premises are built only for
             # one whose conclusion is new
             premises = tuple(
@@ -579,18 +582,20 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
                 db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
             yield x, y
 
-    return (arity, [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None],
-            _links(compiled, q), merging, partial(itertools.starmap, itertools.product),
-            lambda pool: _tied(arity, prems, pool) if _fires_at_top(clause, q) else None,
-            len(vectors), fire)
+    yield from _passes(db, arity, [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None],
+                       _links(compiled, q), merging,
+                       expand=partial(itertools.starmap, itertools.product),
+                       seed=partial(_tied, arity, prems) if _fires_at_top(clause, q) else None,
+                       fire=fire)
 
 
 def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
-    """An axiom's parts for :func:`_rule_pass`: premise cells at a context
-    distance below 1, a pruned search (:func:`images_within`) that reads a
-    cell when it reaches it, one instance per tuple it yields, and a first
-    pass from each root at point 0, joined as a written cell (0, 0): when
-    point 0 is in a premise cell, only a root with a cell below 1."""
+    """An axiom's passes (:func:`_passes`), built at its first: premise
+    cells at a context distance below 1, a pruned search
+    (:func:`images_within`) that reads a cell when it reaches it, one
+    instance per tuple it yields, and a first pass from each root at point
+    0, joined as a written cell (0, 0): when point 0 is in a premise cell,
+    only a root with a cell below 1."""
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     ctx, merging, arity = j.context, j.eps is None, len(j.context.carrier)
     cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
@@ -606,7 +611,7 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
         ) if arity else search([])
 
     def fire(tuples):
-        for chosen in tuples:
+        for chosen in _counted(db, tuples):
             chosen = [find(r) for r in chosen] if merging else chosen
             li = left(chosen)
             ri = li if li is None else right(chosen)
@@ -624,7 +629,8 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
                 db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
             yield find(li), find(ri)
 
-    return arity, cells, links, merging, partial(map, search), seed, 1, fire
+    yield from _passes(db, arity, cells, links, merging,
+                       expand=partial(map, search), seed=seed, fire=fire)
 
 
 def _written(db: DerivationDB, since: int):
@@ -739,6 +745,7 @@ class _Worklist:
     the last one taken, so the merge ascends and a repeat is the one taken.
     A stream's first tuple waits in a heap of bare tuples, and only a stream
     with a second joins a heap of (next tuple, order, stream): most hold one.
+    One loop takes the lesser of the two heads.
     """
 
     def __init__(self):
@@ -762,18 +769,6 @@ class _Worklist:
         while tuples or heap:
             if tuples and (not heap or tuples[0] < heap[0][0]):
                 t = heapq.heappop(tuples)
-            elif len(heap) == 1 and not tuples:
-                # a lone stream is drained directly until an add joins it
-                t, i, stream = heap.pop()
-                while t is not None:
-                    if t != self._last:
-                        self._last = t
-                        yield t
-                    t = next(stream, None)
-                    if t is not None and (heap or tuples):
-                        heapq.heappush(heap, (t, i, stream))
-                        break
-                continue
             else:
                 t, i, stream = heap[0]
                 nxt = next(stream, None)

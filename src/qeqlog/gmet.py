@@ -217,6 +217,9 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
     """The expression of a JSON value; ``min1`` and ``plus`` nested more than
     ``room`` levels deep are an error, as hashing such a record would exhaust
     the recursion limit."""
+    if isinstance(obj, str) and obj.isidentifier():
+        # no identifier parses as a Fraction, so a parameter name needs no import
+        return EpsParam(obj)
     from fractions import Fraction
 
     if isinstance(obj, str):

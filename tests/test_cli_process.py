@@ -140,7 +140,16 @@ NO_FRACTIONS_CASES = ["distance-QUARTER", "derive-QUARTER-trace", "free-QUARTER"
                       "monad-laws-EMPTY"]
 
 
-def test_no_subcommand_loads_fractions():
+def test_no_subcommand_loads_fractions(tmp_path):
+    # one more input: a custom spec whose only bound is the parameter e
+    symm = {"clauses": [{"name": "symm", "vars": ["x", "y"],
+                         "premises": [{"dist": ["x", "y", "e"]}],
+                         "conclusion": {"dist": ["y", "x", "e"]}}]}
+    custom = tmp_path / "ws.json"
+    custom.write_text(json.dumps({**json.loads(pathlib.Path(WS).read_text(encoding="utf-8")),
+                                  "spec": symm}))
+    cases = {**{case: ["--workspace", WS, *CASES[case][1]] for case in NO_FRACTIONS_CASES},
+             "distance-custom-spec": ["--workspace", str(custom), *CASES["distance-QUARTER"][1]]}
     code = (
         "import contextlib, io, json, sys\n"
         "import qeqlog.cli\n"
@@ -149,12 +158,10 @@ def test_no_subcommand_loads_fractions():
         "        qeqlog.cli.main(argv)\n"
         "    print('fractions' in sys.modules)\n"
     )
-    argvs = [["--workspace", WS, *CASES[case][1]] for case in NO_FRACTIONS_CASES]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(list(cases.values()))],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert dict(zip(NO_FRACTIONS_CASES, done.stdout.split())) == dict.fromkeys(
-        NO_FRACTIONS_CASES, "False")
+    assert dict(zip(cases, done.stdout.split())) == dict.fromkeys(cases, "False")
 
 
 def test_installed_command_is_run():

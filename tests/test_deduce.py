@@ -7,9 +7,11 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qeqlog import deduce
 from qeqlog.errors import (
     BudgetExceeded,
     OutOfUniverse,
+    QeqlogError,
     SpecViolation,
     TrivialPair,
     UnknownFact,
@@ -18,6 +20,7 @@ from qeqlog.errors import (
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model, satisfies
 from qeqlog.deduce import (
+    DerivationDB,
     derives,
     distance,
     gen_nonexpansive_axioms,
@@ -136,6 +139,12 @@ _BUDGET_RE = re.compile(
 )
 
 
+def _mixed(ab_half) -> Theory:
+    # u(x) within 1/4 of x lowers; u(a) = u(b) over a pair at 1/2 merges
+    ua, ub = App("u", (Var("a"),)), App("u", (Var("b"),))
+    return Theory("MIX", unary_axiom_quarter(GRID).judgments + (Judgment(ab_half, ua, ub),))
+
+
 class TestBudgetNamesPhase:
     """Every phase that counts instances can trip the budget, and says so."""
 
@@ -177,10 +186,7 @@ class TestBudgetNamesPhase:
             th, depth, expected = (Theory("PHI1", (Judgment(ab_half, Var("a"), Var("b"), 0),)),
                                    2, self.PHI1_TRIPS)
         else:
-            # u(x) within 1/4 of x lowers; u(a) = u(b) over a pair at 1/2 merges
-            ua, ub = App("u", (Var("a"),)), App("u", (Var("b"),))
-            th = Theory("MIX", unary_axiom_quarter(GRID).judgments + (Judgment(ab_half, ua, ub),))
-            depth, expected = 3, self.MIXED_TRIPS
+            th, depth, expected = _mixed(ab_half), 3, self.MIXED_TRIPS
         needed = saturate(U_SIG, th, MET, ab_half, depth).instances
         trips = []
         for budget in range(needed):
@@ -190,6 +196,63 @@ class TestBudgetNamesPhase:
             assert m and int(m[1]) == budget, str(exc.value)
             trips.append((m[3], int(m[2])))
         assert [(*trip, len(list(run))) for trip, run in itertools.groupby(trips)] == expected
+
+    def test_a_rule_build_error_comes_at_its_first_pass(self):
+        # u^201(x) =1/4 x is in the depth-202 universe but too deep to
+        # compile: the axiom's first pass raises, after every budget trip
+        # in USEVAR (1 instance) and the five clauses' first passes (202 each)
+        sp = FuzzySpace(GRID, ("x",), ((0,),))
+        deep = Var("x")
+        for _ in range(201):
+            deep = App("u", (deep,))
+        th = Theory("DEEP", (Judgment(sp, deep, Var("x"), 1),))
+        too_deep = "a term nested more than 200 levels deep cannot be evaluated"
+        for budget in (None, 1011, 1012, 5000):
+            with pytest.raises(QeqlogError, match=too_deep) as exc:
+                saturate(U_SIG, th, MET, sp, 202, budget=budget)
+            assert not isinstance(exc.value, BudgetExceeded)
+        for budget in [*range(0, 1011, 25), 1010]:
+            with pytest.raises(BudgetExceeded) as exc:
+                saturate(U_SIG, th, MET, sp, 202, budget=budget)
+            m = _BUDGET_RE.match(str(exc.value))
+            assert m and int(m[1]) == budget, str(exc.value)
+            assert (m[3], m[2]) == ("USEVAR", "0") or (m[3].startswith("HORN:") and m[2] == "1")
+        assert m[3] == "HORN:eq_implies_zero"
+
+
+class TestRulePasses:
+    """Each rule is one generator of passes, built at its first pass."""
+
+    def test_rule_parts_are_built_once(self, ab_half, monkeypatch):
+        # three rounds, five clauses and two axioms: each clause compiles
+        # once and each axiom its two sides once, not once per round
+        calls = {"clause": 0, "side": 0}
+
+        def counting(key, f):
+            def wrapped(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapped
+
+        monkeypatch.setattr(deduce, "compile_clause", counting("clause", deduce.compile_clause))
+        monkeypatch.setattr(DerivationDB, "compiled", counting("side", DerivationDB.compiled))
+        th = _mixed(ab_half)
+        db = saturate(U_SIG, th, MET, ab_half, 3)
+        assert db._round == 3
+        assert calls == {"clause": len(MET.clauses), "side": 2 * len(th.judgments)}
+
+    def test_no_pass_state_outlives_its_pass(self, ab_half):
+        # between passes a rule's frame keeps its parts, not the pass's roots
+        # tuple or worklist, which grow with the universe
+        th = _mixed(ab_half)
+        db = DerivationDB(U_SIG, th, MET, ab_half, 3, None)
+        rules = [deduce._horn_rule(c, db) for c in MET.clauses] + [
+            deduce._subst_rule(k, j, db) for k, j in enumerate(th.judgments)]
+        for _ in range(2):
+            for passes in rules:
+                next(passes)
+                held = passes.gi_yieldfrom.gi_frame.f_locals
+                assert not [k for k, v in held.items() if isinstance(v, (tuple, deduce._Worklist))]
 
 
 class TestDerivesAndDistance:

@@ -427,8 +427,7 @@ class TestWorklist:
     @given(_STREAMS, st.dictionaries(st.integers(1, 12), _STREAMS, max_size=4))
     def test_merge_with_streams_added_mid_pass(self, initial, schedule):
         # the worklist against its contract: each tuple once, ascending, and
-        # a stream added after the n-th tuple contributes only later tuples;
-        # a lone stream and one joined mid-drain both occur
+        # a stream added after the n-th tuple contributes only later tuples
         queue = _Worklist()
         queue.add(*(iter(sorted(s)) for s in initial))
         out = []
