@@ -36,10 +36,11 @@ the count of instances considered falls.
   rule's previous pass began (the event list is the write log), joins each
   with the roots near it (:func:`_on_cell`), takes the tuples in product
   order, and requeues the later tuples that its own writes and merges reach.
-  A rule gives what differs: its first pass (every tied tuple for a clause
-  that fires at top, every tuple for an axiom, else the written cells), its
-  tuple search (a product for a clause, a pruned search for an axiom) and
-  its count (per parameter vector for a clause, per tuple for an axiom).
+  A rule gives what differs: its first pass (every tuple if it can fire
+  with every premise cell at 1, tied for a clause, else every written cell,
+  which an axiom joins at its first premise cell only), its tuple search (a
+  product for a clause, a pruned search for an axiom) and its count (per
+  parameter vector for a clause, per tuple for an axiom).
 """
 from __future__ import annotations
 
@@ -520,16 +521,17 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
-def _passes(db: DerivationDB, arity: int, cells, links, merging: bool, expand, seed, fire):
+def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, expand, seed, fire):
     """A rule's passes over the tuples of the roots, each in product order,
     yielding after each pass whether it wrote or merged.
 
-    The first pass starts from ``seed(pool)`` unless ``seed`` is None, and
-    every other from the cells written since the previous pass began.
-    ``expand`` turns candidates per position into ascending tuple streams.
-    ``fire`` counts and runs the tuples it takes, and yields the ids of each
-    write, which requeues the later tuples on the written cell, or for a
-    ``merging`` rule those on the merged class.
+    The first pass starts from ``seed(pool)``, or if ``seed`` is None from
+    every written cell joined at the premise cells ``first``, and every
+    other from the cells written since the previous pass began, joined at
+    every premise cell. ``expand`` turns candidates per position into
+    ascending tuple streams. ``fire`` counts and runs the tuples it takes,
+    and yields the ids of each write, which requeues the later tuples on
+    the written cell, or for a ``merging`` rule those on the merged class.
     """
     find, since = db.find, None
     while True:
@@ -541,7 +543,8 @@ def _passes(db: DerivationDB, arity: int, cells, links, merging: bool, expand, s
             queue.add(seed(pool))
         else:
             for a, b in _written(db, start or 0):
-                queue.add(*expand(_on_cell(db, arity, cells, links, a, b, pool)))
+                queue.add(*expand(_on_cell(db, arity, first if start is None else cells, links,
+                                           a, b, pool)))
         changed = False
         for x, y in fire(queue):
             changed = True
@@ -582,8 +585,8 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
                 db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
             yield x, y
 
-    yield from _passes(db, arity, [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None],
-                       _links(compiled, q), merging,
+    cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
+    yield from _passes(db, arity, cells, cells, _links(compiled, q), merging,
                        expand=partial(itertools.starmap, itertools.product),
                        seed=partial(_tied, arity, prems) if _fires_at_top(clause, q) else None,
                        fire=fire)
@@ -592,10 +595,10 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
 def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
     """An axiom's passes (:func:`_passes`), built at its first: premise
     cells at a context distance below 1, a pruned search
-    (:func:`images_within`) that reads a cell when it reaches it, one
-    instance per tuple it yields, and a first pass from each root at point
-    0, joined as a written cell (0, 0): when point 0 is in a premise cell,
-    only a root with a cell below 1."""
+    (:func:`images_within`) that reads a cell when it reaches it, and one
+    instance per tuple it yields. A tuple whose premise cell reads 1 fails
+    the search, so the first pass joins the written cells at the first
+    premise cell only; with no premise cell, it searches every tuple."""
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     ctx, merging, arity = j.context, j.eps is None, len(j.context.carrier)
     cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
@@ -603,12 +606,6 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
     # only a merging axiom turns members of the pool into non-roots
     search = partial(images_within, ctx.dist, dmin, q, n, find=find if merging else None)
     left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
-
-    def seed(pool):
-        heads = [r for r in pool if db._near[r]] if any(0 in cell for cell in cells) else pool
-        return itertools.chain.from_iterable(
-            search(joined) for r in heads for joined in _on_cell(db, arity, [(0, 0)], links, r, r, pool)
-        ) if arity else search([])
 
     def fire(tuples):
         for chosen in _counted(db, tuples):
@@ -629,8 +626,8 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
                 db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
             yield find(li), find(ri)
 
-    yield from _passes(db, arity, cells, links, merging,
-                       expand=partial(map, search), seed=seed, fire=fire)
+    yield from _passes(db, arity, cells, cells[:1], links, merging, expand=partial(map, search),
+                       seed=None if cells else lambda pool: search([pool] * arity), fire=fire)
 
 
 def _written(db: DerivationDB, since: int):

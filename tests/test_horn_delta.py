@@ -77,10 +77,12 @@ def _space(rng: random.Random, grid: EpsGrid, size: int, spec: GMetSpec) -> Fuzz
     return tries[-1]
 
 
-def _theory(rng: random.Random, sig: Signature, grid: EpsGrid, spec: GMetSpec) -> Theory:
+def _theory(rng: random.Random, sig: Signature, grid: EpsGrid, spec: GMetSpec,
+            points: int = 2) -> Theory:
+    """0-2 random axioms over contexts of 1 to ``points`` points."""
     judgments = []
     for _ in range(rng.randint(0, 2)):
-        ctx = _space(rng, grid, rng.randint(1, 2), spec)
+        ctx = _space(rng, grid, rng.randint(1, points), spec)
         lhs = random_term(rng, sig, ctx.carrier, 2)
         rhs = random_term(rng, sig, ctx.carrier, 2)
         judgments.append(Judgment(ctx, lhs, rhs, rng.choice([None] + list(range(grid.q + 1)))))
@@ -277,19 +279,33 @@ class TestNearJoinScale:
         db = saturate(self.SIG, theory, MET, three, 3, budget=10_000)
         assert (len(db.universe), len(db.events)) == (243, 298)
 
-    def test_first_substitution_pass_joins_near_roots(self):
-        # FREL at q = 2 with both points at 1/2: the premise d(x, y) = 0
-        # admits at x only a root with a cell below 1, and at y only the roots
-        # near it; a search over all 5,552 roots at each point took 12-16 s
-        # to count the same 4 instances, and a budget of 1,000 never fired
+    def _first_substitution_pass(self, ctx_rows, lhs, rhs):
+        # FREL at q = 2 with both points at 1/2: only the four cells between
+        # the points are written, all at 1/2, and no tuple passes the premise
+        # d = 0 of the axiom lhs = rhs; at depth 4 there are 5,552 roots
         grid = EpsGrid(2)
         two = FuzzySpace(grid, ("a", "b"), ((1, 1), (1, 1)))
-        ctx = FuzzySpace(grid, ("x", "y"), ((2, 0), (0, 2)))
-        x, y = Var("x"), Var("y")
-        theory = Theory("C", (Judgment(ctx, App("f", (x, y)), App("f", (y, x)), None),))
+        ctx = FuzzySpace(grid, "xyz"[:len(ctx_rows)], ctx_rows)
+        theory = Theory("C", (Judgment(ctx, lhs, rhs, None),))
         for budget in (None, 1_000):
             db = saturate(self.SIG, theory, FREL, two, 4, budget=budget)
             assert (db.instances, len(db.events), len(db.roots())) == (4, 5, 5552)
+
+    def test_first_substitution_pass_joins_near_roots(self):
+        # the first pass joins each written cell at the premise cell (x, y),
+        # which puts one root at x and one at y: a search over all 5,552 roots
+        # at each point took 12-16 s to count the same 4 instances, and a
+        # budget of 1,000 never fired
+        x, y = Var("x"), Var("y")
+        self._first_substitution_pass(((2, 0), (0, 2)), App("f", (x, y)), App("f", (y, x)))
+
+    def test_first_substitution_pass_leaves_point_zero_free(self):
+        # point 0 is in no premise pair: a first pass from every root at x,
+        # with every root at y and z, made about 1.7e11 pair checks, and a
+        # budget of 1,000 never fired
+        x, y, z = Var("x"), Var("y"), Var("z")
+        self._first_substitution_pass(((2, 2, 2), (2, 2, 0), (2, 0, 2)),
+                                      App("f", (x, y)), App("f", (x, z)))
 
 
 class TestCongruenceAndSubstitution:
@@ -352,16 +368,22 @@ class TestCongruenceAndSubstitution:
             ("dist", 5, 1, 1)]
 
     # axioms over two and three points: a premise pair can tie a point to
-    # point 0 or to another tied point, and a written cell fixes two of three
-    @pytest.mark.parametrize("seed", range(12))
+    # point 0 or to another tied point, and a written cell fixes two of three;
+    # from seed 12 on, FREL contexts put point 0 in no premise pair, so the
+    # first pass joins the written cells at a pair of the other points
+    @pytest.mark.parametrize("seed", range(18))
     def test_three_point_contexts(self, seed):
         rng = random.Random(seed)
-        sig, spec = SIGS[seed % len(SIGS)], (MET, PMET, FREL)[seed % 3]
+        sig, spec = SIGS[seed % len(SIGS)], (MET, PMET, FREL)[seed % 3] if seed < 12 else FREL
         grid = EpsGrid(rng.randint(2, 4))
         target = _space(rng, grid, 2, spec)
         axioms = []
         for _ in range(3):
             ctx = _space(rng, grid, rng.randint(2, 3), spec)
+            if seed >= 12:
+                ctx = FuzzySpace(grid, ctx.carrier, tuple(
+                    tuple(grid.q if 0 in (x, y) else d for y, d in enumerate(row))
+                    for x, row in enumerate(ctx.dist)))
             lhs, rhs = (random_term(rng, sig, ctx.carrier, 2) for _ in range(2))
             axioms.append(Judgment(ctx, lhs, rhs, rng.choice([None] + list(range(grid.q + 1)))))
         # 8 to 38 terms, so that the naive loop stays fast
