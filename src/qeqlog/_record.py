@@ -18,13 +18,11 @@ class Record:
     """Base of the package's immutable value classes.
 
     A subclass's fields are its own annotated names, in order; a name that
-    also has a class-level value takes it as its default, unless that value
-    is the field's accessor (a data descriptor: a slot, or a property over a
-    tuple underneath). Instances take the fields positionally or by keyword,
-    then run ``__post_init__`` if the class has one. Equality (same class,
-    equal fields), hash, repr and the refusal to assign or delete are those
-    of a frozen data class with the same fields. An ``__init__``, ``__eq__``
-    or ``__hash__`` that a class defines itself is kept.
+    also has a class-level value takes it as its default. Instances take the
+    fields positionally or by keyword, then run ``__post_init__`` if the
+    class has one. Equality (same class, equal fields), hash, repr and the
+    refusal to assign or delete are those of a frozen data class with the
+    same fields.
     """
 
     __slots__ = ()
@@ -33,8 +31,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = cls.__match_args__ = fields
-        cls._defaults = {f: v for f, v in vars(cls).items()
-                         if f in fields and not hasattr(v, "__set__")}
+        cls._defaults = {f: v for f, v in vars(cls).items() if f in fields}
         post_init = getattr(cls, "__post_init__", None)
         n = len(fields)
         if n == 1:
@@ -59,9 +56,7 @@ class Record:
         def __hash__(self):
             return hash(key(self))
 
-        for method in (__init__, __eq__, __hash__):
-            if method.__name__ not in vars(cls):
-                setattr(cls, method.__name__, method)
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:

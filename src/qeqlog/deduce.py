@@ -36,16 +36,17 @@ the count of instances considered falls.
   rule's previous pass began (the event list is the write log), joins each
   with the roots near it (:func:`_on_cell`), takes the tuples in product
   order, and requeues the later tuples that its own writes and merges reach.
-  A rule gives what differs: its first pass (every tuple if it can fire
-  with every premise cell at 1, tied for a clause, else every written cell,
-  which an axiom joins at its first premise cell only), its tuple search (a
-  product for a clause, a pruned search for an axiom) and its count (per
-  parameter vector for a clause, per tuple for an axiom).
+  A rule gives what differs: its first pass (from :func:`_tied` if it fires
+  with every premise cell at 1, every tuple for an axiom; else from every
+  written cell, which an axiom joins at its first premise cell only), its
+  tuple search (a product for a clause, a pruned search for an axiom) and
+  its count (per parameter vector for a clause, per tuple for an axiom).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import namedtuple
 from functools import cached_property, partial
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -59,8 +60,8 @@ from .errors import (
     UnknownFact,
     UnknownVariable,
 )
-from .gmet import (EpsGrid, FuzzySpace, GMetSpec, HornClause, check_space, clause_failures,
-                   compile_clause, images_within, require_space)
+from .gmet import (EpsGrid, FuzzySpace, GMetSpec, HornClause, clause_failures, compile_clause,
+                   images_within, require_space)
 from .qalg import Judgment, Theory
 from .terms import (
     App,
@@ -80,7 +81,6 @@ from .terms import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_new_tuple = tuple.__new__  # looked up once, not on every event
 # the most terms a saturation enumerates, refused before it is built: about
 # 0.1 GB at the 0.8 KB of max RSS per term that MET without axioms takes
 MAX_TERMS = 2**17
@@ -93,22 +93,9 @@ MAX_TERMS = 2**17
 #   ("eq", i, j) | ("dist", i, j, value) | ("axiom", axiom_index)
 
 
-class RuleInstance(Record, tuple):
-    """One event, under MET one per term or more: a tuple of the fields, with
-    no attribute dict. As a tuple it also equals the plain tuple of them."""
-
-    __slots__ = ()
-    __init__ = object.__init__  # __new__ sets the fields
-    rule: str = property(itemgetter(0))
-    detail: str | None = property(itemgetter(1))
-    premises: tuple = property(itemgetter(2))
-    conclusion: tuple = property(itemgetter(3))
-
-    def __new__(cls, rule: str, detail: str | None, premises: tuple, conclusion: tuple):
-        return _new_tuple(cls, (rule, detail, premises, conclusion))
-
-    def __getnewargs__(self):
-        return tuple(self)
+# One event, under MET one per term or more: a tuple of the fields, with no
+# attribute dict, that equals the plain tuple of them.
+RuleInstance = namedtuple("RuleInstance", "rule detail premises conclusion")
 
 
 class TraceNode(Record):
@@ -219,20 +206,21 @@ class DerivationDB:
         """The class representatives in ascending order, as a new list."""
         return [i for i, p in enumerate(self._parent) if p == i]
 
-    def _lookup(self, t: Term) -> int | None:
-        try:
-            return self.subst_index(self.var_ids, t)
-        except UnknownVariable:
-            return None
-
     def index_of(self, t: Term) -> int:
-        i = self._lookup(t)
+        try:
+            i = self.subst_index(self.var_ids, t)
+        except UnknownVariable:
+            i = None
         if i is None:
             raise OutOfUniverse(f"{term_to_str(t)} is outside the depth-{self.depth} universe")
         return i
 
     def term_in_universe(self, t: Term) -> bool:
-        return self._lookup(t) is not None
+        try:
+            self.index_of(t)
+        except OutOfUniverse:
+            return False
+        return True
 
     def app_index(self, op: str, args: tuple[int, ...]) -> int | None:
         """The id of ``op`` applied to the terms with ids ``args``, or None
@@ -295,11 +283,6 @@ class DerivationDB:
         return self.cell(self.find(i), self.find(j))
 
     # --- recording ---
-
-    def _count(self, k: int = 1) -> None:
-        self.instances += k
-        if self.budget is not None and self.instances > self.budget:
-            raise self._over_budget()
 
     def _over_budget(self) -> BudgetExceeded:
         return BudgetExceeded(
@@ -525,7 +508,8 @@ def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, ex
     """A rule's passes over the tuples of the roots, each in product order,
     yielding after each pass whether it wrote or merged.
 
-    The first pass starts from ``seed(pool)``, or if ``seed`` is None from
+    The first pass starts from ``seed(pool)``, :func:`_tied` for a rule
+    that fires with every premise cell at 1, or if ``seed`` is None from
     every written cell joined at the premise cells ``first``, and every
     other from the cells written since the previous pass began, joined at
     every premise cell. ``expand`` turns candidates per position into
@@ -588,7 +572,7 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
     yield from _passes(db, arity, cells, cells, _links(compiled, q), merging,
                        expand=partial(itertools.starmap, itertools.product),
-                       seed=partial(_tied, arity, prems) if _fires_at_top(clause, q) else None,
+                       seed=partial(_tied, arity, prems) if _fires_at_top(compiled, arity, q) else None,
                        fire=fire)
 
 
@@ -598,7 +582,7 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
     (:func:`images_within`) that reads a cell when it reaches it, and one
     instance per tuple it yields. A tuple whose premise cell reads 1 fails
     the search, so the first pass joins the written cells at the first
-    premise cell only; with no premise cell, it searches every tuple."""
+    premise cell only; with none, it starts from every tuple (:func:`_tied`)."""
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     ctx, merging, arity = j.context, j.eps is None, len(j.context.carrier)
     cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
@@ -627,7 +611,7 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
             yield find(li), find(ri)
 
     yield from _passes(db, arity, cells, cells[:1], links, merging, expand=partial(map, search),
-                       seed=None if cells else lambda pool: search([pool] * arity), fire=fire)
+                       seed=None if cells else partial(_tied, arity, ()), fire=fire)
 
 
 def _written(db: DerivationDB, since: int):
@@ -647,31 +631,31 @@ def _counted(db: DerivationDB, items, per_item: int = 1):
     taken."""
     budget = db.budget
     for item in items:
-        # db._count inlined: every rule pass takes its tuples through here
+        # counted inline, not by a call: every rule pass takes its tuples here
         db.instances += per_item
         if budget is not None and db.instances > budget:
             raise db._over_budget()
         yield item
 
 
-def _fires_at_top(clause: HornClause, q: int) -> bool:
-    """Whether the two-point space with every distance 1 violates the clause.
+def _fires_at_top(compiled, arity: int, q: int) -> bool:
+    """Whether the two-point space with every distance 1 violates a clause
+    compiled by :func:`~qeqlog.gmet.compile_clause` with ``arity`` variables.
 
     If not, every instance over classes that can fire has a distance premise
     below 1. An off-grid constant that the check reaches may be one that no
     instance reaches yet: that counts as firing, and the caller's full pass
     raises exactly where instances do.
     """
-    top = FuzzySpace(EpsGrid(q), ("a", "b"), ((q, q), (q, q)))
     try:
-        return bool(check_space(GMetSpec(clause.name, (clause,)), top))
+        return any(clause_failures(compiled, {}, q, 2, itertools.product(range(2), repeat=arity)))
     except GridMismatch:
         return True
 
 
 def _tied(arity: int, prems, pool: tuple[int, ...]):
     """The tuples over ``pool`` that hold one value at the positions an
-    equality premise ties, in ascending order.
+    equality premise ties, in ascending order: every tuple for an axiom.
 
     Only the equality premises before the first bound lookup tie positions,
     as an instance stops at a failed one before it can reach an off-grid
@@ -799,15 +783,11 @@ def trace(db: DerivationDB, j: Judgment) -> TraceNode:
     Leaves are axiom uses (INIT), USEVAR, ONEMAX, REFL or premise-free Horn
     instances; replaying the rules at each node re-derives the root fact.
     """
-    if j.context != db.target:
-        raise ValueError("judgment context differs from the saturation target")
+    if not derives(db, j):
+        raise UnknownFact(f"{j.describe()} is not derived")
     li, ri = db.index_of(j.lhs), db.index_of(j.rhs)
     if j.eps is None:
-        if not db.same(li, ri):
-            raise UnknownFact(f"{j.describe()} is not derived")
         return db._eq_tree(li, ri)
-    if db.class_distance(li, ri) > j.eps:
-        raise UnknownFact(f"{j.describe()} is not derived")
     return db._dist_tree(db.find(li), db.find(ri), j.eps, len(db.events))
 
 

@@ -27,7 +27,7 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     db = DerivationDB(sig, theory, spec, target, depth, budget)
     for a in target.carrier:
         for b in target.carrier:
-            db._count()
+            _count(db)
             db._lower(
                 db.index_of(Var(a)), db.index_of(Var(b)), target.d(a, b),
                 "USEVAR", None, (),
@@ -45,6 +45,14 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
     return db
 
 
+def _count(db: DerivationDB, k: int = 1) -> None:
+    """Count ``k`` rule instances, raising the engine's budget error past the
+    budget."""
+    db.instances += k
+    if db.budget is not None and db.instances > db.budget:
+        raise db._over_budget()
+
+
 def _step_cong(db: DerivationDB, children: list[tuple[int, ...]]) -> bool:
     changed = False
     groups: dict[tuple, list[int]] = {}
@@ -56,7 +64,7 @@ def _step_cong(db: DerivationDB, children: list[tuple[int, ...]]) -> bool:
         members = groups[key]
         first = members[0]
         for other in members[1:]:
-            db._count()
+            _count(db)
             if db.same(first, other):
                 continue
             premises = tuple(
@@ -74,7 +82,7 @@ def _step_horn(db: DerivationDB) -> bool:
         params, vectors, prems, cx, cy, conc_bounds = compile_clause(clause, q)
         merging = conc_bounds is None
         root_list = db.roots()
-        db._count(len(root_list) ** len(clause.vars) * len(vectors))
+        _count(db, len(root_list) ** len(clause.vars) * len(vectors))
         for assignment in itertools.product(root_list, repeat=len(clause.vars)):
             # only a merging clause turns members of root_list into non-roots
             reps = [find(r) for r in assignment] if merging else assignment
@@ -127,7 +135,7 @@ def _step_subst(db: DerivationDB) -> bool:
         def assign(pos: int) -> None:
             nonlocal changed
             if pos == k:
-                db._count()
+                _count(db)
                 sigma = {elems[m]: db.find(chosen[m]) for m in range(k)}
                 li = db.subst_index(sigma, j.lhs)
                 ri = li if li is None else db.subst_index(sigma, j.rhs)

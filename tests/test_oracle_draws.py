@@ -4,7 +4,10 @@
 delta, no pruned search. Each draw picks a signature, a spec, a grid, a
 target space and a theory, keeps the universe small enough for the oracle,
 and checks every class and distance, the trace of every derived fact, and
-that a second run records the same events.
+that a second run records the same events. Where the universe one level
+deeper and a naive pass over it stay small, the engine alone saturates it
+too, and no class of the shallower terms splits and no distance between
+them rises.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qeqlog.deduce import saturate
-from qeqlog.errors import QeqlogError, SpecViolation
+from qeqlog.errors import GridMismatch, QeqlogError, SpecViolation
 from qeqlog.gmet import EpsGrid
 from qeqlog.qalg import Theory
 from qeqlog.terms import Signature
@@ -75,3 +78,16 @@ def test_saturation_matches_oracle(ops, constant, spec_name, q, size, depth, see
             assert db.same(i, j) == ((a, b) in oracle.eq), (oracle.universe[a], oracle.universe[b])
             assert db.class_distance(i, j) == least[a, b], (oracle.universe[a], oracle.universe[b])
     replay_derived_facts(db, target)
+    deeper = _universe_size(sig, size, depth + 1)
+    if deeper <= 300 and (sum(deeper ** len(c.vars) for c in spec.clauses)
+                          + sum(deeper ** len(j.context.carrier) for j in theory.judgments)) <= 30_000:
+        try:
+            deep = saturate(sig, theory, spec, target, depth + 1)
+        except GridMismatch:
+            # an off-grid constant that only the deeper terms reach
+            return
+        deep_ids = [deep.index_of(t) for t in oracle.universe]
+        for i, di in zip(ids, deep_ids):
+            for j, dj in zip(ids, deep_ids):
+                assert deep.same(di, dj) or not db.same(i, j)
+                assert deep.class_distance(di, dj) <= db.class_distance(i, j)
