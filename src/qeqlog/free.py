@@ -210,38 +210,21 @@ def check_ump(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
               budget: int | None = None) -> UmpResult:
     """Existence and uniqueness of the extension among the maps from classes
     to the target carrier that are nonexpansive, agree with every non-Overflow
-    table entry and extend the generator map.
+    table entry and extend the generator map, for ``f`` as :func:`build_free`
+    returns it.
 
-    Classes are assigned in order, depth first: a prefix is dropped at the
-    first pair that expands a distance, the first unit class off its
-    generator's image, or the first non-Overflow entry whose arguments and
-    result are assigned and disagree; the search stops at a second map.
+    No search is needed: the least term of a class is a generator, which the
+    unit pins, or op(t1..tn), a constant when n is 0. Then op over the least
+    terms of the ti's classes is no deeper, so it lies in the universe, and
+    the class is op's entry at those classes: not Overflow, and at argument
+    classes of lower index. By induction on the class index the extension is
+    the only map that extends the generator map and agrees with the tables,
+    so it exists, and is unique, exactly when it is nonexpansive.
     ``candidates`` and the budget still count all |B|^n maps.
     """
     ext = extend_hom(f, alg, gen_map, budget)
-    n = len(f.classes)
-    total = len(alg.space.carrier) ** n
+    total = len(alg.space.carrier) ** len(f.classes)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
-    # (table, argument classes, result class) to check once the last of them
-    # is assigned; a generator a is the constant entry () -> gen_map[a]
-    checks: list[list] = [[] for _ in range(n)]
-    for a in f.base.target.carrier:
-        checks[f.unit[a]].append(({(): alg.space.index(gen_map[a])}, (), f.unit[a]))
-    for op, table in f.optable.items():
-        for args, res in table.items():
-            if res is not OVERFLOW:
-                checks[max((*args, res))].append((alg.index_tables[op], args, res))
-
-    def keep(g: list[int]) -> bool:
-        return all(table[tuple([g[a] for a in args])] == g[res]
-                   for table, args, res in checks[len(g) - 1])
-
-    ext_images = [alg.space.index(ext[c]) for c in range(n)]
-
-    def keep_ext(g: list[int]) -> bool:
-        return g[-1] == ext_images[len(g) - 1] and keep(g)
-
-    exists = next(nonexpansive_images(f.space, alg.space, keep=keep_ext), None) is not None
-    matching = len(list(itertools.islice(nonexpansive_images(f.space, alg.space, keep=keep), 2)))
-    return UmpResult(exists, matching == 1, total)
+    ok = is_nonexpansive(dict(zip(f.space.carrier, ext.values())), f.space, alg.space)
+    return UmpResult(ok, ok, total)

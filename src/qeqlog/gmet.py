@@ -515,17 +515,16 @@ def _cells(sp: FuzzySpace) -> dict[int, int]:
 
 
 def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[Sequence[int]],
-                  keep: Callable | None = None, find: Callable | None = None) -> Iterator[tuple[int, ...]]:
+                  find: Callable | None = None) -> Iterator[tuple[int, ...]]:
     """The tuples of candidates, one from ``choices[i]`` per source point i,
     under which no distance exceeds the source's ``sd``, lazily, in product
     order; the distance from b to c is ``cells.get(find(b) * n + find(c), q)``,
     with no ``find`` the identity.
 
-    A depth-first search: a prefix is extended only by a candidate that keeps
-    every pair within ``sd`` and, when given, that ``keep`` accepts (it sees
-    the extended prefix). Cells and ``find`` are read when the search reaches
-    them, so later tuples see a change made between two; the prefix taken is
-    not rechecked.
+    A depth-first search: a prefix is extended only by a candidate that leaves
+    every pair within ``sd``. Cells and ``find`` are read when the search
+    reaches them, so later tuples see a change made between two; the prefix
+    taken is not rechecked.
     """
     get, size = cells.get, len(sd)
     taken: list[int] = []  # the index in its choices of each candidate in images
@@ -552,9 +551,8 @@ def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[S
                 taken.append(b)
                 images.append(c)
                 reads.append(r)
-                if keep is None or keep(images):
-                    b = 0
-                    continue
+                b = 0
+                continue
         if not images:
             return
         b = taken.pop() + 1
@@ -562,8 +560,8 @@ def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[S
         reads.pop()
 
 
-def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = None,
-                        keep: Callable[[list[int]], bool] | None = None) -> Iterator[tuple[int, ...]]:
+def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace,
+                        budget: int | None = None) -> Iterator[tuple[int, ...]]:
     """The total nonexpansive maps src -> dst as image tuples (entry i is the
     dst index of src point i), from :func:`images_within` over dst's points.
     The budget counts all |dst|^|src| candidates, when iteration begins."""
@@ -571,7 +569,7 @@ def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace, budget: int | None = N
     total = m ** len(src.carrier)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
-    yield from images_within(src.dist, _cells(dst), dst.grid.q, m, [range(m)] * len(src.carrier), keep)
+    yield from images_within(src.dist, _cells(dst), dst.grid.q, m, [range(m)] * len(src.carrier))
 
 
 def enumerate_nonexpansive(

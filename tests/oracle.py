@@ -229,8 +229,9 @@ def check_ump_exhaustive(f, alg, gen_map, budget=None) -> UmpResult:
 
     Uniqueness quantifies over every function from classes to the target
     carrier, keeping those that are nonexpansive homomorphisms on non-Overflow
-    entries and extend the generator map. This was ``free.check_ump`` before
-    it assigned classes depth-first.
+    entries and extend the generator map. ``free.check_ump`` enumerates none:
+    it relies on the unit and the non-Overflow entries forcing every class,
+    which this loop does not assume.
     """
     ext = extend_hom(f, alg, gen_map, budget)
     exists = _is_quotient_hom(f, alg, ext) and all(

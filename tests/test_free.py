@@ -13,6 +13,7 @@ from qeqlog.deduce import derives, saturate
 from qeqlog.terms import App, Signature, Var, term_to_str
 
 from conftest import random_space, random_theory, space
+from test_models_reference import SIGS, _theory
 
 
 GRID = EpsGrid(4)
@@ -252,6 +253,28 @@ class TestCheckUmp:
         fa = build_free(U_SIG, th, MET, ab_half, 2)
         with pytest.raises(NotAModel):
             check_ump(fa, swap_algebra, {"a": "p", "b": "q"})
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_every_class_is_forced(self, seed):
+        """The lemma check_ump decides by: each class is a value of the unit,
+        or a non-Overflow table entry whose argument classes are all lower.
+        Seeds 3, 18, 33 and 48 draw a 0-point target under a signature with
+        a constant."""
+        rng = random.Random(seed)
+        sig = SIGS[seed % len(SIGS)]
+        gens = 0 if seed % 15 == 3 else rng.randint(1, 2)
+        spec, grid = rng.choice([FREL, PMET, MET]), EpsGrid(rng.randint(1, 4))
+        theory = _theory(rng, sig, grid, spec, rng.randint(0, 3))
+        try:
+            fa = build_free(sig, theory, spec, random_space(rng, grid, gens, spec),
+                            rng.randint(1, 3), 20000)
+        except QeqlogError:
+            return
+        forced = set(fa.unit.values())
+        for table in fa.optable.values():
+            forced.update(res for args, res in table.items()
+                          if res is not OVERFLOW and all(a < res for a in args))
+        assert forced == set(range(len(fa.classes)))
 
 
 class TestMonotoneRefinement:

@@ -4,9 +4,10 @@
 into the algebra's carrier, keeps the nonexpansive ones and evaluates both
 sides with ``eval_term``; ``oracle.check_ump_exhaustive`` tries every map
 from the free algebra's classes. The model checker searches interpretations
-once per context and assigns classes depth-first, so it must agree on the
-verdict, the first failing judgment, its counterexample, every ``UmpResult``
-field and any error, including the budget errors and their order.
+once per context, and the UMP check decides from the extension alone, since
+the unit and the non-Overflow table entries force every class; both must
+agree on the verdict, the first failing judgment, its counterexample, every
+``UmpResult`` field and any error, including the budget errors and their order.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qeqlog.errors import BudgetExceeded, QeqlogError
 import qeqlog.free as free_mod
-from qeqlog.free import OVERFLOW, build_free, check_free_is_model, check_ump
+from qeqlog.free import build_free, check_free_is_model, check_ump
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, enumerate_nonexpansive, is_nonexpansive
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure, is_model, satisfies
 from qeqlog.terms import App, Signature, Var
@@ -160,19 +161,16 @@ class TestUmpAgainstReference:
         st.integers(1, 2),
         st.integers(1, 3),
         st.integers(0, 3),
-        st.integers(0, 3),
         st.booleans(),
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
     # the ternary signature at depth 3 over two generators: 1,742 roots, and
     # a three-point axiom context for the first substitution pass
-    @example("PMET", 4, 3, 1, 2, 3, 3, 2, True, True, 3361672518)
-    def test_same_result_and_errors(self, spec_name, sig_i, q, size, gens, depth, n, cut,
+    @example("PMET", 4, 3, 1, 2, 3, 3, True, True, 3361672518)
+    def test_same_result_and_errors(self, spec_name, sig_i, q, size, gens, depth, n,
                                     any_target, budgeted, seed):
-        """``cut`` table entries are turned into overflow, so that some
-        classes are no longer forced and the extension need not be unique;
-        ``any_target`` lets a non-model through the model precondition, so
+        """``any_target`` lets a non-model through the model precondition, so
         that the extension need not exist."""
         rng = random.Random(seed)
         spec, sig, grid = SPECS[spec_name], SIGS[sig_i], EpsGrid(q)
@@ -186,9 +184,6 @@ class TestUmpAgainstReference:
             return
         if size ** len(fa.classes) > 5000:
             return
-        entries = [(op, args) for op, table in sorted(fa.optable.items()) for args in table]
-        for op, args in rng.sample(entries, min(cut, len(entries))):
-            fa.optable[op][args] = OVERFLOW
         maps = [dict(zip(target.carrier, images))
                 for images in itertools.product(alg.space.carrier, repeat=gens)]
         nonexp = [g for g in maps if is_nonexpansive(g, target, alg.space)]
