@@ -35,22 +35,9 @@ class EpsGrid(Record):
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("grid denominator must be >= 1")
-        # the numerators of the str and int values read so far: a workspace
-        # repeats a few distances many times
-        object.__setattr__(self, "_read", {})
 
     def value(self, x) -> int:
         """Parse a math value (Fraction, exact string, int, decimal float) to a numerator."""
-        # only an exact str or int is looked up, so True (== 1) never reads 1's entry
-        kind = type(x)
-        if kind is not str and kind is not int:
-            return self._parse(x)
-        num = self._read.get(x)
-        if num is None:
-            num = self._read[x] = self._parse(x)
-        return num
-
-    def _parse(self, x) -> int:
         if type(x) is int and 0 <= x <= 1:
             return x * self.q
         if type(x) is str and x.isascii():

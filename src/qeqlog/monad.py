@@ -30,10 +30,10 @@ from .terms import Signature
 
 
 class MonadInstance:
-    """Free-construction and EM-law cache for one theory, spec and depth.
+    """Free-construction cache for one theory, spec and depth.
 
     Lookups in the cached algebras change nothing, because saturation ends
-    with every union-find entry pointing at its root; filling the caches is
+    with every union-find entry pointing at its root; filling the cache is
     not synchronised.
     """
 
@@ -45,7 +45,6 @@ class MonadInstance:
         self.depth = depth
         self.budget = budget
         self._cache: dict[FuzzySpace, FreeAlgebra] = {}
-        self._em_reports: dict[tuple, list[LawReport]] = {}
 
     def free(self, sp: FuzzySpace) -> FreeAlgebra:
         if sp not in self._cache:
@@ -53,13 +52,6 @@ class MonadInstance:
                 self.sig, self.theory, self.spec, sp, self.depth, self.budget
             )
         return self._cache[sp]
-
-    def em_reports(self, cand: EMCandidate) -> list[LawReport]:
-        """check_em_laws on cand, run once per space and structure map."""
-        key = (cand.space, tuple(sorted(cand.h.items())))
-        if key not in self._em_reports:
-            self._em_reports[key] = check_em_laws(self, cand)
-        return list(self._em_reports[key])
 
 
 def _renamed(src: FreeAlgebra, dst: FreeAlgebra, leaf) -> list[int | None]:
@@ -159,7 +151,11 @@ class EMCandidate(Record):
 
 
 def em_from_model(mi: MonadInstance, alg: QuantAlgebra) -> EMCandidate:
-    """Structure map of a model: evaluate each class representative in it."""
+    """Structure map of a model: evaluate each class representative in it.
+
+    Once ``class_images`` has found every class member equal to its
+    representative, the map is lawful by construction, so no law is run.
+    """
     if not is_model(alg, mi.spec, mi.theory, mi.budget):
         raise NotAModel(f"algebra does not model {mi.theory.name}")
     fa = mi.free(alg.space)
@@ -167,11 +163,7 @@ def em_from_model(mi: MonadInstance, alg: QuantAlgebra) -> EMCandidate:
     h = {fa.class_name(c): v for c, v in enumerate(images)}
     if not is_nonexpansive(h, fa.space, alg.space):
         raise NotNonexpansive("structure map is not nonexpansive")
-    cand = EMCandidate(alg.space, h)
-    reports = mi.em_reports(cand)
-    if any(r.failed for r in reports):
-        raise EMLawViolation(f"structure map fails {reports}")
-    return cand
+    return EMCandidate(alg.space, h)
 
 
 def check_em_laws(mi: MonadInstance, cand: EMCandidate) -> list[LawReport]:
@@ -204,12 +196,12 @@ def check_em_laws(mi: MonadInstance, cand: EMCandidate) -> list[LawReport]:
 
 
 def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, list[LawReport]]:
-    """Read operation tables off a lawful structure map.
+    """Check the EM laws on any candidate, then read operation tables off it.
 
     op(a1..an) is the image under h of the class of op applied to the
     generator variables; needs depth >= 2 so those applications exist.
     """
-    reports = mi.em_reports(cand)
+    reports = check_em_laws(mi, cand)
     if any(r.failed for r in reports):
         raise EMLawViolation(
             "; ".join(f"{r.law}: {r.first_failure}" for r in reports if r.failed)

@@ -65,6 +65,9 @@ class QuantAlgebra(Record):
                 ops[name] = {
                     tuple(str(k).split(",")): str(v) for k, v in raw.items()
                 }
+        stray = sorted(set(obj["ops"]) - set(sig.symbols))
+        if stray:
+            raise ValueError(f"table for operation {stray[0]!r}, which the signature lacks")
         return cls(space, sig, ops)
 
     def to_json(self) -> dict:
@@ -123,15 +126,6 @@ class Judgment(Record):
         rhs = parse_term(str(obj["rhs"]), sig, ctx.carrier)
         eps = None if obj.get("eps") is None else grid.value(obj["eps"])
         return cls(ctx, lhs, rhs, eps)
-
-    def to_json(self) -> dict:
-        out = {
-            "context": self.context.to_json(),
-            "lhs": term_to_str(self.lhs),
-            "rhs": term_to_str(self.rhs),
-        }
-        out["eps"] = None if self.eps is None else self.context.grid.format(self.eps)
-        return out
 
     def describe(self) -> str:
         rel = "=" if self.eps is None else f"={self.context.grid.format(self.eps)}"
@@ -196,12 +190,10 @@ def first_failure(
     spec: GMetSpec,
     theory: Theory,
     budget: int | None = None,
-    *,
-    _maps: dict | None = None,
 ) -> tuple[Judgment, dict[str, str]] | None:
     """The first judgment of the theory that fails in the algebra, with its
     first failing interpretation, or None when the algebra is a model."""
-    maps = {} if _maps is None else _maps
+    maps: dict = {}
     for j in theory.judgments:
         res = satisfies(alg, spec, j, budget, _maps=maps)
         if not res.holds:
@@ -247,7 +239,7 @@ def entails_catalog(
     for alg in catalog:
         require_space(spec, alg.space, "catalog algebra space")
         maps: dict = {}
-        if first_failure(alg, spec, theory, budget, _maps=maps) is None and \
-                not satisfies(alg, spec, j, budget, _maps=maps).holds:
+        if all(satisfies(alg, spec, k, budget, _maps=maps).holds for k in theory.judgments) \
+                and not satisfies(alg, spec, j, budget, _maps=maps).holds:
             return False
     return True

@@ -585,6 +585,60 @@ class TestErrors:
                    "--target", "AB", "--judgment", j) == (
             2, "", "error: carrier element 'c' collides with an operation symbol\n")
 
+    # each case sets one part of the fixture workspace to a value its reader refuses
+    @pytest.mark.parametrize("keys, value, stderr", [
+        (["spaces", "AB", "carrier"], ["a", "a"], "duplicate carrier element"),
+        (["spaces", "AB", "carrier"], ["a", ""], "empty carrier element name"),
+        (["spaces", "AB", "dist"], [["0", "1/2"]], "distance table shape does not match carrier"),
+        (["spec"], {"clauses": [{"name": "c", "vars": ["x"],
+                                 "conclusion": {"dist": ["x", "y", "0"]}}]},
+         "clause 'c' uses an undeclared variable"),
+        (["spec"], {"clauses": [{"name": "c", "vars": ["x"], "conclusion": {"le": ["x", "x"]}}]},
+         "bad atom: {'le': ['x', 'x']}"),
+        (["spec"], {"clauses": [{"name": "c", "vars": ["x"],
+                                 "conclusion": {"dist": ["x", "x", ["0"]]}}]},
+         "bad epsilon expression: ['0']"),
+        (["spec"], {"preset": "ULTRA"}, "unknown preset 'ULTRA'"),
+        (["algebras", "swap", "ops"], {}, "missing table for operation 'u'"),
+        (["algebras", "swap", "ops", "u"], {"p": "z", "q": "p"},
+         "bad table entry for 'u': ('p',) -> 'z'"),
+        # a table for an operation the signature lacks is refused, not dropped
+        (["algebras", "swap", "ops", "v"], {"p": "p", "q": "p"},
+         "table for operation 'v', which the signature lacks"),
+        (["theories", "PHI1", 0, "context"], "CD", "unknown space name 'CD'"),
+    ], ids=["duplicate-point", "empty-point", "dist-shape", "undeclared-variable", "bad-atom",
+            "bad-epsilon", "unknown-preset", "missing-table", "bad-table-entry", "stray-table",
+            "unknown-context"])
+    def test_refused_workspace_entry(self, capsys, tmp_path, keys, value, stderr):
+        assert run(capsys, "--workspace", _edited(tmp_path, keys, value), "distance",
+                   "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", f"error: {stderr}\n")
+
+    @pytest.mark.parametrize("lhs, stderr", [
+        ("u(a)!", "cannot tokenize term at '!'"),
+        ("u((a))", "unexpected '(' in 'u((a))'"),
+        ("c", "unknown name 'c' in 'c'"),
+        ("u(a b)", "expected ',' or ')' in 'u(a b)'"),
+    ])
+    def test_unreadable_term(self, capsys, lhs, stderr):
+        assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
+                   "--lhs", lhs, "--rhs", "b") == (2, "", f"error: {stderr}\n")
+
+    def test_depth_zero(self, capsys):
+        assert run(capsys, "--workspace", WS, "--depth", "0", "distance", "--theory", "EMPTY",
+                   "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", "error: depth must be >= 1\n")
+
+    def test_judgment_context_other_than_the_target(self, capsys):
+        j = json.dumps({"context": "X0", "lhs": "x", "rhs": "x"})
+        assert run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY", "--target", "AB",
+                   "--judgment", j) == (
+            2, "", "error: judgment context differs from the saturation target\n")
+
+    def test_em_check_at_depth_one(self, capsys):
+        assert run(capsys, "--workspace", WS, "--depth", "1", "em-check", "--theory", "EMPTY",
+                   "--algebra", "swap") == (
+            2, "", "error: reading op tables off a structure map needs depth >= 2\n")
 
 
 # a judgment, a map and a term that would each fail to parse: a name error

@@ -280,6 +280,11 @@ class TestDerivesAndDistance:
         with pytest.raises(OutOfUniverse):
             distance(db, App("u", (Var("a"),)), Var("b"))
 
+    def test_variable_outside_the_target_is_out_of_universe(self, collapse_db):
+        db, _ = collapse_db
+        with pytest.raises(OutOfUniverse, match=r"^zz is outside the depth-1 universe$"):
+            db.index_of(Var("zz"))
+
     def test_distance_of_self_is_zero_under_met(self, ab_half):
         db = saturate(U_SIG, Theory("E", ()), MET, ab_half, 2)
         for t in db.universe:

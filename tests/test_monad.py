@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,10 +22,10 @@ from qeqlog.monad import (
     m_unit,
     model_from_em,
 )
-from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model
+from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model, satisfies
 from qeqlog.terms import App, Signature, Var, apply_subst
 
-from conftest import random_algebra, random_space, space
+from conftest import random_algebra, random_space, random_theory, space
 
 
 GRID = EpsGrid(4)
@@ -295,6 +296,40 @@ class TestEilenbergMoore:
             rebuilt, _ = model_from_em(mi, cand)
             assert rebuilt.ops == alg.ops
             done += 1
+
+    # each signature with the most points of its models: with a constant or
+    # a ternary operation (a projection, which the theory states) the
+    # universe of M(M(A)) grows fast. The constant is k: c is the third point
+    # of a random space.
+    LAW_SIGS = ((U_SIG, 3), (Signature.of({"u": 1, "k": 0}), 2), (Signature.of({"t": 3}), 2),
+                (Signature.of({"t": 3, "k": 0}), 1))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_structure_map_of_a_model_is_lawful(self, seed):
+        """em_from_model runs no law: on a model its structure map is lawful
+        by construction, and it gives back the model's tables."""
+        rng = random.Random(seed)
+        spec, (sig, most) = (FREL, PMET, MET)[seed % 3], self.LAW_SIGS[seed // 3 % 4]
+        alg = random_algebra(rng, sig, GRID, spec, rng.randint(1, most))
+        axioms, depth = [], rng.choice([2, 3])
+        if "t" in sig.symbols:
+            # every map from the context is nonexpansive; at depth 3 the
+            # universe over two points holds a thousand terms
+            one = "1" if spec == FREL else "0"
+            xyz = space(GRID, "xyz", [[one, "1", "1"], ["1", one, "1"], ["1", "1", one]])
+            k, depth = rng.randrange(3), 2
+            axioms.append(Judgment(xyz, App("t", tuple(map(Var, "xyz"))), Var("xyz"[k])))
+            alg = QuantAlgebra(alg.space, sig, {**alg.ops, "t": {
+                args: args[k] for args in itertools.product(alg.space.carrier, repeat=3)}})
+        # with the random axioms that the algebra satisfies
+        axioms += [j for j in random_theory(rng, sig, GRID, spec, 2).judgments
+                   if satisfies(alg, spec, j).holds]
+        mi = MonadInstance(sig, Theory("T", tuple(axioms)), spec, depth)
+        cand = em_from_model(mi, alg)
+        reports = check_em_laws(mi, cand)
+        assert [r.failed for r in reports] == [0, 0] and reports[1].checked > 0
+        rebuilt, _ = model_from_em(mi, cand)
+        assert rebuilt.ops == alg.ops
 
     def test_induced_table_obeys_theory(self, ab_half):
         mi = quarter_mi(2)
