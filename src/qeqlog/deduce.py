@@ -504,7 +504,8 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
-def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, expand, seed, fire):
+def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, complete: bool,
+            expand, seed, fire):
     """A rule's passes over the tuples of the roots, each in product order,
     yielding after each pass whether it wrote or merged.
 
@@ -516,6 +517,10 @@ def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, ex
     ascending tuple streams. ``fire`` counts and runs the tuples it takes,
     and yields the ids of each write, which requeues the later tuples on
     the written cell, or for a ``merging`` rule those on the merged class.
+    With ``complete`` streams, each the whole product of its candidates, a
+    member of a merged class is requeued once a pass; a pruned stream has
+    passed over tuples whose cells a later merge can lower, so otherwise a
+    member is requeued at every merge.
     """
     find, since = db.find, None
     while True:
@@ -529,13 +534,15 @@ def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, ex
             for a, b in _written(db, start or 0):
                 queue.add(*expand(_on_cell(db, arity, first if start is None else cells, links,
                                            a, b, pool)))
-        changed = False
+        changed, requeued = False, set()
         for x, y in fire(queue):
             changed = True
-            queue.add(*expand(_on_class(find, find(x), arity, pool) if merging
+            if not complete:
+                requeued.clear()
+            queue.add(*expand(_on_class(find, find(x), arity, pool, requeued) if merging
                               else _on_cell(db, arity, cells, links, x, y, pool)))
         # the frame lives on between passes: keep nothing the size of a pass
-        del pool, queue
+        del pool, queue, requeued
         yield changed
 
 
@@ -570,7 +577,7 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
             yield x, y
 
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
-    yield from _passes(db, arity, cells, cells, _links(compiled, q), merging,
+    yield from _passes(db, arity, cells, cells, _links(compiled, q), merging, True,
                        expand=partial(itertools.starmap, itertools.product),
                        seed=partial(_tied, arity, prems) if _fires_at_top(compiled, arity, q) else None,
                        fire=fire)
@@ -610,7 +617,9 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
                 db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
             yield find(li), find(ri)
 
-    yield from _passes(db, arity, cells, cells[:1], links, merging, expand=partial(map, search),
+    # with no premise cell the search prunes nothing
+    yield from _passes(db, arity, cells, cells[:1], links, merging, not cells,
+                       expand=partial(map, search),
                        seed=None if cells else partial(_tied, arity, ()), fire=fire)
 
 
@@ -712,10 +721,12 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
             yield choices
 
 
-def _on_class(find, w: int, arity: int, pool: tuple[int, ...]):
+def _on_class(find, w: int, arity: int, pool: tuple[int, ...], requeued: set[int]):
     """Per position p, the candidates per position of the tuples over ``pool``
-    with a member of ``w``'s class at p, which a merge into ``w`` changes."""
-    members = tuple(r for r in pool if find(r) == w)
+    with a member of ``w``'s class at p, which a merge into ``w`` changes.
+    A member in ``requeued`` is left out, and each other one is added."""
+    members = tuple(r for r in pool if find(r) == w and r not in requeued)
+    requeued.update(members)
     return ([members if p == k else pool for k in range(arity)] for p in range(arity))
 
 

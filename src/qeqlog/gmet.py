@@ -128,12 +128,6 @@ class FuzzySpace(Record):
             raise TypeError(f"space carrier, dist and its rows must be JSON lists: {obj!r}")
         return cls.of(grid, [str(a) for a in carrier], rows)
 
-    def to_json(self) -> dict:
-        return {
-            "carrier": list(self.carrier),
-            "dist": [[self.grid.format(v) for v in row] for row in self.dist],
-        }
-
     def index(self, name: str) -> int:
         return self._idx[name]
 
@@ -229,18 +223,6 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
     raise ValueError(f"bad epsilon expression: {obj!r}")
 
 
-def eps_expr_to_json(e: EpsExpr):
-    if isinstance(e, EpsConst):
-        return str(e.value)
-    if isinstance(e, EpsParam):
-        return e.name
-    if isinstance(e, EpsPlus):
-        return {"plus": [eps_expr_to_json(t) for t in e.terms]}
-    if isinstance(e, EpsMin1):
-        return {"min1": eps_expr_to_json(e.inner)}
-    raise TypeError(e)
-
-
 class EqAtom(Record):
     x: str
     y: str
@@ -285,12 +267,6 @@ def _atom_from_json(obj) -> Atom:
     raise ValueError(f"bad atom: {obj!r}")
 
 
-def _atom_to_json(atom: Atom):
-    if isinstance(atom, EqAtom):
-        return {"eq": [atom.x, atom.y]}
-    return {"dist": [atom.x, atom.y, eps_expr_to_json(atom.eps)]}
-
-
 class GMetSpec(Record):
     """A Horn-definable class of fuzzy-relation spaces."""
 
@@ -314,22 +290,6 @@ class GMetSpec(Record):
             for i, c in enumerate(obj["clauses"])
         )
         return cls(str(obj.get("name", "user")), clauses)
-
-    def to_json(self) -> dict:
-        if self in PRESETS.values():
-            return {"preset": self.name}
-        return {
-            "name": self.name,
-            "clauses": [
-                {
-                    "name": c.name,
-                    "vars": list(c.vars),
-                    "premises": [_atom_to_json(p) for p in c.premises],
-                    "conclusion": _atom_to_json(c.conclusion),
-                }
-                for c in self.clauses
-            ],
-        }
 
 
 _REFL = HornClause("refl", ("x",), (), DistAtom("x", "x", EpsConst(0)))

@@ -201,13 +201,13 @@ def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, l
     op(a1..an) is the image under h of the class of op applied to the
     generator variables; needs depth >= 2 so those applications exist.
     """
+    if mi.depth < 2 and any(ar > 0 for _, ar in mi.sig.ops):
+        raise QeqlogError("reading op tables off a structure map needs depth >= 2")
     reports = check_em_laws(mi, cand)
     if any(r.failed for r in reports):
         raise EMLawViolation(
             "; ".join(f"{r.law}: {r.first_failure}" for r in reports if r.failed)
         )
-    if mi.depth < 2 and any(ar > 0 for _, ar in mi.sig.ops):
-        raise QeqlogError("reading op tables off a structure map needs depth >= 2")
     fa = mi.free(cand.space)
     var_ids = fa.base.var_ids
     ops: dict[str, dict[tuple[str, ...], str]] = {}

@@ -70,18 +70,6 @@ class QuantAlgebra(Record):
             raise ValueError(f"table for operation {stray[0]!r}, which the signature lacks")
         return cls(space, sig, ops)
 
-    def to_json(self) -> dict:
-        out_ops = {}
-        for name, arity in self.sig.ops:
-            table = self.ops[name]
-            if arity == 0:
-                out_ops[name] = table[()]
-            else:
-                out_ops[name] = {
-                    ",".join(args): val for args, val in sorted(table.items())
-                }
-        return {"space": self.space.to_json(), "ops": out_ops}
-
     def apply(self, op: str, args: tuple[str, ...]) -> str:
         return self.ops[op][args]
 
@@ -113,10 +101,10 @@ class Judgment(Record):
 
     @classmethod
     def from_json(cls, obj, sig: Signature, grid: EpsGrid,
-                  spaces: Mapping[str, FuzzySpace] | None = None) -> "Judgment":
+                  spaces: Mapping[str, FuzzySpace]) -> "Judgment":
         raw_ctx = obj["context"]
         if isinstance(raw_ctx, str):
-            if spaces is None or raw_ctx not in spaces:
+            if raw_ctx not in spaces:
                 raise ValueError(f"unknown space name {raw_ctx!r}")
             ctx = spaces[raw_ctx]
         else:

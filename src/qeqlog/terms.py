@@ -57,9 +57,6 @@ class Signature(Record):
     def from_json(cls, obj) -> "Signature":
         return cls.of({str(k): whole(v, f"arity of {k!r}") for k, v in obj["ops"].items()})
 
-    def to_json(self) -> dict:
-        return {"ops": {name: arity for name, arity in self.ops}}
-
     def arity(self, op: str) -> int:
         for name, arity in self.ops:
             if name == op:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +40,7 @@ from conftest import (
     trivial_model,
 )
 from oracle import OracleDB
+from test_deduce_custom_specs import OFF_GRID_BEHIND_ZERO
 from test_terms import terms_strategy
 
 
@@ -253,6 +255,22 @@ class TestRulePasses:
                 next(passes)
                 held = passes.gi_yieldfrom.gi_frame.f_locals
                 assert not [k for k, v in held.items() if isinstance(v, (tuple, deduce._Worklist))]
+
+    def test_merged_class_is_requeued_once_a_pass(self):
+        # every distance of the axiom's context is 1, so its search prunes
+        # nothing, and a member's first streams hold all its later tuples:
+        # requeued at every merge instead, it took some 50 times as long
+        grid = EpsGrid(1)
+        ctx = FuzzySpace(grid, ("a", "b", "c"), ((1,) * 3,) * 3)
+        theory = Theory("T", (Judgment(ctx, App("f", (Var("a"), Var("a"))), Var("c")),))
+        target = FuzzySpace(grid, ("a",), ((1,),))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            saturate(Signature.of({"u": 1, "f": 2, "g": 3}), theory, OFF_GRID_BEHIND_ZERO,
+                     target, 3, budget=5000)
+        assert str(exc.value) == ("saturation considered more than 5000 rule instances"
+                                  " in round 1 at SUBST:T[0]")
+        assert time.perf_counter() - start < 1
 
 
 class TestDerivesAndDistance:

@@ -11,9 +11,13 @@ from qeqlog.gmet import (
     FREL,
     MET,
     PMET,
+    PRESETS,
     DistAtom,
+    EpsConst,
     EpsGrid,
+    EpsMin1,
     EpsParam,
+    EpsPlus,
     FuzzySpace,
     GMetSpec,
     MAX_GRID_VECTORS,
@@ -261,8 +265,8 @@ class TestDiscreteLift:
 
 class TestSpecJson:
     def test_preset_roundtrip(self):
-        assert GMetSpec.from_json({"preset": "MET"}) is MET
-        assert GMetSpec.from_json(MET.to_json()) is MET
+        for name, spec in PRESETS.items():
+            assert GMetSpec.from_json({"preset": name}) is spec
 
     def test_custom_clause_roundtrip(self):
         obj = {
@@ -279,12 +283,17 @@ class TestSpecJson:
             ],
         }
         spec = GMetSpec.from_json(obj)
-        assert GMetSpec.from_json(spec.to_json()) == spec
+        e = EpsParam("e")
+        assert spec == GMetSpec("halfsym", (HornClause(
+            "halfsym", ("x", "y"), (DistAtom("x", "y", e),),
+            DistAtom("y", "x", EpsMin1(EpsPlus((e, EpsConst(Fraction(1, 4)))))),
+        ),))
         sp = space(GRID, ["a", "b"], [["0", "1/4"], ["1", "0"]])
         assert check_space(spec, sp) != []  # 1 > 1/4 + 1/4
 
     def test_space_json_roundtrip(self, ab_half):
-        assert FuzzySpace.from_json(ab_half.to_json(), GRID) == ab_half
+        obj = {"carrier": ["a", "b"], "dist": [[0, "1/2"], [0.5, "0"]]}
+        assert FuzzySpace.from_json(obj, GRID) == ab_half
 
 
 class TestCompileClause:

@@ -102,9 +102,26 @@ def test_fraction_results_stay_fractions(ab_half, sig_u):
     assert type(d) is Fraction and d == Fraction(1, 2)
 
 
+_PMET_CLAUSES = [
+    {"name": "refl", "vars": ["x"], "conclusion": {"dist": ["x", "x", "0"]}},
+    {"name": "symm", "vars": ["x", "y"], "premises": [{"dist": ["x", "y", "e"]}],
+     "conclusion": {"dist": ["y", "x", "e"]}},
+    {"name": "triangle", "vars": ["x", "y", "z"],
+     "premises": [{"dist": ["x", "y", "e1"]}, {"dist": ["y", "z", "e2"]}],
+     "conclusion": {"dist": ["x", "z", {"min1": {"plus": ["e1", "e2"]}}]}},
+]
+_MET_CLAUSES = _PMET_CLAUSES + [
+    {"name": "zero_implies_eq", "vars": ["x", "y"], "premises": [{"dist": ["x", "y", "0"]}],
+     "conclusion": {"eq": ["x", "y"]}},
+    {"name": "eq_implies_zero", "vars": ["x", "y"], "premises": [{"eq": ["x", "y"]}],
+     "conclusion": {"dist": ["x", "y", "0"]}},
+]
+
+
 # the presets hold the int 0; read from JSON, a constant is a Fraction
-@pytest.mark.parametrize("spec", [PMET, MET], ids=["PMET", "MET"])
-def test_preset_clauses_equal_their_json_reading(spec):
-    read = GMetSpec.from_json(GMetSpec("custom", spec.clauses).to_json())
+@pytest.mark.parametrize("spec, clauses", [(PMET, _PMET_CLAUSES), (MET, _MET_CLAUSES)],
+                         ids=["PMET", "MET"])
+def test_preset_clauses_equal_their_json_reading(spec, clauses):
+    read = GMetSpec.from_json({"clauses": clauses})
     assert {type(c.conclusion.eps.value) for c in read.clauses if c.name == "refl"} == {Fraction}
     assert read.clauses == spec.clauses and hash(read.clauses) == hash(spec.clauses)

@@ -343,6 +343,18 @@ class TestCongruenceAndSubstitution:
         return [ev.conclusion for ev in saturate(SIGS[2], theory, FREL, target, 3).events
                 if ev.rule == "SUBST"]
 
+    def test_pruned_axiom_requeues_a_merged_class_at_every_merge(self):
+        # the search of u(k) = b passes over the tuples whose cells read
+        # above the context's, and a later merge of a member's class can
+        # lower those cells: a merge must requeue every member, not only the
+        # ones that no earlier merge of the pass queued
+        grid = EpsGrid(2)
+        sig = Signature.of({"k": 0, "u": 1})
+        ctx = FuzzySpace(grid, ("a", "b"), ((0, 1), (0, 2)))
+        theory = Theory("AX", (Judgment(ctx, App("u", (App("k", ()),)), Var("b")),))
+        target = FuzzySpace(grid, ("a", "b", "c"), ((1, 0, 0), (0, 2, 0), (2, 1, 0)))
+        assert_same_saturation(sig, theory, FREL, target, 2)
+
     def test_merge_mid_pass_maps_a_later_column_onto_the_winner(self):
         # in round 1, axiom 0 writes d(4, 4) = 0 before axiom 1's first pass,
         # and axiom 2 writes d(2, 2) and d(3, 3) after it. Axiom 1's second

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import qeqlog.monad as monad_mod
-from qeqlog.errors import EMLawViolation, NotAModel, OutOfUniverse, PreconditionViolation
+from qeqlog.errors import (EMLawViolation, NotAModel, OutOfUniverse, PreconditionViolation,
+                           QeqlogError)
 from qeqlog.free import OVERFLOW
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, is_nonexpansive
 from qeqlog.monad import (
@@ -276,6 +277,19 @@ class TestEilenbergMoore:
         assert any(r.failed > 0 for r in reports)
         with pytest.raises(EMLawViolation):
             model_from_em(mi, bad)
+
+    # h(unit(p)) = q breaks the unit law, but at depth 1 no table can be read
+    @pytest.mark.parametrize("h_p", ["p", "q"], ids=["lawful", "lawless"])
+    def test_depth_one_is_refused_before_the_laws(self, swap_algebra, monkeypatch, h_p):
+        mi = MonadInstance(U_SIG, Theory("E", ()), MET, 1)
+        cand = em_from_model(mi, swap_algebra)
+        cand = EMCandidate(cand.space, {**cand.h, "p": h_p})
+        calls, real = [], monad_mod.check_em_laws
+        monkeypatch.setattr(monad_mod, "check_em_laws", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(QeqlogError) as info:
+            model_from_em(mi, cand)
+        assert type(info.value) is QeqlogError and calls == []
+        assert str(info.value) == "reading op tables off a structure map needs depth >= 2"
 
     def test_round_trip_reproduces_tables(self, swap_algebra):
         mi = MonadInstance(U_SIG, Theory("E", ()), MET, 2)

@@ -194,18 +194,22 @@ class TestEntailsCatalog:
 
 class TestAlgebraJson:
     def test_roundtrip(self, swap_uc):
-        rebuilt = QuantAlgebra.from_json(swap_uc.to_json(), swap_uc.sig, GRID)
-        assert rebuilt == swap_uc
+        obj = {
+            "space": {"carrier": ["p", "q"], "dist": [["0", "1/2"], ["1/2", "0"]]},
+            "ops": {"c": "p", "u": {"p": "q", "q": "p"}},
+        }
+        assert QuantAlgebra.from_json(obj, swap_uc.sig, GRID) == swap_uc
 
     def test_binary_table_keys(self):
         sig = Signature.of({"f": 2})
         sp = space(GRID, ["p", "q"], [["0", "1"], ["1", "0"]])
         obj = {
-            "space": sp.to_json(),
+            "space": {"carrier": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]},
             "ops": {"f": {"p,p": "p", "p,q": "q", "q,p": "q", "q,q": "p"}},
         }
         alg = QuantAlgebra.from_json(obj, sig, GRID)
-        assert alg.apply("f", ("p", "q")) == "q"
+        assert alg == QuantAlgebra(sp, sig, {"f": {
+            ("p", "p"): "p", ("p", "q"): "q", ("q", "p"): "q", ("q", "q"): "p"}})
 
     def test_partial_table_rejected(self, pq_half, sig_u):
         with pytest.raises(ValueError):

