@@ -36,11 +36,13 @@ the count of instances considered falls.
   rule's previous pass began (the event list is the write log), joins each
   with the roots near it (:func:`_on_cell`), takes the tuples in product
   order, and requeues the later tuples that its own writes and merges reach.
-  A rule gives what differs: its first pass (from :func:`_tied` if it fires
-  with every premise cell at 1, every tuple for an axiom; else from every
-  written cell, which an axiom joins at its first premise cell only), its
-  tuple search (a product for a clause, a pruned search for an axiom) and
-  its count (per parameter vector for a clause, per tuple for an axiom).
+  The first pass joins every written cell at one premise that blocks at top,
+  one that no instance passes while its cell reads 1: every context cell
+  below 1 of an axiom, and some of a clause's premises. A rule that fires
+  with every premise cell at 1 starts from the tuples :func:`_tied` gives
+  instead. A rule gives what differs: its blocking premises, its tuple
+  search (a product for a clause, a pruned search for an axiom) and its
+  count (per parameter vector for a clause, per tuple for an axiom).
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ import itertools
 from collections import namedtuple
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import (
@@ -77,9 +78,6 @@ from .terms import (
     universe_nodes,
     universe_size,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # the most terms a saturation enumerates, refused before it is built: about
 # 0.1 GB at the 0.8 KB of max RSS per term that MET without axioms takes
@@ -504,24 +502,31 @@ def _step_cong(db: DerivationDB) -> bool:
     return changed
 
 
-def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, complete: bool,
-            expand, seed, fire):
+def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search, seed, fire):
     """A rule's passes over the tuples of the roots, each in product order,
     yielding after each pass whether it wrote or merged.
 
-    The first pass starts from ``seed(pool)``, :func:`_tied` for a rule
-    that fires with every premise cell at 1, or if ``seed`` is None from
-    every written cell joined at the premise cells ``first``, and every
-    other from the cells written since the previous pass began, joined at
-    every premise cell. ``expand`` turns candidates per position into
-    ascending tuple streams. ``fire`` counts and runs the tuples it takes,
-    and yields the ids of each write, which requeues the later tuples on
-    the written cell, or for a ``merging`` rule those on the merged class.
-    With ``complete`` streams, each the whole product of its candidates, a
-    member of a merged class is requeued once a pass; a pruned stream has
-    passed over tuples whose cells a later merge can lower, so otherwise a
-    member is requeued at every merge.
+    No instance fires while a premise cell in ``blocking`` reads 1. The
+    first pass starts from ``seed(pool)``, :func:`_tied` for a rule that
+    fires with every premise cell at 1, or if ``seed`` is None from every
+    written cell joined at one blocking premise, across two positions if
+    one is (every premise cell if none blocks); a tuple it leaves out is
+    queued by the write that lowers that cell. Every other pass starts from
+    the cells written since the previous pass began, joined at every
+    premise cell. A position that a blocking premise ties to the written
+    cell takes only the roots near it. ``search`` turns the candidates per
+    position into an ascending tuple stream, or if None their product.
+    ``fire`` counts and runs the tuples it takes, and yields the ids of
+    each write, which requeues the later tuples on the written cell, or for
+    a ``merging`` rule those on the merged class. With product streams, or
+    a search that prunes nothing, a member of a merged class is requeued
+    once a pass; a pruned stream has passed over tuples whose cells a later
+    merge can lower, so otherwise a member is requeued at every merge.
     """
+    links = [pair for xp, yp in blocking if xp != yp for pair in ((xp, yp), (yp, xp))]
+    first = links[:1] or blocking[:1] or cells
+    expand = partial(itertools.starmap, itertools.product) if search is None else partial(map, search)
+    complete = search is None or not cells
     find, since = db.find, None
     while True:
         # a tuple, so that itertools.product takes it without a copy
@@ -548,11 +553,9 @@ def _passes(db: DerivationDB, arity: int, cells, first, links, merging: bool, co
 
 def _horn_rule(clause: HornClause, db: DerivationDB):
     """A clause's passes (:func:`_passes`), built at its first: the products
-    of the candidates, one instance per parameter vector, and a first pass
-    over the tied tuples (:func:`_tied`) if the clause fires at top. The
-    join leaves out the tuples that read 1 at a blocking premise
-    (:func:`_links`) when queued: a later write to that cell queues them
-    while they are ahead, and one behind read 1 there in a full pass too."""
+    of the candidates, one instance per parameter vector, the premises that
+    block at top (:func:`_blocking`), and a first pass over the tied tuples
+    (:func:`_tied`) if the clause fires at top."""
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     compiled = compile_clause(clause, q)
     _, vectors, prems, cx, cy, conc_bounds = compiled
@@ -577,23 +580,20 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
             yield x, y
 
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
-    yield from _passes(db, arity, cells, cells, _links(compiled, q), merging, True,
-                       expand=partial(itertools.starmap, itertools.product),
+    yield from _passes(db, arity, cells, _blocking(compiled, q), merging, search=None,
                        seed=partial(_tied, arity, prems) if _fires_at_top(compiled, arity, q) else None,
                        fire=fire)
 
 
 def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
     """An axiom's passes (:func:`_passes`), built at its first: premise
-    cells at a context distance below 1, a pruned search
-    (:func:`images_within`) that reads a cell when it reaches it, and one
-    instance per tuple it yields. A tuple whose premise cell reads 1 fails
-    the search, so the first pass joins the written cells at the first
-    premise cell only; with none, it starts from every tuple (:func:`_tied`)."""
+    cells at a context distance below 1, each of which blocks at top, a
+    pruned search (:func:`images_within`) that reads a cell when it reaches
+    it, and one instance per tuple it yields. With no premise cell, the
+    first pass starts from every tuple (:func:`_tied`)."""
     dmin, n, q, find = db.dmin, db._n, db.grid.q, db.find
     ctx, merging, arity = j.context, j.eps is None, len(j.context.carrier)
     cells = [(x, y) for x, row in enumerate(ctx.dist) for y, d in enumerate(row) if d < q]
-    links = [link for x, y in cells if x != y for link in ((x, y), (y, x))]
     # only a merging axiom turns members of the pool into non-roots
     search = partial(images_within, ctx.dist, dmin, q, n, find=find if merging else None)
     left, right = (db.compiled(side, ctx.carrier) for side in (j.lhs, j.rhs))
@@ -617,9 +617,7 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
                 db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
             yield find(li), find(ri)
 
-    # with no premise cell the search prunes nothing
-    yield from _passes(db, arity, cells, cells[:1], links, merging, not cells,
-                       expand=partial(map, search),
+    yield from _passes(db, arity, cells, cells, merging, search,
                        seed=None if cells else partial(_tied, arity, ()), fire=fire)
 
 
@@ -685,11 +683,11 @@ def _tied(arity: int, prems, pool: tuple[int, ...]):
     return map(at, itertools.product(pool, repeat=len(free)))
 
 
-def _links(compiled, q: int) -> list[tuple[int, int]]:
-    """The position pairs, both ways round, of the distance premises that
-    block at top: a constant bound below 1, or a bare parameter that puts the
-    monotone conclusion bound at 1 when it reads 1 and the others 0. While
-    such a cell reads 1, no instance fires. A grid-vector clause, one that
+def _blocking(compiled, q: int) -> list[tuple[int, int]]:
+    """The position pairs of the distance premises that block at top: a
+    constant bound below 1, or a bare parameter that puts the monotone
+    conclusion bound at 1 when it reads 1 and the others 0. While such a
+    cell reads 1, no instance fires. A grid-vector clause, one that
     concludes an equality and one with an off-grid constant have none."""
     _, vectors, prems, _, _, conc_bounds = compiled
     if conc_bounds is None or len(vectors) > 1:
@@ -697,18 +695,18 @@ def _links(compiled, q: int) -> list[tuple[int, int]]:
     zero = vectors[0]
     try:
         conc_bounds[zero]
-        blocking = [(xp, yp) for xp, yp, si, bounds in prems if bounds is not None and (
+        return [(xp, yp) for xp, yp, si, bounds in prems if bounds is not None and (
             conc_bounds[zero[:si] + (q,) + zero[si + 1:]] == q if si >= 0 else bounds[zero] < q)]
     except GridMismatch:
         return []
-    return [pair for xp, yp in blocking if xp != yp for pair in ((xp, yp), (yp, xp))]
 
 
 def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
              pool: tuple[int, ...]):
     """Per premise cell (x, y), the candidates per position of the tuples
-    over ``pool`` with a at x and b at y. A position that a link ties to x or
-    y takes only the roots with a cell below 1 to a or b (``db._near``)."""
+    over ``pool`` with a at x and b at y. A position that a link, a blocking
+    premise across two positions, ties to x or y takes only the roots with a
+    cell below 1 to a or b (``db._near``)."""
     near, parent = db._near, db._parent
     for xp, yp in cells:
         if xp != yp or a == b:

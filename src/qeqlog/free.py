@@ -13,7 +13,7 @@ algebra reports how many instances were skipped for that reason.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from ._record import Record
 from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, PreconditionViolation,

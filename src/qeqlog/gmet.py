@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
 from .terms import MAX_COMPILED_DEPTH
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class EpsGrid(Record):
@@ -206,9 +203,7 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
     if isinstance(obj, str):
         try:
             return EpsConst(Fraction(obj))
-        except ValueError:
-            return EpsParam(obj)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad epsilon expression: {obj!r}") from None
     if isinstance(obj, (int, float)):
         return EpsConst(Fraction(str(obj)))

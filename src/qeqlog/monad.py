@@ -12,7 +12,7 @@ skipped because an intermediate overflowed.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from collections.abc import Mapping
 
 from ._record import Record
 from .errors import (

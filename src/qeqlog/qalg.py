@@ -12,8 +12,8 @@ compiler that substitution runs over the saturated hashcons).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from ._record import Record
 from .errors import GridMismatch, UnknownVariable

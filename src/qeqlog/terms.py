@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import Record
 from .errors import QeqlogError, TrivialPair, UnknownVariable

@@ -567,6 +567,22 @@ class TestErrors:
                    "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
             2, "", f"error: bad epsilon expression: {eps!r}\n")
 
+    # a string that is neither a fraction nor an identifier was read as a
+    # parameter, so the premise d(x, y) <= 0,5 bound nothing and the target
+    # failed the clause instead
+    @pytest.mark.parametrize("eps, stderr", [
+        ("0,5", "error: bad epsilon expression: '0,5'\n"),
+        ("1//2", "error: bad epsilon expression: '1//2'\n"),
+        ("e'", "error: bad epsilon expression: \"e'\"\n"),
+    ])
+    def test_malformed_clause_constant(self, capsys, tmp_path, eps, stderr):
+        spec = {"clauses": [{"name": "bound", "vars": ["x", "y"],
+                             "premises": [{"dist": ["x", "y", eps]}],
+                             "conclusion": {"dist": ["x", "y", "0"]}}]}
+        assert run(capsys, "--workspace", _edited(tmp_path, ["spec"], spec), "distance",
+                   "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", stderr)
+
     # under a constant c, a carrier point c would read u(c) = c as an axiom
     # over a variable: named and inline contexts are refused alike
     @pytest.mark.parametrize("inline", [False, True])

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qeqlog import deduce
 from qeqlog.errors import (
     BudgetExceeded,
+    GridMismatch,
     OutOfUniverse,
     QeqlogError,
     SpecViolation,
@@ -125,6 +126,21 @@ class TestSaturateFixtures:
         sp = FuzzySpace(GRID, (), ())
         with pytest.raises(TrivialPair):
             saturate(U_SIG, Theory("E", ()), MET, sp, 2)
+
+    def test_axiom_context_on_another_grid(self, ab_half):
+        ctx = space(EpsGrid(2), ["x"], [["0"]])
+        th = Theory("G", (Judgment(ctx, App("u", (Var("x"),)), Var("x")),))
+        with pytest.raises(GridMismatch) as exc:
+            saturate(U_SIG, th, MET, ab_half, 2)
+        assert str(exc.value) == "theory context and target use different grids"
+
+    def test_trivial_axiom_context(self, ab_half):
+        # no carrier point and no constant: the axiom has no instance at all
+        empty = FuzzySpace(GRID, (), ())
+        th = Theory("T", (Judgment(empty, App("c", ()), App("c", ())),))
+        with pytest.raises(TrivialPair) as exc:
+            saturate(U_SIG, th, MET, ab_half, 2)
+        assert str(exc.value) == "axiom context is a trivial pair"
 
     def test_spec_violation(self):
         bad = space(GRID, ["a", "b"], [["0", "1/4"], ["1/2", "0"]])
@@ -742,3 +758,8 @@ class TestGenNonexpansiveAxioms:
         assert j.context.d("x1", "y1") == 1
         assert j.context.d("x1", "x2") == grid.q
         assert j.context.d("x1", "x1") == 0
+
+    def test_constant_refused(self):
+        with pytest.raises(ValueError) as exc:
+            gen_nonexpansive_axioms(Signature.of({"c": 0}), "c", EpsGrid(2))
+        assert str(exc.value) == "nonexpansiveness axioms need arity >= 1"

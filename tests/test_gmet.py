@@ -26,6 +26,7 @@ from qeqlog.gmet import (
     compile_clause,
     discrete_lift,
     enumerate_nonexpansive,
+    eps_expr_from_json,
     is_nonexpansive,
     tuple_name,
 )
@@ -69,6 +70,12 @@ class TestGrid:
         for _ in range(2):
             with pytest.raises(GridMismatch, match="^1/5 is not on the grid with denominator 4$"):
                 grid.value("1/5")
+
+    # a space built from numerators, not read from JSON, is checked all the same
+    def test_numerator_above_q_is_refused(self):
+        with pytest.raises(GridMismatch) as exc:
+            FuzzySpace(GRID, ("a",), ((5,),))
+        assert str(exc.value) == "distance 5 off the grid (q=4)"
 
     def test_forms_agree_on_every_read(self):
         grid = EpsGrid(4)
@@ -252,6 +259,11 @@ class TestDiscreteLift:
             }
             assert is_nonexpansive(proj, lifted, ab_half)
 
+    def test_empty_power_refused(self, ab_half):
+        with pytest.raises(ValueError) as exc:
+            discrete_lift(MET, ab_half, 0)
+        assert str(exc.value) == "n must be >= 1"
+
     def test_user_spec_rejected(self, ab_half):
         user = GMetSpec("mine", MET.clauses[:1])
         with pytest.raises(UnsupportedPreset):
@@ -290,6 +302,12 @@ class TestSpecJson:
         ),))
         sp = space(GRID, ["a", "b"], [["0", "1/4"], ["1", "0"]])
         assert check_space(spec, sp) != []  # 1 > 1/4 + 1/4
+
+    # a JSON number is read through its decimal string, not its binary value
+    @pytest.mark.parametrize("obj, value", [(0.1, Fraction(1, 10)), (1, Fraction(1)),
+                                            (0, Fraction(0))])
+    def test_number_as_a_clause_constant(self, obj, value):
+        assert eps_expr_from_json(obj) == EpsConst(value)
 
     def test_space_json_roundtrip(self, ab_half):
         obj = {"carrier": ["a", "b"], "dist": [[0, "1/2"], [0.5, "0"]]}

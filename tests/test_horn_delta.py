@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import (DerivationDB, _fires_at_top, _links, _step_cong, _tied, _Worklist,
+from qeqlog.deduce import (DerivationDB, _blocking, _fires_at_top, _step_cong, _tied, _Worklist,
                            saturate)
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
@@ -221,14 +221,16 @@ class TestFiresAtTop:
 
 class TestLinks:
     # a premise blocks at top when no instance fires while its cell reads 1;
-    # a write then joins the position it ties only with the near roots
+    # the first pass joins at one, and a write then joins the position it
+    # ties only with the near roots: each case lists its blocking premises
+    # as position pairs, in premise order
     @pytest.mark.parametrize("clause, links", [
-        (MET.clauses[2], [(0, 1), (1, 0), (1, 2), (2, 1)]),
-        (MET.clauses[1], [(0, 1), (1, 0)]),
-        (CHAIN4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]),
+        (MET.clauses[2], [(0, 1), (1, 2)]),
+        (MET.clauses[1], [(0, 1)]),
+        (CHAIN4, [(0, 1), (1, 2), (2, 3)]),
         (LOOSE, []),
-        (LOOSE_AFTER_ZERO, [(0, 1), (1, 0)]),
-        (ONE_BOUND, [(1, 2), (2, 1)]),
+        (LOOSE_AFTER_ZERO, [(0, 1)]),
+        (ONE_BOUND, [(1, 2)]),
         # the constant 1/3 is off the q = 4 grid
         (OFF_GRID_BEHIND_ZERO.clauses[0], []),
         # grid-vector and merging clauses keep full streams
@@ -236,7 +238,7 @@ class TestLinks:
         (MET.clauses[3], []),
     ], ids=lambda v: v.name if isinstance(v, HornClause) else None)
     def test_blocking_premises(self, clause, links):
-        assert _links(compile_clause(clause, 4), 4) == links
+        assert _blocking(compile_clause(clause, 4), 4) == links
 
     # each case has a tuple that fires and that a wrong join leaves out: one
     # through a bound of 1 or a parameter the conclusion ignores, or one that
@@ -279,17 +281,20 @@ class TestNearJoinScale:
         db = saturate(self.SIG, theory, MET, three, 3, budget=10_000)
         assert (len(db.universe), len(db.events)) == (243, 298)
 
-    def _first_substitution_pass(self, ctx_rows, lhs, rhs):
-        # FREL at q = 2 with both points at 1/2: only the four cells between
-        # the points are written, all at 1/2, and no tuple passes the premise
-        # d = 0 of the axiom lhs = rhs; at depth 4 there are 5,552 roots
+    def _first_substitution_pass(self, ctx_rows, lhs, rhs, target_rows=((1, 1), (1, 1)),
+                                 counts=(4, 5, 5552)):
+        # FREL at q = 2 with both points at 1/2 by default: only the four
+        # cells between the points are written, all at 1/2, and no tuple
+        # passes the premise d = 0 of the axiom lhs = rhs; at depth 4 there
+        # are 5,552 roots
         grid = EpsGrid(2)
-        two = FuzzySpace(grid, ("a", "b"), ((1, 1), (1, 1)))
+        two = FuzzySpace(grid, ("a", "b"), target_rows)
         ctx = FuzzySpace(grid, "xyz"[:len(ctx_rows)], ctx_rows)
         theory = Theory("C", (Judgment(ctx, lhs, rhs, None),))
         for budget in (None, 1_000):
             db = saturate(self.SIG, theory, FREL, two, 4, budget=budget)
-            assert (db.instances, len(db.events), len(db.roots())) == (4, 5, 5552)
+            assert (db.instances, len(db.events), len(db.roots())) == counts
+        return theory, two
 
     def test_first_substitution_pass_joins_near_roots(self):
         # the first pass joins each written cell at the premise cell (x, y),
@@ -306,6 +311,17 @@ class TestNearJoinScale:
         x, y, z = Var("x"), Var("y"), Var("z")
         self._first_substitution_pass(((2, 2, 2), (2, 2, 0), (2, 0, 2)),
                                       App("f", (x, y)), App("f", (x, z)))
+
+    def test_first_substitution_pass_joins_across_positions(self):
+        # the first context cell is x's self-distance, which ties no other
+        # position: a first pass joined there took every root at y and z for
+        # each written self-distance, and a budget of 1,000 gave no result in
+        # 20 s; joined at (y, z), it takes only the roots near the cell
+        x, y, z = Var("x"), Var("y"), Var("z")
+        theory, two = self._first_substitution_pass(
+            ((0, 2, 2), (2, 2, 0), (2, 0, 2)), App("f", (x, y)), App("f", (x, z)),
+            target_rows=((0, 1), (1, 0)), counts=(8, 5, 5552))
+        assert_same_saturation(self.SIG, theory, FREL, two, 3)
 
 
 class TestCongruenceAndSubstitution:

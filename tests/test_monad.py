@@ -6,8 +6,8 @@ import random
 import pytest
 
 import qeqlog.monad as monad_mod
-from qeqlog.errors import (EMLawViolation, NotAModel, OutOfUniverse, PreconditionViolation,
-                           QeqlogError)
+from qeqlog.errors import (EMLawViolation, NotAModel, NotNonexpansive, OutOfUniverse,
+                           PreconditionViolation, QeqlogError)
 from qeqlog.free import OVERFLOW
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, is_nonexpansive
 from qeqlog.monad import (
@@ -88,6 +88,13 @@ class TestMapAction:
         direct = m_map(mi, {a: g[f[a]] for a in s1.carrier}, s1, s3)
         composed = {n: via[v] for n, v in m_map(mi, f, s1, s2).items()}
         assert composed == direct
+
+    def test_expanding_map_refused(self, ab_half):
+        mi = MonadInstance(U_SIG, Theory("E", ()), MET, 2)
+        far = space(GRID, ["p", "q"], [["0", "1"], ["1", "0"]])
+        with pytest.raises(NotNonexpansive) as exc:
+            m_map(mi, {"a": "p", "b": "q"}, ab_half, far)
+        assert str(exc.value) == "m_map requires a nonexpansive map"
 
     def test_result_nonexpansive(self, ab_half, pq_half):
         mi = MonadInstance(U_SIG, Theory("E", ()), MET, 2)
@@ -417,6 +424,15 @@ class TestHomImage:
         a2 = QuantAlgebra(stretched, a.sig, a.ops)
         with pytest.raises(PreconditionViolation, match="nonexpansive"):
             check_hom_image_model(a2, b, f, g, th, PMET)
+
+    def test_domain_not_a_model(self):
+        # u swaps x and y, so u(v) = v fails on the domain
+        a, b, f, g, _ = self.base_pair()
+        ctx = space(GRID, ["v"], [["0"]])
+        th = Theory("T", (Judgment(ctx, App("u", (Var("v"),)), Var("v")),))
+        with pytest.raises(PreconditionViolation) as exc:
+            check_hom_image_model(a, b, f, g, th, PMET)
+        assert str(exc.value) == "the domain algebra is not a model"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_generated_quadruples(self, seed):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qeqlog.errors import BudgetExceeded, SpecViolation, UnknownVariable
+from qeqlog.errors import BudgetExceeded, GridMismatch, SpecViolation, UnknownVariable
 from qeqlog.gmet import FREL, MET, EpsGrid
 from qeqlog.qalg import (
     Judgment,
@@ -107,10 +107,28 @@ class TestSatisfies:
         with pytest.raises(SpecViolation):
             satisfies(swap_algebra, MET, Judgment(bad, Var("a"), Var("b"), 1))
 
+    def test_context_on_another_grid(self, swap_algebra):
+        ctx = space(EpsGrid(2), ["a"], [["0"]])
+        with pytest.raises(GridMismatch) as exc:
+            satisfies(swap_algebra, MET, Judgment(ctx, Var("a"), Var("a")))
+        assert str(exc.value) == "algebra and judgment use different grids"
+
     def test_budget(self, swap_algebra, ab_half):
         j = Judgment(ab_half, Var("a"), Var("b"), GRID.q)
         with pytest.raises(BudgetExceeded):
             satisfies(swap_algebra, MET, j, budget=3)
+
+
+class TestJudgment:
+    def test_eps_off_the_grid(self, ab_half):
+        with pytest.raises(GridMismatch) as exc:
+            Judgment(ab_half, Var("a"), Var("b"), GRID.q + 1)
+        assert str(exc.value) == "eps numerator 5 off the grid"
+
+    def test_variable_outside_the_context(self, ab_half):
+        with pytest.raises(ValueError) as exc:
+            Judgment(ab_half, Var("a"), App("u", (Var("z"),)))
+        assert str(exc.value) == "variables ['z'] not in the context carrier"
 
 
 class TestIsModel:
@@ -152,6 +170,11 @@ class TestIsHomomorphism:
             swap_algebra.space, sig_u, {"u": {("p",): "q", ("q",): "q"}}
         )
         assert not is_homomorphism({"p": "p", "q": "p"}, swap_algebra, mover)
+
+    def test_different_signatures(self, swap_algebra, swap_uc):
+        with pytest.raises(ValueError) as exc:
+            is_homomorphism({"p": "p", "q": "q"}, swap_algebra, swap_uc)
+        assert str(exc.value) == "algebras have different signatures"
 
     def test_exhaustive_table_check(self, sig_u):
         rng = random.Random(9)
@@ -210,6 +233,16 @@ class TestAlgebraJson:
         alg = QuantAlgebra.from_json(obj, sig, GRID)
         assert alg == QuantAlgebra(sp, sig, {"f": {
             ("p", "p"): "p", ("p", "q"): "q", ("q", "p"): "q", ("q", "q"): "p"}})
+
+    @pytest.mark.parametrize("ops, message", [
+        ({}, "missing table for operation 'u'"),
+        ({"u": {("p",): "p", ("q",): "p"}, "v": {("p",): "p", ("q",): "p"}},
+         "operation tables do not match the signature"),
+    ], ids=["missing", "stray"])
+    def test_tables_of_another_signature_rejected(self, pq_half, sig_u, ops, message):
+        with pytest.raises(ValueError) as exc:
+            QuantAlgebra(pq_half, sig_u, ops)
+        assert str(exc.value) == message
 
     def test_partial_table_rejected(self, pq_half, sig_u):
         with pytest.raises(ValueError):

@@ -220,3 +220,9 @@ def test_cli_import_loads_no_class_generation_machinery():
 # decimal and numbers modules it imports, load only for other forms
 def test_cli_import_loads_no_fractions():
     assert _loaded_by_cli_import(("fractions", "decimal", "_decimal", "numbers")) == "[]\n"
+
+
+# annotations are strings that nothing evaluates: the abstract types come
+# from collections.abc, and typing, about 3 ms to import, never loads
+def test_cli_import_loads_no_typing():
+    assert _loaded_by_cli_import(("typing",)) == "[]\n"

@@ -284,6 +284,10 @@ class TestParseAndPrint:
         with pytest.raises(ValueError, match=r"^unexpected end of term in "):
             parse_term(text, sig, ["a", "b"])
 
+    # a constant may be written with an empty argument list
+    def test_constant_with_parentheses(self):
+        assert parse_term("u(c())", SIG_UC, ["a"]) == App("u", (App("c", ()),))
+
     def test_binary(self):
         sig = Signature.of({"f": 2})
         t = parse_term("f(a,f(b,a))", sig, ["a", "b"])
@@ -305,6 +309,11 @@ class TestSignature:
     def test_duplicate_symbol_rejected(self):
         with pytest.raises(ValueError):
             Signature((("u", 1), ("u", 2)))
+
+    def test_symbol_that_is_not_an_identifier_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            Signature.of({"1u": 1})
+        assert str(exc.value) == "operation symbol '1u' is not an identifier"
 
     def test_negative_arity_rejected(self):
         with pytest.raises(ValueError):
