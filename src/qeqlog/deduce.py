@@ -35,7 +35,8 @@ the count of instances considered falls.
   premise cell is written. A pass starts from the cells written since the
   rule's previous pass began (the event list is the write log), joins each
   with the roots near it (:func:`_on_cell`), takes the tuples in product
-  order, and requeues the later tuples that its own writes and merges reach.
+  order, and requeues the later tuples that its own writes and merges reach
+  through the same join, a merged class's members at one position each.
   The first pass joins every written cell at one premise that blocks at top,
   one that no instance passes while its cell reads 1: every context cell
   below 1 of an axiom, and some of a clause's premises. A rule that fires
@@ -518,7 +519,8 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
     position into an ascending tuple stream, or if None their product.
     ``fire`` counts and runs the tuples it takes, and yields the ids of
     each write, which requeues the later tuples on the written cell, or for
-    a ``merging`` rule those on the merged class. With product streams, or
+    a ``merging`` rule those with a member of the merged class at p, joined
+    like a write on the cell (p, p) of its root. With product streams, or
     a search that prunes nothing, a member of a merged class is requeued
     once a pass; a pruned stream has passed over tuples whose cells a later
     merge can lower, so otherwise a member is requeued at every merge.
@@ -527,6 +529,7 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
     first = links[:1] or blocking[:1] or cells
     expand = partial(itertools.starmap, itertools.product) if search is None else partial(map, search)
     complete = search is None or not cells
+    requeue_cells = [(p, p) for p in range(arity)] if merging else cells
     find, since = db.find, None
     while True:
         # a tuple, so that itertools.product takes it without a copy
@@ -539,15 +542,18 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
             for a, b in _written(db, start or 0):
                 queue.add(*expand(_on_cell(db, arity, first if start is None else cells, links,
                                            a, b, pool)))
-        changed, requeued = False, set()
+        changed, requeued, members = False, set(), None
         for x, y in fire(queue):
             changed = True
             if not complete:
                 requeued.clear()
-            queue.add(*expand(_on_class(find, find(x), arity, pool, requeued) if merging
-                              else _on_cell(db, arity, cells, links, x, y, pool)))
+            if merging:
+                x = y = find(x)
+                members = tuple(r for r in pool if find(r) == x and r not in requeued)
+                requeued.update(members)
+            queue.add(*expand(_on_cell(db, arity, requeue_cells, links, x, y, pool, members)))
         # the frame lives on between passes: keep nothing the size of a pass
-        del pool, queue, requeued
+        del pool, queue, requeued, members
         yield changed
 
 
@@ -702,30 +708,21 @@ def _blocking(compiled, q: int) -> list[tuple[int, int]]:
 
 
 def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
-             pool: tuple[int, ...]):
+             pool: tuple[int, ...], members=None):
     """Per premise cell (x, y), the candidates per position of the tuples
-    over ``pool`` with a at x and b at y. A position that a link, a blocking
-    premise across two positions, ties to x or y takes only the roots with a
-    cell below 1 to a or b (``db._near``)."""
+    over ``pool`` with a at x and b at y, or ``members`` at x = y. A position
+    that a link, a blocking premise across two positions, ties to x or y
+    takes only the roots with a cell below 1 to a or b (``db._near``)."""
     near, parent = db._near, db._parent
     for xp, yp in cells:
         if xp != yp or a == b:
             choices = [pool] * arity
-            choices[xp], choices[yp] = (a,), (b,)
+            choices[xp], choices[yp] = (a,), ((b,) if members is None else members)
             for fixed, free in links:
                 if fixed in (xp, yp) and choices[free] is pool:
                     v = a if fixed == xp else b
                     choices[free] = sorted(r for r in near[v] or () if parent[r] == r)
             yield choices
-
-
-def _on_class(find, w: int, arity: int, pool: tuple[int, ...], requeued: set[int]):
-    """Per position p, the candidates per position of the tuples over ``pool``
-    with a member of ``w``'s class at p, which a merge into ``w`` changes.
-    A member in ``requeued`` is left out, and each other one is added."""
-    members = tuple(r for r in pool if find(r) == w and r not in requeued)
-    requeued.update(members)
-    return ([members if p == k else pool for k in range(arity)] for p in range(arity))
 
 
 class _Worklist:

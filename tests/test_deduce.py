@@ -195,7 +195,7 @@ class TestBudgetNamesPhase:
         ("USEVAR", 0, 4), ("HORN:refl", 1, 6), ("HORN:symm", 1, 8), ("HORN:triangle", 1, 12),
         ("HORN:zero_implies_eq", 1, 8), ("HORN:eq_implies_zero", 1, 6), ("SUBST:MIX[0]", 1, 6),
         ("SUBST:MIX[1]", 1, 10), ("CONG", 2, 1), ("HORN:symm", 2, 3), ("HORN:triangle", 2, 42),
-        ("HORN:zero_implies_eq", 2, 10), ("SUBST:MIX[1]", 2, 12), ("HORN:symm", 3, 2),
+        ("HORN:zero_implies_eq", 2, 10), ("SUBST:MIX[1]", 2, 11), ("HORN:symm", 3, 2),
     ]
 
     @pytest.mark.parametrize("fixture", ["PHI1", "MIXED"])

@@ -323,6 +323,19 @@ class TestNearJoinScale:
             target_rows=((0, 1), (1, 0)), counts=(8, 5, 5552))
         assert_same_saturation(self.SIG, theory, FREL, two, 3)
 
+    def test_merging_axiom_joins_the_merged_class(self):
+        # b = c over three points at distance 0: every merge into c's class
+        # requeues its members at each point, and the points tied to that
+        # one take only the roots near the class's root; over every root at
+        # those points, depth 3 gave no result in 30 s
+        sig = Signature.of({"c": 0, "g": 2, "u": 1})
+        ctx = FuzzySpace(self.GRID, ("a", "b", "c"), ((0,) * 3,) * 3)
+        theory = Theory("B", (Judgment(ctx, Var("b"), App("c", ())),))
+        target = FuzzySpace(self.GRID, ("a", "b", "c"), ((0, 3, 4), (3, 0, 1), (4, 1, 0)))
+        assert_same_saturation(sig, theory, PMET, target, 2)
+        db = saturate(sig, theory, PMET, target, 3, budget=20_000)
+        assert (db.instances, len(db.events), len(db.roots())) == (3044, 1214, 1)
+
 
 class TestCongruenceAndSubstitution:
     # shapes whose work is congruence and substitution rather than Horn
@@ -401,16 +414,19 @@ class TestCongruenceAndSubstitution:
     # first pass joins the written cells at a pair of the other points; from
     # seed 18 on, every context distance is 1 over 0 to 3 points, so an axiom
     # has no premise cell and its first pass takes every tuple (no point
-    # falls on SIGS[2], which has a constant)
-    @pytest.mark.parametrize("seed", range(24))
+    # falls on SIGS[2], which has a constant); from seed 24 on, every axiom
+    # merges and every context distance is below 1, so every point is tied
+    # to every other and a merge joins each member of the merged class with
+    # the roots near the class's root
+    @pytest.mark.parametrize("seed", range(36))
     def test_three_point_contexts(self, seed):
         rng = random.Random(seed)
-        sig, spec = SIGS[seed % len(SIGS)], (MET, PMET, FREL)[seed % 3] if seed < 12 else FREL
+        sig, spec = SIGS[seed % len(SIGS)], FREL if 12 <= seed < 24 else (MET, PMET, FREL)[seed % 3]
         grid = EpsGrid(rng.randint(2, 4))
         target = _space(rng, grid, 2, spec)
         axioms = []
         for _ in range(3):
-            if seed >= 18:
+            if 18 <= seed < 24:
                 points = (2 - seed) % 4
                 ctx = FuzzySpace(grid, tuple("xyz"[:points]), ((grid.q,) * points,) * points)
             else:
@@ -419,8 +435,13 @@ class TestCongruenceAndSubstitution:
                 ctx = FuzzySpace(grid, ctx.carrier, tuple(
                     tuple(grid.q if 0 in (x, y) else d for y, d in enumerate(row))
                     for x, row in enumerate(ctx.dist)))
+            if seed >= 24:
+                # capping every distance below 1 keeps the spec's clauses
+                ctx = FuzzySpace(grid, ctx.carrier,
+                                 tuple(tuple(min(d, grid.q - 1) for d in row) for row in ctx.dist))
             lhs, rhs = (random_term(rng, sig, ctx.carrier, 2) for _ in range(2))
-            axioms.append(Judgment(ctx, lhs, rhs, rng.choice([None] + list(range(grid.q + 1)))))
+            axioms.append(Judgment(ctx, lhs, rhs, None if seed >= 24 else
+                                   rng.choice([None] + list(range(grid.q + 1)))))
         # 8 to 38 terms, so that the naive loop stays fast
         depth = (5, 3, 5, 2)[seed % len(SIGS)]
         assert_same_saturation(sig, Theory("T3", tuple(axioms)), spec, target, depth)

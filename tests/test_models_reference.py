@@ -168,6 +168,10 @@ class TestUmpAgainstReference:
     # the ternary signature at depth 3 over two generators: 1,742 roots, and
     # a three-point axiom context for the first substitution pass
     @example("PMET", 4, 3, 1, 2, 3, 3, True, True, 3361672518)
+    # the same signature, where axiom 0 is a = u(a) over three points that
+    # tie b and c to a: each merge requeues the merged class's members, and
+    # the tied points take only the roots near its root, not all 1,742
+    @example("MET", 4, 3, 3, 2, 3, 2, True, False, 1528806)
     def test_same_result_and_errors(self, spec_name, sig_i, q, size, gens, depth, n,
                                     any_target, budgeted, seed):
         """``any_target`` lets a non-model through the model precondition, so
