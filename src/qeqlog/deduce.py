@@ -146,7 +146,11 @@ class DerivationDB:
     one. A merge appends the loser's use-list to a dirty list, which the next
     congruence step re-keys and empties. The step needs no record of the
     keys it has seen: the least application under a key is the one over the
-    key's roots, found in the hashcons.
+    key's roots, found in the hashcons. Its premises rest on few id pairs,
+    each one ``("eq", i, j)`` tuple that every event on it shares.
+
+    A reader of a whole table, such as the free algebra, takes it in one
+    call: :meth:`roots_by_id`, :meth:`cell_table` and :meth:`app_ids`.
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
@@ -178,6 +182,8 @@ class DerivationDB:
         # the applications over the ids that lost their root since the last
         # congruence step took its keys
         self._dirty: list[int] = []
+        # i * n + j -> the premise ("eq", i, j) of every congruence event on it
+        self._eq_facts: dict[int, tuple[str, int, int]] = {}
         self._parent = list(range(n))
         self.dmin: dict[int, int] = {}
         # per id, the ids across its cells below q, or None before its first
@@ -205,6 +211,10 @@ class DerivationDB:
         """The class representatives in ascending order, as a new list."""
         return [i for i, p in enumerate(self._parent) if p == i]
 
+    def roots_by_id(self) -> list[int]:
+        """The root of each id, in id order, as a new list."""
+        return list(map(self.find, range(self._n)))
+
     def index_of(self, t: Term) -> int:
         try:
             i = self.subst_index(self.var_ids, t)
@@ -226,6 +236,11 @@ class DerivationDB:
         when that application is outside the universe."""
         apps = self._hashcons.get(op)
         return apps.get(args) if apps else None
+
+    def app_ids(self, op: str, arg_tuples, missing):
+        """Lazily, :meth:`app_index` of ``op`` over each tuple in
+        ``arg_tuples``, with ``missing`` in place of None: one lookup each."""
+        return map(self._hashcons[op].get, arg_tuples, itertools.repeat(missing))
 
     def subst_index(self, sigma: dict[str, int], t: Term) -> int | None:
         """The id of ``t`` with each variable replaced by the term with id
@@ -277,6 +292,11 @@ class DerivationDB:
     def cell(self, i: int, j: int) -> int:
         """The table cell of ids i and j, whether or not they are roots."""
         return self.dmin.get(i * self._n + j, self.grid.q)
+
+    def cell_table(self, ids) -> tuple[tuple[int, ...], ...]:
+        """The cells among ``ids``, one row per id, as :meth:`cell` reads them."""
+        get, n, q = self.dmin.get, self._n, self.grid.q
+        return tuple(tuple([get(i * n + j, q) for j in ids]) for i in ids)
 
     def class_distance(self, i: int, j: int) -> int:
         return self.cell(self.find(i), self.find(j))
@@ -487,7 +507,7 @@ def _step_cong(db: DerivationDB) -> bool:
     dirty, db._dirty = sorted(set(db._dirty)), []
     changed = False
     groups: dict[tuple, list[int]] = {}
-    nodes, find = db._nodes, db.find
+    nodes, find, facts, n = db._nodes, db.find, db._eq_facts, db._n
     for idx in dirty:
         op, args = nodes[idx]
         groups.setdefault((op, tuple([find(a) for a in args])), []).append(idx)
@@ -498,8 +518,14 @@ def _step_cong(db: DerivationDB) -> bool:
         for other in _counted(db, members):
             if find(first) == find(other):
                 continue
-            premises = tuple([("eq", x, y) for x, y in zip(roots, nodes[other][1])])
-            changed |= db._merge(first, other, "CONG", op, premises)
+            # each premise ("eq", x, y) is the one tuple of its pair
+            premises = []
+            for x, y in zip(roots, nodes[other][1]):
+                fact = facts.get(x * n + y)
+                if fact is None:
+                    fact = facts[x * n + y] = ("eq", x, y)
+                premises.append(fact)
+            changed |= db._merge(first, other, "CONG", op, tuple(premises))
     return changed
 
 

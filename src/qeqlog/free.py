@@ -8,7 +8,10 @@ compiled over its hashcons, and a value per term comes from one bottom-up
 pass over the ids. Only ``classes`` builds trees: the representatives' own.
 Operation tables are partial: entries whose canonical application exceeds
 the depth bound hold the ``OVERFLOW`` sentinel, and every check over the
-algebra reports how many instances were skipped for that reason.
+algebra reports how many instances were skipped for that reason. Each is an
+:class:`OpTable`, a read-only mapping from a tuple of class indices to a
+class index or ``OVERFLOW``, over one flat tuple of its values in product
+order: 8 B an entry.
 """
 from __future__ import annotations
 
@@ -36,6 +39,39 @@ OVERFLOW = _Overflow()
 # the most cells of the dense class distance table: a larger quotient is
 # refused before any table is built
 MAX_CELLS = 2**28
+
+
+class OpTable(Mapping):
+    """One operation's table over ``size`` classes: each tuple of ``arity``
+    class indices to its class index or ``OVERFLOW``, read-only. It holds
+    only the values, one flat tuple in product order, and iterates its keys,
+    values and items in that order."""
+
+    __slots__ = ("size", "arity", "_values")
+
+    def __init__(self, size: int, arity: int, values: tuple):
+        self.size, self.arity, self._values = size, arity, values
+
+    def __getitem__(self, args):
+        size, k = self.size, 0
+        if isinstance(args, tuple) and len(args) == self.arity:
+            for a in args:
+                if not (isinstance(a, int) and 0 <= a < size):
+                    break
+                k = k * size + a
+            else:
+                return self._values[k]
+        raise KeyError(args)
+
+    def __iter__(self):
+        return itertools.product(range(self.size), repeat=self.arity)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def values(self) -> tuple:
+        """The values in product order: the flat tuple itself."""
+        return self._values
 
 
 class LawReport(Record):
@@ -74,7 +110,10 @@ class LawReport(Record):
 
 
 class FreeAlgebra:
-    """Quotiented-term algebra generated by a space, truncated at a depth."""
+    """Quotiented-term algebra generated by a space, truncated at a depth.
+
+    ``optable`` maps each operation to its :class:`OpTable`, and ``delta``
+    is the dense class distance table, one tuple per class."""
 
     def __init__(self, base: DerivationDB):
         self.base = base
@@ -90,21 +129,17 @@ class FreeAlgebra:
                 raise BudgetExceeded(f"free algebra over {len(roots)} classes: the tables up to"
                                      f" {op} hold {entries} entries, more than the budget of {base.budget}")
         self.classes: tuple[Term, ...] = tuple(base.terms(roots))
-        self._root_to_class = root_to_class = {r: c for c, r in enumerate(roots)}
-        # the cells below q, read as DerivationDB.cell reads them; saturate
-        # leaves every union-find entry on its root
-        cell, n, q, parent = base.dmin.get, base._n, base.grid.q, base._parent
-        self.delta: tuple[tuple[int, ...], ...] = tuple(
-            tuple([cell(r1 * n + r2, q) for r2 in roots]) for r1 in roots
-        )
-        self.optable: dict[str, dict[tuple[int, ...], int | _Overflow]] = {}
-        for op, arity in base.sig.ops:
-            table: dict[tuple[int, ...], int | _Overflow] = {}
-            app = base._hashcons[op].get
-            for args in itertools.product(range(len(roots)), repeat=arity):
-                i = app(tuple([roots[a] for a in args]))
-                table[args] = OVERFLOW if i is None else root_to_class[parent[i]]
-            self.optable[op] = table
+        root_to_class = {r: c for c, r in enumerate(roots)}
+        self._class_of = [root_to_class[r] for r in base.roots_by_id()]
+        self.delta: tuple[tuple[int, ...], ...] = base.cell_table(roots)
+        # an application outside the universe reads as the id past the last
+        outside = len(self._class_of)
+        entry = (self._class_of + [OVERFLOW]).__getitem__
+        self.optable: dict[str, OpTable] = {
+            op: OpTable(len(roots), arity, tuple(map(entry, base.app_ids(
+                op, itertools.product(roots, repeat=arity), outside))))
+            for op, arity in base.sig.ops
+        }
         self.unit: dict[str, int] = {a: self.class_at(base.var_ids[a]) for a in base.target.carrier}
         symbols = frozenset(base.sig.symbols)
         self.space = FuzzySpace(
@@ -115,7 +150,7 @@ class FreeAlgebra:
 
     def class_at(self, i: int) -> int:
         """Class of the term with universe id ``i``."""
-        return self._root_to_class[self.base.find(i)]
+        return self._class_of[i]
 
     def class_of(self, t: Term) -> int:
         return self.class_at(self.base.index_of(t))

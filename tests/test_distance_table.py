@@ -20,7 +20,7 @@ import qeqlog.deduce as deduce
 import qeqlog.terms as terms
 from qeqlog.cli import main
 from qeqlog.deduce import MAX_TERMS, saturate
-from qeqlog.free import MAX_CELLS
+from qeqlog.free import MAX_CELLS, FreeAlgebra
 from qeqlog.errors import BudgetExceeded
 from qeqlog.gmet import FREL, MET, EpsGrid, FuzzySpace
 from qeqlog.qalg import Judgment, Theory
@@ -88,6 +88,44 @@ def test_depth_four_saturation_transient_stays_small():
         tracemalloc.stop()
     assert db._n == 5_552 and len(db.events) == 5_554
     assert peak <= 1.6 * held, f"peak {peak / 2**20:.2f} MB, held {held / 2**20:.2f} MB"
+
+
+def test_free_tables_take_a_pointer_an_entry():
+    # FREL over {u/1, f/2}, three points at 1/2, depth 3: 243 classes and
+    # 59,292 table entries. With a tuple key in a dict per entry the free
+    # algebra held 110 B an entry over its saturation; flat tables take 8 B
+    # and the class distance table about as much again
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = saturate(UF_SIG, Theory("E", ()), FREL, _space(3), 3)
+        gc.collect()
+        saturated = tracemalloc.get_traced_memory()[0]
+        fa = FreeAlgebra(db)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, fa.optable.values()))
+    assert len(fa.classes) == 243 and entries == 59_292
+    assert held - saturated <= 24 * entries, f"{(held - saturated) / entries:.1f} B an entry"
+
+
+def test_congruence_premises_share_one_tuple_per_pair():
+    # FREL over {f/2}, two points, depth 4, under the commutativity,
+    # idempotence and f(x, y) =1/4 x axioms: thousands of congruence
+    # premises over a few dozen id pairs, one tuple object each
+    q = 4
+    pair = FuzzySpace(EpsGrid(q), ("x", "y"), ((0, q), (q, 0)))
+    point = FuzzySpace(EpsGrid(q), ("x",), ((0,),))
+    x, y = Var("x"), Var("y")
+    theory = Theory("CI", (Judgment(pair, App("f", (x, y)), App("f", (y, x))),
+                           Judgment(point, App("f", (x, x)), x),
+                           Judgment(pair, App("f", (x, y)), x, 1)))
+    db = saturate(Signature.of({"f": 2}), theory, FREL, _pair(q, 2), 4)
+    premises = [p for ev in db.events if ev.rule == "CONG" for p in ev.premises]
+    assert premises and {p[0] for p in premises} == {"eq"}
+    assert len({id(p) for p in premises}) == len(set(premises)) < len(premises) / 10
 
 
 def _refuse_enumeration(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -84,6 +85,60 @@ class TestBuildFree:
         th = random_theory(rng, U_SIG, GRID, spec, rng.randint(0, 2))
         fa = build_free(U_SIG, th, spec, target, 2)
         assert check_space(spec, fa.space) == []
+
+
+CUG_SIG = Signature.of({"c": 0, "u": 1, "g": 3})
+
+
+def _per_entry_tables(fa) -> dict:
+    """Each operation's table, one app_index lookup per entry over the
+    representatives' ids, its class found among the representatives."""
+    reps, base = fa.rep_ids, fa.base
+    tables = {}
+    for op, arity in base.sig.ops:
+        table = {}
+        for args in itertools.product(range(len(reps)), repeat=arity):
+            i = base.app_index(op, tuple(reps[a] for a in args))
+            table[args] = OVERFLOW if i is None else reps.index(base.find(i))
+        tables[op] = table
+    return tables
+
+
+class TestFlatTables:
+    """Each table is a read-only mapping over one flat tuple in product order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tables_match_a_per_entry_reference(self, seed):
+        # a constant, a unary and a ternary operation, with random axioms
+        rng = random.Random(seed)
+        spec = rng.choice([FREL, PMET, MET])
+        theory = _theory(rng, CUG_SIG, GRID, spec, rng.randint(0, 2))
+        fa = build_free(CUG_SIG, theory, spec, random_space(rng, GRID, rng.randint(1, 2), spec),
+                        2, 100_000)
+        n, reference = len(fa.classes), _per_entry_tables(fa)
+        assert set(fa.optable) == {"c", "u", "g"}
+        for op, arity in CUG_SIG.ops:
+            table, expected = fa.optable[op], reference[op]
+            assert dict(table.items()) == expected
+            assert list(table) == list(itertools.product(range(n), repeat=arity))
+            assert list(table.values()) == list(expected.values())
+            assert len(table) == n ** arity
+            assert table == expected and expected == table
+            assert all(table[args] == res for args, res in expected.items())
+
+    def test_wrong_keys_raise_key_error(self, ab_half):
+        fa = build_free(CUG_SIG, Theory("E", ()), FREL, ab_half, 2)
+        n, g = len(fa.classes), fa.optable["g"]
+        a, b, c = map(fa.class_of, (Var("a"), Var("b"), App("c", ())))
+        assert g[(a, b, c)] == fa.class_of(App("g", (Var("a"), Var("b"), App("c", ()))))
+        assert g[(a, b, n - 1)] is OVERFLOW
+        for key in [(0, 1), (0, 1, 2, 3), (0, 1, n), (0, -1, 0), (0, 0, "a"), [0, 0, 0], 0]:
+            with pytest.raises(KeyError):
+                g[key]
+            assert key not in g
+        assert fa.optable["c"][()] == c
+        with pytest.raises(KeyError):
+            fa.optable["c"][(0,)]
 
 
 class TestFreeEval:
