@@ -19,10 +19,10 @@ import itertools
 from collections.abc import Iterable, Mapping
 
 from ._record import Record
-from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, PreconditionViolation,
-                     QeqlogError)
+from .errors import (BudgetExceeded, GridMismatch, NotAModel, NotNonexpansive,
+                     PreconditionViolation, QeqlogError)
 from .deduce import DerivationDB, saturate
-from .gmet import FuzzySpace, GMetSpec, is_nonexpansive, nonexpansive_images
+from .gmet import FuzzySpace, GMetSpec, is_nonexpansive, nonexpansive_images, require_space
 from .qalg import QuantAlgebra, Theory, is_model
 from .terms import Signature, Term, term_label, term_to_str
 
@@ -179,22 +179,33 @@ def free_eval(f: FreeAlgebra, tau: Mapping[str, int], t: Term):
     """Class of ``t`` with each variable x replaced by the representative of
     the class ``tau[x]``, or OVERFLOW when that term exceeds the depth bound.
     """
-    i = f.base.subst_index({x: f.rep_ids[c] for x, c in tau.items()}, t)
+    i = f.base.compiled(t, tuple(tau))([f.rep_ids[c] for c in tau.values()])
     return OVERFLOW if i is None else f.class_at(i)
 
 
 def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
                         budget: int | None = None) -> LawReport:
     """Every axiom must hold in the quotient under every nonexpansive
-    interpretation whose two sides stay within the depth bound."""
+    interpretation whose two sides stay within the depth bound. As in
+    :func:`~qeqlog.qalg.satisfies`, a context outside the spec or on another
+    grid is refused, and each side is compiled once, at the judgment's first
+    interpretation; the verdict comes from the algebra's own tables,
+    ``class_at`` and ``delta``."""
     def outcomes():
         for j in theory.judgments:
+            require_space(spec, j.context, "judgment context")
+            if f.space.grid != j.context.grid:
+                raise GridMismatch("algebra and judgment use different grids")
+            sides = None
             for images in nonexpansive_images(j.context, f.space, budget):
-                tau = dict(zip(j.context.carrier, images))
-                left, right = free_eval(f, tau, j.lhs), free_eval(f, tau, j.rhs)
-                if left is OVERFLOW or right is OVERFLOW:
+                # at the first interpretation: a context without one compiles nothing
+                sides = sides or [f.base.compiled(side, j.context.carrier) for side in (j.lhs, j.rhs)]
+                ids = [f.rep_ids[c] for c in images]
+                left, right = (side(ids) for side in sides)
+                if left is None or right is None:
                     yield None
                     continue
+                left, right = f.class_at(left), f.class_at(right)
                 ok = left == right if j.eps is None else f.delta[left][right] <= j.eps
                 yield ok or f"{j.describe()} under {dict(zip(j.context.carrier, map(f.class_name, images)))}"
 

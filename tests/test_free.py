@@ -6,11 +6,13 @@ import random
 import pytest
 
 import qeqlog.free as free_mod
-from qeqlog.errors import BudgetExceeded, NotAModel, NotNonexpansive, QeqlogError
-from qeqlog.free import OVERFLOW, FreeAlgebra, build_free, check_free_is_model, check_ump, extend_hom, free_eval
-from qeqlog.gmet import FREL, MET, PMET, EpsGrid, check_space
-from qeqlog.qalg import Judgment, QuantAlgebra, Theory
-from qeqlog.deduce import derives, saturate
+from qeqlog.errors import (BudgetExceeded, GridMismatch, NotAModel, NotNonexpansive, QeqlogError,
+                           SpecViolation)
+from qeqlog.free import (OVERFLOW, FreeAlgebra, LawReport, build_free, check_free_is_model, check_ump,
+                         extend_hom, free_eval)
+from qeqlog.gmet import FREL, MET, PMET, EpsGrid, check_space, nonexpansive_images
+from qeqlog.qalg import Judgment, QuantAlgebra, Theory, satisfies
+from qeqlog.deduce import DerivationDB, derives, saturate
 from qeqlog.terms import App, Signature, Var, term_to_str
 
 from conftest import random_space, random_theory, space
@@ -183,6 +185,89 @@ class TestFreeIsModel:
         fa.delta = tuple(tuple(r) for r in rows)
         rep = check_free_is_model(fa, th, MET)
         assert rep.failed > 0
+
+    def test_compiles_each_side_once_per_judgment(self, ab_half, monkeypatch):
+        th = quarter_theory()
+        fa = build_free(U_SIG, th, MET, ab_half, 3)
+        calls, compiled = [], DerivationDB.compiled
+
+        def counted(db, t, names):
+            calls.append(t)
+            return compiled(db, t, names)
+
+        monkeypatch.setattr(DerivationDB, "compiled", counted)
+        rep = check_free_is_model(fa, th, MET)
+        assert rep.checked + rep.skipped_overflow > 1
+        assert len(calls) == 2 * len(th.judgments)
+
+    def test_off_spec_context_is_refused_as_satisfies_refuses_it(self, ab_half, swap_algebra):
+        skew = space(GRID, ["x", "y"], [["0", "1/4"], ["3/4", "0"]])
+        j = Judgment(skew, Var("x"), Var("y"), GRID.value("1/2"))
+        fa = build_free(U_SIG, Theory("E", ()), MET, ab_half, 2)
+        with pytest.raises(SpecViolation) as refused:
+            satisfies(swap_algebra, MET, j)
+        with pytest.raises(SpecViolation) as err:
+            check_free_is_model(fa, Theory("S", (j,)), MET)
+        assert str(err.value) == str(refused.value)
+        assert str(err.value) == "judgment context violates MET: symm: x=x, y=y [e=1/4]"
+
+    def test_context_on_another_grid_is_refused_as_satisfies_refuses_it(self, ab_half, swap_algebra):
+        halves = EpsGrid(2)
+        j = Judgment(space(halves, ["x", "y"], [["0", "1/2"], ["1/2", "0"]]), Var("x"), Var("y"),
+                     halves.value("1/2"))
+        fa = build_free(U_SIG, Theory("E", ()), MET, ab_half, 2)
+        with pytest.raises(GridMismatch) as refused:
+            satisfies(swap_algebra, MET, j)
+        with pytest.raises(GridMismatch) as err:
+            check_free_is_model(fa, Theory("G", (j,)), MET)
+        assert str(err.value) == str(refused.value)
+
+    def test_sides_compile_at_the_first_interpretation(self):
+        # a side nested 201 levels deep, past what compile_term takes, in a
+        # universe deep enough to hold it: it is compiled, and refused, only
+        # when its context has an interpretation, and after the budget
+        fa = build_free(U_SIG, Theory("E", ()), FREL, space(GRID, ["a"], [["1"]]), 202)
+        deep = Var("x")
+        for _ in range(200):
+            deep = App("u", (deep,))
+
+        def theory(self_distance):
+            return Theory("D", (Judgment(space(GRID, ["x"], [[self_distance]]), deep, Var("x")),))
+
+        # every class is at 1 from itself, so a context at 0 has no interpretation
+        assert check_free_is_model(fa, theory("0"), FREL) == LawReport("D", 0, 0, 0)
+        with pytest.raises(QeqlogError, match="nested more than 200 levels deep"):
+            check_free_is_model(fa, theory("1"), FREL)
+        for d in ("0", "1"):
+            with pytest.raises(BudgetExceeded):
+                check_free_is_model(fa, theory(d), FREL, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_free_eval_on_every_interpretation(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        spec = rng.choice([MET, PMET, FREL])
+        th = random_theory(rng, U_SIG, GRID, spec, rng.randint(1, 3))
+        fa = build_free(U_SIG, th, spec, random_space(rng, GRID, 2, spec), rng.randint(2, 3))
+        if seed % 2:
+            rows = [list(r) for r in fa.delta]
+            rows[0][-1] = rows[-1][0] = 0
+            fa.delta = tuple(tuple(r) for r in rows)
+        expected = []
+        for j in th.judgments:
+            for images in nonexpansive_images(j.context, fa.space):
+                tau = dict(zip(j.context.carrier, images))
+                left, right = free_eval(fa, tau, j.lhs), free_eval(fa, tau, j.rhs)
+                if left is OVERFLOW or right is OVERFLOW:
+                    expected.append(None)
+                elif j.eps is None:
+                    expected.append(left == right)
+                else:
+                    expected.append(fa.delta[left][right] <= j.eps)
+        # the check's outcomes, one per interpretation, in place of its tally
+        monkeypatch.setattr(LawReport, "tally", classmethod(lambda cls, law, outs: list(outs)))
+        got = check_free_is_model(fa, th, spec)
+        assert [o if o is None else o is True for o in got] == expected
+        assert expected
 
 
 class TestCompletenessWitness:
