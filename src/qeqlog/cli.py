@@ -220,7 +220,7 @@ def cmd_ump(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_em_check(ws: Workspace, args) -> tuple[dict, bool]:
     mi = MonadInstance(ws.sig, args.theory, ws.spec, ws.depth, ws.budget_instances)
-    rebuilt, reports = model_from_em(mi, em_from_model(mi, args.algebra))
+    rebuilt, reports = model_from_em(mi, em_from_model(mi, args.algebra, ws.budget_interps))
     round_trip = rebuilt.ops == args.algebra.ops
     # model_from_em has raised on any failed law
     return _report(ws, reports, round_trip=round_trip), round_trip

@@ -6,12 +6,12 @@ matrix read off on representatives. Below the API a term is its universe id
 in the saturated database, which builds no tree: substitution runs a term
 compiled over its hashcons, and a value per term comes from one bottom-up
 pass over the ids. Only ``classes`` builds trees: the representatives' own.
-Operation tables are partial: entries whose canonical application exceeds
-the depth bound hold the ``OVERFLOW`` sentinel, and every check over the
-algebra reports how many instances were skipped for that reason. Each is an
-:class:`OpTable`, a read-only mapping from a tuple of class indices to a
-class index or ``OVERFLOW``, over one flat tuple of its values in product
-order: 8 B an entry.
+Operation tables are partial: an entry whose canonical application exceeds
+the depth bound holds ``OVERFLOW``, which is None, as every term outside the
+universe is below the API, and every check over the algebra reports how many
+instances were skipped for that reason. Each table is an :class:`OpTable`, a
+read-only mapping from a tuple of class indices to a class index or None,
+over one flat tuple of its values in product order: 8 B an entry.
 """
 from __future__ import annotations
 
@@ -27,14 +27,8 @@ from .qalg import QuantAlgebra, Theory, is_model
 from .terms import Signature, Term, term_label, term_to_str
 
 
-class _Overflow:
-    """Sentinel for operation results beyond the depth bound."""
-
-    def __repr__(self):
-        return "overflow"
-
-
-OVERFLOW = _Overflow()
+# an operation result beyond the depth bound: the hashcons' term outside the universe
+OVERFLOW = None
 
 # the most cells of the dense class distance table: a larger quotient is
 # refused before any table is built
@@ -42,10 +36,10 @@ MAX_CELLS = 2**28
 
 
 class OpTable(Mapping):
-    """One operation's table over ``size`` classes: each tuple of ``arity``
-    class indices to its class index or ``OVERFLOW``, read-only. It holds
-    only the values, one flat tuple in product order, and iterates its keys,
-    values and items in that order."""
+    """One operation's table over ``size`` classes, read-only: each tuple of
+    ``arity`` class indices to its class index, or None (``OVERFLOW``) past
+    the depth bound; any other key raises ``KeyError``. It holds only the
+    values, one flat tuple in product order, iterated in that order."""
 
     __slots__ = ("size", "arity", "_values")
 
@@ -100,13 +94,7 @@ class LawReport(Record):
         return 1.0 if total == 0 else self.checked / total
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "checked": self.checked,
-            "skipped_overflow": self.skipped_overflow,
-            "failed": self.failed,
-            "first_failure": self.first_failure,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class FreeAlgebra:
@@ -255,14 +243,14 @@ class UmpResult(Record):
 def check_ump(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
               budget: int | None = None) -> UmpResult:
     """Existence and uniqueness of the extension among the maps from classes
-    to the target carrier that are nonexpansive, agree with every non-Overflow
+    to the target carrier that are nonexpansive, agree with every non-OVERFLOW
     table entry and extend the generator map, for ``f`` as :func:`build_free`
     returns it.
 
     No search is needed: the least term of a class is a generator, which the
     unit pins, or op(t1..tn), a constant when n is 0. Then op over the least
     terms of the ti's classes is no deeper, so it lies in the universe, and
-    the class is op's entry at those classes: not Overflow, and at argument
+    the class is op's entry at those classes: not OVERFLOW, and at argument
     classes of lower index. By induction on the class index the extension is
     the only map that extends the generator map and agrees with the tables,
     so it exists, and is unique, exactly when it is nonexpansive.

@@ -6,8 +6,8 @@ representative). Below that, a term is its universe id: the map action,
 flattening and the law checks' renamings each fold one free algebra's ids
 into another's applications, with None for a term outside the universe.
 Flattening can leave the depth bound, so the multiplication is a partial map
-with an ``overflow`` value; every law check reports how many instances were
-skipped because an intermediate overflowed.
+whose value there is ``OVERFLOW``, that same None; every law check reports how
+many instances were skipped because an intermediate overflowed.
 """
 from __future__ import annotations
 
@@ -150,13 +150,15 @@ class EMCandidate(Record):
     h: Mapping[str, str]
 
 
-def em_from_model(mi: MonadInstance, alg: QuantAlgebra) -> EMCandidate:
+def em_from_model(mi: MonadInstance, alg: QuantAlgebra, budget: int | None = None) -> EMCandidate:
     """Structure map of a model: evaluate each class representative in it.
 
-    Once ``class_images`` has found every class member equal to its
+    ``budget`` bounds the interpretations of the model check, as in
+    :func:`is_model`; ``mi.budget`` bounds only the saturation. Once
+    ``class_images`` has found every class member equal to its
     representative, the map is lawful by construction, so no law is run.
     """
-    if not is_model(alg, mi.spec, mi.theory, mi.budget):
+    if not is_model(alg, mi.spec, mi.theory, budget):
         raise NotAModel(f"algebra does not model {mi.theory.name}")
     fa = mi.free(alg.space)
     images = fa.class_images(fa.base.fold(lambda a: a, alg.apply), "structure map disagrees")
@@ -198,8 +200,8 @@ def check_em_laws(mi: MonadInstance, cand: EMCandidate) -> list[LawReport]:
 def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, list[LawReport]]:
     """Check the EM laws on any candidate, then read operation tables off it.
 
-    op(a1..an) is the image under h of the class of op applied to the
-    generator variables; needs depth >= 2 so those applications exist.
+    op(a1..an) is h of the free algebra's ``optable[op]`` entry at the unit
+    classes of a1..an. Needs depth >= 2, where that entry is no OVERFLOW.
     """
     if mi.depth < 2 and any(ar > 0 for _, ar in mi.sig.ops):
         raise QeqlogError("reading op tables off a structure map needs depth >= 2")
@@ -209,14 +211,9 @@ def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, l
             "; ".join(f"{r.law}: {r.first_failure}" for r in reports if r.failed)
         )
     fa = mi.free(cand.space)
-    var_ids = fa.base.var_ids
-    ops: dict[str, dict[tuple[str, ...], str]] = {}
-    for op, arity in mi.sig.ops:
-        table = {}
-        for args in itertools.product(cand.space.carrier, repeat=arity):
-            i = fa.base.app_index(op, tuple(var_ids[a] for a in args))
-            table[args] = cand.h[fa.class_name(fa.class_at(i))]
-        ops[op] = table
+    ops = {op: {args: cand.h[fa.class_name(fa.optable[op][tuple(fa.unit[a] for a in args)])]
+                for args in itertools.product(cand.space.carrier, repeat=arity)}
+           for op, arity in mi.sig.ops}
     return QuantAlgebra(cand.space, mi.sig, ops), reports
 
 

@@ -306,6 +306,18 @@ class TestBudgets:
         assert code == 2 and out == ""
         assert err == "error: 2 candidate interpretations exceed budget 1\n"
 
+    # em-check's model check counts under the interpretation budget, as
+    # check-model's does; the instance budget bounds its saturations alone
+    EM_CHECK = ("--depth", "2", "em-check", "--theory", "QUARTER", "--algebra", "stay")
+
+    def test_em_check_model_check_counts_interpretations(self, capsys):
+        assert run(capsys, "--workspace", WS, "--budget-interps", "1", *self.EM_CHECK) == (
+            2, "", "error: 2 candidate interpretations exceed budget 1\n")
+
+    def test_em_check_instance_budget_bounds_the_saturation(self, capsys):
+        assert run(capsys, "--workspace", WS, "--budget-instances", "1", *self.EM_CHECK) == (
+            2, "", "error: saturation considered more than 1 rule instances in round 0 at USEVAR\n")
+
     def test_flags_override_workspace_budgets(self, capsys, tmp_path):
         ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
         ws["budgets"] = {"depth": 1, "interpretations": 1, "instances": 1}

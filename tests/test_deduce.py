@@ -489,6 +489,16 @@ class TestTrace:
         with pytest.raises(UnknownFact):
             trace(db, Judgment(ab_half, Var("a"), Var("b")))
 
+    # the trace helpers refuse a fact that no event before the cut derives,
+    # and a path between two classes, with their own messages
+    def test_trace_helpers_name_an_underived_fact(self, ab_half):
+        db = saturate(U_SIG, Theory("E", ()), MET, ab_half, 2)
+        a, b = db.index_of(Var("a")), db.index_of(Var("b"))
+        with pytest.raises(UnknownFact, match=r"^no derivation recorded for a =1/2 b$"):
+            db._dist_tree(a, b, 2, 0)
+        with pytest.raises(UnknownFact, match=r"^terms are not in the same class$"):
+            db._forest_path(a, b)
+
     def test_one_max_leaf(self, ab_half):
         db = saturate(EMPTY_SIG, Theory("E", ()), MET, ab_half, 1)
         tree = trace(db, Judgment(ab_half, Var("a"), Var("b"), GRID.q))

@@ -53,6 +53,17 @@ class TestBuildFree:
         assert fa.optable["u"][(fa.class_of(Var("a")),)] == ua
         assert fa.optable["u"][(ua,)] is OVERFLOW
 
+    def test_overflow_is_the_hashcons_none(self, ab_half):
+        # a term outside the universe reads None in the tables as in the hashcons
+        fa = build_free(U_SIG, Theory("E", ()), MET, ab_half, 2)
+        ua = fa.class_of(App("u", (Var("a"),)))
+        assert OVERFLOW is None and fa.base.app_index("u", (fa.rep_ids[ua],)) is None
+
+    def test_law_report_json_is_its_fields_in_order(self):
+        assert list(LawReport("L", 3, 1, 1, "x").to_json().items()) == [
+            ("law", "L"), ("checked", 3), ("skipped_overflow", 1), ("failed", 1),
+            ("first_failure", "x")]
+
     def test_unit_maps_generators(self, ab_half):
         fa = build_free(U_SIG, Theory("E", ()), MET, ab_half, 2)
         assert fa.unit["a"] == fa.class_of(Var("a"))

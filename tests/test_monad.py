@@ -6,8 +6,8 @@ import random
 import pytest
 
 import qeqlog.monad as monad_mod
-from qeqlog.errors import (EMLawViolation, NotAModel, NotNonexpansive, OutOfUniverse,
-                           PreconditionViolation, QeqlogError)
+from qeqlog.errors import (BudgetExceeded, EMLawViolation, NotAModel, NotNonexpansive,
+                           OutOfUniverse, PreconditionViolation, QeqlogError)
 from qeqlog.free import OVERFLOW
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, is_nonexpansive
 from qeqlog.monad import (
@@ -271,6 +271,26 @@ class TestEilenbergMoore:
         mi = MonadInstance(U_SIG, th, MET, 2)
         with pytest.raises(NotAModel):
             em_from_model(mi, swap_algebra)
+
+    def test_model_check_counts_under_its_own_budget(self, pq_half):
+        stay = QuantAlgebra(pq_half, U_SIG, {"u": {("p",): "p", ("q",): "q"}})
+        # the interpretation budget bounds the model check alone
+        with pytest.raises(BudgetExceeded) as exc:
+            em_from_model(quarter_mi(2), stay, 1)
+        assert str(exc.value) == "2 candidate interpretations exceed budget 1"
+        assert em_from_model(quarter_mi(2), stay, 2).h["u(p)"] == "p"
+        # and the instance budget the saturation alone
+        mi = MonadInstance(U_SIG, quarter_mi().theory, MET, 2, budget=1)
+        with pytest.raises(BudgetExceeded) as exc:
+            em_from_model(mi, stay)
+        assert str(exc.value) == "saturation considered more than 1 rule instances in round 0 at USEVAR"
+
+    def test_expanding_structure_map_is_refused(self, swap_algebra, monkeypatch):
+        # let a non-model through: under u(x) =1/4 x, swap's structure map
+        # sends u(p) and p, within a quarter, to q and p, a half apart
+        monkeypatch.setattr(monad_mod, "is_model", lambda *args: True)
+        with pytest.raises(NotNonexpansive, match=r"^structure map is not nonexpansive$"):
+            em_from_model(quarter_mi(2), swap_algebra)
 
     def test_corrupted_structure_map_fails_laws(self, swap_algebra):
         # depth 3: at depth 2 every instance touching the corrupted entry is

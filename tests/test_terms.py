@@ -319,5 +319,10 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature.of({"u": -1})
 
+    def test_arity_of_an_unknown_symbol_is_a_key_error(self):
+        with pytest.raises(KeyError) as exc:
+            Signature.of({"u": 1}).arity("v")
+        assert repr(exc.value) == "KeyError('v')"
+
     def test_json_roundtrip(self):
         assert Signature.from_json({"ops": {"u": 1, "c": 0}}) == SIG_UC
