@@ -187,11 +187,7 @@ def cmd_free(ws: Workspace, args) -> tuple[dict, bool]:
         delta=[[labels[v] for v in row] for row in delta],
         ops=ops,
         unit={a: names[c] for a, c in sorted(unit.items())},
-        model_check={
-            "checked": model_report.checked,
-            "skipped_overflow": model_report.skipped_overflow,
-            "failed": model_report.failed,
-        },
+        model_check={k: getattr(model_report, k) for k in ("checked", "skipped_overflow", "failed")},
         skipped_overflow=overflow_count,
     )
     return report, model_report.failed == 0

@@ -493,9 +493,7 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
         for phase, passes in rules:
             db._phase = phase
             changed = next(passes) or changed
-    parent = db._parent
-    for i in range(len(parent)):
-        parent[i] = db.find(i)
+    db._parent = db.roots_by_id()
     return db
 
 
@@ -824,11 +822,13 @@ def trace(db: DerivationDB, j: Judgment) -> TraceNode:
 
 
 def gen_nonexpansive_axioms(sig: Signature, op: str, grid: EpsGrid) -> Theory:
-    """One judgment per grid value forcing the symbol to act nonexpansively.
+    """One judgment per grid value forcing the symbol to act nonexpansively:
+    a FREL theory, which PMET and MET refuse with ``SpecViolation``.
 
     For arity n, the context holds x1..xn, y1..yn with d(x_i, y_i) = eps,
-    self-distances 0 and all other distances 1; the judgment bounds the
-    distance of op(x) and op(y) by the same eps.
+    self-distances 0 and all other distances 1, d(y_i, x_i) among them, so
+    it is not symmetric; the judgment bounds the distance of op(x) and
+    op(y) by the same eps.
     """
     n = sig.arity(op)
     if n < 1:

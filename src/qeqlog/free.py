@@ -30,9 +30,10 @@ from .terms import Signature, Term, term_label, term_to_str
 # an operation result beyond the depth bound: the hashcons' term outside the universe
 OVERFLOW = None
 
-# the most cells of the dense class distance table: a larger quotient is
-# refused before any table is built
-MAX_CELLS = 2**28
+# the most cells of the dense class distance table, refused before any table
+# is built: about 0.1 GB at the 20 B of max RSS a cell that the CLI's free
+# takes ({u/1, v/1} over one point at depth 11, 8 B of it in the table)
+MAX_CELLS = 2**22
 
 
 class OpTable(Mapping):

@@ -135,13 +135,10 @@ class FuzzySpace(Record):
 # --- epsilon expression language: constants, parameters, +, min(.,1) ---
 
 class EpsExpr:
+    """``eval(env, q)`` is the expression's numerator over q, its parameters
+    read from ``env``; ``params()`` is the frozenset of their names."""
+
     __slots__ = ()
-
-    def eval(self, env: Mapping[str, int], q: int) -> int:
-        raise NotImplementedError
-
-    def params(self) -> frozenset[str]:
-        raise NotImplementedError
 
 
 class EpsConst(EpsExpr, Record):
@@ -528,25 +525,17 @@ def tuple_name(names: Iterable[str]) -> str:
 
 
 def discrete_lift(spec: GMetSpec, sp: FuzzySpace, n: int) -> FuzzySpace:
-    """The discrete lifting of the n-ary product for a preset class.
-
-    FREL lifts to the constant-1 table; MET and PMET lift to 0 on the diagonal
-    and 1 elsewhere. Any set-function out of the lifted power into a space of
-    the class is then automatically nonexpansive.
+    """The discrete lifting of the n-ary product for a preset class: 1
+    between distinct tuples, and on the diagonal 1 for FREL and 0 for MET
+    and PMET. Any set-function out of the lifted power into a space of the
+    class is then automatically nonexpansive.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tuples = list(itertools.product(sp.carrier, repeat=n))
-    carrier = tuple(tuple_name(t) for t in tuples)
+    if spec not in (FREL, PMET, MET):
+        raise UnsupportedPreset(f"no discrete lifting is defined for spec {spec.name!r}")
     q = sp.grid.q
-    if spec == FREL:
-        rows = tuple(tuple(q for _ in tuples) for _ in tuples)
-    elif spec in (PMET, MET):
-        rows = tuple(
-            tuple(0 if t1 == t2 else q for t2 in tuples) for t1 in tuples
-        )
-    else:
-        raise UnsupportedPreset(
-            f"no discrete lifting is defined for spec {spec.name!r}"
-        )
-    return FuzzySpace(sp.grid, carrier, rows)
+    diagonal = q if spec == FREL else 0
+    tuples = list(itertools.product(sp.carrier, repeat=n))
+    rows = tuple(tuple(diagonal if t1 == t2 else q for t2 in tuples) for t1 in tuples)
+    return FuzzySpace(sp.grid, tuple(tuple_name(t) for t in tuples), rows)

@@ -35,19 +35,21 @@ def whole(value, what: str) -> int | None:
 
 
 class Signature(Record):
-    """Finite set of operation symbols with arities. Arity-0 symbols are constants."""
+    """Finite set of operation symbols with arities, looked up in one
+    table by symbol. Arity-0 symbols are constants."""
 
     ops: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        names = [name for name, _ in self.ops]
-        if len(set(names)) != len(names):
+        arities = dict(self.ops)
+        if len(arities) != len(self.ops):
             raise ValueError("duplicate operation symbol")
         for name, arity in self.ops:
             if not _IDENT_RE.match(name):
                 raise ValueError(f"operation symbol {name!r} is not an identifier")
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
+        object.__setattr__(self, "_arity", arities)
 
     @classmethod
     def of(cls, ops: Mapping[str, int]) -> "Signature":
@@ -58,17 +60,11 @@ class Signature(Record):
         return cls.of({str(k): whole(v, f"arity of {k!r}") for k, v in obj["ops"].items()})
 
     def arity(self, op: str) -> int:
-        for name, arity in self.ops:
-            if name == op:
-                return arity
-        raise KeyError(op)
+        return self._arity[op]
 
     @property
     def symbols(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
-
-    def has_constant(self) -> bool:
-        return any(arity == 0 for _, arity in self.ops)
 
 
 class Term:
@@ -171,7 +167,7 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
     Names are resolved against the carrier first, then against the signature's
     constants; carrier names must therefore not collide with symbols.
     """
-    carrier = set(carrier)
+    carrier, arities = set(carrier), sig._arity
     tokens = []
     pos = 0
     while pos < len(text):
@@ -201,7 +197,7 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
             term, i = App(name, ()), i + 1
         elif name in carrier:
             term, i = Var(name), i + 1
-        elif name in sig.symbols and sig.arity(name) == 0:
+        elif arities.get(name) == 0:
             term, i = App(name, ()), i + 1
         else:
             raise ValueError(f"unknown name {name!r} in {text!r}")
@@ -221,9 +217,9 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
         raise ValueError(f"trailing tokens in {text!r}")
     for t in _preorder(term):
         if isinstance(t, App):
-            if t.op not in sig.symbols:
+            if t.op not in arities:
                 raise ValueError(f"unknown operation {t.op!r}")
-            if sig.arity(t.op) != len(t.args):
+            if arities[t.op] != len(t.args):
                 raise ValueError(f"arity mismatch for {t.op!r}")
     return term
 
@@ -235,13 +231,13 @@ def term_vars(t: Term) -> frozenset[str]:
 def check_carrier(sig: Signature, carrier: Iterable[str]) -> None:
     """Refuse a carrier element named like an operation symbol: terms read it as a variable."""
     for name in carrier:
-        if name in sig.symbols:
+        if name in sig._arity:
             raise ValueError(f"carrier element {name!r} collides with an operation symbol")
 
 
 def check_nontrivial(sig: Signature, carrier: Iterable[str]) -> bool:
     """True iff terms exist: nonempty carrier or at least one constant."""
-    return bool(tuple(carrier)) or sig.has_constant()
+    return bool(tuple(carrier)) or 0 in sig._arity.values()
 
 
 def apply_subst(subst: Mapping[str, Term], t: Term) -> Term:

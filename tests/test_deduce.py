@@ -773,3 +773,21 @@ class TestGenNonexpansiveAxioms:
         with pytest.raises(ValueError) as exc:
             gen_nonexpansive_axioms(Signature.of({"c": 0}), "c", EpsGrid(2))
         assert str(exc.value) == "nonexpansiveness axioms need arity >= 1"
+
+    @pytest.mark.parametrize("spec", [PMET, MET])
+    def test_symmetric_classes_refuse_the_theory(self, spec):
+        # d(x1, y1) is the axiom's value but d(y1, x1) is 1: only FREL holds it
+        grid = EpsGrid(4)
+        th = gen_nonexpansive_axioms(U_SIG, "u", grid)
+        ab = space(grid, ["a", "b"], [["0", "1/2"], ["1/2", "0"]])
+        with pytest.raises(SpecViolation) as exc:
+            saturate(U_SIG, th, spec, ab, 2)
+        assert str(exc.value) == f"axiom context violates {spec.name}: symm: x=x1, y=y1 [e=0]"
+
+    def test_frel_saturates_the_theory(self):
+        grid = EpsGrid(4)
+        th = gen_nonexpansive_axioms(U_SIG, "u", grid)
+        ab = space(grid, ["a", "b"], [["0", "1/2"], ["1/2", "0"]])
+        db = saturate(U_SIG, th, FREL, ab, 2)
+        ua, ub = App("u", (Var("a"),)), App("u", (Var("b"),))
+        assert distance(db, ua, ub) == distance(db, ub, ua) == grid.fraction(2)

@@ -30,6 +30,7 @@ import reference_engine
 
 U_SIG = Signature.of({"u": 1})
 UF_SIG = Signature.of({"u": 1, "f": 2})
+UV_SIG = Signature.of({"u": 1, "v": 1})
 
 
 def _pair(q: int, d: int) -> FuzzySpace:
@@ -181,6 +182,49 @@ class TestPastTheSquareWall:
         message = ("free algebra over 59295 classes: its distance table of 3515897025 cells"
                    f" passes the limit of {MAX_CELLS}")
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+class TestFreeCellLimit:
+    # {u/1, v/1} over one point under FREL with no axioms: each of the
+    # 2^depth - 1 terms is its own class. Depth 11 has 4,190,209 cells, which
+    # the CLI's free takes at about 20 B a cell; depth 12 has four times as
+    # many
+    MESSAGE = ("free algebra over 4095 classes: its distance table of 16769025 cells"
+               f" passes the limit of {MAX_CELLS}")
+
+    @staticmethod
+    def _refuse_tables(monkeypatch):
+        def fail(*args):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(deduce.DerivationDB, "cell_table", fail)
+        monkeypatch.setattr(deduce.DerivationDB, "app_ids", fail)
+
+    @staticmethod
+    def _saturate(depth: int):
+        return saturate(UV_SIG, Theory("E", ()), FREL, FuzzySpace(EpsGrid(2), ("a",), ((0,),)), depth)
+
+    def test_refused_before_any_table(self, monkeypatch):
+        db = self._saturate(12)
+        self._refuse_tables(monkeypatch)
+        with pytest.raises(BudgetExceeded) as exc:
+            FreeAlgebra(db)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_cli_exit_two(self, monkeypatch, capsys, tmp_path):
+        ws = {"grid": 2, "signature": {"ops": {"u": 1, "v": 1}}, "spec": {"preset": "FREL"},
+              "budgets": {"depth": 12}, "spaces": {"P": {"carrier": ["a"], "dist": [["0"]]}},
+              "theories": {"EMPTY": []}, "algebras": {}}
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(ws), encoding="utf-8")
+        self._refuse_tables(monkeypatch)
+        code = main(["--workspace", str(path), "free", "--theory", "EMPTY", "--space", "P"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {self.MESSAGE}\n")
+
+    def test_depth_eleven_builds(self):
+        fa = FreeAlgebra(self._saturate(11))
+        assert len(fa.classes) == len(fa.delta) == 2_047
+        assert len(fa.optable["u"]) == len(fa.optable["v"]) == 2_047
 
 
 class TestUniverseRefused:

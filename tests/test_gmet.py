@@ -269,6 +269,14 @@ class TestDiscreteLift:
         with pytest.raises(UnsupportedPreset):
             discrete_lift(user, ab_half, 2)
 
+    def test_user_spec_rejected_before_the_power_is_built(self, ab_half, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the power was built")
+        monkeypatch.setattr(itertools, "product", fail)
+        with pytest.raises(UnsupportedPreset) as exc:
+            discrete_lift(GMetSpec("mine", MET.clauses[:1]), ab_half, 2)
+        assert str(exc.value) == "no discrete lifting is defined for spec 'mine'"
+
     def test_renamed_met_clone_is_still_fine(self, ab_half):
         # structural comparison: same clauses means same lifting formula
         clone = GMetSpec("MET", MET.clauses)

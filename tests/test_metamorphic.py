@@ -1,0 +1,138 @@
+"""Metamorphic relations of saturation: what two runs on related inputs must
+share, compared by terms, not by universe ids.
+
+- Renaming and reordering the target's points maps the classes and the
+  distances along the renaming.
+- Refining the grid from q to 2q, with every target distance, context
+  distance and axiom bound doubled, gives the same classes and the same
+  distances as fractions.
+- Adding an axiom never splits a class and never raises a distance.
+
+Each draw is seeded: {u/1, f/2} under MET, PMET or FREL, two or three
+target points (two at depth 3), one or two random axioms over one or two context points,
+q in {2, 4}, depth 2 or 3. An instance budget bounds a draw's cost: a draw
+whose runs pass it is not compared, and each relation must compare most
+of its draws.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from functools import partial
+
+from qeqlog.deduce import saturate
+from qeqlog.errors import BudgetExceeded
+from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace
+from qeqlog.qalg import Judgment, Theory
+from qeqlog.terms import Signature, Var, apply_subst, term_to_str
+
+from conftest import random_space, random_term
+
+SIG = Signature.of({"u": 1, "f": 2})
+SPECS = (MET, PMET, FREL)
+BUDGET = 20_000
+DRAWS = range(15)
+MIN_COMPARED = 12
+
+
+def _axioms(rng: random.Random, grid: EpsGrid, spec, count: int) -> tuple[Judgment, ...]:
+    """Axioms that bind: an application equal to a context point, or within
+    a grid value below 1 of it, over one or two context points."""
+    out = []
+    for _ in range(count):
+        ctx = random_space(rng, grid, rng.randint(1, 2), spec)
+        lhs = Var("")
+        while isinstance(lhs, Var):
+            lhs = random_term(rng, SIG, ctx.carrier, 2)
+        eps = rng.choice((None, *range(1, grid.q)))
+        out.append(Judgment(ctx, lhs, Var(rng.choice(ctx.carrier)), eps))
+    return tuple(out)
+
+
+def _draw(seed: int, relation: str):
+    """(spec, target, theory, depth) of one seeded draw."""
+    rng = random.Random(f"{relation}-{seed}")
+    spec = SPECS[seed % len(SPECS)]
+    grid = EpsGrid(rng.choice((2, 4)))
+    depth = rng.choice((2, 3))
+    target = random_space(rng, grid, rng.randint(2, 3) if depth == 2 else 2, spec)
+    return spec, target, Theory("T", _axioms(rng, grid, spec, rng.randint(1, 2))), depth
+
+
+def _facts(db, rename=lambda t: t):
+    """The classes as sets of terms, each passed through ``rename`` and
+    printed, and the distance between every two classes as a fraction."""
+    members: dict[int, set[str]] = {}
+    for t, r in zip(db.universe, db.roots_by_id()):
+        members.setdefault(r, set()).add(term_to_str(rename(t)))
+    classes = {r: frozenset(m) for r, m in members.items()}
+    q = db.grid.q
+    dist = {(classes[r], classes[s]): Fraction(db.class_distance(r, s), q)
+            for r in classes for s in classes}
+    return set(classes.values()), dist
+
+
+def _scaled(sp: FuzzySpace, k: int) -> FuzzySpace:
+    return FuzzySpace(EpsGrid(sp.grid.q * k), sp.carrier,
+                      tuple(tuple(v * k for v in row) for row in sp.dist))
+
+
+def _saturated(*runs):
+    """The saturation of each run, (theory, spec, target, depth), or None
+    when one of them passes the budget."""
+    try:
+        return [saturate(SIG, *run, BUDGET) for run in runs]
+    except BudgetExceeded:
+        return None
+
+
+def test_renaming_the_target_maps_classes_and_distances():
+    compared = 0
+    for seed in DRAWS:
+        spec, target, theory, depth = _draw(seed, "rename")
+        rng = random.Random(seed)
+        new = ["t", "s", "r"][:len(target.carrier)]
+        rng.shuffle(new)
+        names = {a: Var(b) for a, b in zip(target.carrier, new)}
+        order = list(range(len(target.carrier)))
+        rng.shuffle(order)
+        renamed = FuzzySpace(target.grid, tuple(new[i] for i in order),
+                             tuple(tuple(target.dist[i][j] for j in order) for i in order))
+        dbs = _saturated((theory, spec, target, depth), (theory, spec, renamed, depth))
+        if dbs is not None:
+            compared += 1
+            assert _facts(dbs[0], partial(apply_subst, names)) == _facts(dbs[1]), seed
+    assert compared >= MIN_COMPARED
+
+
+def test_refining_the_grid_keeps_classes_and_distances():
+    compared = 0
+    for seed in DRAWS:
+        spec, target, theory, depth = _draw(seed, "refine")
+        refined = Theory(theory.name, tuple(
+            Judgment(_scaled(j.context, 2), j.lhs, j.rhs, None if j.eps is None else 2 * j.eps)
+            for j in theory.judgments))
+        dbs = _saturated((theory, spec, target, depth),
+                         (refined, spec, _scaled(target, 2), depth))
+        if dbs is not None:
+            compared += 1
+            assert _facts(dbs[0]) == _facts(dbs[1]), seed
+    assert compared >= MIN_COMPARED
+
+
+def test_an_added_axiom_never_splits_a_class_or_raises_a_distance():
+    compared = 0
+    for seed in DRAWS:
+        spec, target, theory, depth = _draw(seed, "add")
+        extra = _axioms(random.Random(seed), target.grid, spec, 1)
+        larger = Theory(theory.name, theory.judgments + extra)
+        dbs = _saturated((theory, spec, target, depth), (larger, spec, target, depth))
+        if dbs is None:
+            continue
+        compared += 1
+        (classes, dist), (big_classes, big_dist) = map(_facts, dbs)
+        owner = {t: c for c in big_classes for t in c}
+        assert all(len({owner[t] for t in c}) == 1 for c in classes), seed
+        for (c, d), value in dist.items():
+            assert big_dist[owner[next(iter(c))], owner[next(iter(d))]] <= value, seed
+    assert compared >= MIN_COMPARED
