@@ -73,9 +73,10 @@ from .terms import (
     check_nontrivial,
     compile_term,
     fold_nodes,
+    fold_term,
+    lookup,
     term_depth,
     term_to_str,
-    term_vars,
     universe_nodes,
     universe_size,
 )
@@ -83,6 +84,10 @@ from .terms import (
 # the most terms a saturation enumerates, refused before it is built: about
 # 0.1 GB at the 0.8 KB of max RSS per term that MET without axioms takes
 MAX_TERMS = 2**17
+
+# the deepest derivation a trace returns: TraceNode.to_json and json's encoder
+# each take two frames a level, leaving 200 of the default limit of 1,000
+MAX_TRACE_DEPTH = 400
 
 # Premise descriptors:
 #   ("axiom", k)               theory axiom k, whose INIT is event k
@@ -260,9 +265,7 @@ class DerivationDB:
         ``names`` raises :class:`UnknownVariable` all the same."""
         if term_depth(t) <= self.depth:
             return compile_term(t, names, self._hashcons)
-        stray = term_vars(t).difference(names)
-        if stray:
-            raise UnknownVariable(min(stray))
+        fold_term(t, partial(lookup, dict.fromkeys(names)), lambda op, args: None)
         return lambda ids: None
 
     def fold(self, leaf, node) -> list:
@@ -816,9 +819,15 @@ def trace(db: DerivationDB, j: Judgment) -> TraceNode:
     if not derives(db, j):
         raise UnknownFact(f"{j.describe()} is not derived")
     li, ri = db.index_of(j.lhs), db.index_of(j.rhs)
-    if j.eps is None:
-        return db._eq_tree(li, ri)
-    return db._dist_tree(db.find(li), db.find(ri), j.eps, len(db.events))
+    tree = db._eq_tree(li, ri) if j.eps is None else \
+        db._dist_tree(db.find(li), db.find(ri), j.eps, len(db.events))
+    depth, level = 0, [tree]
+    while level:
+        depth, level = depth + 1, [c for node in level for c in node.children]
+    if depth > MAX_TRACE_DEPTH:
+        raise BudgetExceeded(f"trace: the derivation is nested {depth} levels deep,"
+                             f" more than the limit of {MAX_TRACE_DEPTH}")
+    return tree
 
 
 def gen_nonexpansive_axioms(sig: Signature, op: str, grid: EpsGrid) -> Theory:

@@ -103,8 +103,10 @@ class FuzzySpace(Record):
         n = len(self.carrier)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance table shape does not match carrier")
-        for row in self.dist:
-            for v in row:
+        # the distinct types and values at C speed; the loop names the first bad cell
+        if not all(issubclass(t, int) for t in set().union(*(map(type, row) for row in self.dist))) \
+                or not all(0 <= v <= self.grid.q for v in set().union(*self.dist)):
+            for v in itertools.chain.from_iterable(self.dist):
                 if not isinstance(v, int) or not (0 <= v <= self.grid.q):
                     raise GridMismatch(f"distance {v!r} off the grid (q={self.grid.q})")
         object.__setattr__(self, "_idx", {a: i for i, a in enumerate(self.carrier)})
@@ -172,10 +174,7 @@ class EpsPlus(EpsExpr, Record):
         return sum(t.eval(env, q) for t in self.terms)
 
     def params(self):
-        out: frozenset[str] = frozenset()
-        for t in self.terms:
-            out |= t.params()
-        return out
+        return frozenset().union(*(t.params() for t in self.terms))
 
 
 class EpsMin1(EpsExpr, Record):
@@ -242,11 +241,8 @@ class HornClause(Record):
                 raise ValueError(f"clause {self.name!r} uses an undeclared variable")
 
     def param_names(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for atom in (*self.premises, self.conclusion):
-            if isinstance(atom, DistAtom):
-                names |= atom.eps.params()
-        return tuple(sorted(names))
+        return tuple(sorted(frozenset().union(*(atom.eps.params() for atom in (
+            *self.premises, self.conclusion) if isinstance(atom, DistAtom)))))
 
 
 def _atom_from_json(obj) -> Atom:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 
 from ._record import Record
-from .errors import GridMismatch, UnknownVariable
+from .errors import GridMismatch
 from .gmet import (
     EpsGrid,
     FuzzySpace,
@@ -25,8 +25,8 @@ from .gmet import (
     nonexpansive_images,
     require_space,
 )
-from .terms import (Signature, Term, Var, check_carrier, compile_term, parse_term, term_to_str,
-                    term_vars)
+from .terms import (Signature, Term, check_carrier, compile_term, fold_term, lookup, parse_term,
+                    term_to_str, term_vars)
 
 
 class QuantAlgebra(Record):
@@ -94,8 +94,7 @@ class Judgment(Record):
     def __post_init__(self):
         if self.eps is not None and not (0 <= self.eps <= self.context.grid.q):
             raise GridMismatch(f"eps numerator {self.eps} off the grid")
-        carrier = set(self.context.carrier)
-        stray = (term_vars(self.lhs) | term_vars(self.rhs)) - carrier
+        stray = (term_vars(self.lhs) | term_vars(self.rhs)).difference(self.context.carrier)
         if stray:
             raise ValueError(f"variables {sorted(stray)} not in the context carrier")
 
@@ -127,12 +126,7 @@ class Theory(Record):
 
 def eval_term(alg: QuantAlgebra, tau: Mapping[str, str], t: Term) -> str:
     """Evaluate a term under a variable assignment, via the operation tables."""
-    if isinstance(t, Var):
-        try:
-            return tau[t.name]
-        except KeyError:
-            raise UnknownVariable(t.name) from None
-    return alg.apply(t.op, tuple(eval_term(alg, tau, a) for a in t.args))
+    return fold_term(t, partial(lookup, tau), alg.apply)
 
 
 class SatisfactionResult(Record):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import partial
 from operator import itemgetter
 
 from ._record import Record
@@ -82,37 +83,46 @@ class App(Term, Record):
     args: tuple[Term, ...]
 
 
-# Walks over a tree keep their own stack, so that a term nested past the
-# interpreter's recursion limit is still parsed, printed and measured.
-
-def _preorder(t: Term):
-    """The subterms of ``t``, each before its arguments, left to right."""
-    stack = [t]
+def fold_term(t: Term, leaf: Callable, node: Callable):
+    """The tree counterpart of :func:`fold_nodes`: ``leaf(name)`` per
+    variable and ``node(op, argument values)`` per application, leaves left
+    to right, on its own stack (as :func:`parse_term` and :func:`_render`
+    keep theirs), so no walk stops at the interpreter's recursion limit."""
+    out: list = []
+    stack: list = [t]
     while stack:
         t = stack.pop()
-        yield t
-        if isinstance(t, App):
-            stack += reversed(t.args)
+        if isinstance(t, Var):
+            out.append(leaf(t.name))
+        elif isinstance(t, App):
+            stack += ((t.op, len(t.args)), *reversed(t.args))
+        else:  # (op, arity), popped once its arguments are folded
+            k = len(out) - t[1]
+            out[k:] = [node(t[0], tuple(out[k:]))]
+    return out[0]
+
+
+def lookup(values: Mapping[str, object], name: str):
+    """``values[name]``: the value of a variable, or :class:`UnknownVariable`."""
+    try:
+        return values[name]
+    except KeyError:
+        raise UnknownVariable(name) from None
 
 
 def term_depth(t: Term) -> int:
-    depth, stack = 0, [(t, 1)]
-    while stack:
-        t, d = stack.pop()
-        depth = max(depth, d)
-        if isinstance(t, App):
-            stack += [(a, d + 1) for a in t.args]
-    return depth
+    return fold_term(t, lambda name: 1, lambda op, depths: 1 + max(depths, default=0))
 
 
-def term_key(t: Term):
-    """Sort key realizing the canonical order: depth, then symbol, then arguments.
-
-    Variables sort before an identically-named constant at the same depth.
-    """
-    if isinstance(t, Var):
-        return (1, t.name, 0, ())
-    return (term_depth(t), t.op, 1, tuple(term_key(a) for a in t.args))
+def term_key(t: Term) -> tuple:
+    """Sort key realizing the canonical order: depth, then symbol, then
+    arguments. It is flat, so keys compare without recursion: the (depth,
+    symbol, kind) entry of each subterm in preorder, an application's
+    arguments closed by ``()``, which sorts first. A variable (kind 0) sorts
+    before an identically-named constant (kind 1) at the same depth."""
+    return fold_term(t, lambda name: ((1, name, 0),), lambda op, keys: (
+        (1 + max((key[0][0] for key in keys), default=0), op, 1),
+        *itertools.chain.from_iterable(keys), ()))
 
 
 def canonical_cmp(t1: Term, t2: Term) -> int:
@@ -215,17 +225,18 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
             break
     if i != len(tokens):
         raise ValueError(f"trailing tokens in {text!r}")
-    for t in _preorder(term):
-        if isinstance(t, App):
-            if t.op not in arities:
-                raise ValueError(f"unknown operation {t.op!r}")
-            if arities[t.op] != len(t.args):
-                raise ValueError(f"arity mismatch for {t.op!r}")
+    # the first application in preorder with an unknown symbol or another arity
+    error = fold_term(term, lambda name: None, lambda op, errors: (
+        f"unknown operation {op!r}" if op not in arities else
+        f"arity mismatch for {op!r}" if arities[op] != len(errors) else
+        next(filter(None, errors), None)))
+    if error:
+        raise ValueError(error)
     return term
 
 
 def term_vars(t: Term) -> frozenset[str]:
-    return frozenset(s.name for s in _preorder(t) if isinstance(s, Var))
+    return fold_term(t, lambda name: frozenset((name,)), lambda op, args: frozenset().union(*args))
 
 
 def check_carrier(sig: Signature, carrier: Iterable[str]) -> None:
@@ -242,16 +253,11 @@ def check_nontrivial(sig: Signature, carrier: Iterable[str]) -> bool:
 
 def apply_subst(subst: Mapping[str, Term], t: Term) -> Term:
     """Simultaneously replace every variable of ``t`` via ``subst``."""
-    if isinstance(t, Var):
-        try:
-            return subst[t.name]
-        except KeyError:
-            raise UnknownVariable(t.name) from None
-    return App(t.op, tuple(apply_subst(subst, a) for a in t.args))
+    return fold_term(t, partial(lookup, subst), App)
 
 
-# the deepest term compile_term compiles: compiling and evaluating a term take
-# about two frames per level, within the default recursion limit of 1,000
+# the deepest term compile_term compiles: evaluating a compiled term takes
+# up to two frames per level, within the default recursion limit of 1,000
 MAX_COMPILED_DEPTH = 200
 
 
@@ -262,30 +268,25 @@ def compile_term(t: Term, names: Sequence[str], tables: Mapping[str, Mapping]) -
     application above it, as no key holds None. A variable not in ``names``
     raises :class:`UnknownVariable` at once, and a term nested more than
     ``MAX_COMPILED_DEPTH`` levels deep a :class:`QeqlogError`."""
-    return _compile(t, names, tables, MAX_COMPILED_DEPTH)
-
-
-def _compile(t: Term, names: Sequence[str], tables: Mapping[str, Mapping], room: int) -> Callable:
-    if not room:
+    if term_depth(t) > MAX_COMPILED_DEPTH:
         raise QeqlogError(f"a term nested more than {MAX_COMPILED_DEPTH} levels deep"
                           " cannot be evaluated")
-    if isinstance(t, Var):
-        try:
-            return itemgetter(names.index(t.name))
-        except ValueError:
-            raise UnknownVariable(t.name) from None
-    # an operation without a table has no entries
-    get = tables.get(t.op, {}).get
-    args = tuple(_compile(a, names, tables, room - 1) for a in t.args)
-    # most of a model check is spent here: spare unary and binary
-    # operations the argument list
-    if len(args) == 1:
-        (arg,) = args
-        return lambda tau: get((arg(tau),))
-    if len(args) == 2:
-        first, second = args
-        return lambda tau: get((first(tau), second(tau)))
-    return lambda tau: get(tuple([arg(tau) for arg in args]))
+    positions = {name: names.index(name) for name in names}
+
+    def node(op: str, args: tuple) -> Callable:
+        # an operation without a table has no entries
+        get = tables.get(op, {}).get
+        # most of a model check is spent here: spare unary and binary
+        # operations the argument list
+        if len(args) == 1:
+            (arg,) = args
+            return lambda tau: get((arg(tau),))
+        if len(args) == 2:
+            first, second = args
+            return lambda tau: get((first(tau), second(tau)))
+        return lambda tau: get(tuple([arg(tau) for arg in args]))
+
+    return fold_term(t, lambda name: itemgetter(lookup(positions, name)), node)
 
 
 def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:

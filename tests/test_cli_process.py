@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -83,6 +84,39 @@ def test_large_report_arrives_whole_through_a_pipe(large, unbuffered):
     assert (code, err) == (0, b"") and len(out) > 64 * 1024
     done = child(large, unbuffered)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def merge_chain(directory: pathlib.Path, n: int) -> list[str]:
+    """``derive --trace`` of c0 = c<n-1> under the axioms c_i = c_{i+1}
+    over an empty context: FREL at grid 2 and depth 1, over one point. The
+    proof is a TRANS chain, and the trace is n levels deep."""
+    path = directory / f"chain{n}.json"
+    path.write_text(json.dumps({
+        "grid": 2, "signature": {"ops": {f"c{i}": 0 for i in range(n)}},
+        "spec": {"preset": "FREL"}, "budgets": {"depth": 1},
+        "spaces": {"E": {"carrier": [], "dist": []}, "P": {"carrier": ["p"], "dist": [["0"]]}},
+        "theories": {"CHAIN": [{"context": "E", "lhs": f"c{i}", "rhs": f"c{i + 1}"}
+                               for i in range(n - 1)]},
+    }))
+    judgment = json.dumps({"context": "P", "lhs": "c0", "rhs": f"c{n - 1}"})
+    return ["--workspace", str(path), "derive", "--theory", "CHAIN", "--target", "P",
+            "--judgment", judgment, "--trace"]
+
+
+# past the trace's depth limit the query is refused before a byte is
+# written; within it, the report is the one printed before the limit existed
+def test_trace_past_the_depth_limit_is_exit_2(tmp_path):
+    done = child(merge_chain(tmp_path, 498), unbuffered=False)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: trace: the derivation is nested 498 levels deep,"
+                           b" more than the limit of 400\n")
+
+
+def test_trace_within_the_depth_limit_is_printed_whole(tmp_path):
+    done = child(merge_chain(tmp_path, 300), unbuffered=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (len(done.stdout), hashlib.sha256(done.stdout).hexdigest()) == (
+        3688868, "44c3725b17d80fec5c8ecb46d0e183434012764623f2c11a741cc51f84ceda9a")
 
 
 @contextlib.contextmanager

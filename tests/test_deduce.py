@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 import time
@@ -533,6 +534,24 @@ class TestTrace:
             first = trace(db, j)
             assert trace(db, j) == first
             replay_node(first, ab_half, GRID)
+
+    # a merge chain over n constants proves c0 = c<n-1> in a trace n levels
+    # deep: the deepest one allowed serializes in-process, one level more is
+    # refused with its depth and the limit
+    def test_trace_depth_limit(self):
+        point = FuzzySpace(EpsGrid(2), ("p",), ((0,),))
+        for n in (deduce.MAX_TRACE_DEPTH, deduce.MAX_TRACE_DEPTH + 1):
+            consts = [App(f"c{i}", ()) for i in range(n)]
+            empty = FuzzySpace(EpsGrid(2), (), ())
+            th = Theory("CHAIN", tuple(Judgment(empty, s, t) for s, t in zip(consts, consts[1:])))
+            db = saturate(Signature.of({f"c{i}": 0 for i in range(n)}), th, FREL, point, 1)
+            j = Judgment(point, consts[0], consts[-1])
+            if n == deduce.MAX_TRACE_DEPTH:
+                assert json.dumps(trace(db, j).to_json(), indent=2).count('"TRANS"') == n - 2
+            else:
+                with pytest.raises(BudgetExceeded, match="^trace: the derivation is nested 401"
+                                   " levels deep, more than the limit of 400$"):
+                    trace(db, j)
 
     def test_every_saturated_fact_replays(self, ab_half):
         db = saturate(U_SIG, unary_axiom_quarter(GRID), MET, ab_half, 2)

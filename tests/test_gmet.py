@@ -77,6 +77,23 @@ class TestGrid:
             FuzzySpace(GRID, ("a",), ((5,),))
         assert str(exc.value) == "distance 5 off the grid (q=4)"
 
+    # the cells are checked by their distinct types and values: a float equal
+    # to an int cell before it is still refused, and the error names the
+    # first offending cell in row order
+    @pytest.mark.parametrize("rows, bad", [
+        (((0, 1), (1.0, 0)), "1.0"),
+        (((0, 5), (-1, 0)), "5"),
+        (((0, 2), (Fraction(1), "1")), "Fraction(1, 1)"),
+        (((0, 4), (4, None)), "None"),
+    ])
+    def test_first_off_grid_cell_is_named(self, rows, bad):
+        with pytest.raises(GridMismatch) as exc:
+            FuzzySpace(GRID, ("a", "b"), rows)
+        assert str(exc.value) == f"distance {bad} off the grid (q=4)"
+
+    def test_bool_cells_are_admitted_as_ints_are(self):
+        assert FuzzySpace(GRID, ("a", "b"), ((False, True), (True, 0))).d("a", "b") is True
+
     def test_forms_agree_on_every_read(self):
         grid = EpsGrid(4)
         for _ in range(2):

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qeqlog.errors import QeqlogError, TrivialPair, UnknownVariable
+from qeqlog.gmet import EpsGrid, FuzzySpace
+from qeqlog.qalg import QuantAlgebra, eval_term
 from qeqlog.terms import (
     MAX_COMPILED_DEPTH,
     App,
@@ -21,6 +24,7 @@ from qeqlog.terms import (
     term_depth,
     term_key,
     term_to_str,
+    term_vars,
     universe_nodes,
     universe_size,
 )
@@ -303,6 +307,37 @@ class TestParseAndPrint:
         assert term_depth(t) == 2 * levels + 1
         with pytest.raises(ValueError, match="^arity mismatch for 'u'$"):
             parse_term(text.replace("a", "a,a"), sig, ["a"])
+
+
+def test_deep_term_api_keeps_its_own_stack():
+    # u(...u(a)...) 3,000 levels deep, past the default recursion limit:
+    # each function folds the tree with its own stack, and only compile_term
+    # refuses a term, past MAX_COMPILED_DEPTH
+    assert sys.getrecursionlimit() == 1000
+    sig, levels = Signature.of({"u": 1}), 3000
+    text = "u(" * levels + "a" + ")" * levels
+    t = parse_term(text, sig, ["a", "b"])
+    assert term_to_str(t) == text
+    assert term_depth(t) == levels + 1
+    assert term_vars(t) == {"a"}
+    s = apply_subst({"a": App("u", (Var("b"),))}, t)
+    assert term_to_str(s) == "u(" * (levels + 1) + "b" + ")" * (levels + 1)
+    assert (term_depth(s), term_vars(s)) == (levels + 2, {"b"})
+    with pytest.raises(UnknownVariable, match="^a$"):
+        apply_subst({"b": Var("a")}, t)
+    b = apply_subst({"a": Var("b")}, t)
+    assert (canonical_cmp(t, b), canonical_cmp(b, t), canonical_cmp(t, t)) == (-1, 1, 0)
+    assert canonical_cmp(t, parse_term(text, sig, ["a"])) == 0
+    assert (canonical_cmp(t, s), canonical_cmp(s, t)) == (-1, 1)
+    point = QuantAlgebra(FuzzySpace(EpsGrid(2), ("p",), ((0,),)), sig, {"u": {("p",): "p"}})
+    assert eval_term(point, {"a": "p"}, t) == "p"
+    with pytest.raises(UnknownVariable, match="^a$"):
+        eval_term(point, {"b": "p"}, t)
+    tables = {"u": {(0,): 0}}
+    assert compile_term(parse_term("u(" * 199 + "a" + ")" * 199, sig, ["a"]), ("a",), tables)((0,)) == 0
+    for deep in (parse_term("u(" * 200 + "a" + ")" * 200, sig, ["a"]), t):
+        with pytest.raises(QeqlogError, match="^a term nested more than 200 levels deep cannot be evaluated$"):
+            compile_term(deep, ("a",), tables)
 
 
 class TestSignature:
