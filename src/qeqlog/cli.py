@@ -26,8 +26,8 @@ from .terms import Signature, check_carrier, parse_term, whole
 
 
 # the budgets of a workspace that sets none: over ten times the most that
-# any test or benchmark query counts, 182,176 rule instances and 46,656
-# candidate interpretations
+# any test or benchmark query counts, 151,503 rule instances (a test) and
+# 46,656 candidate maps (the `models` benchmark's `ump`)
 BUDGET_INSTANCES = 2_000_000
 BUDGET_INTERPS = 1_000_000
 # the encoder's chunks that one write of a report joins: on an `equational`
@@ -180,7 +180,8 @@ def cmd_free(ws: Workspace, args) -> tuple[dict, bool]:
         keys = map(",".join, itertools.product(names, repeat=table.arity))
         ops[op] = dict(zip(keys, map(label.__getitem__, table.values())))
         overflow_count += table.values().count(OVERFLOW)
-    labels = [ws.grid.format(v) for v in ws.grid.values()]
+    # only the values the table holds: the grid may have millions
+    labels = {v: ws.grid.format(v) for v in set().union(*delta)}
     report = _report(
         ws,
         classes=list(names),

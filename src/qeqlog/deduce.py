@@ -74,11 +74,11 @@ from .terms import (
     compile_term,
     fold_nodes,
     fold_term,
+    layer_sizes,
     lookup,
     term_depth,
     term_to_str,
     universe_nodes,
-    universe_size,
 )
 
 # the most terms a saturation enumerates, refused before it is built: about
@@ -167,11 +167,12 @@ class DerivationDB:
         self.depth = depth
         self.grid = target.grid
         self.budget = budget
-        n = universe_size(sig, target.carrier, depth)
-        if n > MAX_TERMS:
-            raise BudgetExceeded(
-                f"universe: depth {depth} has {n} terms, more than the limit of {MAX_TERMS}"
-            )
+        # counted up to the first layer past the limit: it grows doubly exponentially
+        for d, n in enumerate(itertools.islice(layer_sizes(sig, target.carrier), max(depth, 1)), 1):
+            if n > MAX_TERMS:
+                count = f"{n} terms" if d == depth else f"at least the {n} terms of depth {d}"
+                raise BudgetExceeded(f"universe: depth {depth} has {count}, more than the limit"
+                                     f" of {MAX_TERMS}")
         self._n = n
         self._nodes = universe_nodes(sig, target.carrier, depth)
         # op -> (argument ids -> id)
@@ -520,13 +521,9 @@ def _step_cong(db: DerivationDB) -> bool:
             if find(first) == find(other):
                 continue
             # each premise ("eq", x, y) is the one tuple of its pair
-            premises = []
-            for x, y in zip(roots, nodes[other][1]):
-                fact = facts.get(x * n + y)
-                if fact is None:
-                    fact = facts[x * n + y] = ("eq", x, y)
-                premises.append(fact)
-            changed |= db._merge(first, other, "CONG", op, tuple(premises))
+            premises = tuple(facts.setdefault(x * n + y, ("eq", x, y))
+                             for x, y in zip(roots, nodes[other][1]))
+            changed |= db._merge(first, other, "CONG", op, premises)
     return changed
 
 
@@ -544,8 +541,10 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
     premise cell. A position that a blocking premise ties to the written
     cell takes only the roots near it. ``search`` turns the candidates per
     position into an ascending tuple stream, or if None their product.
-    ``fire`` counts and runs the tuples it takes, and yields the ids of
-    each write, which requeues the later tuples on the written cell, or for
+    ``fire`` counts and runs the tuples it takes, and yields each new
+    conclusion as (i, j, eps, rule, detail, premises). The pass records it,
+    merging i and j for a ``merging`` rule and otherwise lowering their
+    cell to eps, and requeues the later tuples on the written cell, or for
     a ``merging`` rule those with a member of the merged class at p, joined
     like a write on the cell (p, p) of its root. With product streams, or
     a search that prunes nothing, a member of a merged class is requeued
@@ -569,18 +568,22 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
             for a, b in _written(db, start or 0):
                 queue.add(*expand(_on_cell(db, arity, first if start is None else cells, links,
                                            a, b, pool)))
-        changed, requeued, members = False, set(), None
-        for x, y in fire(queue):
+        changed, requeued, members, premises = False, set(), None, None
+        for i, j, eps, rule, detail, premises in fire(queue):
+            if merging:
+                db._merge(i, j, rule, detail, premises)
+            else:
+                db._lower(i, j, eps, rule, detail, premises)
+            x, y = find(i), find(j)
             changed = True
             if not complete:
                 requeued.clear()
             if merging:
-                x = y = find(x)
                 members = tuple(r for r in pool if find(r) == x and r not in requeued)
                 requeued.update(members)
             queue.add(*expand(_on_cell(db, arity, requeue_cells, links, x, y, pool, members)))
         # the frame lives on between passes: keep nothing the size of a pass
-        del pool, queue, requeued, members
+        del pool, queue, requeued, members, premises
         yield changed
 
 
@@ -605,12 +608,9 @@ def _horn_rule(clause: HornClause, db: DerivationDB):
                 else ("dist", reps[xp], reps[yp], vals[si] if si >= 0 else bounds[pvec])
                 for xp, yp, si, bounds in prems
             )
-            x, y = reps[cx], reps[cy]
-            if merging:
-                db._merge(assignment[cx], assignment[cy], "HORN", clause.name, premises)
-            else:
-                db._lower(x, y, conc_bounds[tuple(vals)], "HORN", clause.name, premises)
-            yield x, y
+            # a lowering clause reads its tuple without find: its roots are the assignment
+            eps = None if merging else conc_bounds[tuple(vals)]
+            yield assignment[cx], assignment[cy], eps, "HORN", clause.name, premises
 
     cells = [(xp, yp) for xp, yp, _, bounds in prems if bounds is not None]
     yield from _passes(db, arity, cells, _blocking(compiled, q), merging, search=None,
@@ -644,11 +644,7 @@ def _subst_rule(ax_i: int, j: Judgment, db: DerivationDB):
             premises = (("axiom", ax_i),) + tuple(
                 ("dist", a, b, d) for a, row in zip(chosen, ctx.dist) for b, d in zip(chosen, row)
             )
-            if merging:
-                db._merge(li, ri, "SUBST", f"axiom {ax_i}", premises)
-            else:
-                db._lower(li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises)
-            yield find(li), find(ri)
+            yield li, ri, j.eps, "SUBST", f"axiom {ax_i}", premises
 
     yield from _passes(db, arity, cells, cells, merging, search,
                        seed=None if cells else partial(_tied, arity, ()), fire=fire)
@@ -844,23 +840,10 @@ def gen_nonexpansive_axioms(sig: Signature, op: str, grid: EpsGrid) -> Theory:
         raise ValueError("nonexpansiveness axioms need arity >= 1")
     xs = tuple(f"x{i + 1}" for i in range(n))
     ys = tuple(f"y{i + 1}" for i in range(n))
-    carrier = xs + ys
-    judgments = []
-    for eps in grid.values():
-        rows = []
-        for a in carrier:
-            row = []
-            for b in carrier:
-                if a == b:
-                    row.append(0)
-                elif a in xs and b == ys[xs.index(a)]:
-                    row.append(eps)
-                else:
-                    row.append(grid.q)
-            rows.append(tuple(row))
-        ctx = FuzzySpace(grid, carrier, tuple(rows))
-        judgments.append(
-            Judgment(ctx, App(op, tuple(Var(x) for x in xs)),
-                     App(op, tuple(Var(y) for y in ys)), eps)
-        )
-    return Theory(f"nonexpansive({op})", tuple(judgments))
+    carrier, pairs = xs + ys, set(zip(xs, ys))
+    lhs, rhs = App(op, tuple(map(Var, xs))), App(op, tuple(map(Var, ys)))
+    return Theory(f"nonexpansive({op})", tuple(
+        Judgment(FuzzySpace(grid, carrier, tuple(
+            tuple(0 if a == b else eps if (a, b) in pairs else grid.q for b in carrier)
+            for a in carrier)), lhs, rhs, eps)
+        for eps in grid.values()))

@@ -22,7 +22,8 @@ from ._record import Record
 from .errors import (BudgetExceeded, GridMismatch, NotAModel, NotNonexpansive,
                      PreconditionViolation, QeqlogError)
 from .deduce import DerivationDB, saturate
-from .gmet import FuzzySpace, GMetSpec, is_nonexpansive, nonexpansive_images, require_space
+from .gmet import (FuzzySpace, GMetSpec, charge_candidates, is_nonexpansive, nonexpansive_images,
+                   require_space)
 from .qalg import QuantAlgebra, Theory, is_model
 from .terms import Signature, Term, term_label, term_to_str
 
@@ -258,8 +259,6 @@ def check_ump(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
     ``candidates`` and the budget still count all |B|^n maps.
     """
     ext = extend_hom(f, alg, gen_map, budget)
-    total = len(alg.space.carrier) ** len(f.classes)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
+    total = charge_candidates(len(alg.space.carrier), len(f.classes), budget, "maps")
     ok = is_nonexpansive(dict(zip(f.space.carrier, ext.values())), f.space, alg.space)
     return UmpResult(ok, ok, total)

@@ -54,11 +54,9 @@ class EpsGrid(Record):
     def _parse_fraction(self, x) -> int:
         from fractions import Fraction
 
-        if isinstance(x, Fraction):
-            f = x
-        elif isinstance(x, bool):
+        if isinstance(x, bool):
             raise GridMismatch(f"not a distance: {x!r}")
-        elif isinstance(x, int):
+        if isinstance(x, (int, Fraction)):
             f = Fraction(x)
         elif isinstance(x, float):
             f = Fraction(str(x))
@@ -495,15 +493,27 @@ def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[S
         reads.pop()
 
 
+def charge_candidates(base: int, exponent: int, budget: int | None, kind: str) -> int:
+    """The ``base**exponent`` candidate ``kind`` that a check counts, refused
+    with ``BudgetExceeded`` above the budget. The message prints the count,
+    or ``base**exponent`` if it has more digits than ``str`` converts."""
+    total = base ** exponent
+    if budget is not None and total > budget:
+        try:
+            count = str(total)
+        except ValueError:
+            count = f"{base}**{exponent}"
+        raise BudgetExceeded(f"{count} candidate {kind} exceed budget {budget}")
+    return total
+
+
 def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace,
                         budget: int | None = None) -> Iterator[tuple[int, ...]]:
     """The total nonexpansive maps src -> dst as image tuples (entry i is the
     dst index of src point i), from :func:`images_within` over dst's points.
     The budget counts all |dst|^|src| candidates, when iteration begins."""
     m = len(dst.carrier)
-    total = m ** len(src.carrier)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} candidate interpretations exceed budget {budget}")
+    charge_candidates(m, len(src.carrier), budget, "interpretations")
     yield from images_within(src.dist, _cells(dst), dst.grid.q, m, [range(m)] * len(src.carrier))
 
 

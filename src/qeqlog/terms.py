@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from operator import itemgetter
 
@@ -289,14 +289,20 @@ def compile_term(t: Term, names: Sequence[str], tables: Mapping[str, Mapping]) -
     return fold_term(t, lambda name: itemgetter(lookup(positions, name)), node)
 
 
-def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:
-    """``len(enumerate_universe(sig, carrier, depth))``, without building it:
-    each layer holds the leaves and every operation over the layer below."""
+def layer_sizes(sig: Signature, carrier: Iterable[str]) -> Iterator[int]:
+    """``len(enumerate_universe(sig, carrier, d))`` for d = 1, 2, ..., lazily
+    and without building it: each layer holds the leaves and every operation
+    over the layer below."""
     leaves = len(dict.fromkeys(carrier)) + sum(1 for _, ar in sig.ops if ar == 0)
     size = leaves
-    for _ in range(depth - 1):
+    while True:
+        yield size
         size = leaves + sum(size ** ar for _, ar in sig.ops if ar > 0)
-    return size
+
+
+def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:
+    """``len(enumerate_universe(sig, carrier, depth))`` (:func:`layer_sizes`)."""
+    return next(itertools.islice(layer_sizes(sig, carrier), max(depth, 1) - 1, None))
 
 
 def universe_nodes(sig: Signature, carrier: Iterable[str], depth: int) -> list[tuple]:

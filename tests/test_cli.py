@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -150,6 +151,23 @@ class TestFree:
         assert report["unit"] == {"a": "a", "b": "b"}
         assert report["delta"][0][1] == "1/2"
         assert report["model_check"]["failed"] == 0
+
+    def test_fine_grid_formats_only_the_values_held(self, capsys):
+        # the report's four distances are on every grid: formatting each of
+        # the q + 1 grid values traced 135 MB at q = 2,000,000
+        args = ("--depth", "2", "free", "--theory", "EMPTY", "--space", "AB")
+        code, coarse = run_json(capsys, "--workspace", WS, *args)
+        tracemalloc.start()
+        try:
+            fine = run(capsys, "--workspace", WS, "--grid", "2000000", *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.1f} MB traced"
+        assert (fine[0], fine[2]) == (code, "")
+        report = json.loads(fine[1])
+        assert (report.pop("grid"), coarse.pop("grid")) == (2_000_000, 4)
+        assert report == coarse
 
     def test_collapse(self, capsys):
         code, report = run_json(

@@ -55,13 +55,13 @@ def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
 
 
 def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE,
-          stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
+          stderr=subprocess.PIPE, timeout: float = 120) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "qeqlog.cli", *argv], stdout=stdout,
-                          stderr=stderr, env=env, timeout=120)
+                          stderr=stderr, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -117,6 +117,50 @@ def test_trace_within_the_depth_limit_is_printed_whole(tmp_path):
     assert (done.returncode, done.stderr) == (0, b"")
     assert (len(done.stdout), hashlib.sha256(done.stdout).hexdigest()) == (
         3688868, "44c3725b17d80fec5c8ecb46d0e183434012764623f2c11a741cc51f84ceda9a")
+
+
+# inputs that once ran away, each now answered or refused in well under its
+# timeout: a fine grid that the free report formatted value by value (30 s and
+# 3.2 GB at q = 40,000,000), a universe counted to its full depth before the
+# limit was checked (1.3 s at depth 24, about three times that per level
+# deeper), and a UMP candidate count that str refused to print
+def test_free_on_a_fine_grid_answers_at_once():
+    args = ["--depth", "2", "free", "--theory", "EMPTY", "--space", "AB"]
+    coarse = in_process(["--workspace", WS, *args])
+    done = child(["--workspace", WS, "--grid", "40000000", *args], unbuffered=False, timeout=10)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.replace(b'"grid": 40000000', b'"grid": 4') == coarse[1]
+
+
+def test_deep_universe_is_refused_at_once(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "grid": 4, "signature": {"ops": {"f": 2}}, "spec": {"preset": "FREL"},
+        "spaces": {"S": {"carrier": ["a", "b"], "dist": [["1", "1"], ["1", "1"]]}},
+        "theories": {"EMPTY": []},
+    }))
+    done = child(["--workspace", str(path), "--depth", "30", "distance", "--theory", "EMPTY",
+                  "--target", "S", "--lhs", "a", "--rhs", "b"], unbuffered=False, timeout=10)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: universe: depth 30 has at least the 2090918 terms of depth 5,"
+                           b" more than the limit of 131072\n")
+
+
+def test_ump_past_str_is_refused_by_its_budget(tmp_path):
+    # 2,047 classes ({u/1, v/1}, one point, FREL, depth 11) into 127 points
+    points = [f"p{i}" for i in range(127)]
+    path = tmp_path / "ump.json"
+    path.write_text(json.dumps({
+        "grid": 4, "signature": {"ops": {"u": 1, "v": 1}}, "spec": {"preset": "FREL"},
+        "budgets": {"depth": 11}, "spaces": {"G": {"carrier": ["g"], "dist": [["0"]]}},
+        "theories": {"EMPTY": []},
+        "algebras": {"BIG": {"space": {"carrier": points, "dist": [["0"] * 127] * 127},
+                             "ops": {op: {p: p for p in points} for op in ("u", "v")}}},
+    }))
+    done = child(["--workspace", str(path), "ump", "--theory", "EMPTY", "--space", "G",
+                  "--algebra", "BIG", "--map", '{"g": "p0"}'], unbuffered=False, timeout=10)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: 127**2047 candidate maps exceed budget 1000000\n"
 
 
 @contextlib.contextmanager

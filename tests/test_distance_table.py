@@ -19,7 +19,7 @@ import pytest
 import qeqlog.deduce as deduce
 import qeqlog.terms as terms
 from qeqlog.cli import main
-from qeqlog.deduce import MAX_TERMS, saturate
+from qeqlog.deduce import MAX_TERMS, DerivationDB, saturate
 from qeqlog.free import MAX_CELLS, FreeAlgebra
 from qeqlog.errors import BudgetExceeded
 from qeqlog.gmet import FREL, MET, EpsGrid, FuzzySpace
@@ -31,6 +31,7 @@ import reference_engine
 U_SIG = Signature.of({"u": 1})
 UF_SIG = Signature.of({"u": 1, "f": 2})
 UV_SIG = Signature.of({"u": 1, "v": 1})
+F_SIG = Signature.of({"f": 2})
 
 
 def _pair(q: int, d: int) -> FuzzySpace:
@@ -237,6 +238,19 @@ class TestUniverseRefused:
         with pytest.raises(BudgetExceeded) as exc:
             saturate(UF_SIG, Theory("E", ()), MET, _space(2), 5)
         assert str(exc.value) == self.MESSAGE
+
+    # {f/2} over two points: depth 5 is the first layer past the limit, and
+    # depth 15's count has more digits than str converts
+    @pytest.mark.parametrize("depth", [6, 15])
+    def test_deeper_universe_names_the_first_layer_past_the_limit(self, depth):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            DerivationDB(F_SIG, Theory("E", ()), FREL, _space(2), depth, None)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == (f"universe: depth {depth} has at least the 2090918 terms"
+                                  f" of depth 5, more than the limit of {MAX_TERMS}")
+        assert universe_size(F_SIG, ("a", "b"), 5) == 2_090_918
+        assert universe_size(F_SIG, ("a", "b"), 4) <= MAX_TERMS
 
     def test_cli_exit_two(self, monkeypatch, capsys, tmp_path):
         path = _workspace(tmp_path, "MET", 2, 5)

@@ -399,6 +399,27 @@ class TestCheckUmp:
         with pytest.raises(BudgetExceeded):
             check_ump(fa, swap_algebra, {"a": "p", "b": "q"}, budget=3)
 
+    def test_budget_message(self, swap_algebra, ab_half):
+        # 4 classes, so 2**4 maps into the two points
+        fa = build_free(U_SIG, Theory("E", ()), MET, ab_half, 2)
+        with pytest.raises(BudgetExceeded) as exc:
+            check_ump(fa, swap_algebra, {"a": "p", "b": "q"}, budget=15)
+        assert str(exc.value) == "16 candidate maps exceed budget 15"
+
+    def test_count_past_str_is_charged(self):
+        # {u/1, v/1} over one point under FREL at depth 11: 2,047 classes,
+        # each term its own, so 127**2047 maps into 127 points, a count of
+        # more digits than str converts
+        uv = Signature.of({"u": 1, "v": 1})
+        fa = build_free(uv, Theory("E", ()), FREL, space(GRID, ["g"], [["0"]]), 11)
+        assert len(fa.classes) == 2_047
+        points = [f"p{i}" for i in range(127)]
+        alg = QuantAlgebra(space(GRID, points, [["0"] * 127] * 127), uv,
+                           {op: {(p,): p for p in points} for op in ("u", "v")})
+        with pytest.raises(BudgetExceeded) as exc:
+            check_ump(fa, alg, {"g": "p0"}, budget=10**6)
+        assert str(exc.value) == "127**2047 candidate maps exceed budget 1000000"
+
     def test_precondition_errors_propagate(self, swap_algebra, ab_half):
         th = Theory("PHI1", (Judgment(ab_half, Var("a"), Var("b"), 0),))
         fa = build_free(U_SIG, th, MET, ab_half, 2)

@@ -22,6 +22,7 @@ from qeqlog.gmet import (
     GMetSpec,
     MAX_GRID_VECTORS,
     HornClause,
+    charge_candidates,
     check_space,
     compile_clause,
     discrete_lift,
@@ -226,6 +227,18 @@ class TestEnumerateNonexpansive:
         enumerate_nonexpansive(src, dst, budget=total)
         with pytest.raises(BudgetExceeded):
             enumerate_nonexpansive(src, dst, budget=total - 1)
+
+
+class TestChargeCandidates:
+    def test_count_within_the_budget_is_returned(self):
+        assert charge_candidates(4, 3, 64, "maps") == 64
+        assert charge_candidates(127, 2047, None, "maps") == 127 ** 2047
+
+    def test_unprintable_count_is_named_as_a_power(self):
+        # 127**2047 has 4,307 digits, more than str converts by default
+        with pytest.raises(BudgetExceeded) as exc:
+            charge_candidates(127, 2047, 10**6, "maps")
+        assert str(exc.value) == "127**2047 candidate maps exceed budget 1000000"
 
 
 class TestDiscreteLift:
