@@ -22,7 +22,7 @@ from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
 from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
-from .terms import Signature, check_carrier, parse_term, whole
+from .terms import Signature, check_carrier, number_text, parse_term, whole
 
 
 # the budgets of a workspace that sets none: over ten times the most that
@@ -99,12 +99,15 @@ def load_workspace(path: str, overrides) -> Workspace:
 def _read_json(source: str, what: str, inline: bool):
     """The JSON value of ``source``, the text itself if ``inline``, else the
     file at that path. JSON nested past the decoder's recursion limit is a
-    QeqlogError, not a traceback."""
+    QeqlogError, not a traceback, and so is a number too long to read."""
+    def parse_int(text: str) -> int:
+        return int(number_text(text, f"a number in the {what} JSON"))
+
     try:
         if inline:
-            return json.loads(source)
+            return json.loads(source, parse_int=parse_int)
         with open(source, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except RecursionError:
         raise QeqlogError(f"{what} JSON is nested too deeply") from None
 

@@ -72,6 +72,7 @@ from .terms import (
     Var,
     check_nontrivial,
     compile_term,
+    exceeds,
     fold_nodes,
     fold_term,
     layer_sizes,
@@ -144,7 +145,7 @@ class DerivationDB:
     near-cell index holds, for each id, the ids on the other side of its
     cells below q; a merge folds only those, so it costs the loser's derived
     distances, not the class count. A universe of more than ``MAX_TERMS``
-    terms is refused before it is enumerated.
+    terms, or a symbol of more arguments, is refused before it is enumerated.
 
     Use-lists hold, for each id that is an argument, the applications over
     it; they are fixed by the universe, and only the ids with parents have
@@ -167,9 +168,14 @@ class DerivationDB:
         self.depth = depth
         self.grid = target.grid
         self.budget = budget
+        # every reader of the tables builds argument tuples of each arity
+        for op, arity in sig.ops:
+            if arity > MAX_TERMS:
+                raise BudgetExceeded(f"signature: {op} takes {arity} arguments, more than the"
+                                     f" limit of {MAX_TERMS}")
         # counted up to the first layer past the limit: it grows doubly exponentially
         for d, n in enumerate(itertools.islice(layer_sizes(sig, target.carrier), max(depth, 1)), 1):
-            if n > MAX_TERMS:
+            if exceeds(n, MAX_TERMS):
                 count = f"{n} terms" if d == depth else f"at least the {n} terms of depth {d}"
                 raise BudgetExceeded(f"universe: depth {depth} has {count}, more than the limit"
                                      f" of {MAX_TERMS}")

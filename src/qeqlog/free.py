@@ -19,13 +19,12 @@ import itertools
 from collections.abc import Iterable, Mapping
 
 from ._record import Record
-from .errors import (BudgetExceeded, GridMismatch, NotAModel, NotNonexpansive,
-                     PreconditionViolation, QeqlogError)
+from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, PreconditionViolation,
+                     QeqlogError)
 from .deduce import DerivationDB, saturate
-from .gmet import (FuzzySpace, GMetSpec, charge_candidates, is_nonexpansive, nonexpansive_images,
-                   require_space)
-from .qalg import QuantAlgebra, Theory, is_model
-from .terms import Signature, Term, term_label, term_to_str
+from .gmet import FuzzySpace, GMetSpec, charge_candidates, is_nonexpansive
+from .qalg import QuantAlgebra, Theory, is_model, verdicts
+from .terms import Signature, Term, exceeds, power, term_label, term_to_str, total
 
 
 # an operation result beyond the depth bound: the hashcons' term outside the universe
@@ -112,10 +111,11 @@ class FreeAlgebra:
             raise BudgetExceeded(f"free algebra over {len(roots)} classes: its distance table of"
                                  f" {len(roots) ** 2} cells passes the limit of {MAX_CELLS}")
         # |classes|^arity entries per operation, bounded by the saturation's budget
-        entries = 0
+        counts = []
         for op, arity in base.sig.ops:
-            entries += len(roots) ** arity
-            if base.budget is not None and entries > base.budget:
+            counts.append(power(len(roots), arity))
+            entries = total(counts)
+            if base.budget is not None and exceeds(entries, base.budget):
                 raise BudgetExceeded(f"free algebra over {len(roots)} classes: the tables up to"
                                      f" {op} hold {entries} entries, more than the budget of {base.budget}")
         self.classes: tuple[Term, ...] = tuple(base.terms(roots))
@@ -145,6 +145,17 @@ class FreeAlgebra:
     def class_of(self, t: Term) -> int:
         return self.class_at(self.base.index_of(t))
 
+    def compiled(self, t: Term, names: tuple[str, ...]):
+        """``t`` as a function of one class per name: the class of ``t`` with
+        ``names[k]`` replaced by the representative of the k-th class, or
+        OVERFLOW when that term exceeds the depth bound."""
+        ids_of, rep_ids, class_at = self.base.compiled(t, names), self.rep_ids, self.class_at
+
+        def value(classes) -> int | None:
+            i = ids_of([rep_ids[c] for c in classes])
+            return OVERFLOW if i is None else class_at(i)
+        return value
+
     def class_name(self, c: int) -> str:
         return self.space.carrier[c]
 
@@ -166,40 +177,21 @@ def build_free(sig: Signature, theory: Theory, spec: GMetSpec, space: FuzzySpace
 
 
 def free_eval(f: FreeAlgebra, tau: Mapping[str, int], t: Term):
-    """Class of ``t`` with each variable x replaced by the representative of
-    the class ``tau[x]``, or OVERFLOW when that term exceeds the depth bound.
-    """
-    i = f.base.compiled(t, tuple(tau))([f.rep_ids[c] for c in tau.values()])
-    return OVERFLOW if i is None else f.class_at(i)
+    """Class of ``t`` under ``tau``, as :meth:`FreeAlgebra.compiled` reads it."""
+    return f.compiled(t, tuple(tau))(tuple(tau.values()))
 
 
 def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
                         budget: int | None = None) -> LawReport:
     """Every axiom must hold in the quotient under every nonexpansive
-    interpretation whose two sides stay within the depth bound. As in
-    :func:`~qeqlog.qalg.satisfies`, a context outside the spec or on another
-    grid is refused, and each side is compiled once, at the judgment's first
-    interpretation; the verdict comes from the algebra's own tables,
-    ``class_at`` and ``delta``."""
-    def outcomes():
-        for j in theory.judgments:
-            require_space(spec, j.context, "judgment context")
-            if f.space.grid != j.context.grid:
-                raise GridMismatch("algebra and judgment use different grids")
-            sides = None
-            for images in nonexpansive_images(j.context, f.space, budget):
-                # at the first interpretation: a context without one compiles nothing
-                sides = sides or [f.base.compiled(side, j.context.carrier) for side in (j.lhs, j.rhs)]
-                ids = [f.rep_ids[c] for c in images]
-                left, right = (side(ids) for side in sides)
-                if left is None or right is None:
-                    yield None
-                    continue
-                left, right = f.class_at(left), f.class_at(right)
-                ok = left == right if j.eps is None else f.delta[left][right] <= j.eps
-                yield ok or f"{j.describe()} under {dict(zip(j.context.carrier, map(f.class_name, images)))}"
-
-    return LawReport.tally(theory.name, outcomes())
+    interpretation whose two sides stay within the depth bound: the
+    verdicts of :func:`~qeqlog.qalg.verdicts` over :meth:`FreeAlgebra.compiled`
+    and the algebra's own ``delta``."""
+    judgments = theory.judgments
+    return LawReport.tally(theory.name, (
+        holds if holds is not False else f"{judgments[k].describe()} under"
+        f" {dict(zip(judgments[k].context.carrier, map(f.class_name, images)))}"
+        for k, images, holds in verdicts(f.space, f.delta, spec, judgments, f.compiled, budget)))
 
 
 def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
-from .terms import MAX_COMPILED_DEPTH
+from .terms import MAX_COMPILED_DEPTH, exceeds, number_text, power
 
 
 class EpsGrid(Record):
@@ -123,7 +123,14 @@ class FuzzySpace(Record):
         if not (isinstance(carrier, list) and isinstance(rows, list)
                 and all(isinstance(row, list) for row in rows)):
             raise TypeError(f"space carrier, dist and its rows must be JSON lists: {obj!r}")
-        return cls.of(grid, [str(a) for a in carrier], rows)
+        try:
+            return cls.of(grid, [str(a) for a in carrier], rows)
+        except ValueError:
+            # a distance too long for int() is named here, not by the interpreter
+            for v in itertools.chain.from_iterable(rows):
+                if isinstance(v, str):
+                    number_text(v, "distance")
+            raise
 
     def index(self, name: str) -> int:
         return self._idx[name]
@@ -352,8 +359,8 @@ def compile_clause(clause: HornClause, q: int):
     if solve:
         vectors = [(0,) * len(params)]
     else:
-        count = (q + 1) ** len(params)
-        if count > MAX_GRID_VECTORS:
+        count = power(q + 1, len(params))
+        if exceeds(count, MAX_GRID_VECTORS):
             raise BudgetExceeded(f"clause {clause.name!r}: {count} grid vectors, "
                                  f"more than the limit of {MAX_GRID_VECTORS}")
         vectors = list(itertools.product(range(q + 1), repeat=len(params)))
@@ -401,6 +408,12 @@ def clause_failures(compiled, cells: dict[int, int], q: int, n: int, tuples: Ite
                     yield a, reps, pvec, vals
 
 
+# the most assignments of one clause that check_space walks, refused before
+# the walk: 719 times the 5,832 of the largest check that a test or benchmark
+# query makes (MET's triangle over 18 points), and about 3 s
+MAX_ASSIGNMENTS = 2**22
+
+
 def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     """Instantiate every clause over the carrier; list the instances that fail.
 
@@ -408,13 +421,19 @@ def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     at its least parameter vector (every violating vector lies above it);
     any other clause lists every failing grid vector. Either way the first
     entry is that of the exhaustive reference loop in ``tests/oracle.py``.
+    A clause of more than ``MAX_ASSIGNMENTS`` assignments is refused before
+    any is walked.
     """
     m, q = len(sp.carrier), sp.grid.q
     cells = _cells(sp)
     out: list[Violation] = []
     for clause in spec.clauses:
+        k = len(clause.vars)
+        if exceeds(power(m, k), MAX_ASSIGNMENTS):
+            raise BudgetExceeded(f"clause {clause.name!r} over {m} points: {m}**{k} assignments,"
+                                 f" more than the limit of {MAX_ASSIGNMENTS}")
         compiled = compile_clause(clause, q)
-        tuples = itertools.product(range(m), repeat=len(clause.vars))
+        tuples = itertools.product(range(m), repeat=k)
         for a, _, _, vals in clause_failures(compiled, cells, q, m, tuples):
             names = tuple(zip(clause.vars, (sp.carrier[i] for i in a)))
             out.append(Violation(clause.name, names, tuple(zip(compiled[0], vals))))
@@ -495,16 +514,14 @@ def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[S
 
 def charge_candidates(base: int, exponent: int, budget: int | None, kind: str) -> int:
     """The ``base**exponent`` candidate ``kind`` that a check counts, refused
-    with ``BudgetExceeded`` above the budget. The message prints the count,
-    or ``base**exponent`` if it has more digits than ``str`` converts."""
-    total = base ** exponent
-    if budget is not None and total > budget:
-        try:
-            count = str(total)
-        except ValueError:
-            count = f"{base}**{exponent}"
+    with ``BudgetExceeded`` above the budget. The message prints the count as
+    :func:`~qeqlog.terms.power` gives it."""
+    if budget is None:
+        return base ** exponent
+    count = power(base, exponent)
+    if exceeds(count, budget):
         raise BudgetExceeded(f"{count} candidate {kind} exceed budget {budget}")
-    return total
+    return count
 
 
 def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace,

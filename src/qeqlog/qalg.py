@@ -4,15 +4,15 @@ An algebra is a fuzzy-relation space plus a total operation table per symbol;
 operations are arbitrary set functions, deliberately not required to be
 nonexpansive. A judgment quantifies over all nonexpansive interpretations of
 its context space, so satisfaction is decided by enumerating them.
-Interpretations are image tuples of carrier indices, searched once per context
-for all the judgments that one call checks, and each side of a judgment is
-compiled once into a function of such a tuple over the index tables (the
-compiler that substitution runs over the saturated hashcons).
+Interpretations are image tuples of carrier indices, and one loop,
+:func:`verdicts`, decides every model check: here over the index tables, and
+for the free algebra over the saturated hashcons.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import cached_property, partial
 
 from ._record import Record
@@ -26,7 +26,7 @@ from .gmet import (
     require_space,
 )
 from .terms import (Signature, Term, check_carrier, compile_term, fold_term, lookup, parse_term,
-                    term_to_str, term_vars)
+                    number_text, power, term_to_str, term_vars)
 
 
 class QuantAlgebra(Record):
@@ -42,8 +42,7 @@ class QuantAlgebra(Record):
             table = self.ops.get(name)
             if table is None:
                 raise ValueError(f"missing table for operation {name!r}")
-            expected = len(carrier) ** arity
-            if len(table) != expected:
+            if len(table) != power(len(carrier), arity):
                 raise ValueError(f"table for {name!r} is not total")
             for args, val in table.items():
                 if len(args) != arity or not set(args) <= carrier or val not in carrier:
@@ -111,7 +110,9 @@ class Judgment(Record):
             check_carrier(sig, ctx.carrier)
         lhs = parse_term(str(obj["lhs"]), sig, ctx.carrier)
         rhs = parse_term(str(obj["rhs"]), sig, ctx.carrier)
-        eps = None if obj.get("eps") is None else grid.value(obj["eps"])
+        eps = obj.get("eps")
+        if eps is not None:
+            eps = grid.value(number_text(eps, "eps") if isinstance(eps, str) else eps)
         return cls(ctx, lhs, rhs, eps)
 
     def describe(self) -> str:
@@ -134,53 +135,61 @@ class SatisfactionResult(Record):
     counterexample: dict[str, str] | None = None
 
 
-def satisfies(
-    alg: QuantAlgebra,
-    spec: GMetSpec,
-    j: Judgment,
-    budget: int | None = None,
-    *,
-    _maps: dict | None = None,
-) -> SatisfactionResult:
-    """Check one judgment against all nonexpansive interpretations of its context.
-
-    The interpretations are image tuples from one search per context, which
-    the judgments of one ``first_failure`` or ``entails_catalog`` call share
-    through ``_maps``; the budget still counts |B|^|X| for every judgment.
-    The counterexample, when present, is the first failing interpretation in
-    enumeration order, which is fixed by the carrier orders.
-    """
-    require_space(spec, alg.space, "algebra space")
-    require_space(spec, j.context, "judgment context")
-    if alg.space.grid != j.context.grid:
-        raise GridMismatch("algebra and judgment use different grids")
-    maps = {} if _maps is None else _maps
-    if j.context not in maps:
-        maps[j.context] = list(nonexpansive_images(j.context, alg.space, budget))
-    left, right = (compile_term(side, j.context.carrier, alg.index_tables) for side in (j.lhs, j.rhs))
-    dist, eps = alg.space.dist, j.eps
-    for tau in maps[j.context]:
-        a, b = left(tau), right(tau)
-        if a != b if eps is None else dist[a][b] > eps:
-            named = (alg.space.carrier[c] for c in tau)
-            return SatisfactionResult(False, dict(zip(j.context.carrier, named)))
-    return SatisfactionResult(True, None)
+def verdicts(space: FuzzySpace, dist: Sequence[Sequence[int]], spec: GMetSpec,
+             judgments: Sequence[Judgment], compile_side: Callable, budget: int | None = None
+             ) -> Iterator[tuple[int, tuple[int, ...], bool | None]]:
+    """(judgment index, image tuple, verdict) for each nonexpansive
+    interpretation into ``space`` of each judgment's context in turn, the
+    verdict None where a side is None. A context is checked against the spec
+    and grid when its judgment is reached, and searched once, the budget
+    charged as the search begins, and listed only if two judgments share it.
+    A side is ``compile_side(term, carrier)``, a function of the image tuple
+    into ``dist``'s indices, compiled at the judgment's first interpretation."""
+    shared, listed = Counter(j.context for j in judgments), {}
+    for k, j in enumerate(judgments):
+        ctx, eps = j.context, j.eps
+        require_space(spec, ctx, "judgment context")
+        if space.grid != ctx.grid:
+            raise GridMismatch("algebra and judgment use different grids")
+        if ctx not in listed:
+            search = nonexpansive_images(ctx, space, budget)
+            listed[ctx] = list(search) if shared[ctx] > 1 else search
+        left = None
+        for tau in listed[ctx]:
+            if left is None:
+                left, right = (compile_side(side, ctx.carrier) for side in (j.lhs, j.rhs))
+            a, b = left(tau), right(tau)
+            yield k, tau, None if a is None or b is None else (
+                a == b if eps is None else dist[a][b] <= eps)
 
 
-def first_failure(
-    alg: QuantAlgebra,
-    spec: GMetSpec,
-    theory: Theory,
-    budget: int | None = None,
-) -> tuple[Judgment, dict[str, str]] | None:
+def _first_failure(alg: QuantAlgebra, spec: GMetSpec, judgments: Sequence[Judgment],
+                   budget: int | None) -> tuple[int, dict[str, str]] | None:
+    """The index of the first judgment that fails in the algebra, whose space
+    is checked first if there is one, and its first failing interpretation."""
+    if judgments:
+        require_space(spec, alg.space, "algebra space")
+    for k, tau, holds in verdicts(alg.space, alg.space.dist, spec, judgments,
+                                  partial(compile_term, tables=alg.index_tables), budget):
+        if not holds:
+            return k, dict(zip(judgments[k].context.carrier, map(alg.space.carrier.__getitem__, tau)))
+    return None
+
+
+def satisfies(alg: QuantAlgebra, spec: GMetSpec, j: Judgment,
+              budget: int | None = None) -> SatisfactionResult:
+    """Check one judgment against all nonexpansive interpretations of its
+    context; the counterexample is the first that fails, in carrier order."""
+    failure = _first_failure(alg, spec, (j,), budget)
+    return SatisfactionResult(True) if failure is None else SatisfactionResult(False, failure[1])
+
+
+def first_failure(alg: QuantAlgebra, spec: GMetSpec, theory: Theory,
+                  budget: int | None = None) -> tuple[Judgment, dict[str, str]] | None:
     """The first judgment of the theory that fails in the algebra, with its
     first failing interpretation, or None when the algebra is a model."""
-    maps: dict = {}
-    for j in theory.judgments:
-        res = satisfies(alg, spec, j, budget, _maps=maps)
-        if not res.holds:
-            return j, res.counterexample
-    return None
+    failure = _first_failure(alg, spec, theory.judgments, budget)
+    return None if failure is None else (theory.judgments[failure[0]], failure[1])
 
 
 def is_model(
@@ -220,8 +229,8 @@ def entails_catalog(
     """
     for alg in catalog:
         require_space(spec, alg.space, "catalog algebra space")
-        maps: dict = {}
-        if all(satisfies(alg, spec, k, budget, _maps=maps).holds for k in theory.judgments) \
-                and not satisfies(alg, spec, j, budget, _maps=maps).holds:
+        # a theory judgment that fails first: alg is no model of the theory
+        failure = _first_failure(alg, spec, (*theory.judgments, j), budget)
+        if failure is not None and failure[0] == len(theory.judgments):
             return False
     return True

@@ -11,6 +11,7 @@ parsing, printing and results.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial
@@ -22,12 +23,26 @@ from .errors import QeqlogError, TrivialPair, UnknownVariable
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
+# the longest text of a number that is read: int() converts 4,300 digits by default
+MAX_DIGITS = 4_300
+
+
+def number_text(text: str, what: str) -> str:
+    """``text``, which holds a number, refused with an error that names
+    ``what`` when it is longer than ``MAX_DIGITS``."""
+    if len(text) > MAX_DIGITS:
+        raise QeqlogError(f"{what} is {len(text)} characters long, more than the limit of"
+                          f" {MAX_DIGITS}")
+    return text
+
+
 def whole(value, what: str) -> int | None:
     """A whole number read from an int, an integral float or a string of
     digits; None stays None. Anything else is an error that names ``what``."""
-    if isinstance(value, float) and value.is_integer() or \
-            isinstance(value, str) and value.strip().isdecimal():
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
+    elif isinstance(value, str) and value.strip().isdecimal():
+        value = int(number_text(value.strip(), what))
     elif value is not None and type(value) is not int:
         raise QeqlogError(f"{what} is not an integer: {value!r}")
     if value is not None and value < 0:
@@ -289,18 +304,50 @@ def compile_term(t: Term, names: Sequence[str], tables: Mapping[str, Mapping]) -
     return fold_term(t, lambda name: itemgetter(lookup(positions, name)), node)
 
 
-def layer_sizes(sig: Signature, carrier: Iterable[str]) -> Iterator[int]:
+# the most bits of a count that is computed: 2**14_000 has 4,215 digits, which
+# str prints; a larger count is past every limit, and is named as a power
+MAX_COUNT_BITS = 14_000
+
+
+def power(base: int, exponent: int) -> int | str:
+    """``base ** exponent``, or the text ``"base**exponent"`` when it has more
+    than ``MAX_COUNT_BITS`` bits, which is decided before it is computed."""
+    if base > 1 and exponent * math.log2(base) > MAX_COUNT_BITS:
+        return f"{base}**{exponent}"
+    return base ** exponent
+
+
+def total(counts: Iterable[int | str]) -> int | str:
+    """The sum of counts that :func:`power` gives: a number, or text when
+    one of them is text, the sum of the numbers then each text joined by
+    " + "."""
+    counts = list(counts)
+    texts = [c for c in counts if isinstance(c, str)]
+    number = sum(c for c in counts if not isinstance(c, str))
+    return " + ".join(([str(number)] if number else []) + texts) if texts else number
+
+
+def exceeds(count: int | str, limit: int) -> bool:
+    """Whether a count from :func:`power` or :func:`total` is more than
+    ``limit``: text always is."""
+    return isinstance(count, str) or count > limit
+
+
+def layer_sizes(sig: Signature, carrier: Iterable[str]) -> Iterator[int | str]:
     """``len(enumerate_universe(sig, carrier, d))`` for d = 1, 2, ..., lazily
     and without building it: each layer holds the leaves and every operation
-    over the layer below."""
+    over the layer below. After the first count that is text (:func:`total`),
+    every layer is "over" it."""
     leaves = len(dict.fromkeys(carrier)) + sum(1 for _, ar in sig.ops if ar == 0)
     size = leaves
     while True:
         yield size
-        size = leaves + sum(size ** ar for _, ar in sig.ops if ar > 0)
+        if isinstance(size, str):
+            yield from itertools.repeat(f"over {size}")
+        size = total([leaves, *(power(size, ar) for _, ar in sig.ops if ar > 0)])
 
 
-def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int:
+def universe_size(sig: Signature, carrier: Iterable[str], depth: int) -> int | str:
     """``len(enumerate_universe(sig, carrier, depth))`` (:func:`layer_sizes`)."""
     return next(itertools.islice(layer_sizes(sig, carrier), max(depth, 1) - 1, None))
 

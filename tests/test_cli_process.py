@@ -55,13 +55,23 @@ def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
 
 
 def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE,
-          stderr=subprocess.PIPE, timeout: float = 120) -> subprocess.CompletedProcess:
+          stderr=subprocess.PIPE, timeout: float = 120,
+          cap: int | None = None) -> subprocess.CompletedProcess:
+    """The CLI run as a process; ``cap``, when given, limits its address
+    space to that many bytes, so that a runaway fails fast on its own."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
     return subprocess.run([sys.executable, "-m", "qeqlog.cli", *argv], stdout=stdout,
-                          stderr=stderr, env=env, timeout=timeout)
+                          stderr=stderr, env=env, timeout=timeout,
+                          preexec_fn=None if cap is None else limit)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -161,6 +171,88 @@ def test_ump_past_str_is_refused_by_its_budget(tmp_path):
                   "--algebra", "BIG", "--map", '{"g": "p0"}'], unbuffered=False, timeout=10)
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == b"error: 127**2047 candidate maps exceed budget 1000000\n"
+
+
+# inputs that once ran away or printed the interpreter's limit on integer
+# strings, each refused now with one error line, in a child held to 512 MB:
+# a huge arity gave no result in 20 s, or that limit's message, or over one
+# point 3.0 GB of max RSS; the 8-variable clause walked 12**8 assignments;
+# and a number past 4,300 digits printed "Exceeds the limit (4300 digits)
+# ... use sys.set_int_max_str_digits()"
+CAP = 512 * 2**20
+DISTANCE = ["distance", "--theory", "EMPTY", "--target", "T", "--lhs", "a", "--rhs", "a"]
+FREE = ["free", "--theory", "EMPTY", "--space", "T"]
+THREE = {"carrier": ["a", "b", "c"],
+         "dist": [["0" if i == j else "1" for j in range(3)] for i in range(3)]}
+ONE = {"carrier": ["a"], "dist": [["0"]]}
+ARITY_LIMIT = b"error: signature: f takes 100000000 arguments, more than the limit of 131072\n"
+
+
+@pytest.mark.parametrize("arity, target, algebra, args, stderr", [
+    (10**5, THREE, False, ["--depth", "2", *DISTANCE],
+     b"error: universe: depth 2 has 3 + 3**100000 terms, more than the limit of 131072\n"),
+    (10**5, THREE, False, ["--depth", "1", *FREE],
+     b"error: free algebra over 3 classes: the tables up to f hold 3**100000 entries,"
+     b" more than the budget of 2000000\n"),
+    (10**8, THREE, False, ["--depth", "2", *DISTANCE], ARITY_LIMIT),
+    (10**8, THREE, False, ["--depth", "1", *FREE], ARITY_LIMIT),
+    (10**8, THREE, True, ["check-model", "--theory", "EMPTY", "--algebra", "A"],
+     b"error: table for 'f' is not total\n"),
+    (10**8, ONE, False, ["--depth", "2", *DISTANCE], ARITY_LIMIT),
+], ids=["universe-count", "free-tables", "universe-arity", "free-arity", "algebra-table",
+        "one-point-arity"])
+def test_huge_arity_is_refused_at_once(tmp_path, arity, target, algebra, args, stderr):
+    path = tmp_path / "arity.json"
+    path.write_text(json.dumps({
+        "grid": 4, "signature": {"ops": {"f": arity}}, "spec": {"preset": "MET"},
+        "spaces": {"T": target}, "theories": {"EMPTY": []},
+        "algebras": {"A": {"space": THREE, "ops": {"f": {"a": "a"}}}} if algebra else {},
+    }))
+    done = child(["--workspace", str(path), *args], unbuffered=False, timeout=10, cap=CAP)
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", stderr)
+
+
+def test_wide_clause_is_refused_before_its_walk(tmp_path):
+    points = [f"p{i}" for i in range(12)]
+    chain = [f"v{i}" for i in range(8)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "grid": 2, "signature": {"ops": {"u": 1}},
+        "spec": {"clauses": [{"name": "chain8", "vars": chain,
+                              "premises": [{"dist": [x, y, "1/2"]} for x, y in zip(chain, chain[1:])],
+                              "conclusion": {"dist": ["v0", "v7", "1"]}}]},
+        "spaces": {"T": {"carrier": points,
+                         "dist": [["0" if p == r else "1" for r in points] for p in points]}},
+        "theories": {"EMPTY": []},
+    }))
+    done = child(["--workspace", str(path), "--depth", "1", "--budget-instances", "1000",
+                  "distance", "--theory", "EMPTY", "--target", "T", "--lhs", "p0", "--rhs", "p1"],
+                 unbuffered=False, timeout=10, cap=CAP)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: clause 'chain8' over 12 points: 12**8 assignments,"
+                           b" more than the limit of 4194304\n")
+
+
+LONG = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize("edit, stderr", [
+    (lambda text: text.replace('"grid": 4', f'"grid": {LONG}'),
+     b"a number in the workspace JSON is 5000 characters long"),
+    (lambda text: text.replace('"grid": 4', f'"grid": "{LONG}"'), b"grid is 5000 characters long"),
+    (lambda text: text.replace('["0", "1/2"]', f'["0", "1/{LONG}"]', 1),
+     b"distance is 5002 characters long"),
+    (lambda text: text.replace('"eps": "0"', f'"eps": "0/{LONG}"'), b"eps is 5002 characters long"),
+], ids=["json-number", "grid", "distance", "eps"])
+def test_overlong_number_is_refused_by_name(tmp_path, edit, stderr):
+    text = pathlib.Path(WS).read_text(encoding="utf-8")
+    path = tmp_path / "long.json"
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    done = child(["--workspace", str(path), *CASES["distance-QUARTER"][1]], unbuffered=False,
+                 timeout=10, cap=CAP)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: " + stderr + b", more than the limit of 4300\n"
 
 
 @contextlib.contextmanager

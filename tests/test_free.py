@@ -6,6 +6,7 @@ import random
 import pytest
 
 import qeqlog.free as free_mod
+import qeqlog.qalg as qalg_mod
 from qeqlog.errors import (BudgetExceeded, GridMismatch, NotAModel, NotNonexpansive, QeqlogError,
                            SpecViolation)
 from qeqlog.free import (OVERFLOW, FreeAlgebra, LawReport, build_free, check_free_is_model, check_ump,
@@ -210,6 +211,23 @@ class TestFreeIsModel:
         rep = check_free_is_model(fa, th, MET)
         assert rep.checked + rep.skipped_overflow > 1
         assert len(calls) == 2 * len(th.judgments)
+
+    def test_shared_context_is_searched_once(self, ab_half, monkeypatch):
+        # two judgments on one context: one search serves both
+        th = Theory("T", (Judgment(ab_half, App("u", (Var("a"),)), Var("a"), 2),
+                          Judgment(ab_half, Var("a"), Var("b"), 2)))
+        fa = build_free(U_SIG, th, MET, ab_half, 3)
+        searched = []
+
+        def counted(src, dst, budget=None):
+            searched.append(src)
+            return nonexpansive_images(src, dst, budget)
+
+        monkeypatch.setattr(qalg_mod, "nonexpansive_images", counted)
+        rep = check_free_is_model(fa, th, MET)
+        assert searched == [ab_half]
+        interps = len(list(nonexpansive_images(ab_half, fa.space)))
+        assert interps > 1 and rep.checked + rep.skipped_overflow == 2 * interps
 
     def test_off_spec_context_is_refused_as_satisfies_refuses_it(self, ab_half, swap_algebra):
         skew = space(GRID, ["x", "y"], [["0", "1/4"], ["3/4", "0"]])

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from qeqlog.errors import BudgetExceeded, GridMismatch, SpecViolation, UnknownVariable
+from qeqlog.errors import BudgetExceeded, GridMismatch, QeqlogError, SpecViolation, UnknownVariable
 from qeqlog.gmet import FREL, MET, EpsGrid
 from qeqlog.qalg import (
     Judgment,
     QuantAlgebra,
+    SatisfactionResult,
     Theory,
     entails_catalog,
     eval_term,
@@ -118,6 +119,26 @@ class TestSatisfies:
         with pytest.raises(BudgetExceeded):
             satisfies(swap_algebra, MET, j, budget=3)
 
+    def test_sides_compile_at_the_first_interpretation(self, sig_u):
+        # a side nested 201 levels deep, past what compile_term takes: it is
+        # compiled, and refused, only when its context has an interpretation,
+        # and after the budget, as in the free algebra's model check
+        alg = QuantAlgebra(space(GRID, ["p"], [["1"]]), sig_u, {"u": {("p",): "p"}})
+        deep = Var("x")
+        for _ in range(200):
+            deep = App("u", (deep,))
+
+        def judgment(self_distance):
+            return Judgment(space(GRID, ["x"], [[self_distance]]), deep, Var("x"))
+
+        # p is at 1 from itself, so a context at 0 has no interpretation
+        assert satisfies(alg, FREL, judgment("0")) == SatisfactionResult(True)
+        with pytest.raises(QeqlogError, match="nested more than 200 levels deep"):
+            satisfies(alg, FREL, judgment("1"))
+        for d in ("0", "1"):
+            with pytest.raises(BudgetExceeded):
+                satisfies(alg, FREL, judgment(d), 0)
+
 
 class TestJudgment:
     def test_eps_off_the_grid(self, ab_half):
@@ -213,6 +234,18 @@ class TestEntailsCatalog:
         j = Judgment(ab_half, Var("a"), Var("a"), 0)
         assert not is_model(swap_algebra, MET, th)
         assert entails_catalog([swap_algebra], MET, th, j)
+
+    def test_judgment_of_the_theory_is_never_refuted(self, swap_algebra, ab_half, sig_u):
+        # u(a) = a fails in swap, a non-model; stay models it; the judgment
+        # itself, and an equal copy, come last in each check
+        stay = QuantAlgebra(swap_algebra.space, sig_u, {"u": {("p",): "p", ("q",): "q"}})
+        fixed = Judgment(ab_half, App("u", (Var("a"),)), Var("a"))
+        th = Theory("T", (Judgment(ab_half, Var("a"), Var("a")), fixed))
+        copy = Judgment(ab_half, App("u", (Var("a"),)), Var("a"))
+        for j in (fixed, copy):
+            assert entails_catalog([swap_algebra], MET, th, j)
+            assert entails_catalog([swap_algebra, stay], MET, th, j)
+        assert not entails_catalog([swap_algebra], MET, Theory("empty", ()), fixed)
 
 
 class TestAlgebraJson:

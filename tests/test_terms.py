@@ -20,11 +20,14 @@ from qeqlog.terms import (
     check_nontrivial,
     compile_term,
     enumerate_universe,
+    exceeds,
     parse_term,
+    power,
     term_depth,
     term_key,
     term_to_str,
     term_vars,
+    total,
     universe_nodes,
     universe_size,
 )
@@ -361,3 +364,24 @@ class TestSignature:
 
     def test_json_roundtrip(self):
         assert Signature.from_json({"ops": {"u": 1, "c": 0}}) == SIG_UC
+
+
+class TestCounts:
+    def test_power_past_its_bits_is_named_not_computed(self):
+        # 3**8000 has 12,680 bits and 3,818 digits; 127**2047 has 4,307 digits
+        assert power(3, 8000) == 3 ** 8000
+        assert power(127, 2047) == "127**2047"
+        assert power(3, 10**100) == f"3**{10**100}"
+        assert (power(0, 10**100), power(1, 10**100), power(5, 0)) == (0, 1, 1)
+
+    def test_total_keeps_the_text(self):
+        assert total([3, 4]) == 7
+        assert total([3, "3**100000", 2]) == "5 + 3**100000"
+        assert total([0, "3**100000"]) == "3**100000"
+        assert exceeds("3**100000", 10**18) and exceeds(11, 10) and not exceeds(10, 10)
+
+    def test_layer_past_its_bits_is_the_last(self):
+        sig = Signature.of({"f": 10**8, "c": 0})
+        assert universe_size(sig, ["a", "b"], 1) == 3
+        assert universe_size(sig, ["a", "b"], 2) == "3 + 3**100000000"
+        assert universe_size(sig, ["a", "b"], 5) == "over 3 + 3**100000000"
