@@ -335,7 +335,7 @@ class _Level:
                 value = argv[i]
                 i += 1
             try:
-                values[name] = kind(value)
+                values[name] = kind(number_text(value, f"option --{name}") if kind is int else value)
             except ValueError:
                 self.fail(f"option --{name} needs an integer, not {value!r}")
         return values, i

@@ -405,30 +405,35 @@ class DerivationDB:
             return f"{s} = {t}"
         return f"{s} ={self.grid.format(rest[0])} {t}"
 
-    def _expand_event(self, eid: int) -> TraceNode:
-        ev = self.events[eid]
-        children = tuple(self._expand_premise(p, eid) for p in ev.premises)
-        return TraceNode(ev.rule, ev.detail, self._fact_str(ev.conclusion), children)
+    def _build(self, proof) -> tuple[TraceNode, int]:
+        """The tree of ``proof`` and its depth, on its own stack. A proof is an
+        event id, standing for that event over the proofs of its premises, or
+        ``(rule, detail, conclusion, premise proofs)``."""
+        out: list = []
+        stack: list = [proof]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, int):
+                ev = self.events[p]
+                p = ev.rule, ev.detail, ev.conclusion, tuple([
+                    x[1] if x[0] == "axiom" else self._eq_tree(x[1], x[2]) if x[0] == "eq"
+                    else self._dist_tree(*x[1:], p) for x in ev.premises])
+            rule, detail, conclusion, premises = p
+            if isinstance(premises, tuple):
+                stack += ((rule, detail, conclusion, len(premises)), *reversed(premises))
+            else:  # (rule, detail, conclusion, count), popped once its premises are built
+                k = len(out) - premises
+                nodes, depths = zip(*out[k:]) if premises else ((), (0,))
+                out[k:] = [(TraceNode(rule, detail, self._fact_str(conclusion), nodes), 1 + max(depths))]
+        return out[0]
 
-    def _expand_premise(self, premise: tuple, eid: int) -> TraceNode:
-        kind = premise[0]
-        if kind == "axiom":
-            return self._expand_event(premise[1])
-        if kind == "eq":
-            return self._eq_tree(premise[1], premise[2])
-        _, i, j, eps = premise
-        return self._dist_tree(i, j, eps, eid)
-
-    def _dist_tree(self, i: int, j: int, eps: int, before: int) -> TraceNode:
-        """The derivation of d(i, j) <= eps from events before ``before``."""
+    def _dist_tree(self, i: int, j: int, eps: int, before: int):
+        """The proof of d(i, j) <= eps from events before ``before``."""
         for value, eid in self._history()[0].get((i, j), ()):
             if value <= eps and eid < before:
-                node = self._expand_event(eid)
-                if value < eps:
-                    node = TraceNode("MAX", None, self._fact_str(("dist", i, j, eps)), (node,))
-                return node
+                return eid if value == eps else ("MAX", None, ("dist", i, j, eps), (eid,))
         if eps == self.grid.q:
-            return TraceNode("ONEMAX", None, self._fact_str(("dist", i, j, eps)), ())
+            return "ONEMAX", None, ("dist", i, j, eps), ()
         raise UnknownFact(
             f"no derivation recorded for {self._fact_str(('dist', i, j, eps))}"
         )
@@ -455,18 +460,18 @@ class DerivationDB:
             j = u
         return path[::-1]
 
-    def _eq_tree(self, i: int, j: int) -> TraceNode:
+    def _eq_tree(self, i: int, j: int):
+        """The proof of i = j."""
         if i == j:
-            s = term_to_str(self.terms((i,))[0])
-            return TraceNode("REFL", None, f"{s} = {s}", ())
+            return "REFL", None, ("eq", i, i), ()
         # an "eq" premise names class members; walk the merge forest between them
         for u, v, eid in self._forest_path(i, j):
-            node = self._expand_event(eid)
+            proof = eid
             if self.events[eid].conclusion[1:3] != (u, v):
-                node = TraceNode("SYMM", None, self._fact_str(("eq", u, v)), (node,))
+                proof = "SYMM", None, ("eq", u, v), (proof,)
             if u != i:
-                node = TraceNode("TRANS", None, self._fact_str(("eq", i, v)), (tree, node))
-            tree = node
+                proof = "TRANS", None, ("eq", i, v), (tree, proof)
+            tree = proof
         return tree
 
 
@@ -821,11 +826,8 @@ def trace(db: DerivationDB, j: Judgment) -> TraceNode:
     if not derives(db, j):
         raise UnknownFact(f"{j.describe()} is not derived")
     li, ri = db.index_of(j.lhs), db.index_of(j.rhs)
-    tree = db._eq_tree(li, ri) if j.eps is None else \
-        db._dist_tree(db.find(li), db.find(ri), j.eps, len(db.events))
-    depth, level = 0, [tree]
-    while level:
-        depth, level = depth + 1, [c for node in level for c in node.children]
+    tree, depth = db._build(db._eq_tree(li, ri) if j.eps is None else
+                            db._dist_tree(db.find(li), db.find(ri), j.eps, len(db.events)))
     if depth > MAX_TRACE_DEPTH:
         raise BudgetExceeded(f"trace: the derivation is nested {depth} levels deep,"
                              f" more than the limit of {MAX_TRACE_DEPTH}")

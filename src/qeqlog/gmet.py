@@ -113,7 +113,8 @@ class FuzzySpace(Record):
     def of(cls, grid: EpsGrid, carrier: Iterable[str], dist_rows) -> "FuzzySpace":
         """Build from any grid-parseable entries (fractions, strings, floats)."""
         carrier = tuple(carrier)
-        rows = tuple(tuple(grid.value(v) for v in row) for row in dist_rows)
+        rows = tuple(tuple(grid.value(number_text(v, "distance") if isinstance(v, str) else v)
+                           for v in row) for row in dist_rows)
         return cls(grid, carrier, rows)
 
     @classmethod
@@ -123,14 +124,7 @@ class FuzzySpace(Record):
         if not (isinstance(carrier, list) and isinstance(rows, list)
                 and all(isinstance(row, list) for row in rows)):
             raise TypeError(f"space carrier, dist and its rows must be JSON lists: {obj!r}")
-        try:
-            return cls.of(grid, [str(a) for a in carrier], rows)
-        except ValueError:
-            # a distance too long for int() is named here, not by the interpreter
-            for v in itertools.chain.from_iterable(rows):
-                if isinstance(v, str):
-                    number_text(v, "distance")
-            raise
+        return cls.of(grid, [str(a) for a in carrier], rows)
 
     def index(self, name: str) -> int:
         return self._idx[name]
@@ -203,7 +197,7 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
 
     if isinstance(obj, str):
         try:
-            return EpsConst(Fraction(obj))
+            return EpsConst(Fraction(number_text(obj, "clause constant")))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad epsilon expression: {obj!r}") from None
     if isinstance(obj, (int, float)):

@@ -23,6 +23,7 @@ import pytest
 
 import qeqlog.cli as cli
 from test_cli_golden import CASES, FIXTURES
+from test_deduce import CHAIN_JUDGMENT, distance_chain
 
 ROOT = FIXTURES.parent.parent
 WS = str(FIXTURES / "workspace.json")
@@ -243,7 +244,11 @@ LONG = "1" + "0" * 4999
     (lambda text: text.replace('["0", "1/2"]', f'["0", "1/{LONG}"]', 1),
      b"distance is 5002 characters long"),
     (lambda text: text.replace('"eps": "0"', f'"eps": "0/{LONG}"'), b"eps is 5002 characters long"),
-], ids=["json-number", "grid", "distance", "eps"])
+    (lambda text: text.replace('{"preset": "MET"}', json.dumps({"clauses": [
+        {"name": "far", "vars": ["x"], "premises": [],
+         "conclusion": {"dist": ["x", "x", f"1/{LONG}"]}}]})),
+     b"clause constant is 5002 characters long"),
+], ids=["json-number", "grid", "distance", "eps", "clause-constant"])
 def test_overlong_number_is_refused_by_name(tmp_path, edit, stderr):
     text = pathlib.Path(WS).read_text(encoding="utf-8")
     path = tmp_path / "long.json"
@@ -253,6 +258,53 @@ def test_overlong_number_is_refused_by_name(tmp_path, edit, stderr):
                  timeout=10, cap=CAP)
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == b"error: " + stderr + b", more than the limit of 4300\n"
+
+
+@pytest.mark.parametrize("option", ["grid", "depth", "budget-interps", "budget-instances"])
+def test_overlong_option_is_refused_by_name(option):
+    done = child(["--workspace", WS, f"--{option}", LONG + "0", *CASES["distance-QUARTER"][1]],
+                 unbuffered=False, timeout=10, cap=CAP)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (f"error: option --{option} is 5001 characters long, more than the"
+                           f" limit of 4300\n").encode()
+
+
+# a trace is built on its own stack: 1,000 merges, 1,002 levels, are refused
+# with their depth, where a frame per level crashed from 246
+def test_distance_chain_past_the_depth_limit_is_exit_2(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(distance_chain(1000)))
+    done = child(["--workspace", str(path), "derive", "--theory", "CHAIN", "--target", "P",
+                  "--judgment", json.dumps(CHAIN_JUDGMENT), "--trace"],
+                 unbuffered=False, timeout=10, cap=CAP)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: trace: the derivation is nested 1002 levels deep,"
+                           b" more than the limit of 400\n")
+
+
+# a guard against a trace that takes a frame per proof level: under a
+# recursion limit of 100 or 150, the 100-merge chain's trace, 102 levels deep,
+# is built
+GUARD = """
+import json, sys
+from qeqlog.cli import Workspace
+from qeqlog.deduce import saturate, trace
+from qeqlog.qalg import Judgment
+
+ws = Workspace.from_json(json.loads(sys.argv[1]))
+db = saturate(ws.sig, ws.theories["CHAIN"], ws.spec, ws.spaces["P"], ws.depth)
+judgment = Judgment.from_json(json.loads(sys.argv[2]), ws.sig, ws.grid, ws.spaces)
+sys.setrecursionlimit(int(sys.argv[3]))
+print(trace(db, judgment).conclusion)
+"""
+
+
+@pytest.mark.parametrize("limit", [100, 150])
+def test_trace_takes_no_frame_per_proof_level(limit):
+    done = subprocess.run([sys.executable, "-c", GUARD, json.dumps(distance_chain(100)),
+                           json.dumps(CHAIN_JUDGMENT), str(limit)], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"c00000 =1/2 k\n", b"")
 
 
 @contextlib.contextmanager

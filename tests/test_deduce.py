@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qeqlog import deduce
+from qeqlog.cli import Workspace
 from qeqlog.errors import (
     BudgetExceeded,
     GridMismatch,
@@ -553,6 +554,22 @@ class TestTrace:
                                    " levels deep, more than the limit of 400$"):
                     trace(db, j)
 
+    # the distance chain's trace is built on its own stack: 300 merges give a
+    # 302-level tree, which replays, and 1,000 merges are refused with their
+    # exact depth
+    def test_distance_chain_trace_past_a_frame_per_level(self):
+        tree, ws = chain_trace(300)
+        depth, level = 0, [tree]
+        while level:
+            depth, level = depth + 1, [c for node in level for c in node.children]
+        assert (depth, tree.rule, tree.conclusion) == (302, "LCONG", "c00000 =1/2 k")
+        replay_node(tree, ws.spaces["P"], ws.grid)
+
+    def test_distance_chain_past_the_depth_limit_is_refused(self):
+        with pytest.raises(BudgetExceeded, match="^trace: the derivation is nested 1002 levels"
+                           " deep, more than the limit of 400$"):
+            chain_trace(1000)
+
     def test_every_saturated_fact_replays(self, ab_half):
         db = saturate(U_SIG, unary_axiom_quarter(GRID), MET, ab_half, 2)
         for i, s in enumerate(db.universe):
@@ -564,6 +581,33 @@ class TestTrace:
                     assert leaf.rule in AXIOM_LEAVES or leaf.rule == "HORN"
                 if db.same(db.index_of(s), db.index_of(t)):
                     replay_node(trace(db, Judgment(ab_half, s, t)), ab_half, GRID)
+
+
+def distance_chain(n: int) -> dict:
+    """The workspace of a chain of n merges whose trace of ``CHAIN_JUDGMENT``,
+    c00000 =1/2 k, is n + 2 levels deep: over an empty context, c<n> =1/2 k,
+    then c<n-1> = c<n>, ..., c00000 = c00001, under FREL at grid 2 and depth
+    1, over the one-point target P. The names are zero-padded so that ids
+    follow the chain, and each merge carries the distance to k one constant
+    down (LCONG)."""
+    names = [f"c{i:05d}" for i in range(n + 1)]
+    return {
+        "grid": 2, "signature": {"ops": {**dict.fromkeys(names, 0), "k": 0}},
+        "spec": {"preset": "FREL"}, "budgets": {"depth": 1},
+        "spaces": {"E": {"carrier": [], "dist": []}, "P": {"carrier": ["p"], "dist": [["0"]]}},
+        "theories": {"CHAIN": [{"context": "E", "lhs": names[-1], "rhs": "k", "eps": "1/2"}] + [
+            {"context": "E", "lhs": s, "rhs": t} for s, t in zip(names[-2::-1], names[:0:-1])]},
+    }
+
+
+CHAIN_JUDGMENT = {"context": "P", "lhs": "c00000", "rhs": "k", "eps": "1/2"}
+
+
+def chain_trace(n: int):
+    """The trace of ``CHAIN_JUDGMENT`` over :func:`distance_chain` of n, and its workspace."""
+    ws = Workspace.from_json(distance_chain(n))
+    db = saturate(ws.sig, ws.theories["CHAIN"], ws.spec, ws.spaces["P"], ws.depth)
+    return trace(db, Judgment.from_json(CHAIN_JUDGMENT, ws.sig, ws.grid, ws.spaces)), ws
 
 
 def _walk(node):

@@ -83,7 +83,7 @@ def test_value_agrees_with_fraction(q, x):
     if isinstance(want, tuple) and want[0] is ZeroDivisionError:
         want = (GridMismatch, f"zero denominator in {x!r}")
     grid = EpsGrid(q)
-    # the second read of a str or int is the remembered one
+    # a second read of the same value gives the same outcome
     assert outcome(grid.value, x) == want
     assert outcome(grid.value, x) == want
 
