@@ -33,6 +33,8 @@ BUDGET_INTERPS = 1_000_000
 # the encoder's chunks that one write of a report joins: on an `equational`
 # free report, 512 of them hold at most 34 KB as strings and join into 10 KB
 EMIT_BATCH = 512
+# the most characters of a message that an error line prints
+MAX_MESSAGE = 2000
 
 
 class Workspace(Record):
@@ -81,8 +83,7 @@ def load_workspace(path: str, overrides) -> Workspace:
     """The workspace in a JSON file, with the ``grid``, ``depth``,
     ``budget_interps`` and ``budget_instances`` of ``overrides`` put in its
     place where they are not None; JSON of the wrong shape is a QeqlogError."""
-    obj = _read_json(path, "workspace", inline=False)
-    try:
+    def build(obj) -> Workspace:
         if overrides.grid is not None:
             obj["grid"] = overrides.grid
         budgets = obj.setdefault("budgets", {})
@@ -92,24 +93,36 @@ def load_workspace(path: str, overrides) -> Workspace:
             if value is not None:
                 budgets[key] = value
         return Workspace.from_json(obj)
-    except (TypeError, AttributeError) as exc:
-        raise QeqlogError(f"malformed workspace: {exc}") from None
+
+    return _read_json(path, "workspace", inline=False, build=build)
 
 
-def _read_json(source: str, what: str, inline: bool):
-    """The JSON value of ``source``, the text itself if ``inline``, else the
-    file at that path. JSON nested past the decoder's recursion limit is a
-    QeqlogError, not a traceback, and so is a number too long to read."""
+def _read_json(source: str, what: str, inline: bool, build):
+    """``build`` of the JSON value of ``source``: the text itself if
+    ``inline``, else the file at that path. JSON nested too deeply, a number
+    too long to read, and a TypeError, AttributeError or KeyError of
+    ``build`` on a wrong shape or a missing key are each a QeqlogError."""
     def parse_int(text: str) -> int:
         return int(number_text(text, f"a number in the {what} JSON"))
 
     try:
         if inline:
-            return json.loads(source, parse_int=parse_int)
-        with open(source, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=parse_int)
+            obj = json.loads(source, parse_int=parse_int)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                obj = json.load(fh, parse_int=parse_int)
     except RecursionError:
         raise QeqlogError(f"{what} JSON is nested too deeply") from None
+    try:
+        return build(obj)
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise QeqlogError(f"malformed {what}: {exc}") from None
+
+
+def _clipped(message: str) -> str:
+    """``message`` whole up to MAX_MESSAGE characters, else its head and its length."""
+    head = message[:MAX_MESSAGE]
+    return head if head == message else f"{head}… ({len(message)} characters)"
 
 
 def _named(kind: str, table: dict, name: str):
@@ -120,11 +133,8 @@ def _named(kind: str, table: dict, name: str):
 
 def _judgment(ws: Workspace, raw: str) -> Judgment:
     """A judgment given inline as JSON or as the path of a JSON file."""
-    obj = _read_json(raw, "judgment", inline=raw.lstrip().startswith("{"))
-    try:
-        return Judgment.from_json(obj, ws.sig, ws.grid, ws.spaces)
-    except (TypeError, AttributeError) as exc:
-        raise QeqlogError(f"malformed judgment: {exc}") from None
+    return _read_json(raw, "judgment", inline=raw.lstrip().startswith("{"),
+                      build=lambda obj: Judgment.from_json(obj, ws.sig, ws.grid, ws.spaces))
 
 
 def _report(ws: Workspace, laws=(), **fields) -> dict:
@@ -211,7 +221,7 @@ def cmd_monad_laws(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_ump(ws: Workspace, args) -> tuple[dict, bool]:
-    gen_map = _read_json(args.map, "generator map", inline=True)
+    gen_map = _read_json(args.map, "generator map", inline=True, build=lambda obj: obj)
     fa = build_free(ws.sig, args.theory, ws.spec, args.space, ws.depth, ws.budget_instances)
     res = check_ump(fa, args.algebra, gen_map, ws.budget_interps)
     report = _report(ws, exists=res.exists, unique=res.unique, candidates=res.candidates)
@@ -282,7 +292,7 @@ class _Level:
         return "\n".join(lines)
 
     def fail(self, message: str):
-        print(self.usage(), f"{self.prog}: error: {message}", sep="\n", file=sys.stderr)
+        print(self.usage(), f"{self.prog}: error: {_clipped(message)}", sep="\n", file=sys.stderr)
         raise SystemExit(2)
 
     def options(self, token: str) -> list[str]:
@@ -399,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QeqlogError, OSError, ValueError, KeyError) as exc:
         # stderr may be the stream that failed
         with contextlib.suppress(OSError):
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {_clipped(str(exc))}", file=sys.stderr)
         return 2
     return 0 if holds else 1
 

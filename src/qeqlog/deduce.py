@@ -400,10 +400,7 @@ class DerivationDB:
             j = self.theory.judgments[conclusion[1]]
             return f"axiom {j.describe()}"
         _, i, jj, *rest = conclusion
-        s, t = map(term_to_str, self.terms((i, jj)))
-        if kind == "eq":
-            return f"{s} = {t}"
-        return f"{s} ={self.grid.format(rest[0])} {t}"
+        return Judgment(self.target, *self.terms((i, jj)), *rest).describe()
 
     def _build(self, proof) -> tuple[TraceNode, int]:
         """The tree of ``proof`` and its depth, on its own stack. A proof is an

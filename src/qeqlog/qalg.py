@@ -53,17 +53,9 @@ class QuantAlgebra(Record):
     @classmethod
     def from_json(cls, obj, sig: Signature, grid: EpsGrid) -> "QuantAlgebra":
         space = FuzzySpace.from_json(obj["space"], grid)
-        ops: dict[str, dict[tuple[str, ...], str]] = {}
-        for name, arity in sig.ops:
-            raw = obj["ops"].get(name)
-            if raw is None:
-                raise ValueError(f"missing table for operation {name!r}")
-            if arity == 0:
-                ops[name] = {(): str(raw)}
-            else:
-                ops[name] = {
-                    tuple(str(k).split(",")): str(v) for k, v in raw.items()
-                }
+        ops = {name: {(): str(raw)} if arity == 0 else
+               {tuple(str(k).split(",")): str(v) for k, v in raw.items()}
+               for name, arity in sig.ops if (raw := obj["ops"].get(name)) is not None}
         stray = sorted(set(obj["ops"]) - set(sig.symbols))
         if stray:
             raise ValueError(f"table for operation {stray[0]!r}, which the signature lacks")

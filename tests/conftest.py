@@ -14,6 +14,14 @@ from qeqlog.terms import App, Signature, Var
 GRID4 = EpsGrid(4)
 
 
+def error_line(message: str, prefix: str = "error: ") -> str:
+    """The CLI's error line of ``message``: all of it up to 2,000 characters,
+    else its first 2,000 and its length."""
+    if len(message) > 2000:
+        message = f"{message[:2000]}… ({len(message)} characters)"
+    return f"{prefix}{message}\n"
+
+
 def space(grid, carrier, rows) -> FuzzySpace:
     return FuzzySpace.of(grid, carrier, rows)
 

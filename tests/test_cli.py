@@ -11,6 +11,8 @@ import qeqlog.cli as cli
 import qeqlog.monad as monad
 from qeqlog.cli import COMMANDS, main
 
+from conftest import error_line
+
 
 WS = str(pathlib.Path(__file__).parent / "fixtures" / "workspace.json")
 WS_NOOPS = str(pathlib.Path(__file__).parent / "fixtures" / "workspace_noops.json")
@@ -415,19 +417,23 @@ class TestErrors:
         (["spaces", "AB", "carrier"], "ab"),
         (["spaces", "AB", "dist"], "01"),
         (["spaces", "AB", "dist", 1], "10"),
+        # a key left out
+        (["spaces", "AB"], {"carrier": ["a", "b"]}),
+        (["algebras", "swap"], {"space": {"carrier": ["p"], "dist": [["0"]]}}),
     ], ids=["signature", "spaces", "carrier", "dist", "theory", "judgment", "ops",
             "budgets", "top-level", "string-space", "string-carrier", "string-dist",
-            "string-row"])
+            "string-row", "no-dist", "no-ops"])
     def test_wrong_shape_is_an_error(self, capsys, tmp_path, keys, value):
         code, out, err = run(capsys, "--workspace", _edited(tmp_path, keys, value), "distance",
                              "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
         assert (code, out) == (2, "") and err.startswith("error: malformed workspace: ")
 
     def test_wrong_shape_inline_judgment_is_an_error(self, capsys):
-        j = json.dumps({"context": 5, "lhs": "a", "rhs": "a"})
-        code, out, err = run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY",
-                             "--target", "AB", "--judgment", j)
-        assert (code, out) == (2, "") and err.startswith("error: malformed judgment: ")
+        for j, stderr in [({"context": 5, "lhs": "a", "rhs": "a"}, "error: malformed judgment: "),
+                          ({"context": "AB", "rhs": "a"}, "error: malformed judgment: 'lhs'\n")]:
+            code, out, err = run(capsys, "--workspace", WS, "derive", "--theory", "EMPTY",
+                                 "--target", "AB", "--judgment", json.dumps(j))
+            assert (code, out) == (2, "") and err.startswith(stderr), j
 
     @pytest.mark.parametrize("context", [{"carrier": "ab", "dist": [["0", "1"], ["1", "0"]]},
                                          {"carrier": ["a", "b"], "dist": ["01", "10"]}],
@@ -451,7 +457,7 @@ class TestErrors:
         lhs = "u(" * levels + "a" + ")" * levels
         assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
                    "--lhs", lhs, "--rhs", "b") == (
-            2, "", f"error: {lhs} is outside the depth-3 universe\n")
+            2, "", error_line(f"{lhs} is outside the depth-3 universe"))
 
     @pytest.mark.parametrize("levels", [500, 5000])
     def test_deep_term_is_not_evaluated(self, capsys, levels):
@@ -464,7 +470,8 @@ class TestErrors:
     def test_deep_term_with_a_bad_tail_is_an_error(self, capsys, levels):
         lhs = "u(" * levels + "a" + ")" * (levels + 1)
         assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
-                   "--lhs", lhs, "--rhs", "b") == (2, "", f"error: trailing tokens in {lhs!r}\n")
+                   "--lhs", lhs, "--rhs", "b") == (
+            2, "", error_line(f"trailing tokens in {lhs!r}"))
 
     # an axiom deeper than the universe has no instance in it, so saturation
     # never evaluates it; a model check must

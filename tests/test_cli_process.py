@@ -22,6 +22,7 @@ import sys
 import pytest
 
 import qeqlog.cli as cli
+from conftest import error_line
 from test_cli_golden import CASES, FIXTURES
 from test_deduce import CHAIN_JUDGMENT, distance_chain
 
@@ -267,6 +268,46 @@ def test_overlong_option_is_refused_by_name(option):
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == (f"error: option --{option} is 5001 characters long, more than the"
                            f" limit of 4300\n").encode()
+
+
+def distance_ab(lhs: str = "a", theory: str = "EMPTY") -> list[str]:
+    return ["distance", "--theory", theory, "--target", "AB", "--lhs", lhs, "--rhs", "b"]
+
+
+FAR = {"name": "far", "vars": ["x"], "premises": [],
+       "conclusion": {"dist": ["x", "x", ["1/2"] * 3000]}}
+LONG_CARRIER = {"carrier": "c" * 10000, "dist": [["0", "1/2"], ["1/2", "0"]]}
+DEEP = "u(" * 20000 + "a" + ")" * 20000
+OPTION = "--" + "z" * 60000
+
+
+# an error that quotes a long input prints one bounded line, where each of
+# these printed the input whole, in 10 KB to 120 KB of stderr
+@pytest.mark.parametrize("edit, argv, last_line", [
+    (lambda ws: ws.update(spec={"clauses": [FAR]}), distance_ab(),
+     error_line(f"bad epsilon expression: {['1/2'] * 3000!r}").encode()),
+    (lambda ws: ws["spaces"].update(AB=LONG_CARRIER), distance_ab(),
+     error_line("malformed workspace: space carrier, dist and its rows must be JSON"
+                f" lists: {LONG_CARRIER!r}").encode()),
+    (None, distance_ab(lhs=DEEP), error_line(f"{DEEP} is outside the depth-3 universe").encode()),
+    (None, distance_ab(lhs="n" * 60000),
+     error_line(f"unknown name {'n' * 60000!r} in {'n' * 60000!r}").encode()),
+    (None, distance_ab(theory="T" * 50000), error_line(f"unknown theory {'T' * 50000!r}").encode()),
+    (None, [OPTION, *distance_ab()],
+     error_line(f"unrecognized option {OPTION!r}", "qeqlog: error: ").encode()),
+], ids=["clause-constant", "carrier", "deep-lhs", "long-name", "long-theory", "long-option"])
+def test_error_quoting_a_long_input_is_one_bounded_line(tmp_path, edit, argv, last_line):
+    path = tmp_path / "ws.json"
+    ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
+    if edit is not None:
+        edit(ws)
+    path.write_text(json.dumps(ws))
+    done = child(["--workspace", str(path), *argv], unbuffered=False, timeout=10, cap=CAP)
+    assert (done.returncode, done.stdout) == (2, b"")
+    # a usage error also prints its usage line first
+    lines = done.stderr.splitlines(keepends=True)
+    assert (len(lines), lines[-1]) == (1 + (argv[0] == OPTION), last_line)
+    assert len(last_line) < 2100
 
 
 # a trace is built on its own stack: 1,000 merges, 1,002 levels, are refused

@@ -6,13 +6,15 @@ share, compared by terms, not by universe ids.
 - Refining the grid from q to 2q, with every target distance, context
   distance and axiom bound doubled, gives the same classes and the same
   distances as fractions.
-- Adding an axiom never splits a class and never raises a distance.
+- Adding an axiom, or lowering the distance between two target points,
+  never splits a class and never raises a distance.
 
 Each draw is seeded: {u/1, f/2} under MET, PMET or FREL, two or three
 target points (two at depth 3), one or two random axioms over one or two context points,
 q in {2, 4}, depth 2 or 3. An instance budget bounds a draw's cost: a draw
 whose runs pass it is not compared, and each relation must compare most
-of its draws.
+of its draws. A target is lowered only where the result is still a space of
+the spec: a draw with no such lowering is not compared either.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from functools import partial
 
 from qeqlog.deduce import saturate
 from qeqlog.errors import BudgetExceeded
-from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace
+from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, check_space
 from qeqlog.qalg import Judgment, Theory
 from qeqlog.terms import Signature, Var, apply_subst, term_to_str
 
@@ -120,19 +122,40 @@ def test_refining_the_grid_keeps_classes_and_distances():
     assert compared >= MIN_COMPARED
 
 
+def _lowered(rng: random.Random, spec, target: FuzzySpace) -> FuzzySpace | None:
+    """The target with the distance between two of its points lowered both
+    ways to a smaller grid value: the first such target, in a seeded order,
+    that is a space of ``spec``, or None if there is none."""
+    d, n = target.dist, len(target.carrier)
+    options = [(i, j, v) for i in range(n) for j in range(i + 1, n)
+               for v in range(max(d[i][j], d[j][i]))]
+    rng.shuffle(options)
+    for i, j, v in options:
+        dist = [list(row) for row in d]
+        dist[i][j], dist[j][i] = min(d[i][j], v), min(d[j][i], v)
+        lowered = FuzzySpace(target.grid, target.carrier, tuple(map(tuple, dist)))
+        if not check_space(spec, lowered):
+            return lowered
+    return None
+
+
 def test_an_added_axiom_never_splits_a_class_or_raises_a_distance():
-    compared = 0
+    compared = {"axiom": 0, "lowered": 0}
     for seed in DRAWS:
         spec, target, theory, depth = _draw(seed, "add")
         extra = _axioms(random.Random(seed), target.grid, spec, 1)
-        larger = Theory(theory.name, theory.judgments + extra)
-        dbs = _saturated((theory, spec, target, depth), (larger, spec, target, depth))
-        if dbs is None:
-            continue
-        compared += 1
-        (classes, dist), (big_classes, big_dist) = map(_facts, dbs)
-        owner = {t: c for c in big_classes for t in c}
-        assert all(len({owner[t] for t in c}) == 1 for c in classes), seed
-        for (c, d), value in dist.items():
-            assert big_dist[owner[next(iter(c))], owner[next(iter(d))]] <= value, seed
-    assert compared >= MIN_COMPARED
+        runs = {"axiom": (Theory(theory.name, theory.judgments + extra), spec, target, depth)}
+        lowered = _lowered(random.Random(f"lower-{seed}"), spec, target)
+        if lowered is not None:
+            runs["lowered"] = (theory, spec, lowered, depth)
+        for name, run in runs.items():
+            dbs = _saturated((theory, spec, target, depth), run)
+            if dbs is None:
+                continue
+            compared[name] += 1
+            (classes, dist), (big_classes, big_dist) = map(_facts, dbs)
+            owner = {t: c for c in big_classes for t in c}
+            assert all(len({owner[t] for t in c}) == 1 for c in classes), (name, seed)
+            for (c, d), value in dist.items():
+                assert big_dist[owner[next(iter(c))], owner[next(iter(d))]] <= value, (name, seed)
+    assert min(compared.values()) >= MIN_COMPARED, compared

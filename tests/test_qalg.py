@@ -277,6 +277,21 @@ class TestAlgebraJson:
             QuantAlgebra(pq_half, sig_u, ops)
         assert str(exc.value) == message
 
+    # from_json builds the tables it finds and leaves a missing one to the
+    # constructor's check, which takes the operations in signature order: of
+    # two faults, one that comes first there, or a stray table, is reported
+    @pytest.mark.parametrize("ops, message", [
+        ({"u": {"p": "q"}}, "table for 'u' is not total"),
+        ({"v": {"p": "q", "q": "p"}, "w": {"p": "p", "q": "q"}},
+         "table for operation 'w', which the signature lacks"),
+    ], ids=["missing-v-partial-u", "missing-u-stray-w"])
+    def test_first_of_two_faults_from_json(self, ops, message):
+        sig = Signature.of({"u": 1, "v": 1})
+        obj = {"space": {"carrier": ["p", "q"], "dist": [["0", "1/2"], ["1/2", "0"]]}, "ops": ops}
+        with pytest.raises(ValueError) as exc:
+            QuantAlgebra.from_json(obj, sig, GRID)
+        assert str(exc.value) == message
+
     def test_partial_table_rejected(self, pq_half, sig_u):
         with pytest.raises(ValueError):
             QuantAlgebra(pq_half, sig_u, {"u": {("p",): "q"}})
