@@ -16,25 +16,13 @@ import sys
 from types import SimpleNamespace
 
 from ._record import Record
-from .deduce import derives, saturate, trace
+from .deduce import BUDGET_INSTANCES, derives, saturate, trace
 from .errors import QeqlogError
 from .free import OVERFLOW, build_free, check_free_is_model, check_ump
-from .gmet import EpsGrid, FuzzySpace, GMetSpec
+from .gmet import BUDGET_INTERPS, EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
 from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
-from .terms import Signature, check_carrier, number_text, parse_term, whole
-
-
-# the budgets of a workspace that sets none: over ten times the most that
-# any test or benchmark query counts, 151,503 rule instances (a test) and
-# 46,656 candidate maps (the `models` benchmark's `ump`)
-BUDGET_INSTANCES = 2_000_000
-BUDGET_INTERPS = 1_000_000
-# the encoder's chunks that one write of a report joins: on an `equational`
-# free report, 512 of them hold at most 34 KB as strings and join into 10 KB
-EMIT_BATCH = 512
-# the most characters of a message that an error line prints
-MAX_MESSAGE = 2000
+from .terms import Signature, check_carrier, clipped, number_text, parse_term, whole
 
 
 class Workspace(Record):
@@ -45,8 +33,8 @@ class Workspace(Record):
     theories: dict[str, Theory]
     algebras: dict[str, QuantAlgebra]
     depth: int = 3
-    budget_interps: int | None = None
-    budget_instances: int | None = None
+    budget_interps: int = BUDGET_INTERPS
+    budget_instances: int = BUDGET_INSTANCES
 
     @classmethod
     def from_json(cls, obj) -> "Workspace":
@@ -117,12 +105,6 @@ def _read_json(source: str, what: str, inline: bool, build):
         return build(obj)
     except (TypeError, AttributeError, KeyError) as exc:
         raise QeqlogError(f"malformed {what}: {exc}") from None
-
-
-def _clipped(message: str) -> str:
-    """``message`` whole up to MAX_MESSAGE characters, else its head and its length."""
-    head = message[:MAX_MESSAGE]
-    return head if head == message else f"{head}… ({len(message)} characters)"
 
 
 def _named(kind: str, table: dict, name: str):
@@ -292,7 +274,7 @@ class _Level:
         return "\n".join(lines)
 
     def fail(self, message: str):
-        print(self.usage(), f"{self.prog}: error: {_clipped(message)}", sep="\n", file=sys.stderr)
+        print(self.usage(), f"{self.prog}: error: {clipped(message)}", sep="\n", file=sys.stderr)
         raise SystemExit(2)
 
     def options(self, token: str) -> list[str]:
@@ -400,16 +382,14 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, option, _named(kind, getattr(ws, table), getattr(args, option)))
         report, holds = args.func(ws, args)
         # what print(json.dumps(report, sort_keys=True, indent=2)) prints, never joined whole
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-        for batch in iter(lambda: "".join(itertools.islice(chunks, EMIT_BATCH)), ""):
-            sys.stdout.write(batch)
+        json.dump(report, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
         # a report that cannot be written whole is an error here, not at exit
         sys.stdout.flush()
     except (QeqlogError, OSError, ValueError, KeyError) as exc:
         # stderr may be the stream that failed
         with contextlib.suppress(OSError):
-            print(f"error: {_clipped(str(exc))}", file=sys.stderr)
+            print(f"error: {clipped(str(exc))}", file=sys.stderr)
         return 2
     return 0 if holds else 1
 

@@ -86,6 +86,10 @@ from .terms import (
 # 0.1 GB at the 0.8 KB of max RSS per term that MET without axioms takes
 MAX_TERMS = 2**17
 
+# the instance budget of a saturation that sets none: over ten times the most
+# that any test or benchmark query counts, 151,503 rule instances (a test)
+BUDGET_INSTANCES = 2_000_000
+
 # the deepest derivation a trace returns: TraceNode.to_json and json's encoder
 # each take two frames a level, leaving 200 of the default limit of 1,000
 MAX_TRACE_DEPTH = 400
@@ -160,7 +164,7 @@ class DerivationDB:
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
-                 target: FuzzySpace, depth: int, budget: int | None):
+                 target: FuzzySpace, depth: int, budget: int = BUDGET_INSTANCES):
         self.sig = sig
         self.theory = theory
         self.spec = spec
@@ -486,7 +490,7 @@ def _validate_inputs(sig: Signature, theory: Theory, spec: GMetSpec,
 
 
 def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
-             depth: int, budget: int | None = None) -> DerivationDB:
+             depth: int, budget: int = BUDGET_INSTANCES) -> DerivationDB:
     """Run all rules to their least fixpoint over the bounded universe."""
     _validate_inputs(sig, theory, spec, target)
     db = DerivationDB(sig, theory, spec, target, depth, budget)
@@ -677,7 +681,7 @@ def _counted(db: DerivationDB, items, per_item: int = 1):
     for item in items:
         # counted inline, not by a call: every rule pass takes its tuples here
         db.instances += per_item
-        if budget is not None and db.instances > budget:
+        if db.instances > budget:
             raise db._over_budget()
         yield item
 

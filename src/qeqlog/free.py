@@ -21,8 +21,8 @@ from collections.abc import Iterable, Mapping
 from ._record import Record
 from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, PreconditionViolation,
                      QeqlogError)
-from .deduce import DerivationDB, saturate
-from .gmet import FuzzySpace, GMetSpec, charge_candidates, is_nonexpansive
+from .deduce import BUDGET_INSTANCES, DerivationDB, saturate
+from .gmet import BUDGET_INTERPS, FuzzySpace, GMetSpec, charge_candidates, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, is_model, verdicts
 from .terms import Signature, Term, exceeds, power, term_label, term_to_str, total
 
@@ -115,7 +115,7 @@ class FreeAlgebra:
         for op, arity in base.sig.ops:
             counts.append(power(len(roots), arity))
             entries = total(counts)
-            if base.budget is not None and exceeds(entries, base.budget):
+            if exceeds(entries, base.budget):
                 raise BudgetExceeded(f"free algebra over {len(roots)} classes: the tables up to"
                                      f" {op} hold {entries} entries, more than the budget of {base.budget}")
         self.classes: tuple[Term, ...] = tuple(base.terms(roots))
@@ -171,7 +171,7 @@ class FreeAlgebra:
 
 
 def build_free(sig: Signature, theory: Theory, spec: GMetSpec, space: FuzzySpace,
-               depth: int, budget: int | None = None) -> FreeAlgebra:
+               depth: int, budget: int = BUDGET_INSTANCES) -> FreeAlgebra:
     """Saturate and package the quotient: classes, delta, op tables, unit."""
     return FreeAlgebra(saturate(sig, theory, spec, space, depth, budget))
 
@@ -182,7 +182,7 @@ def free_eval(f: FreeAlgebra, tau: Mapping[str, int], t: Term):
 
 
 def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
-                        budget: int | None = None) -> LawReport:
+                        budget: int = BUDGET_INTERPS) -> LawReport:
     """Every axiom must hold in the quotient under every nonexpansive
     interpretation whose two sides stay within the depth bound: the
     verdicts of :func:`~qeqlog.qalg.verdicts` over :meth:`FreeAlgebra.compiled`
@@ -191,11 +191,11 @@ def check_free_is_model(f: FreeAlgebra, theory: Theory, spec: GMetSpec,
     return LawReport.tally(theory.name, (
         holds if holds is not False else f"{judgments[k].describe()} under"
         f" {dict(zip(judgments[k].context.carrier, map(f.class_name, images)))}"
-        for k, images, holds in verdicts(f.space, f.delta, spec, judgments, f.compiled, budget)))
+        for k, images, holds in verdicts(f.space, spec, judgments, f.compiled, budget)))
 
 
 def extend_hom(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
-               budget: int | None = None) -> dict[int, str]:
+               budget: int = BUDGET_INTERPS) -> dict[int, str]:
     """The homomorphic extension: class of s maps to the evaluation of s.
 
     Requires a generator map from exactly the generators into the target's
@@ -235,7 +235,7 @@ class UmpResult(Record):
 
 
 def check_ump(f: FreeAlgebra, alg: QuantAlgebra, gen_map: Mapping[str, str],
-              budget: int | None = None) -> UmpResult:
+              budget: int = BUDGET_INTERPS) -> UmpResult:
     """Existence and uniqueness of the extension among the maps from classes
     to the target carrier that are nonexpansive, agree with every non-OVERFLOW
     table entry and extend the generator map, for ``f`` as :func:`build_free`

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
-from .terms import MAX_COMPILED_DEPTH, exceeds, number_text, power
+from .terms import MAX_COMPILED_DEPTH, exceeds, number_text, power, quoted
 
 
 class EpsGrid(Record):
@@ -199,7 +199,7 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
         try:
             return EpsConst(Fraction(number_text(obj, "clause constant")))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad epsilon expression: {obj!r}") from None
+            raise ValueError(f"bad epsilon expression: {quoted(obj)}") from None
     if isinstance(obj, (int, float)):
         return EpsConst(Fraction(str(obj)))
     if isinstance(obj, dict):
@@ -210,7 +210,7 @@ def eps_expr_from_json(obj, room: int = MAX_COMPILED_DEPTH) -> EpsExpr:
             return EpsPlus(tuple(eps_expr_from_json(t, room - 1) for t in obj["plus"]))
         if "min1" in obj:
             return EpsMin1(eps_expr_from_json(obj["min1"], room - 1))
-    raise ValueError(f"bad epsilon expression: {obj!r}")
+    raise ValueError(f"bad epsilon expression: {quoted(obj)}")
 
 
 class EqAtom(Record):
@@ -244,14 +244,16 @@ class HornClause(Record):
             *self.premises, self.conclusion) if isinstance(atom, DistAtom)))))
 
 
-def _atom_from_json(obj) -> Atom:
-    if "eq" in obj:
-        x, y = obj["eq"]
-        return EqAtom(str(x), str(y))
-    if "dist" in obj:
-        x, y, e = obj["dist"]
-        return DistAtom(str(x), str(y), eps_expr_from_json(e))
-    raise ValueError(f"bad atom: {obj!r}")
+def _atom_from_json(obj, clause: str) -> Atom:
+    """The atom ``{"eq": [x, y]}`` or ``{"dist": [x, y, eps]}``; a list of
+    another length is a TypeError that names the atom and its clause."""
+    for kind, size in (("eq", 2), ("dist", 3)):
+        if kind in obj:
+            if not (isinstance(obj[kind], list) and len(obj[kind]) == size):
+                raise TypeError(f"atom {quoted(obj)} of clause {quoted(clause)} needs {size} entries")
+            x, y, *eps = obj[kind]
+            return DistAtom(str(x), str(y), eps_expr_from_json(eps[0])) if eps else EqAtom(str(x), str(y))
+    raise ValueError(f"bad atom: {quoted(obj)}")
 
 
 class GMetSpec(Record):
@@ -267,16 +269,12 @@ class GMetSpec(Record):
                 return PRESETS[obj["preset"]]
             except KeyError:
                 raise ValueError(f"unknown preset {obj['preset']!r}") from None
-        clauses = tuple(
-            HornClause(
-                name=str(c.get("name", f"clause{i}")),
-                vars=tuple(str(v) for v in c["vars"]),
-                premises=tuple(_atom_from_json(p) for p in c.get("premises", [])),
-                conclusion=_atom_from_json(c["conclusion"]),
-            )
-            for i, c in enumerate(obj["clauses"])
-        )
-        return cls(str(obj.get("name", "user")), clauses)
+        clauses = []
+        for i, c in enumerate(obj["clauses"]):
+            name, names = str(c.get("name", f"clause{i}")), tuple(str(v) for v in c["vars"])
+            atoms = [_atom_from_json(a, name) for a in (*c.get("premises", []), c["conclusion"])]
+            clauses.append(HornClause(name, names, tuple(atoms[:-1]), atoms[-1]))
+        return cls(str(obj.get("name", "user")), tuple(clauses))
 
 
 _REFL = HornClause("refl", ("x",), (), DistAtom("x", "x", EpsConst(0)))
@@ -506,12 +504,15 @@ def images_within(sd, cells: dict[int, int], q: int, n: int, choices: Sequence[S
         reads.pop()
 
 
-def charge_candidates(base: int, exponent: int, budget: int | None, kind: str) -> int:
+# the interpretation budget of a check that sets none: over ten times the most
+# that any test or benchmark query counts, 46,656 maps (the `models` `ump`)
+BUDGET_INTERPS = 1_000_000
+
+
+def charge_candidates(base: int, exponent: int, budget: int, kind: str) -> int:
     """The ``base**exponent`` candidate ``kind`` that a check counts, refused
     with ``BudgetExceeded`` above the budget. The message prints the count as
     :func:`~qeqlog.terms.power` gives it."""
-    if budget is None:
-        return base ** exponent
     count = power(base, exponent)
     if exceeds(count, budget):
         raise BudgetExceeded(f"{count} candidate {kind} exceed budget {budget}")
@@ -519,7 +520,7 @@ def charge_candidates(base: int, exponent: int, budget: int | None, kind: str) -
 
 
 def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace,
-                        budget: int | None = None) -> Iterator[tuple[int, ...]]:
+                        budget: int = BUDGET_INTERPS) -> Iterator[tuple[int, ...]]:
     """The total nonexpansive maps src -> dst as image tuples (entry i is the
     dst index of src point i), from :func:`images_within` over dst's points.
     The budget counts all |dst|^|src| candidates, when iteration begins."""
@@ -528,9 +529,8 @@ def nonexpansive_images(src: FuzzySpace, dst: FuzzySpace,
     yield from images_within(src.dist, _cells(dst), dst.grid.q, m, [range(m)] * len(src.carrier))
 
 
-def enumerate_nonexpansive(
-    src: FuzzySpace, dst: FuzzySpace, budget: int | None = None
-) -> list[dict[str, str]]:
+def enumerate_nonexpansive(src: FuzzySpace, dst: FuzzySpace,
+                           budget: int = BUDGET_INTERPS) -> list[dict[str, str]]:
     """All total nonexpansive maps src -> dst, in carrier-product order: the
     maps of :func:`nonexpansive_images`, by name."""
     named = dst.carrier.__getitem__

@@ -23,8 +23,9 @@ from .errors import (
     PreconditionViolation,
     QeqlogError,
 )
+from .deduce import BUDGET_INSTANCES
 from .free import FreeAlgebra, LawReport, OVERFLOW, build_free
-from .gmet import FuzzySpace, GMetSpec, is_nonexpansive
+from .gmet import BUDGET_INTERPS, FuzzySpace, GMetSpec, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, is_homomorphism, is_model
 from .terms import Signature
 
@@ -38,7 +39,7 @@ class MonadInstance:
     """
 
     def __init__(self, sig: Signature, theory: Theory, spec: GMetSpec,
-                 depth: int, budget: int | None = None):
+                 depth: int, budget: int = BUDGET_INSTANCES):
         self.sig = sig
         self.theory = theory
         self.spec = spec
@@ -150,7 +151,7 @@ class EMCandidate(Record):
     h: Mapping[str, str]
 
 
-def em_from_model(mi: MonadInstance, alg: QuantAlgebra, budget: int | None = None) -> EMCandidate:
+def em_from_model(mi: MonadInstance, alg: QuantAlgebra, budget: int = BUDGET_INTERPS) -> EMCandidate:
     """Structure map of a model: evaluate each class representative in it.
 
     ``budget`` bounds the interpretations of the model check, as in
@@ -217,15 +218,9 @@ def model_from_em(mi: MonadInstance, cand: EMCandidate) -> tuple[QuantAlgebra, l
     return QuantAlgebra(cand.space, mi.sig, ops), reports
 
 
-def check_hom_image_model(
-    alg_a: QuantAlgebra,
-    alg_b: QuantAlgebra,
-    f: Mapping[str, str],
-    g: Mapping[str, str],
-    theory: Theory,
-    spec: GMetSpec,
-    budget: int | None = None,
-) -> bool:
+def check_hom_image_model(alg_a: QuantAlgebra, alg_b: QuantAlgebra, f: Mapping[str, str],
+                          g: Mapping[str, str], theory: Theory, spec: GMetSpec,
+                          budget: int = BUDGET_INTERPS) -> bool:
     """Homomorphic image along a map with a nonexpansive right inverse models
     everything the domain models; checks the hypotheses, then the conclusion."""
     if not is_homomorphism(f, alg_a, alg_b):

@@ -18,6 +18,7 @@ from functools import cached_property, partial
 from ._record import Record
 from .errors import GridMismatch
 from .gmet import (
+    BUDGET_INTERPS,
     EpsGrid,
     FuzzySpace,
     GMetSpec,
@@ -127,8 +128,8 @@ class SatisfactionResult(Record):
     counterexample: dict[str, str] | None = None
 
 
-def verdicts(space: FuzzySpace, dist: Sequence[Sequence[int]], spec: GMetSpec,
-             judgments: Sequence[Judgment], compile_side: Callable, budget: int | None = None
+def verdicts(space: FuzzySpace, spec: GMetSpec, judgments: Sequence[Judgment], compile_side: Callable,
+             budget: int = BUDGET_INTERPS
              ) -> Iterator[tuple[int, tuple[int, ...], bool | None]]:
     """(judgment index, image tuple, verdict) for each nonexpansive
     interpretation into ``space`` of each judgment's context in turn, the
@@ -136,8 +137,8 @@ def verdicts(space: FuzzySpace, dist: Sequence[Sequence[int]], spec: GMetSpec,
     and grid when its judgment is reached, and searched once, the budget
     charged as the search begins, and listed only if two judgments share it.
     A side is ``compile_side(term, carrier)``, a function of the image tuple
-    into ``dist``'s indices, compiled at the judgment's first interpretation."""
-    shared, listed = Counter(j.context for j in judgments), {}
+    into the space's indices, compiled at the judgment's first interpretation."""
+    shared, listed, dist = Counter(j.context for j in judgments), {}, space.dist
     for k, j in enumerate(judgments):
         ctx, eps = j.context, j.eps
         require_space(spec, ctx, "judgment context")
@@ -155,13 +156,13 @@ def verdicts(space: FuzzySpace, dist: Sequence[Sequence[int]], spec: GMetSpec,
                 a == b if eps is None else dist[a][b] <= eps)
 
 
-def _first_failure(alg: QuantAlgebra, spec: GMetSpec, judgments: Sequence[Judgment],
-                   budget: int | None) -> tuple[int, dict[str, str]] | None:
+def _first_failure(alg: QuantAlgebra, spec: GMetSpec, judgments: Sequence[Judgment], budget: int
+                   ) -> tuple[int, dict[str, str]] | None:
     """The index of the first judgment that fails in the algebra, whose space
     is checked first if there is one, and its first failing interpretation."""
     if judgments:
         require_space(spec, alg.space, "algebra space")
-    for k, tau, holds in verdicts(alg.space, alg.space.dist, spec, judgments,
+    for k, tau, holds in verdicts(alg.space, spec, judgments,
                                   partial(compile_term, tables=alg.index_tables), budget):
         if not holds:
             return k, dict(zip(judgments[k].context.carrier, map(alg.space.carrier.__getitem__, tau)))
@@ -169,27 +170,22 @@ def _first_failure(alg: QuantAlgebra, spec: GMetSpec, judgments: Sequence[Judgme
 
 
 def satisfies(alg: QuantAlgebra, spec: GMetSpec, j: Judgment,
-              budget: int | None = None) -> SatisfactionResult:
+              budget: int = BUDGET_INTERPS) -> SatisfactionResult:
     """Check one judgment against all nonexpansive interpretations of its
     context; the counterexample is the first that fails, in carrier order."""
     failure = _first_failure(alg, spec, (j,), budget)
     return SatisfactionResult(True) if failure is None else SatisfactionResult(False, failure[1])
 
 
-def first_failure(alg: QuantAlgebra, spec: GMetSpec, theory: Theory,
-                  budget: int | None = None) -> tuple[Judgment, dict[str, str]] | None:
+def first_failure(alg: QuantAlgebra, spec: GMetSpec, theory: Theory, budget: int = BUDGET_INTERPS
+                  ) -> tuple[Judgment, dict[str, str]] | None:
     """The first judgment of the theory that fails in the algebra, with its
     first failing interpretation, or None when the algebra is a model."""
     failure = _first_failure(alg, spec, theory.judgments, budget)
     return None if failure is None else (theory.judgments[failure[0]], failure[1])
 
 
-def is_model(
-    alg: QuantAlgebra,
-    spec: GMetSpec,
-    theory: Theory,
-    budget: int | None = None,
-) -> bool:
+def is_model(alg: QuantAlgebra, spec: GMetSpec, theory: Theory, budget: int = BUDGET_INTERPS) -> bool:
     return first_failure(alg, spec, theory, budget) is None
 
 
@@ -206,13 +202,8 @@ def is_homomorphism(f: Mapping[str, str], a: QuantAlgebra, b: QuantAlgebra) -> b
     return True
 
 
-def entails_catalog(
-    catalog: Sequence[QuantAlgebra],
-    spec: GMetSpec,
-    theory: Theory,
-    j: Judgment,
-    budget: int | None = None,
-) -> bool:
+def entails_catalog(catalog: Sequence[QuantAlgebra], spec: GMetSpec, theory: Theory, j: Judgment,
+                    budget: int = BUDGET_INTERPS) -> bool:
     """Necessary condition for semantic entailment, over a finite catalog.
 
     Only catalog members are inspected, so a True answer means no listed model

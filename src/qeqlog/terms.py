@@ -36,6 +36,36 @@ def number_text(text: str, what: str) -> str:
     return text
 
 
+# the most characters of a message that an error line prints
+MAX_MESSAGE = 2000
+
+
+def clipped(message: str) -> str:
+    """``message`` whole up to MAX_MESSAGE characters, else its head and its length."""
+    head = message[:MAX_MESSAGE]
+    return head if head == message else f"{head}… ({len(message)} characters)"
+
+
+def quoted(value) -> str:
+    """``repr(value)`` of an input that an error names, each string, list and
+    dict in it cut to its first MAX_MESSAGE characters or items before repr
+    is taken: :func:`clipped` prints no more of it. The cut is iterative, as
+    JSON nests deeper than a frame per level allows."""
+    def cut(v):
+        if isinstance(v, dict):
+            return {cut(k): x for k, x in itertools.islice(v.items(), MAX_MESSAGE)}
+        return v[:MAX_MESSAGE] if isinstance(v, (str, list)) else v
+    root = [value]
+    todo = [root]
+    while todo:
+        container = todo.pop()
+        for k in range(len(container)) if isinstance(container, list) else list(container):
+            container[k] = cut(container[k])
+            if isinstance(container[k], (list, dict)):
+                todo.append(container[k])
+    return repr(root[0])
+
+
 def whole(value, what: str) -> int | None:
     """A whole number read from an int, an integral float or a string of
     digits; None stays None. Anything else is an error that names ``what``."""
@@ -198,13 +228,13 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ValueError(f"cannot tokenize term at {text[pos:]!r}")
+            raise ValueError(f"cannot tokenize term at {quoted(text[pos:])}")
         tokens.append(m.group(1))
         pos = m.end()
 
     def token(i: int) -> str:
         if i >= len(tokens):
-            raise ValueError(f"unexpected end of term in {text!r}")
+            raise ValueError(f"unexpected end of term in {quoted(text)}")
         return tokens[i]
 
     # the applications still open, innermost last, with their arguments so far
@@ -213,7 +243,7 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
     while True:
         name = token(i)
         if name in ("(", ")", ","):
-            raise ValueError(f"unexpected {name!r} in {text!r}")
+            raise ValueError(f"unexpected {name!r} in {quoted(text)}")
         if tokens[i + 1:i + 2] == ["("]:
             i += 2
             if token(i) != ")":
@@ -225,7 +255,7 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
         elif arities.get(name) == 0:
             term, i = App(name, ()), i + 1
         else:
-            raise ValueError(f"unknown name {name!r} in {text!r}")
+            raise ValueError(f"unknown name {quoted(name)} in {quoted(text)}")
         # the term just read is an argument: close each application it ends
         while open_apps:
             open_apps[-1][1].append(term)
@@ -233,17 +263,17 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
                 i += 1
                 break
             if token(i) != ")":
-                raise ValueError(f"expected ',' or ')' in {text!r}")
+                raise ValueError(f"expected ',' or ')' in {quoted(text)}")
             op, args = open_apps.pop()
             term, i = App(op, tuple(args)), i + 1
         else:
             break
     if i != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
+        raise ValueError(f"trailing tokens in {quoted(text)}")
     # the first application in preorder with an unknown symbol or another arity
     error = fold_term(term, lambda name: None, lambda op, errors: (
-        f"unknown operation {op!r}" if op not in arities else
-        f"arity mismatch for {op!r}" if arities[op] != len(errors) else
+        f"unknown operation {quoted(op)}" if op not in arities else
+        f"arity mismatch for {quoted(op)}" if arities[op] != len(errors) else
         next(filter(None, errors), None)))
     if error:
         raise ValueError(error)

@@ -17,7 +17,8 @@ import itertools
 
 from qeqlog.errors import BudgetExceeded, GridMismatch
 from qeqlog.free import OVERFLOW, UmpResult, extend_hom
-from qeqlog.gmet import Atom, DistAtom, EqAtom, Violation, is_nonexpansive, require_space
+from qeqlog.gmet import (BUDGET_INTERPS, Atom, DistAtom, EqAtom, Violation, is_nonexpansive,
+                         require_space)
 from qeqlog.qalg import SatisfactionResult, eval_term
 from qeqlog.terms import App, Var, apply_subst, enumerate_universe
 
@@ -179,7 +180,7 @@ def check_space_exhaustive(spec, sp) -> list[Violation]:
     return out
 
 
-def satisfies_exhaustive(alg, spec, j, budget=None) -> SatisfactionResult:
+def satisfies_exhaustive(alg, spec, j, budget=BUDGET_INTERPS) -> SatisfactionResult:
     """Every one of the |B|^|X| maps from the context into the algebra's
     carrier, in product order, filtered by ``is_nonexpansive`` and evaluated
     by ``eval_term``; the first that fails is the counterexample."""
@@ -200,7 +201,7 @@ def satisfies_exhaustive(alg, spec, j, budget=None) -> SatisfactionResult:
     return SatisfactionResult(True, None)
 
 
-def first_failure_exhaustive(alg, spec, theory, budget=None):
+def first_failure_exhaustive(alg, spec, theory, budget=BUDGET_INTERPS):
     """(index, counterexample) of the first failing judgment, or None."""
     for k, j in enumerate(theory.judgments):
         res = satisfies_exhaustive(alg, spec, j, budget)
@@ -224,7 +225,7 @@ def _is_quotient_hom(f, alg, g) -> bool:
     return True
 
 
-def check_ump_exhaustive(f, alg, gen_map, budget=None) -> UmpResult:
+def check_ump_exhaustive(f, alg, gen_map, budget=BUDGET_INTERPS) -> UmpResult:
     """Existence and uniqueness of the extension, by exhausting all maps.
 
     Uniqueness quantifies over every function from classes to the target

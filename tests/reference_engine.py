@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import itertools
 
-from qeqlog.deduce import DerivationDB, _validate_inputs
+from qeqlog.deduce import BUDGET_INSTANCES, DerivationDB, _validate_inputs
 from qeqlog.gmet import FuzzySpace, GMetSpec, compile_clause
 from qeqlog.qalg import Theory
 from qeqlog.terms import Signature, Var
 
 
 def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
-             depth: int, budget: int | None = None) -> DerivationDB:
+             depth: int, budget: int = BUDGET_INSTANCES) -> DerivationDB:
     """Run all rules to their least fixpoint over the bounded universe."""
     _validate_inputs(sig, theory, spec, target)
     db = DerivationDB(sig, theory, spec, target, depth, budget)

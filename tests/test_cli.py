@@ -180,7 +180,7 @@ class TestFree:
 
     def test_report_of_many_batches_prints_as_json_dumps(self, capsys, tmp_path):
         # {u/1, f/2} over two points at depth 3: 74 classes, so the report is
-        # streamed in several writes
+        # written in thousands of chunks
         path = tmp_path / "ws.json"
         path.write_text(json.dumps({
             "grid": 4, "signature": {"ops": {"u": 1, "f": 2}}, "spec": {"preset": "FREL"},
@@ -193,7 +193,7 @@ class TestFree:
         args.theory, args.space = ws.theories["EMPTY"], ws.spaces["S"]
         report, _ = cli.cmd_free(ws, args)
         chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-        assert sum(1 for _ in chunks) > 3 * cli.EMIT_BATCH
+        assert sum(1 for _ in chunks) > 1536
         expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert run(capsys, *argv) == (0, expected, "")
         # a query that fails before its report prints nothing on stdout
@@ -420,9 +420,11 @@ class TestErrors:
         # a key left out
         (["spaces", "AB"], {"carrier": ["a", "b"]}),
         (["algebras", "swap"], {"space": {"carrier": ["p"], "dist": [["0"]]}}),
+        # a clause atom of the wrong length
+        (["spec"], {"clauses": [{"name": "short", "vars": ["x"], "conclusion": {"dist": ["x"]}}]}),
     ], ids=["signature", "spaces", "carrier", "dist", "theory", "judgment", "ops",
             "budgets", "top-level", "string-space", "string-carrier", "string-dist",
-            "string-row", "no-dist", "no-ops"])
+            "string-row", "no-dist", "no-ops", "short-atom"])
     def test_wrong_shape_is_an_error(self, capsys, tmp_path, keys, value):
         code, out, err = run(capsys, "--workspace", _edited(tmp_path, keys, value), "distance",
                              "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
@@ -471,7 +473,7 @@ class TestErrors:
         lhs = "u(" * levels + "a" + ")" * (levels + 1)
         assert run(capsys, "--workspace", WS, "distance", "--theory", "EMPTY", "--target", "AB",
                    "--lhs", lhs, "--rhs", "b") == (
-            2, "", error_line(f"trailing tokens in {lhs!r}"))
+            2, "", error_line(f"trailing tokens in {lhs[:2000]!r}"))
 
     # an axiom deeper than the universe has no instance in it, so saturation
     # never evaluates it; a model check must

@@ -57,10 +57,11 @@ def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
 
 
 def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE,
-          stderr=subprocess.PIPE, timeout: float = 120,
-          cap: int | None = None) -> subprocess.CompletedProcess:
-    """The CLI run as a process; ``cap``, when given, limits its address
-    space to that many bytes, so that a runaway fails fast on its own."""
+          stderr=subprocess.PIPE, timeout: float = 120, cap: int | None = None,
+          program: tuple[str, ...] = ("-m", "qeqlog.cli")) -> subprocess.CompletedProcess:
+    """The CLI run as a process, or another ``program`` of the interpreter;
+    ``cap``, when given, limits its address space to that many bytes, so
+    that a runaway fails fast on its own."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if unbuffered:
@@ -71,7 +72,7 @@ def child(argv: list[str], unbuffered: bool, stdout=subprocess.PIPE,
 
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    return subprocess.run([sys.executable, "-m", "qeqlog.cli", *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *program, *argv], stdout=stdout,
                           stderr=stderr, env=env, timeout=timeout,
                           preexec_fn=None if cap is None else limit)
 
@@ -282,16 +283,17 @@ OPTION = "--" + "z" * 60000
 
 
 # an error that quotes a long input prints one bounded line, where each of
-# these printed the input whole, in 10 KB to 120 KB of stderr
+# these printed the input whole, in 10 KB to 120 KB of stderr; a term and a
+# clause constant are quoted from their first 2,000 characters or items
 @pytest.mark.parametrize("edit, argv, last_line", [
     (lambda ws: ws.update(spec={"clauses": [FAR]}), distance_ab(),
-     error_line(f"bad epsilon expression: {['1/2'] * 3000!r}").encode()),
+     error_line(f"bad epsilon expression: {['1/2'] * 2000!r}").encode()),
     (lambda ws: ws["spaces"].update(AB=LONG_CARRIER), distance_ab(),
      error_line("malformed workspace: space carrier, dist and its rows must be JSON"
                 f" lists: {LONG_CARRIER!r}").encode()),
     (None, distance_ab(lhs=DEEP), error_line(f"{DEEP} is outside the depth-3 universe").encode()),
     (None, distance_ab(lhs="n" * 60000),
-     error_line(f"unknown name {'n' * 60000!r} in {'n' * 60000!r}").encode()),
+     error_line(f"unknown name {'n' * 2000!r} in {'n' * 2000!r}").encode()),
     (None, distance_ab(theory="T" * 50000), error_line(f"unknown theory {'T' * 50000!r}").encode()),
     (None, [OPTION, *distance_ab()],
      error_line(f"unrecognized option {OPTION!r}", "qeqlog: error: ").encode()),
@@ -308,6 +310,35 @@ def test_error_quoting_a_long_input_is_one_bounded_line(tmp_path, edit, argv, la
     lines = done.stderr.splitlines(keepends=True)
     assert (len(lines), lines[-1]) == (1 + (argv[0] == OPTION), last_line)
     assert len(last_line) < 2100
+
+
+# the library's default budgets, which the CLI's are, refuse these calls at
+# once, where an unbounded call ran out of memory
+LIBRARY = """
+from qeqlog import FREL, BudgetExceeded, EpsGrid, FuzzySpace, Signature, Theory
+from qeqlog import build_free, enumerate_nonexpansive
+
+pair = FuzzySpace(EpsGrid(2), ("a", "b"), ((0, 1), (1, 0)))
+eight = FuzzySpace(EpsGrid(2), tuple("abcdefgh"),
+                   tuple(tuple(2 * (i != j) for j in range(8)) for i in range(8)))
+try:
+    {call}
+except BudgetExceeded as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("call, message", [
+    ("build_free(Signature.of({'f': 3}), Theory('E', ()), FREL, pair, 3)",
+     "free algebra over 1002 classes: the tables up to f hold 1006012008 entries, more than"
+     " the budget of 2000000"),
+    ("enumerate_nonexpansive(eight, eight)",
+     "16777216 candidate interpretations exceed budget 1000000"),
+], ids=["build-free", "enumerate-nonexpansive"])
+def test_library_call_without_a_budget_is_refused_at_once(call, message):
+    done = child([], unbuffered=False, timeout=10, cap=CAP,
+                 program=("-c", LIBRARY.format(call=call)))
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{message}\n".encode(), b"")
 
 
 # a trace is built on its own stack: 1,000 merges, 1,002 levels, are refused

@@ -24,6 +24,7 @@ from qeqlog.errors import (
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model, satisfies
 from qeqlog.deduce import (
+    BUDGET_INSTANCES,
     DerivationDB,
     derives,
     distance,
@@ -227,7 +228,7 @@ class TestBudgetNamesPhase:
             deep = App("u", (deep,))
         th = Theory("DEEP", (Judgment(sp, deep, Var("x"), 1),))
         too_deep = "a term nested more than 200 levels deep cannot be evaluated"
-        for budget in (None, 1011, 1012, 5000):
+        for budget in (BUDGET_INSTANCES, 1011, 1012, 5000):
             with pytest.raises(QeqlogError, match=too_deep) as exc:
                 saturate(U_SIG, th, MET, sp, 202, budget=budget)
             assert not isinstance(exc.value, BudgetExceeded)
@@ -265,7 +266,7 @@ class TestRulePasses:
         # between passes a rule's frame keeps its parts, not the pass's roots
         # tuple or worklist, which grow with the universe
         th = _mixed(ab_half)
-        db = DerivationDB(U_SIG, th, MET, ab_half, 3, None)
+        db = DerivationDB(U_SIG, th, MET, ab_half, 3)
         rules = [deduce._horn_rule(c, db) for c in MET.clauses] + [
             deduce._subst_rule(k, j, db) for k, j in enumerate(th.judgments)]
         for _ in range(2):

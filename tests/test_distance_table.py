@@ -245,7 +245,7 @@ class TestUniverseRefused:
     def test_deeper_universe_names_the_first_layer_past_the_limit(self, depth):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded) as exc:
-            DerivationDB(F_SIG, Theory("E", ()), FREL, _space(2), depth, None)
+            DerivationDB(F_SIG, Theory("E", ()), FREL, _space(2), depth)
         assert time.perf_counter() - start < 0.5
         assert str(exc.value) == (f"universe: depth {depth} has at least the 2090918 terms"
                                   f" of depth 5, more than the limit of {MAX_TERMS}")

@@ -11,7 +11,7 @@ from qeqlog.errors import (BudgetExceeded, GridMismatch, NotAModel, NotNonexpans
                            SpecViolation)
 from qeqlog.free import (OVERFLOW, FreeAlgebra, LawReport, build_free, check_free_is_model, check_ump,
                          extend_hom, free_eval)
-from qeqlog.gmet import FREL, MET, PMET, EpsGrid, check_space, nonexpansive_images
+from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, check_space, nonexpansive_images
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, satisfies
 from qeqlog.deduce import DerivationDB, derives, saturate
 from qeqlog.terms import App, Signature, Var, term_to_str
@@ -194,7 +194,9 @@ class TestFreeIsModel:
         ua, a = fa.class_of(App("u", (Var("a"),))), fa.class_of(Var("a"))
         rows = [list(r) for r in fa.delta]
         rows[ua][a] = GRID.q
+        # the check reads the space's table, which is delta
         fa.delta = tuple(tuple(r) for r in rows)
+        fa.space = FuzzySpace(fa.space.grid, fa.space.carrier, fa.delta)
         rep = check_free_is_model(fa, th, MET)
         assert rep.failed > 0
 
@@ -219,7 +221,7 @@ class TestFreeIsModel:
         fa = build_free(U_SIG, th, MET, ab_half, 3)
         searched = []
 
-        def counted(src, dst, budget=None):
+        def counted(src, dst, budget):
             searched.append(src)
             return nonexpansive_images(src, dst, budget)
 

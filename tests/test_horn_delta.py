@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import (DerivationDB, _blocking, _fires_at_top, _step_cong, _tied, _Worklist,
-                           saturate)
+from qeqlog.deduce import (BUDGET_INSTANCES, DerivationDB, _blocking, _fires_at_top, _step_cong,
+                           _tied, _Worklist, saturate)
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -291,7 +291,7 @@ class TestNearJoinScale:
         two = FuzzySpace(grid, ("a", "b"), target_rows)
         ctx = FuzzySpace(grid, "xyz"[:len(ctx_rows)], ctx_rows)
         theory = Theory("C", (Judgment(ctx, lhs, rhs, None),))
-        for budget in (None, 1_000):
+        for budget in (BUDGET_INSTANCES, 1_000):
             db = saturate(self.SIG, theory, FREL, two, 4, budget=budget)
             assert (db.instances, len(db.events), len(db.roots())) == counts
         return theory, two
@@ -466,7 +466,7 @@ class TestCongruenceAndSubstitution:
         # each congruence step matches the naive one on the same database
         sig = Signature.of({"f": 2})
         target = FuzzySpace(EpsGrid(2), ("a", "b", "c"), ((0,) * 3,) * 3)
-        db, ref = (DerivationDB(sig, Theory("E", ()), FREL, target, 2, None) for _ in range(2))
+        db, ref = (DerivationDB(sig, Theory("E", ()), FREL, target, 2) for _ in range(2))
         index = {t: i for i, t in enumerate(ref.universe)}
         children = [tuple(index[a] for a in getattr(t, "args", ())) for t in ref.universe]
         fcb = db.app_index("f", (2, 1))

@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from qeqlog.errors import BudgetExceeded, QeqlogError
 import qeqlog.free as free_mod
 from qeqlog.free import build_free, check_free_is_model, check_ump
-from qeqlog.gmet import FREL, MET, PMET, EpsGrid, enumerate_nonexpansive, is_nonexpansive
+from qeqlog.gmet import (BUDGET_INTERPS, FREL, MET, PMET, EpsGrid, enumerate_nonexpansive,
+                         is_nonexpansive)
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure, is_model, satisfies
 from qeqlog.terms import App, Signature, Var
 
@@ -72,7 +73,7 @@ class TestSatisfiesAgainstReference:
         st.integers(2, 4),
         st.integers(1, 3),
         st.integers(0, 5),
-        st.sampled_from([None, 1, 3, 9, 27]),
+        st.sampled_from([BUDGET_INTERPS, 1, 3, 9, 27]),
         st.integers(0, 2**32 - 1),
     )
     def test_same_verdicts_counterexamples_and_errors(self, spec_name, sig_i, q, size, n, budget, seed):
@@ -124,7 +125,7 @@ class TestSatisfiesAgainstReference:
 
     @_SETTINGS
     @given(st.sampled_from(sorted(SPECS)), st.integers(1, 4), st.integers(1, 3),
-           st.integers(1, 3), st.sampled_from([None, 1, 4, 16]), st.integers(0, 2**32 - 1))
+           st.integers(1, 3), st.sampled_from([BUDGET_INTERPS, 1, 4, 16]), st.integers(0, 2**32 - 1))
     def test_enumerate_nonexpansive_is_the_filtered_product(self, spec_name, q, n, m, budget, seed):
         rng = random.Random(seed)
         grid = EpsGrid(q)
@@ -135,7 +136,7 @@ class TestSatisfiesAgainstReference:
                         for images in itertools.product(dst.carrier, repeat=n))
             if is_nonexpansive(f, src, dst)
         ]
-        if budget is not None and m ** n > budget:
+        if m ** n > budget:
             with pytest.raises(BudgetExceeded, match=rf"^{m ** n} candidate interpretations exceed budget {budget}$"):
                 enumerate_nonexpansive(src, dst, budget)
         else:
@@ -192,7 +193,7 @@ class TestUmpAgainstReference:
                 for images in itertools.product(alg.space.carrier, repeat=gens)]
         nonexp = [g for g in maps if is_nonexpansive(g, target, alg.space)]
         gen_map = rng.choice(nonexp) if nonexp and rng.random() < 0.85 else rng.choice(maps)
-        budget = rng.randint(1, 2 * size ** len(fa.classes)) if budgeted else None
+        budget = rng.randint(1, 2 * size ** len(fa.classes)) if budgeted else BUDGET_INTERPS
         with mock.patch.object(free_mod, "is_model", lambda *args: True) if any_target \
                 else contextlib.nullcontext():
             assert _outcome(check_ump, fa, alg, gen_map, budget) == \

@@ -1,7 +1,12 @@
-"""The package's public names, so that removing one is a visible change."""
+"""The package's public names, so that removing one is a visible change,
+and their budgets, each a number that defaults to the CLI's."""
 from __future__ import annotations
 
+import inspect
+
 import qeqlog
+from qeqlog.deduce import BUDGET_INSTANCES
+from qeqlog.gmet import BUDGET_INTERPS
 
 PUBLIC_NAMES = [
     "App", "BudgetExceeded", "DerivationDB", "EMCandidate", "EMLawViolation", "EpsGrid",
@@ -22,3 +27,22 @@ PUBLIC_NAMES = [
 
 def test_public_names_unchanged():
     assert sorted(qeqlog.__all__) == PUBLIC_NAMES
+
+
+INSTANCE_BUDGETS = ["DerivationDB", "MonadInstance", "build_free", "saturate"]
+INTERP_BUDGETS = ["check_free_is_model", "check_hom_image_model", "check_ump", "em_from_model",
+                  "entails_catalog", "enumerate_nonexpansive", "extend_hom", "is_model",
+                  "satisfies"]
+
+
+def test_every_budget_defaults_to_a_number():
+    defaults = {}
+    for name in qeqlog.__all__:
+        obj = getattr(qeqlog, name)
+        # an exception class has no signature to read
+        if inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, Exception):
+            budget = inspect.signature(obj).parameters.get("budget")
+            if budget is not None:
+                defaults[name] = budget.default
+    assert defaults == {**dict.fromkeys(INSTANCE_BUDGETS, BUDGET_INSTANCES),
+                        **dict.fromkeys(INTERP_BUDGETS, BUDGET_INTERPS)}

@@ -24,6 +24,7 @@ from qeqlog.cli import Workspace
 from qeqlog.deduce import RuleInstance, TraceNode, saturate
 from qeqlog.free import LawReport, UmpResult
 from qeqlog.gmet import (
+    BUDGET_INTERPS,
     MET,
     DistAtom,
     EpsConst,
@@ -182,7 +183,7 @@ def test_defaults_apply():
     assert SatisfactionResult(True).counterexample is None
     assert LawReport("unit", 1, 0, 0).first_failure is None
     ws = Workspace(GRID, SIG, MET, {}, {}, {}, budget_instances=5)
-    assert (ws.depth, ws.budget_interps, ws.budget_instances) == (3, None, 5)
+    assert (ws.depth, ws.budget_interps, ws.budget_instances) == (3, BUDGET_INTERPS, 5)
 
 
 def test_post_init_still_validates():
