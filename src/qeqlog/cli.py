@@ -22,7 +22,7 @@ from .free import OVERFLOW, build_free, check_free_is_model, check_ump
 from .gmet import BUDGET_INTERPS, EpsGrid, FuzzySpace, GMetSpec
 from .monad import MonadInstance, check_monad_laws, em_from_model, model_from_em
 from .qalg import Judgment, QuantAlgebra, Theory, entails_catalog, first_failure
-from .terms import Signature, check_carrier, clipped, number_text, parse_term, whole
+from .terms import Signature, check_carrier, clipped, number_text, parse_term, quoted, whole
 
 
 class Workspace(Record):
@@ -35,6 +35,9 @@ class Workspace(Record):
     depth: int = 3
     budget_interps: int = BUDGET_INTERPS
     budget_instances: int = BUDGET_INSTANCES
+    # each key of a workspace's "budgets" -> the field it sets
+    BUDGETS = {"depth": "depth", "interpretations": "budget_interps",
+               "instances": "budget_instances"}
 
     @classmethod
     def from_json(cls, obj) -> "Workspace":
@@ -52,34 +55,24 @@ class Workspace(Record):
             str(k): QuantAlgebra.from_json(v, sig, grid)
             for k, v in obj.get("algebras", {}).items()
         }
+        # a budget that is missing or null takes its field's default
         budgets = obj.get("budgets", {})
-        return cls(
-            grid, sig, spec, spaces, theories, algebras,
-            depth=_budget(budgets, "depth", 3),
-            budget_interps=_budget(budgets, "interpretations", BUDGET_INTERPS),
-            budget_instances=_budget(budgets, "instances", BUDGET_INSTANCES),
-        )
-
-
-def _budget(budgets: dict, key: str, default: int) -> int:
-    """A budget of a workspace, ``default`` where it is missing or null."""
-    value = whole(budgets.get(key), f"budget {key!r}")
-    return default if value is None else value
+        given = {field: whole(budgets[key], f"budget {quoted(key)}")
+                 for key, field in cls.BUDGETS.items() if budgets.get(key) is not None}
+        return cls(grid, sig, spec, spaces, theories, algebras, **given)
 
 
 def load_workspace(path: str, overrides) -> Workspace:
-    """The workspace in a JSON file, with the ``grid``, ``depth``,
-    ``budget_interps`` and ``budget_instances`` of ``overrides`` put in its
-    place where they are not None; JSON of the wrong shape is a QeqlogError."""
+    """The workspace in a JSON file, with the ``grid`` and each budget field
+    of ``overrides`` put in its place where they are not None; JSON of the
+    wrong shape is a QeqlogError."""
     def build(obj) -> Workspace:
         if overrides.grid is not None:
             obj["grid"] = overrides.grid
         budgets = obj.setdefault("budgets", {})
-        for key, value in (("depth", overrides.depth),
-                           ("interpretations", overrides.budget_interps),
-                           ("instances", overrides.budget_instances)):
-            if value is not None:
-                budgets[key] = value
+        for key, field in Workspace.BUDGETS.items():
+            if getattr(overrides, field) is not None:
+                budgets[key] = getattr(overrides, field)
         return Workspace.from_json(obj)
 
     return _read_json(path, "workspace", inline=False, build=build)
@@ -109,7 +102,7 @@ def _read_json(source: str, what: str, inline: bool, build):
 
 def _named(kind: str, table: dict, name: str):
     if name not in table:
-        raise QeqlogError(f"unknown {kind} {name!r}")
+        raise QeqlogError(f"unknown {kind} {quoted(name)}")
     return table[name]
 
 
@@ -307,8 +300,8 @@ class _Level:
             i += 1
             hits = self.options(token)
             if len(hits) != 1:
-                self.fail(f"ambiguous option {token!r} could match --" + ", --".join(hits)
-                          if hits else f"unrecognized option {token!r}")
+                self.fail(f"ambiguous option {quoted(token)} could match --" + ", --".join(hits)
+                          if hits else f"unrecognized option {quoted(token)}")
             name = hits[0]
             # what follows "=", or what follows -h
             _, eq, value = token.partition("=") if token[1] == "-" else ("", token[2:], "")
@@ -329,7 +322,7 @@ class _Level:
             try:
                 values[name] = kind(number_text(value, f"option --{name}") if kind is int else value)
             except ValueError:
-                self.fail(f"option --{name} needs an integer, not {value!r}")
+                self.fail(f"option --{name} needs an integer, not {quoted(value)}")
         return values, i
 
     def require(self, values: dict):
@@ -357,14 +350,14 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         top.fail("missing subcommand, one of " + ", ".join(_COMMANDS))
     name = argv[i]
     if name not in _COMMANDS:
-        top.fail(f"unknown subcommand {name!r}, not one of " + ", ".join(_COMMANDS))
+        top.fail(f"unknown subcommand {quoted(name)}, not one of " + ", ".join(_COMMANDS))
     _, handler, about, options = _COMMANDS[name]
     # --trace is the one switch; every other option is required
     sub = _Level(f"qeqlog {name}", {o: None if o == "trace" else str for o in options.split()},
                  about)
     sub_values, j = sub.read(argv, i + 1)
     if j < len(argv):
-        sub.fail(f"unrecognized argument {argv[j]!r}")
+        sub.fail(f"unrecognized argument {quoted(argv[j])}")
     sub.require(sub_values)
     top.require(top_values)
     fields = {option.replace("-", "_"): value
@@ -381,8 +374,11 @@ def main(argv: list[str] | None = None) -> int:
             table, kind = NAMED[option]
             setattr(args, option, _named(kind, getattr(ws, table), getattr(args, option)))
         report, holds = args.func(ws, args)
-        # what print(json.dumps(report, sort_keys=True, indent=2)) prints, never joined whole
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
+        # what print(json.dumps(report, sort_keys=True, indent=2)) prints, never
+        # joined whole: 512 chunks a write, as an unbuffered write is a system call
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+        while batch := "".join(itertools.islice(chunks, 512)):
+            sys.stdout.write(batch)
         sys.stdout.write("\n")
         # a report that cannot be written whole is an error here, not at exit
         sys.stdout.flush()

@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, NotAModel, NotNonexpansive, PreconditionVio
 from .deduce import BUDGET_INSTANCES, DerivationDB, saturate
 from .gmet import BUDGET_INTERPS, FuzzySpace, GMetSpec, charge_candidates, is_nonexpansive
 from .qalg import QuantAlgebra, Theory, is_model, verdicts
-from .terms import Signature, Term, exceeds, power, term_label, term_to_str, total
+from .terms import Signature, Term, exceeds, power, quoted, term_label, term_to_str, total
 
 
 # an operation result beyond the depth bound: the hashcons' term outside the universe
@@ -219,13 +219,13 @@ def _check_gen_map(f: FreeAlgebra, alg: QuantAlgebra, gen_map) -> None:
     for a, b in gen_map.items():
         if a not in generators:
             raise PreconditionViolation(
-                f"generator map has a key {a!r} that is not a point of the space")
+                f"generator map has a key {quoted(a)} that is not a point of the space")
         if b not in alg.space.carrier:
             raise PreconditionViolation(
-                f"generator map sends {a!r} to {b!r}, which is not a point of the algebra")
+                f"generator map sends {quoted(a)} to {quoted(b)}, which is not a point of the algebra")
     for a in generators:
         if a not in gen_map:
-            raise PreconditionViolation(f"generator map has no image for {a!r}")
+            raise PreconditionViolation(f"generator map has no image for {quoted(a)}")
 
 
 class UmpResult(Record):

@@ -55,7 +55,7 @@ class EpsGrid(Record):
         from fractions import Fraction
 
         if isinstance(x, bool):
-            raise GridMismatch(f"not a distance: {x!r}")
+            raise GridMismatch(f"not a distance: {quoted(x)}")
         if isinstance(x, (int, Fraction)):
             f = Fraction(x)
         elif isinstance(x, float):
@@ -64,9 +64,9 @@ class EpsGrid(Record):
             try:
                 f = Fraction(x)
             except ZeroDivisionError:
-                raise GridMismatch(f"zero denominator in {x!r}") from None
+                raise GridMismatch(f"zero denominator in {quoted(x)}") from None
         else:
-            raise GridMismatch(f"cannot read grid value from {x!r}")
+            raise GridMismatch(f"cannot read grid value from {quoted(x)}")
         scaled = f * self.q
         if scaled.denominator != 1 or not (0 <= scaled <= self.q):
             raise GridMismatch(f"{f} is not on the grid with denominator {self.q}")
@@ -106,15 +106,14 @@ class FuzzySpace(Record):
                 or not all(0 <= v <= self.grid.q for v in set().union(*self.dist)):
             for v in itertools.chain.from_iterable(self.dist):
                 if not isinstance(v, int) or not (0 <= v <= self.grid.q):
-                    raise GridMismatch(f"distance {v!r} off the grid (q={self.grid.q})")
+                    raise GridMismatch(f"distance {quoted(v)} off the grid (q={self.grid.q})")
         object.__setattr__(self, "_idx", {a: i for i, a in enumerate(self.carrier)})
 
     @classmethod
     def of(cls, grid: EpsGrid, carrier: Iterable[str], dist_rows) -> "FuzzySpace":
         """Build from any grid-parseable entries (fractions, strings, floats)."""
         carrier = tuple(carrier)
-        rows = tuple(tuple(grid.value(number_text(v, "distance") if isinstance(v, str) else v)
-                           for v in row) for row in dist_rows)
+        rows = tuple(tuple(grid.value(number_text(v, "distance")) for v in row) for row in dist_rows)
         return cls(grid, carrier, rows)
 
     @classmethod
@@ -123,7 +122,7 @@ class FuzzySpace(Record):
         # a JSON string would otherwise be read as a list of its characters
         if not (isinstance(carrier, list) and isinstance(rows, list)
                 and all(isinstance(row, list) for row in rows)):
-            raise TypeError(f"space carrier, dist and its rows must be JSON lists: {obj!r}")
+            raise TypeError(f"space carrier, dist and its rows must be JSON lists: {quoted(obj)}")
         return cls.of(grid, [str(a) for a in carrier], rows)
 
     def index(self, name: str) -> int:
@@ -237,7 +236,7 @@ class HornClause(Record):
         declared = set(self.vars)
         for atom in (*self.premises, self.conclusion):
             if atom.x not in declared or atom.y not in declared:
-                raise ValueError(f"clause {self.name!r} uses an undeclared variable")
+                raise ValueError(f"clause {quoted(self.name)} uses an undeclared variable")
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(sorted(frozenset().union(*(atom.eps.params() for atom in (
@@ -268,7 +267,7 @@ class GMetSpec(Record):
             try:
                 return PRESETS[obj["preset"]]
             except KeyError:
-                raise ValueError(f"unknown preset {obj['preset']!r}") from None
+                raise ValueError(f"unknown preset {quoted(obj['preset'])}") from None
         clauses = []
         for i, c in enumerate(obj["clauses"]):
             name, names = str(c.get("name", f"clause{i}")), tuple(str(v) for v in c["vars"])
@@ -353,7 +352,7 @@ def compile_clause(clause: HornClause, q: int):
     else:
         count = power(q + 1, len(params))
         if exceeds(count, MAX_GRID_VECTORS):
-            raise BudgetExceeded(f"clause {clause.name!r}: {count} grid vectors, "
+            raise BudgetExceeded(f"clause {quoted(clause.name)}: {count} grid vectors, "
                                  f"more than the limit of {MAX_GRID_VECTORS}")
         vectors = list(itertools.product(range(q + 1), repeat=len(params)))
     pos = {v: k for k, v in enumerate(clause.vars)}
@@ -422,7 +421,7 @@ def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
     for clause in spec.clauses:
         k = len(clause.vars)
         if exceeds(power(m, k), MAX_ASSIGNMENTS):
-            raise BudgetExceeded(f"clause {clause.name!r} over {m} points: {m}**{k} assignments,"
+            raise BudgetExceeded(f"clause {quoted(clause.name)} over {m} points: {m}**{k} assignments,"
                                  f" more than the limit of {MAX_ASSIGNMENTS}")
         compiled = compile_clause(clause, q)
         tuples = itertools.product(range(m), repeat=k)
@@ -550,7 +549,7 @@ def discrete_lift(spec: GMetSpec, sp: FuzzySpace, n: int) -> FuzzySpace:
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec not in (FREL, PMET, MET):
-        raise UnsupportedPreset(f"no discrete lifting is defined for spec {spec.name!r}")
+        raise UnsupportedPreset(f"no discrete lifting is defined for spec {quoted(spec.name)}")
     q = sp.grid.q
     diagonal = q if spec == FREL else 0
     tuples = list(itertools.product(sp.carrier, repeat=n))

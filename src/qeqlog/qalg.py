@@ -27,7 +27,7 @@ from .gmet import (
     require_space,
 )
 from .terms import (Signature, Term, check_carrier, compile_term, fold_term, lookup, parse_term,
-                    number_text, power, term_to_str, term_vars)
+                    number_text, power, quoted, term_to_str, term_vars)
 
 
 class QuantAlgebra(Record):
@@ -42,12 +42,12 @@ class QuantAlgebra(Record):
         for name, arity in self.sig.ops:
             table = self.ops.get(name)
             if table is None:
-                raise ValueError(f"missing table for operation {name!r}")
+                raise ValueError(f"missing table for operation {quoted(name)}")
             if len(table) != power(len(carrier), arity):
-                raise ValueError(f"table for {name!r} is not total")
+                raise ValueError(f"table for {quoted(name)} is not total")
             for args, val in table.items():
                 if len(args) != arity or not set(args) <= carrier or val not in carrier:
-                    raise ValueError(f"bad table entry for {name!r}: {args!r} -> {val!r}")
+                    raise ValueError(f"bad table entry for {quoted(name)}: {quoted(args)} -> {quoted(val)}")
         if set(self.ops) != set(self.sig.symbols):
             raise ValueError("operation tables do not match the signature")
 
@@ -59,7 +59,7 @@ class QuantAlgebra(Record):
                for name, arity in sig.ops if (raw := obj["ops"].get(name)) is not None}
         stray = sorted(set(obj["ops"]) - set(sig.symbols))
         if stray:
-            raise ValueError(f"table for operation {stray[0]!r}, which the signature lacks")
+            raise ValueError(f"table for operation {quoted(stray[0])}, which the signature lacks")
         return cls(space, sig, ops)
 
     def apply(self, op: str, args: tuple[str, ...]) -> str:
@@ -96,7 +96,7 @@ class Judgment(Record):
         raw_ctx = obj["context"]
         if isinstance(raw_ctx, str):
             if raw_ctx not in spaces:
-                raise ValueError(f"unknown space name {raw_ctx!r}")
+                raise ValueError(f"unknown space name {quoted(raw_ctx)}")
             ctx = spaces[raw_ctx]
         else:
             ctx = FuzzySpace.from_json(raw_ctx, grid)
@@ -105,7 +105,7 @@ class Judgment(Record):
         rhs = parse_term(str(obj["rhs"]), sig, ctx.carrier)
         eps = obj.get("eps")
         if eps is not None:
-            eps = grid.value(number_text(eps, "eps") if isinstance(eps, str) else eps)
+            eps = grid.value(number_text(eps, "eps"))
         return cls(ctx, lhs, rhs, eps)
 
     def describe(self) -> str:
@@ -134,17 +134,17 @@ def verdicts(space: FuzzySpace, spec: GMetSpec, judgments: Sequence[Judgment], c
     """(judgment index, image tuple, verdict) for each nonexpansive
     interpretation into ``space`` of each judgment's context in turn, the
     verdict None where a side is None. A context is checked against the spec
-    and grid when its judgment is reached, and searched once, the budget
-    charged as the search begins, and listed only if two judgments share it.
+    and grid once, as its one search begins and the budget is charged, when
+    its first judgment is reached, and listed only if two judgments share it.
     A side is ``compile_side(term, carrier)``, a function of the image tuple
     into the space's indices, compiled at the judgment's first interpretation."""
     shared, listed, dist = Counter(j.context for j in judgments), {}, space.dist
     for k, j in enumerate(judgments):
         ctx, eps = j.context, j.eps
-        require_space(spec, ctx, "judgment context")
-        if space.grid != ctx.grid:
-            raise GridMismatch("algebra and judgment use different grids")
         if ctx not in listed:
+            require_space(spec, ctx, "judgment context")
+            if space.grid != ctx.grid:
+                raise GridMismatch("algebra and judgment use different grids")
             search = nonexpansive_images(ctx, space, budget)
             listed[ctx] = list(search) if shared[ctx] > 1 else search
         left = None

@@ -27,13 +27,13 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 MAX_DIGITS = 4_300
 
 
-def number_text(text: str, what: str) -> str:
-    """``text``, which holds a number, refused with an error that names
-    ``what`` when it is longer than ``MAX_DIGITS``."""
-    if len(text) > MAX_DIGITS:
-        raise QeqlogError(f"{what} is {len(text)} characters long, more than the limit of"
+def number_text(value, what: str):
+    """``value``, a number or its text, refused with an error that names
+    ``what`` when it is text longer than ``MAX_DIGITS``."""
+    if isinstance(value, str) and len(value) > MAX_DIGITS:
+        raise QeqlogError(f"{what} is {len(value)} characters long, more than the limit of"
                           f" {MAX_DIGITS}")
-    return text
+    return value
 
 
 # the most characters of a message that an error line prints
@@ -47,13 +47,15 @@ def clipped(message: str) -> str:
 
 
 def quoted(value) -> str:
-    """``repr(value)`` of an input that an error names, each string, list and
-    dict in it cut to its first MAX_MESSAGE characters or items before repr
-    is taken: :func:`clipped` prints no more of it. The cut is iterative, as
-    JSON nests deeper than a frame per level allows."""
+    """``repr(value)`` of an input that an error names, each string, tuple,
+    list and dict in it cut to its first MAX_MESSAGE characters or items
+    before repr is taken: :func:`clipped` prints no more of it. The cut is
+    iterative, as JSON nests deeper than a frame per level allows."""
     def cut(v):
         if isinstance(v, dict):
             return {cut(k): x for k, x in itertools.islice(v.items(), MAX_MESSAGE)}
+        if isinstance(v, tuple):
+            return tuple(map(cut, v[:MAX_MESSAGE]))
         return v[:MAX_MESSAGE] if isinstance(v, (str, list)) else v
     root = [value]
     todo = [root]
@@ -74,9 +76,9 @@ def whole(value, what: str) -> int | None:
     elif isinstance(value, str) and value.strip().isdecimal():
         value = int(number_text(value.strip(), what))
     elif value is not None and type(value) is not int:
-        raise QeqlogError(f"{what} is not an integer: {value!r}")
+        raise QeqlogError(f"{what} is not an integer: {quoted(value)}")
     if value is not None and value < 0:
-        raise QeqlogError(f"{what} is negative: {value!r}")
+        raise QeqlogError(f"{what} is negative: {quoted(value)}")
     return value
 
 
@@ -92,9 +94,9 @@ class Signature(Record):
             raise ValueError("duplicate operation symbol")
         for name, arity in self.ops:
             if not _IDENT_RE.match(name):
-                raise ValueError(f"operation symbol {name!r} is not an identifier")
+                raise ValueError(f"operation symbol {quoted(name)} is not an identifier")
             if arity < 0:
-                raise ValueError(f"negative arity for {name!r}")
+                raise ValueError(f"negative arity for {quoted(name)}")
         object.__setattr__(self, "_arity", arities)
 
     @classmethod
@@ -103,7 +105,7 @@ class Signature(Record):
 
     @classmethod
     def from_json(cls, obj) -> "Signature":
-        return cls.of({str(k): whole(v, f"arity of {k!r}") for k, v in obj["ops"].items()})
+        return cls.of({str(k): whole(v, f"arity of {quoted(k)}") for k, v in obj["ops"].items()})
 
     def arity(self, op: str) -> int:
         return self._arity[op]
@@ -243,7 +245,7 @@ def parse_term(text: str, sig: Signature, carrier: Iterable[str]) -> Term:
     while True:
         name = token(i)
         if name in ("(", ")", ","):
-            raise ValueError(f"unexpected {name!r} in {quoted(text)}")
+            raise ValueError(f"unexpected {quoted(name)} in {quoted(text)}")
         if tokens[i + 1:i + 2] == ["("]:
             i += 2
             if token(i) != ")":
@@ -288,7 +290,7 @@ def check_carrier(sig: Signature, carrier: Iterable[str]) -> None:
     """Refuse a carrier element named like an operation symbol: terms read it as a variable."""
     for name in carrier:
         if name in sig._arity:
-            raise ValueError(f"carrier element {name!r} collides with an operation symbol")
+            raise ValueError(f"carrier element {quoted(name)} collides with an operation symbol")
 
 
 def check_nontrivial(sig: Signature, carrier: Iterable[str]) -> bool:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -28,6 +30,21 @@ def run_json(capsys, *args):
     code, out, err = run(capsys, *args)
     assert out, f"no stdout; stderr was {err!r}"
     return code, json.loads(out)
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps what is written and counts the writes."""
+
+    def __init__(self):
+        self.data, self.writes = bytearray(), 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        self.data += b
+        self.writes += 1
+        return len(b)
 
 
 def _edited(tmp_path, keys, value) -> str:
@@ -178,7 +195,7 @@ class TestFree:
         )
         assert code == 0 and report["classes"] == ["a"]
 
-    def test_report_of_many_batches_prints_as_json_dumps(self, capsys, tmp_path):
+    def test_report_of_many_batches_prints_as_json_dumps(self, capsys, tmp_path, monkeypatch):
         # {u/1, f/2} over two points at depth 3: 74 classes, so the report is
         # written in thousands of chunks
         path = tmp_path / "ws.json"
@@ -193,9 +210,19 @@ class TestFree:
         args.theory, args.space = ws.theories["EMPTY"], ws.spaces["S"]
         report, _ = cli.cmd_free(ws, args)
         chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-        assert sum(1 for _ in chunks) > 1536
+        count = sum(1 for _ in chunks)
+        assert count > 1536
         expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert run(capsys, *argv) == (0, expected, "")
+        # under a write-through stdout, as with PYTHONUNBUFFERED, each write
+        # reaches the raw stream: the chunks go in batches, then the newline
+        raw = _CountingRaw()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
+                                                          write_through=True))
+            assert main(argv) == 0
+        assert raw.data.decode() == expected
+        assert raw.writes <= -(-count // 512) + 1
         # a query that fails before its report prints nothing on stdout
         code, out, err = run(capsys, "--budget-instances", "1", *argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
@@ -357,8 +384,8 @@ class TestBudgets:
     @pytest.mark.parametrize("budgets", [
         None, {"depth": 3}, {"depth": None, "interpretations": None, "instances": None}])
     def test_defaults_when_the_workspace_sets_none(self, capsys, tmp_path, monkeypatch, budgets):
-        monkeypatch.setattr(cli, "BUDGET_INSTANCES", 10)
-        monkeypatch.setattr(cli, "BUDGET_INTERPS", 1)
+        monkeypatch.setitem(cli.Workspace._defaults, "budget_instances", 10)
+        monkeypatch.setitem(cli.Workspace._defaults, "budget_interps", 1)
         ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
         if budgets is None:
             del ws["budgets"]

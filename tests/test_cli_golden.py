@@ -18,9 +18,12 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from operator import attrgetter
 
 import pytest
 
+import qeqlog.cli as cli
+import qeqlog.monad as monad
 from qeqlog.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -86,6 +89,32 @@ def test_matches_golden(case_id):
 
 def test_fixture_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+def test_saturations_are_left_as_built(monkeypatch):
+    # what a saturation holds when it returns, to be compared when main returns
+    def state(db):
+        return dict(db.dmin), list(db._parent), list(db.events), db.instances
+
+    built = []
+
+    def watched(build, db_of=lambda result: result):
+        def call(*args, **kwargs):
+            result = build(*args, **kwargs)
+            built.append((db_of(result), state(db_of(result))))
+            return result
+        return call
+
+    monkeypatch.setattr(cli, "saturate", watched(cli.saturate))
+    monkeypatch.setattr(cli, "build_free", watched(cli.build_free, attrgetter("base")))
+    monkeypatch.setattr(monad, "build_free", watched(monad.build_free, attrgetter("base")))
+    checked = 0
+    for case_id in sorted(CASES):
+        run_case(case_id)
+        for db, at_return in built[checked:]:
+            assert state(db) == at_return, case_id
+        checked = len(built)
+    assert checked == 32
 
 
 # runs every case given on stdin as {id: argv} in one process and prints

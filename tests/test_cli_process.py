@@ -290,14 +290,24 @@ OPTION = "--" + "z" * 60000
      error_line(f"bad epsilon expression: {['1/2'] * 2000!r}").encode()),
     (lambda ws: ws["spaces"].update(AB=LONG_CARRIER), distance_ab(),
      error_line("malformed workspace: space carrier, dist and its rows must be JSON"
-                f" lists: {LONG_CARRIER!r}").encode()),
+                f" lists: {dict(LONG_CARRIER, carrier='c' * 2000)!r}").encode()),
     (None, distance_ab(lhs=DEEP), error_line(f"{DEEP} is outside the depth-3 universe").encode()),
     (None, distance_ab(lhs="n" * 60000),
      error_line(f"unknown name {'n' * 2000!r} in {'n' * 2000!r}").encode()),
-    (None, distance_ab(theory="T" * 50000), error_line(f"unknown theory {'T' * 50000!r}").encode()),
+    (None, distance_ab(theory="T" * 50000), error_line(f"unknown theory {'T' * 2000!r}").encode()),
     (None, [OPTION, *distance_ab()],
-     error_line(f"unrecognized option {OPTION!r}", "qeqlog: error: ").encode()),
-], ids=["clause-constant", "carrier", "deep-lhs", "long-name", "long-theory", "long-option"])
+     error_line(f"unrecognized option {OPTION[:2000]!r}", "qeqlog: error: ").encode()),
+    (None, ["distance", "--theory", "EMPTY", "--target", "S" * 50000, "--lhs", "a", "--rhs", "b"],
+     error_line(f"unknown space {'S' * 2000!r}").encode()),
+    (None, ["x" * 60000], error_line(
+        f"unknown subcommand {'x' * 2000!r}, not one of " + ", ".join(cli._COMMANDS),
+        "qeqlog: error: ").encode()),
+    (None, ["ump", "--theory", "EMPTY", "--space", "AB", "--algebra", "swap",
+            "--map", json.dumps({"k" * 50000: "a"})],
+     error_line(f"generator map has a key {'k' * 2000!r} that is not a point of the"
+                " space").encode()),
+], ids=["clause-constant", "carrier", "deep-lhs", "long-name", "long-theory", "long-option",
+        "long-target", "long-subcommand", "long-map-key"])
 def test_error_quoting_a_long_input_is_one_bounded_line(tmp_path, edit, argv, last_line):
     path = tmp_path / "ws.json"
     ws = json.loads(pathlib.Path(WS).read_text(encoding="utf-8"))
@@ -308,8 +318,15 @@ def test_error_quoting_a_long_input_is_one_bounded_line(tmp_path, edit, argv, la
     assert (done.returncode, done.stdout) == (2, b"")
     # a usage error also prints its usage line first
     lines = done.stderr.splitlines(keepends=True)
-    assert (len(lines), lines[-1]) == (1 + (argv[0] == OPTION), last_line)
+    assert (len(lines), lines[-1]) == (1 + last_line.startswith(b"qeqlog: "), last_line)
     assert len(last_line) < 2100
+
+
+# an error quotes an outside value through terms.quoted, never its whole
+# repr; only a record prints its fields' repr
+def test_errors_quote_inputs_through_quoted():
+    sources = sorted((ROOT / "src" / "qeqlog").glob("*.py"))
+    assert [p.name for p in sources if "!r}" in p.read_text(encoding="utf-8")] == ["_record.py"]
 
 
 # the library's default budgets, which the CLI's are, refuse these calls at

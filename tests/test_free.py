@@ -14,8 +14,9 @@ from qeqlog.free import (OVERFLOW, FreeAlgebra, LawReport, build_free, check_fre
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, check_space, nonexpansive_images
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, satisfies
 from qeqlog.deduce import DerivationDB, derives, saturate
-from qeqlog.terms import App, Signature, Var, term_to_str
+from qeqlog.terms import App, Signature, Var, term_to_str, term_vars
 
+import known_theories
 from conftest import random_space, random_theory, space
 from test_models_reference import SIGS, _theory
 
@@ -484,3 +485,24 @@ class TestMonotoneRefinement:
                 if c1s == c2s:
                     assert c1d == c2d
                 assert deep.delta[c1d][c2d] <= shallow.delta[c1s][c2s]
+
+
+def hausdorff(sp: FuzzySpace, s, t) -> int:
+    """The Hausdorff distance in ``sp`` between two nonempty sets of its points."""
+    def reach(a, t):
+        return min(sp.d(a, b) for b in t)
+    return max(*(reach(a, t) for a in s), *(reach(b, s) for b in t))
+
+
+class TestKnownAnswers:
+    # the free quantitative semilattice is the nonempty subsets of the
+    # generators under the Hausdorff distance: over two generators, closed at
+    # depth 3, the classes of a, b and f(a,b)
+    @pytest.mark.parametrize("d", ["1/2", "1"])
+    def test_semilattice_classes_are_at_their_hausdorff_distance(self, d):
+        target = space(GRID, ["a", "b"], [["0", d], [d, "0"]])
+        fa = build_free(known_theories.SIG, known_theories.semilattice(GRID), MET, target, 3)
+        assert len(fa.classes) == 3
+        assert OVERFLOW not in fa.optable["f"].values()
+        sets = [term_vars(t) for t in fa.classes]
+        assert fa.delta == tuple(tuple(hausdorff(target, s, t) for t in sets) for s in sets)

@@ -17,7 +17,7 @@ from qeqlog.deduce import distance, saturate
 from qeqlog.errors import GridMismatch
 from qeqlog.gmet import MET, PMET, EpsGrid, GMetSpec
 from qeqlog.qalg import Theory
-from qeqlog.terms import Var
+from qeqlog.terms import Var, quoted
 
 
 def oracle(q: int, x) -> int:
@@ -81,7 +81,7 @@ def test_value_agrees_with_fraction(q, x):
     want = outcome(oracle, q, x)
     # a zero denominator is a grid error now, not a ZeroDivisionError
     if isinstance(want, tuple) and want[0] is ZeroDivisionError:
-        want = (GridMismatch, f"zero denominator in {x!r}")
+        want = (GridMismatch, f"zero denominator in {quoted(x)}")
     grid = EpsGrid(q)
     # a second read of the same value gives the same outcome
     assert outcome(grid.value, x) == want

@@ -15,9 +15,18 @@ q in {2, 4}, depth 2 or 3. An instance budget bounds a draw's cost: a draw
 whose runs pass it is not compared, and each relation must compare most
 of its draws. A target is lowered only where the result is still a space of
 the spec: a draw with no such lowering is not compared either.
+
+One relation is of model checking: the product of two algebras, with the max
+distance on pairs and the tables taken componentwise, satisfies a judgment
+exactly when both factors do, as each factor admits an interpretation of the
+context (Mardare, Panangaden & Plotkin, "On the Axiomatizability of
+Quantitative Algebras", LICS 2017). Each draw is two two-point {f/2}
+algebras under MET at q = 4 and an equation or a quantitative equation over
+two context points at least 1/4 apart.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -25,10 +34,10 @@ from functools import partial
 from qeqlog.deduce import saturate
 from qeqlog.errors import BudgetExceeded
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, check_space
-from qeqlog.qalg import Judgment, Theory
+from qeqlog.qalg import Judgment, QuantAlgebra, Theory, satisfies
 from qeqlog.terms import Signature, Var, apply_subst, term_to_str
 
-from conftest import random_space, random_term
+from conftest import random_algebra, random_met_space, random_space, random_term
 
 SIG = Signature.of({"u": 1, "f": 2})
 SPECS = (MET, PMET, FREL)
@@ -159,3 +168,28 @@ def test_an_added_axiom_never_splits_a_class_or_raises_a_distance():
             for (c, d), value in dist.items():
                 assert big_dist[owner[next(iter(c))], owner[next(iter(d))]] <= value, (name, seed)
     assert min(compared.values()) >= MIN_COMPARED, compared
+
+
+def _product(a: QuantAlgebra, b: QuantAlgebra) -> QuantAlgebra:
+    """A×B: each pair of points named by its two names, at the max of their
+    two distances, and each table taken componentwise."""
+    pairs = list(itertools.product(a.space.carrier, b.space.carrier))
+    names = {pair: "".join(pair) for pair in pairs}
+    dist = tuple(tuple(max(a.space.d(x, u), b.space.d(y, v)) for u, v in pairs) for x, y in pairs)
+    ops = {op: {tuple(names[pair] for pair in args): names[a.apply(op, tuple(x for x, _ in args)),
+                                                         b.apply(op, tuple(y for _, y in args))]
+                for args in itertools.product(pairs, repeat=arity)}
+           for op, arity in a.sig.ops}
+    return QuantAlgebra(FuzzySpace(a.space.grid, tuple(names.values()), dist), a.sig, ops)
+
+
+def test_a_product_satisfies_what_both_factors_satisfy():
+    sig, grid = Signature.of({"f": 2}), EpsGrid(4)
+    for seed in range(600):
+        rng = random.Random(f"product-{seed}")
+        a, b = (random_algebra(rng, sig, grid, MET, 2) for _ in range(2))
+        ctx = random_met_space(rng, grid, 2)
+        lhs, rhs = (random_term(rng, sig, ctx.carrier, 3) for _ in range(2))
+        j = Judgment(ctx, lhs, rhs, rng.choice((None, *grid.values())))
+        both = satisfies(a, MET, j).holds and satisfies(b, MET, j).holds
+        assert satisfies(_product(a, b), MET, j).holds == both, seed

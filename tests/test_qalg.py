@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qeqlog.errors import BudgetExceeded, GridMismatch, QeqlogError, SpecViolation, UnknownVariable
+import qeqlog.qalg as qalg
 from qeqlog.gmet import FREL, MET, EpsGrid
 from qeqlog.qalg import (
     Judgment,
@@ -171,6 +172,18 @@ class TestIsModel:
             ),
         )
         assert not is_model(swap_algebra, MET, th)
+
+    def test_a_shared_context_is_checked_once(self, swap_algebra, ab_half, monkeypatch):
+        checked, require_space = [], qalg.require_space
+
+        def counted(spec, sp, what):
+            checked.append(what)
+            require_space(spec, sp, what)
+
+        monkeypatch.setattr(qalg, "require_space", counted)
+        th = Theory("T", tuple(Judgment(ab_half, Var("a"), Var("a"), e) for e in GRID.values()))
+        assert is_model(swap_algebra, MET, th)
+        assert checked == ["algebra space", "judgment context"]
 
 
 class TestIsHomomorphism:
