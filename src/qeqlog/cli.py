@@ -41,22 +41,28 @@ class Workspace(Record):
 
     @classmethod
     def from_json(cls, obj) -> "Workspace":
-        grid = EpsGrid(whole(obj.get("grid", 24), "grid"))
-        sig = Signature.from_json(obj.get("signature", {"ops": {}}))
-        spec = GMetSpec.from_json(obj.get("spec", {"preset": "MET"}))
-        spaces = {str(k): FuzzySpace.from_json(v, grid) for k, v in obj.get("spaces", {}).items()}
+        def get(key: str, default):
+            """``obj[key]``, or ``default`` where it is missing; null is refused."""
+            if (value := obj.get(key, default)) is None:
+                raise QeqlogError(f"malformed workspace: {quoted(key)} is null")
+            return value
+
+        grid = EpsGrid(whole(get("grid", 24), "grid"))
+        sig = Signature.from_json(get("signature", {"ops": {}}))
+        spec = GMetSpec.from_json(get("spec", {"preset": "MET"}))
+        spaces = {str(k): FuzzySpace.from_json(v, grid) for k, v in get("spaces", {}).items()}
         for space in spaces.values():
             check_carrier(sig, space.carrier)
         theories = {
             str(name): Theory(str(name), tuple(Judgment.from_json(j, sig, grid, spaces) for j in js))
-            for name, js in obj.get("theories", {}).items()
+            for name, js in get("theories", {}).items()
         }
         algebras = {
             str(k): QuantAlgebra.from_json(v, sig, grid)
-            for k, v in obj.get("algebras", {}).items()
+            for k, v in get("algebras", {}).items()
         }
         # a budget that is missing or null takes its field's default
-        budgets = obj.get("budgets", {})
+        budgets = get("budgets", {})
         given = {field: whole(budgets[key], f"budget {quoted(key)}")
                  for key, field in cls.BUDGETS.items() if budgets.get(key) is not None}
         return cls(grid, sig, spec, spaces, theories, algebras, **given)
@@ -64,14 +70,14 @@ class Workspace(Record):
 
 def load_workspace(path: str, overrides) -> Workspace:
     """The workspace in a JSON file, with the ``grid`` and each budget field
-    of ``overrides`` put in its place where they are not None; JSON of the
-    wrong shape is a QeqlogError."""
+    of ``overrides`` put in its place where they are not None (never into a
+    null ``budgets``); JSON of the wrong shape is a QeqlogError."""
     def build(obj) -> Workspace:
         if overrides.grid is not None:
             obj["grid"] = overrides.grid
         budgets = obj.setdefault("budgets", {})
         for key, field in Workspace.BUDGETS.items():
-            if getattr(overrides, field) is not None:
+            if getattr(overrides, field) is not None and budgets is not None:
                 budgets[key] = getattr(overrides, field)
         return Workspace.from_json(obj)
 

@@ -60,7 +60,6 @@ from .errors import (
     OutOfUniverse,
     TrivialPair,
     UnknownFact,
-    UnknownVariable,
 )
 from .gmet import (EpsGrid, FuzzySpace, GMetSpec, HornClause, clause_failures, compile_clause,
                    images_within, require_space)
@@ -140,8 +139,9 @@ class DerivationDB:
     Terms are universe ids, read off :func:`~qeqlog.terms.universe_nodes`
     without building a tree. A hashcons maps each operation and tuple of
     argument ids to the id of that application, and each variable to its id:
-    a membership test runs a term compiled over its tables (:meth:`index_of`,
-    :meth:`subst_index`), and a term over known ids needs no tree at all
+    a lookup folds a term over its tables in one walk (:meth:`index_of`,
+    :meth:`subst_index`), a term run many times is compiled over them
+    (:meth:`compiled`), and a term over known ids needs no tree at all
     (:meth:`app_index`, :meth:`fold`). ``universe`` is built once, on first read.
 
     ``dmin`` holds only the cells below q, the cell of ids i and j under
@@ -232,20 +232,13 @@ class DerivationDB:
         return list(map(self.find, range(self._n)))
 
     def index_of(self, t: Term) -> int:
-        try:
-            i = self.subst_index(self.var_ids, t)
-        except UnknownVariable:
-            i = None
+        i = fold_term(t, self.var_ids.get, self.app_index)
         if i is None:
             raise OutOfUniverse(f"{term_to_str(t)} is outside the depth-{self.depth} universe")
         return i
 
     def term_in_universe(self, t: Term) -> bool:
-        try:
-            self.index_of(t)
-        except OutOfUniverse:
-            return False
-        return True
+        return fold_term(t, self.var_ids.get, self.app_index) is not None
 
     def app_index(self, op: str, args: tuple[int, ...]) -> int | None:
         """The id of ``op`` applied to the terms with ids ``args``, or None
@@ -266,7 +259,7 @@ class DerivationDB:
         ``apply_subst`` over the same terms whenever that term is in it. A
         variable missing from ``sigma`` raises :class:`UnknownVariable`.
         """
-        return self.compiled(t, tuple(sigma))(tuple(sigma.values()))
+        return fold_term(t, partial(lookup, sigma), self.app_index)
 
     def compiled(self, t: Term, names: tuple[str, ...]):
         """``t`` as a function of one id per name: the id of ``t`` with

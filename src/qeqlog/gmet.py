@@ -432,13 +432,12 @@ def check_space(spec: GMetSpec, sp: FuzzySpace) -> list[Violation]:
 
 
 @lru_cache(maxsize=1024)
-def space_passes(spec: GMetSpec, sp: FuzzySpace) -> bool:
-    return not check_space(spec, sp)
+def first_violation(spec: GMetSpec, sp: FuzzySpace) -> Violation | None:
+    return next(iter(check_space(spec, sp)), None)
 
 
 def require_space(spec: GMetSpec, sp: FuzzySpace, what: str = "space") -> None:
-    if not space_passes(spec, sp):
-        first = check_space(spec, sp)[0]
+    if (first := first_violation(spec, sp)) is not None:
         raise SpecViolation(f"{what} violates {spec.name}: {first.describe(sp.grid)}")
 
 

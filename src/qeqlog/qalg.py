@@ -156,12 +156,12 @@ def verdicts(space: FuzzySpace, spec: GMetSpec, judgments: Sequence[Judgment], c
                 a == b if eps is None else dist[a][b] <= eps)
 
 
-def _first_failure(alg: QuantAlgebra, spec: GMetSpec, judgments: Sequence[Judgment], budget: int
-                   ) -> tuple[int, dict[str, str]] | None:
-    """The index of the first judgment that fails in the algebra, whose space
-    is checked first if there is one, and its first failing interpretation."""
+def _first_failure(alg: QuantAlgebra, spec: GMetSpec, judgments: Sequence[Judgment], budget: int,
+                   what: str = "algebra space") -> tuple[int, dict[str, str]] | None:
+    """The index of the first judgment that fails in the algebra, whose space,
+    named ``what``, is checked first if there is one, and its first failing interpretation."""
     if judgments:
-        require_space(spec, alg.space, "algebra space")
+        require_space(spec, alg.space, what)
     for k, tau, holds in verdicts(alg.space, spec, judgments,
                                   partial(compile_term, tables=alg.index_tables), budget):
         if not holds:
@@ -211,9 +211,8 @@ def entails_catalog(catalog: Sequence[QuantAlgebra], spec: GMetSpec, theory: The
     over all models and may still reject it.
     """
     for alg in catalog:
-        require_space(spec, alg.space, "catalog algebra space")
         # a theory judgment that fails first: alg is no model of the theory
-        failure = _first_failure(alg, spec, (*theory.judgments, j), budget)
+        failure = _first_failure(alg, spec, (*theory.judgments, j), budget, "catalog algebra space")
         if failure is not None and failure[0] == len(theory.judgments):
             return False
     return True

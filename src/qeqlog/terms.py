@@ -68,16 +68,16 @@ def quoted(value) -> str:
     return repr(root[0])
 
 
-def whole(value, what: str) -> int | None:
+def whole(value, what: str) -> int:
     """A whole number read from an int, an integral float or a string of
-    digits; None stays None. Anything else is an error that names ``what``."""
+    digits. Anything else, None too, is an error that names ``what``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     elif isinstance(value, str) and value.strip().isdecimal():
         value = int(number_text(value.strip(), what))
-    elif value is not None and type(value) is not int:
+    elif type(value) is not int:
         raise QeqlogError(f"{what} is not an integer: {quoted(value)}")
-    if value is not None and value < 0:
+    if value < 0:
         raise QeqlogError(f"{what} is negative: {quoted(value)}")
     return value
 

@@ -457,6 +457,25 @@ class TestErrors:
                              "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
         assert (code, out) == (2, "") and err.startswith("error: malformed workspace: ")
 
+    # a null key printed Python's own words, under --depth too, which writes
+    # into "budgets"
+    @pytest.mark.parametrize("override", [[], ["--depth", "2"]], ids=["", "depth"])
+    @pytest.mark.parametrize("keys, stderr", [
+        *(([key], f"error: malformed workspace: '{key}' is null\n")
+          for key in ("grid", "signature", "spec", "budgets", "spaces", "theories", "algebras")),
+        (["signature", "ops", "u"], "error: arity of 'u' is not an integer: None\n"),
+    ], ids=["grid", "signature", "spec", "budgets", "spaces", "theories", "algebras", "arity"])
+    def test_null_is_refused_by_name(self, capsys, tmp_path, keys, stderr, override):
+        assert run(capsys, "--workspace", _edited(tmp_path, keys, None), *override, "distance",
+                   "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", stderr)
+
+    def test_a_null_budget_takes_its_default_under_an_override(self, capsys, tmp_path):
+        path = _edited(tmp_path, ["budgets", "depth"], None)
+        code, report = run_json(capsys, "--workspace", path, "--depth", "2", "distance",
+                                "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
+        assert code == 0 and report["depth"] == 2
+
     def test_wrong_shape_inline_judgment_is_an_error(self, capsys):
         for j, stderr in [({"context": 5, "lhs": "a", "rhs": "a"}, "error: malformed judgment: "),
                           ({"context": "AB", "rhs": "a"}, "error: malformed judgment: 'lhs'\n")]:

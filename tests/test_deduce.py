@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -32,8 +33,8 @@ from qeqlog.deduce import (
     saturate,
     trace,
 )
-from qeqlog.terms import (App, Signature, Var, apply_subst, enumerate_universe, term_vars,
-                          universe_size)
+from qeqlog.terms import (App, Signature, Var, apply_subst, enumerate_universe, term_to_str,
+                          term_vars, universe_size)
 
 from conftest import (
     random_algebra,
@@ -100,6 +101,57 @@ class TestSubstIndex:
             db.subst_index({}, Var("x"))
         with pytest.raises(UnknownVariable):
             db.subst_index({"x": 0}, App("u", (Var("y"),)))
+
+
+def _nested(depth: int, leaf: str):
+    """u(u(...u(leaf)...)), ``depth`` levels deep, built without recursion."""
+    t = Var(leaf)
+    for _ in range(depth - 1):
+        t = App("u", (t,))
+    return t
+
+
+class TestLookups:
+    """index_of, term_in_universe and subst_index fold a term once over the
+    hashcons, with no compiled closure and no recursion: an id, or
+    OutOfUniverse, False, None or UnknownVariable."""
+
+    @pytest.fixture
+    def db(self, ab_half, monkeypatch):
+        # the 5,000-level terms below are read at the default limit
+        assert sys.getrecursionlimit() == 1000
+        # a lookup that compiled its term would raise here
+        monkeypatch.setattr(deduce, "compile_term", None)
+        return DerivationDB(UF_SIG, Theory("E", ()), FREL, ab_half, 2)
+
+    def test_a_term_in_the_universe_is_found(self, db):
+        for i, t in enumerate(db.universe):
+            assert db.index_of(t) == i and db.term_in_universe(t)
+            for pattern in (Var("x"), App("u", (Var("x"),))):
+                built = apply_subst({"x": t}, pattern)
+                want = db.index_of(built) if db.term_in_universe(built) else None
+                assert db.subst_index({"x": i}, pattern) == want
+
+    @pytest.mark.parametrize("depth", [3, 5000])
+    def test_a_deep_term_is_outside(self, db, depth):
+        t = _nested(depth, "a")
+        with pytest.raises(OutOfUniverse) as info:
+            db.index_of(t)
+        assert str(info.value) == f"{term_to_str(t)} is outside the depth-2 universe"
+        assert not db.term_in_universe(t)
+        assert db.subst_index({"a": 0}, t) is None
+
+    @pytest.mark.parametrize("depth", [1, 2, 5000])
+    def test_a_stray_variable_is_outside_or_unknown(self, db, depth):
+        t = App("f", (Var("a"), _nested(depth, "zz")))
+        with pytest.raises(OutOfUniverse, match=" is outside the depth-2 universe$"):
+            db.index_of(t)
+        assert not db.term_in_universe(t)
+        with pytest.raises(UnknownVariable, match="^zz$"):
+            db.subst_index({"a": 0}, t)
+        # the first stray variable from the left is named
+        with pytest.raises(UnknownVariable, match="^a$"):
+            db.subst_index({}, t)
 
 
 class TestSaturateFixtures:

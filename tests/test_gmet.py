@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qeqlog.errors import BudgetExceeded, GridMismatch, UnsupportedPreset
+from qeqlog import gmet
+from qeqlog.errors import BudgetExceeded, GridMismatch, SpecViolation, UnsupportedPreset
 from qeqlog.gmet import (
     FREL,
     MET,
@@ -28,7 +29,9 @@ from qeqlog.gmet import (
     discrete_lift,
     enumerate_nonexpansive,
     eps_expr_from_json,
+    first_violation,
     is_nonexpansive,
+    require_space,
     tuple_name,
 )
 
@@ -123,6 +126,24 @@ class TestCheckSpace:
         )
         violations = check_space(MET, sp)
         assert any(v.clause == "triangle" for v in violations)
+
+    def test_a_failing_space_is_walked_once_for_every_require(self, monkeypatch):
+        sp = space(
+            GRID,
+            ["a", "b", "c"],
+            [["0", "1/4", "1"], ["1/4", "0", "1/4"], ["1", "1/4", "0"]],
+        )
+        walked, check = [], gmet.check_space
+        monkeypatch.setattr(gmet, "check_space", lambda spec, sp: walked.append(sp) or check(spec, sp))
+        gmet.first_violation.cache_clear()
+        first = check(MET, sp)[0]
+        for _ in range(2):
+            with pytest.raises(SpecViolation) as info:
+                require_space(MET, sp, "context")
+            assert str(info.value) == f"context violates MET: {first.describe(GRID)}"
+        assert walked == [sp]
+        assert first_violation(MET, sp) == first
+        assert first_violation(MET, space(GRID, ["a"], [["0"]])) is None
 
     def test_frel_accepts_anything(self):
         rng = random.Random(0)

@@ -33,7 +33,7 @@ from qeqlog.gmet import (
     GMetSpec,
     HornClause,
     compile_clause,
-    space_passes,
+    first_violation,
 )
 from qeqlog.qalg import Judgment, Theory
 from qeqlog.terms import App, Signature, Var
@@ -70,7 +70,7 @@ def _space(rng: random.Random, grid: EpsGrid, size: int, spec: GMetSpec) -> Fuzz
              *(FuzzySpace(grid, names, ((v,) * size,) * size) for v in (grid.q, 0)))
     for sp in tries:
         try:
-            if space_passes(spec, sp):
+            if first_violation(spec, sp) is None:
                 return sp
         except GridMismatch:
             pass

@@ -16,13 +16,24 @@ whose runs pass it is not compared, and each relation must compare most
 of its draws. A target is lowered only where the result is still a space of
 the spec: a draw with no such lowering is not compared either.
 
-One relation is of model checking: the product of two algebras, with the max
-distance on pairs and the tables taken componentwise, satisfies a judgment
-exactly when both factors do, as each factor admits an interpretation of the
-context (Mardare, Panangaden & Plotkin, "On the Axiomatizability of
-Quantitative Algebras", LICS 2017). Each draw is two two-point {f/2}
-algebras under MET at q = 4 and an equation or a quantitative equation over
-two context points at least 1/4 apart.
+Three relations are of model checking, after the closure of a class of
+quantitative algebras under products, subalgebras and homomorphic images
+(Mardare, Panangaden & Plotkin, "Quantitative Algebraic Reasoning", LICS
+2016, and "On the Axiomatizability of Quantitative Algebras", LICS 2017):
+
+- the product of two algebras, with the max distance on pairs and the tables
+  taken componentwise, satisfies a judgment exactly when both factors do, as
+  each factor admits an interpretation of the context;
+- a subset of the carrier that the tables map into itself, with the induced
+  distances, satisfies every judgment its algebra satisfies;
+- each projection of a product that models a theory is a homomorphism with
+  a nonexpansive section, a ↦ (a, b0), so the factor models the theory too,
+  as :func:`~qeqlog.monad.check_hom_image_model` checks.
+
+Each draw is of algebras under MET at q = 4, two-point {f/2} ones for the
+product and its projections and three-point {u/1, f/2} ones for their
+subalgebras, and an equation or a quantitative equation over two context
+points at least 1/4 apart.
 """
 from __future__ import annotations
 
@@ -32,8 +43,9 @@ from fractions import Fraction
 from functools import partial
 
 from qeqlog.deduce import saturate
-from qeqlog.errors import BudgetExceeded
+from qeqlog.errors import BudgetExceeded, PreconditionViolation
 from qeqlog.gmet import FREL, MET, PMET, EpsGrid, FuzzySpace, check_space
+from qeqlog.monad import check_hom_image_model
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, satisfies
 from qeqlog.terms import Signature, Var, apply_subst, term_to_str
 
@@ -44,6 +56,8 @@ SPECS = (MET, PMET, FREL)
 BUDGET = 20_000
 DRAWS = range(15)
 MIN_COMPARED = 12
+# the draws that each relation of model checking below must compare
+MIN_MODEL_DRAWS = 150
 
 
 def _axioms(rng: random.Random, grid: EpsGrid, spec, count: int) -> tuple[Judgment, ...]:
@@ -193,3 +207,62 @@ def test_a_product_satisfies_what_both_factors_satisfy():
         j = Judgment(ctx, lhs, rhs, rng.choice((None, *grid.values())))
         both = satisfies(a, MET, j).holds and satisfies(b, MET, j).holds
         assert satisfies(_product(a, b), MET, j).holds == both, seed
+
+
+def _judgment(rng: random.Random, sig: Signature, grid: EpsGrid) -> Judgment:
+    """A judgment drawn as the product test draws its own."""
+    ctx = random_met_space(rng, grid, 2)
+    lhs, rhs = (random_term(rng, sig, ctx.carrier, 3) for _ in range(2))
+    return Judgment(ctx, lhs, rhs, rng.choice((None, *grid.values())))
+
+
+def _subalgebras(alg: QuantAlgebra):
+    """Each proper subset of the carrier that the tables map into itself,
+    as an algebra with the induced distances."""
+    carrier, dist = alg.space.carrier, alg.space.dist
+    for size in range(1, len(carrier)):
+        for keep in itertools.combinations(range(len(carrier)), size):
+            names = [carrier[i] for i in keep]
+            ops = {op: {args: alg.apply(op, args) for args in itertools.product(names, repeat=arity)}
+                   for op, arity in alg.sig.ops}
+            if all(v in names for table in ops.values() for v in table.values()):
+                sub = tuple(tuple(dist[i][k] for k in keep) for i in keep)
+                yield QuantAlgebra(FuzzySpace(alg.space.grid, tuple(names), sub), alg.sig, ops)
+
+
+def test_a_subalgebra_satisfies_what_its_algebra_satisfies():
+    sig, grid = Signature.of({"u": 1, "f": 2}), EpsGrid(4)
+    compared = 0
+    for seed in range(300):
+        rng = random.Random(f"subalgebra-{seed}")
+        alg = random_algebra(rng, sig, grid, MET, 3)
+        subs = list(_subalgebras(alg))
+        for _ in range(3):
+            j = _judgment(rng, sig, grid)
+            if subs and satisfies(alg, MET, j).holds:
+                compared += 1
+                assert all(satisfies(sub, MET, j).holds for sub in subs), seed
+    assert compared >= MIN_MODEL_DRAWS, compared
+
+
+def test_a_projection_of_a_model_product_is_a_model():
+    sig, grid = Signature.of({"f": 2}), EpsGrid(4)
+    compared = 0
+    for seed in range(300):
+        rng = random.Random(f"projection-{seed}")
+        a, b = (random_algebra(rng, sig, grid, MET, 2) for _ in range(2))
+        theory = Theory("T", (_judgment(rng, sig, grid),))
+        product = _product(a, b)
+        pairs = list(itertools.product(a.space.carrier, b.space.carrier))
+        a0, b0 = pairs[0]
+        for k, factor, section in ((0, a, lambda x: x + b0), (1, b, lambda y: a0 + y)):
+            project = {"".join(pair): pair[k] for pair in pairs}
+            inverse = {x: section(x) for x in factor.space.carrier}
+            try:
+                holds = check_hom_image_model(product, factor, project, inverse, theory, MET)
+            except PreconditionViolation as exc:
+                assert str(exc) == "the domain algebra is not a model", seed
+                continue
+            compared += 1
+            assert holds, (seed, k)
+    assert compared >= MIN_MODEL_DRAWS, compared

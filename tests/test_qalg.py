@@ -260,6 +260,27 @@ class TestEntailsCatalog:
             assert entails_catalog([swap_algebra, stay], MET, th, j)
         assert not entails_catalog([swap_algebra], MET, Theory("empty", ()), fixed)
 
+    def test_each_catalog_space_is_checked_once_by_its_name(self, swap_algebra, ab_half,
+                                                          monkeypatch):
+        checked, require_space = [], qalg.require_space
+
+        def counted(spec, sp, what):
+            checked.append(what)
+            require_space(spec, sp, what)
+
+        monkeypatch.setattr(qalg, "require_space", counted)
+        j = Judgment(ab_half, Var("a"), Var("b"), GRID.value("1/2"))
+        assert entails_catalog([swap_algebra, swap_algebra], MET, Theory("empty", ()), j)
+        assert checked == ["catalog algebra space", "judgment context"] * 2
+
+    def test_a_catalog_space_outside_the_spec_is_named(self, sig_u, ab_half):
+        # p and q at 1/2 one way and 1/4 the other: not symmetric
+        lopsided = space(GRID, ["p", "q"], [["0", "1/2"], ["1/4", "0"]])
+        alg = QuantAlgebra(lopsided, sig_u, {"u": {("p",): "q", ("q",): "p"}})
+        j = Judgment(ab_half, Var("a"), Var("b"), GRID.value("1/2"))
+        with pytest.raises(SpecViolation, match=r"^catalog algebra space violates MET: "):
+            entails_catalog([alg], MET, Theory("empty", ()), j)
+
 
 class TestAlgebraJson:
     def test_roundtrip(self, swap_uc):
