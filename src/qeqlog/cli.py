@@ -42,25 +42,40 @@ class Workspace(Record):
     @classmethod
     def from_json(cls, obj) -> "Workspace":
         def get(key: str, default):
-            """``obj[key]``, or ``default`` where it is missing; null is refused."""
+            """``obj[key]``, or ``default`` where it is missing; null is refused,
+            and so is a value other than an object where ``default`` is one."""
             if (value := obj.get(key, default)) is None:
                 raise QeqlogError(f"malformed workspace: {quoted(key)} is null")
+            if isinstance(default, dict) and not isinstance(value, dict):
+                raise QeqlogError(f"malformed workspace: {quoted(key)} is not an object: {quoted(value)}")
             return value
 
+        def read(kind: str, entries, build=lambda name, value: value) -> dict:
+            """``build(name, value)`` of each (name, value) of ``entries``, by name,
+            refusing an entry that is null or lacks a key by ``kind`` and name."""
+            table = {}
+            for name, value in entries:
+                where = f"malformed workspace: {kind} {quoted(name)}"
+                if value is None:
+                    raise QeqlogError(f"{where} is null")
+                try:
+                    table[str(name)] = build(str(name), value)
+                except KeyError as exc:
+                    raise QeqlogError(f"{where}: {exc} is missing") from None
+            return table
+
         grid = EpsGrid(whole(get("grid", 24), "grid"))
-        sig = Signature.from_json(get("signature", {"ops": {}}))
-        spec = GMetSpec.from_json(get("spec", {"preset": "MET"}))
-        spaces = {str(k): FuzzySpace.from_json(v, grid) for k, v in get("spaces", {}).items()}
+        sig = Signature.from_json(read("signature:", get("signature", {"ops": {}}).items()))
+        spec = GMetSpec.from_json(read("spec:", get("spec", {"preset": "MET"}).items()))
+        spaces = read("space", get("spaces", {}).items(), lambda name, v: FuzzySpace.from_json(
+            read(f"space {quoted(name)}:", v.items()), grid))
         for space in spaces.values():
             check_carrier(sig, space.carrier)
-        theories = {
-            str(name): Theory(str(name), tuple(Judgment.from_json(j, sig, grid, spaces) for j in js))
-            for name, js in get("theories", {}).items()
-        }
-        algebras = {
-            str(k): QuantAlgebra.from_json(v, sig, grid)
-            for k, v in get("algebras", {}).items()
-        }
+        theories = read("theory", get("theories", {}).items(), lambda name, js: Theory(name, tuple(
+            read(f"theory {quoted(name)}: judgment", enumerate(js),
+                 lambda k, j: Judgment.from_json(j, sig, grid, spaces)).values())))
+        algebras = read("algebra", get("algebras", {}).items(), lambda name, v: QuantAlgebra.from_json(
+            read(f"algebra {quoted(name)}:", v.items()), sig, grid))
         # a budget that is missing or null takes its field's default
         budgets = get("budgets", {})
         given = {field: whole(budgets[key], f"budget {quoted(key)}")
@@ -70,14 +85,14 @@ class Workspace(Record):
 
 def load_workspace(path: str, overrides) -> Workspace:
     """The workspace in a JSON file, with the ``grid`` and each budget field
-    of ``overrides`` put in its place where they are not None (never into a
-    null ``budgets``); JSON of the wrong shape is a QeqlogError."""
+    of ``overrides`` put in its place where they are not None (only into a
+    ``budgets`` object); JSON of the wrong shape is a QeqlogError."""
     def build(obj) -> Workspace:
         if overrides.grid is not None:
             obj["grid"] = overrides.grid
         budgets = obj.setdefault("budgets", {})
         for key, field in Workspace.BUDGETS.items():
-            if getattr(overrides, field) is not None and budgets is not None:
+            if getattr(overrides, field) is not None and isinstance(budgets, dict):
                 budgets[key] = getattr(overrides, field)
         return Workspace.from_json(obj)
 

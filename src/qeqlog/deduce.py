@@ -74,6 +74,7 @@ from .terms import (
     exceeds,
     fold_nodes,
     fold_term,
+    fold_tree,
     layer_sizes,
     lookup,
     term_depth,
@@ -89,8 +90,8 @@ MAX_TERMS = 2**17
 # that any test or benchmark query counts, 151,503 rule instances (a test)
 BUDGET_INSTANCES = 2_000_000
 
-# the deepest derivation a trace returns: TraceNode.to_json and json's encoder
-# each take two frames a level, leaving 200 of the default limit of 1,000
+# the deepest derivation a trace returns: json's indenting encoder, the one walk
+# of a trace that recurses, nests at most 496 levels at the default limit
 MAX_TRACE_DEPTH = 400
 
 # Premise descriptors:
@@ -113,18 +114,20 @@ class TraceNode(Record):
     children: tuple["TraceNode", ...]
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "detail": self.detail,
-            "conclusion": self.conclusion,
-            "premises": [c.to_json() for c in self.children],
-        }
+        return fold_tree(self, lambda node: (node, node.children), lambda node, premises: {
+            "rule": node.rule,
+            "detail": node.detail,
+            "conclusion": node.conclusion,
+            "premises": list(premises),
+        })
 
     def leaves(self):
-        if not self.children:
-            yield self
-        for c in self.children:
-            yield from c.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if not node.children:
+                yield node
+            stack += reversed(node.children)
 
 
 class DerivationDB:
@@ -277,19 +280,18 @@ class DerivationDB:
         return fold_nodes(self._nodes, leaf, node)
 
     def terms(self, ids) -> list[Term]:
-        """The term of each id in ``ids``, building only their subterms."""
-        nodes, need, todo = self._nodes, set(), list(ids)
-        while todo:
-            i = todo.pop()
-            if i not in need:
-                need.add(i)
-                todo.extend(nodes[i][1] or ())
-        built: dict[int, Term] = {}
-        # an argument id is below its application's
-        for i in sorted(need):
-            name, args = nodes[i]
-            built[i] = Var(name) if args is None else App(name, tuple([built[a] for a in args]))
-        return [built[i] for i in ids]
+        """The term of each id in ``ids``, building only their subterms, each
+        once: a subterm that two of them share is one object."""
+        nodes, built = self._nodes, {}
+
+        def combine(i: int, args: tuple) -> Term:
+            if i not in built:
+                name, arg_ids = nodes[i]
+                built[i] = Var(name) if arg_ids is None else App(name, args)
+            return built[i]
+
+        return [fold_tree(i, lambda i: (i, () if i in built else nodes[i][1] or ()), combine)
+                for i in ids]
 
     @cached_property
     def universe(self) -> tuple[Term, ...]:
@@ -400,26 +402,20 @@ class DerivationDB:
         return Judgment(self.target, *self.terms((i, jj)), *rest).describe()
 
     def _build(self, proof) -> tuple[TraceNode, int]:
-        """The tree of ``proof`` and its depth, on its own stack. A proof is an
-        event id, standing for that event over the proofs of its premises, or
-        ``(rule, detail, conclusion, premise proofs)``."""
-        out: list = []
-        stack: list = [proof]
-        while stack:
-            p = stack.pop()
+        """The tree of ``proof`` and its depth (:func:`~qeqlog.terms.fold_tree`).
+        A proof is an event id, standing for that event over the proofs of its
+        premises, or ``(rule, detail, conclusion, premise proofs)``."""
+        def expand(p):
             if isinstance(p, int):
                 ev = self.events[p]
                 p = ev.rule, ev.detail, ev.conclusion, tuple([
                     x[1] if x[0] == "axiom" else self._eq_tree(x[1], x[2]) if x[0] == "eq"
                     else self._dist_tree(*x[1:], p) for x in ev.premises])
-            rule, detail, conclusion, premises = p
-            if isinstance(premises, tuple):
-                stack += ((rule, detail, conclusion, len(premises)), *reversed(premises))
-            else:  # (rule, detail, conclusion, count), popped once its premises are built
-                k = len(out) - premises
-                nodes, depths = zip(*out[k:]) if premises else ((), (0,))
-                out[k:] = [(TraceNode(rule, detail, self._fact_str(conclusion), nodes), 1 + max(depths))]
-        return out[0]
+            return p[:3], p[3]
+
+        return fold_tree(proof, expand, lambda head, built: (
+            TraceNode(*head[:2], self._fact_str(head[2]), tuple(node for node, _ in built)),
+            1 + max((depth for _, depth in built), default=0)))
 
     def _dist_tree(self, i: int, j: int, eps: int, before: int):
         """The proof of d(i, j) <= eps from events before ``before``."""

@@ -130,23 +130,27 @@ class App(Term, Record):
     args: tuple[Term, ...]
 
 
-def fold_term(t: Term, leaf: Callable, node: Callable):
-    """The tree counterpart of :func:`fold_nodes`: ``leaf(name)`` per
-    variable and ``node(op, argument values)`` per application, leaves left
-    to right, on its own stack (as :func:`parse_term` and :func:`_render`
-    keep theirs), so no walk stops at the interpreter's recursion limit."""
-    out: list = []
-    stack: list = [t]
+def fold_tree(root, expand: Callable, combine: Callable):
+    """``combine(head, child values)`` of ``root``, where ``expand(node)``
+    gives ``(head, children)``, bottom up and children left to right, on one
+    explicit stack, so no fold stops at the interpreter's recursion limit."""
+    out, stack, heads, folded = [], [root], [], object()
     while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out.append(leaf(t.name))
-        elif isinstance(t, App):
-            stack += ((t.op, len(t.args)), *reversed(t.args))
-        else:  # (op, arity), popped once its arguments are folded
-            k = len(out) - t[1]
-            out[k:] = [node(t[0], tuple(out[k:]))]
+        node = stack.pop()
+        if node is folded:  # the innermost head's children are folded from out[k] on
+            head, k = heads.pop()
+            out[k:] = [combine(head, tuple(out[k:]))]
+        else:
+            head, children = expand(node)
+            heads.append((head, len(out)))
+            stack += (folded, *reversed(children))
     return out[0]
+
+
+def fold_term(t: Term, leaf: Callable, node: Callable):
+    """:func:`fold_tree` with ``leaf(name)`` per variable and ``node(op, argument values)``."""
+    return fold_tree(t, lambda t: (t, ()) if isinstance(t, Var) else (t.op, t.args),
+                     lambda head, values: leaf(head.name) if isinstance(head, Var) else node(head, values))
 
 
 def lookup(values: Mapping[str, object], name: str):

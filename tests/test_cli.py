@@ -449,9 +449,12 @@ class TestErrors:
         (["algebras", "swap"], {"space": {"carrier": ["p"], "dist": [["0"]]}}),
         # a clause atom of the wrong length
         (["spec"], {"clauses": [{"name": "short", "vars": ["x"], "conclusion": {"dist": ["x"]}}]}),
+        # a table that is not an object
+        (["spaces"], 5),
+        (["budgets"], 5),
     ], ids=["signature", "spaces", "carrier", "dist", "theory", "judgment", "ops",
             "budgets", "top-level", "string-space", "string-carrier", "string-dist",
-            "string-row", "no-dist", "no-ops", "short-atom"])
+            "string-row", "no-dist", "no-ops", "short-atom", "spaces-number", "budgets-number"])
     def test_wrong_shape_is_an_error(self, capsys, tmp_path, keys, value):
         code, out, err = run(capsys, "--workspace", _edited(tmp_path, keys, value), "distance",
                              "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b")
@@ -464,11 +467,40 @@ class TestErrors:
         *(([key], f"error: malformed workspace: '{key}' is null\n")
           for key in ("grid", "signature", "spec", "budgets", "spaces", "theories", "algebras")),
         (["signature", "ops", "u"], "error: arity of 'u' is not an integer: None\n"),
-    ], ids=["grid", "signature", "spec", "budgets", "spaces", "theories", "algebras", "arity"])
+        # below the top level, by the entry and the key
+        *((keys, f"error: malformed workspace: {name} is null\n") for keys, name in (
+            (["signature", "ops"], "signature: 'ops'"),
+            (["spec", "clauses"], "spec: 'clauses'"),
+            (["spaces", "AB"], "space 'AB'"),
+            (["spaces", "AB", "dist"], "space 'AB': 'dist'"),
+            (["theories", "EMPTY"], "theory 'EMPTY'"),
+            (["theories", "PHI1", 0], "theory 'PHI1': judgment 0"),
+            (["algebras", "swap"], "algebra 'swap'"),
+            (["algebras", "swap", "ops"], "algebra 'swap': 'ops'"))),
+    ], ids=["grid", "signature", "spec", "budgets", "spaces", "theories", "algebras", "arity",
+            "ops", "clauses", "space", "dist", "theory", "judgment", "algebra", "algebra-ops"])
     def test_null_is_refused_by_name(self, capsys, tmp_path, keys, stderr, override):
         assert run(capsys, "--workspace", _edited(tmp_path, keys, None), *override, "distance",
                    "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
             2, "", stderr)
+
+    # a table that is not an object, and a key missing in an entry, are named
+    # with the entry, under --depth too
+    @pytest.mark.parametrize("override", [[], ["--depth", "2"]], ids=["", "depth"])
+    @pytest.mark.parametrize("keys, value, message", [
+        (["spaces"], 5, "'spaces' is not an object: 5"),
+        (["budgets"], 5, "'budgets' is not an object: 5"),
+        (["spaces", "AB"], {"carrier": ["a", "b"]}, "space 'AB': 'dist' is missing"),
+        (["theories", "PHI1", 0], {"context": "AB", "rhs": "a"},
+         "theory 'PHI1': judgment 0: 'lhs' is missing"),
+        (["algebras", "swap"], {"space": {"carrier": ["p"], "dist": [["0"]]}},
+         "algebra 'swap': 'ops' is missing"),
+    ], ids=["spaces", "budgets", "no-dist", "no-lhs", "no-ops"])
+    def test_wrong_shape_is_refused_by_name(self, capsys, tmp_path, keys, value, message,
+                                            override):
+        assert run(capsys, "--workspace", _edited(tmp_path, keys, value), *override, "distance",
+                   "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
+            2, "", f"error: malformed workspace: {message}\n")
 
     def test_a_null_budget_takes_its_default_under_an_override(self, capsys, tmp_path):
         path = _edited(tmp_path, ["budgets", "depth"], None)

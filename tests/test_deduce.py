@@ -27,6 +27,7 @@ from qeqlog.qalg import Judgment, QuantAlgebra, Theory, is_model, satisfies
 from qeqlog.deduce import (
     BUDGET_INSTANCES,
     DerivationDB,
+    TraceNode,
     derives,
     distance,
     gen_nonexpansive_axioms,
@@ -44,6 +45,7 @@ from conftest import (
     space,
     trivial_model,
 )
+from countermodels import TwoPointAlgebras
 from oracle import OracleDB
 from test_deduce_custom_specs import OFF_GRID_BEHIND_ZERO
 from test_terms import terms_strategy
@@ -400,6 +402,14 @@ class TestIdsNotTrees:
         assert answers == ([True, False], GRID.fraction(3))
         assert "universe" not in vars(db)
 
+    def test_terms_build_a_shared_subterm_once(self, ab_half):
+        db = saturate(UF_SIG, Theory("E", ()), MET, ab_half, 3)
+        ua = App("u", (Var("a"),))
+        ids = [db.index_of(t) for t in (App("f", (ua, ua)), App("u", (ua,)), ua)]
+        f, u, a, again = db.terms([*ids, ids[0]])
+        assert (f, u, a) == (App("f", (ua, ua)), App("u", (ua,)), ua)
+        assert f.args[0] is f.args[1] is u.args[0] is a and again is f
+
     def test_universe_view(self, ab_half):
         db = saturate(UF_SIG, unary_axiom_quarter(GRID), MET, ab_half, 3)
         # a trace builds only the terms that it names
@@ -559,6 +569,29 @@ class TestTrace:
         tree = trace(db, Judgment(ab_half, Var("a"), Var("b"), GRID.q))
         assert tree.leaves() is not None
         replay_node(tree, ab_half, GRID)
+
+    # 5,000 levels, past a frame per level: to_json folds on fold_tree's
+    # stack and leaves walks its own
+    def test_a_deep_trace_node_serializes_and_yields_its_leaf(self):
+        assert sys.getrecursionlimit() == 1000
+        leaf = node = TraceNode("INIT", None, "a = b", ())
+        for k in range(4999):
+            node = TraceNode("SYMM", None, f"fact {k}", (node,))
+        obj, depth = node.to_json(), 1
+        while obj["premises"]:
+            (obj,), depth = obj["premises"], depth + 1
+        assert depth == 5000
+        assert obj == {"rule": "INIT", "detail": None, "conclusion": "a = b", "premises": []}
+        leaves = list(node.leaves())
+        assert len(leaves) == 1 and leaves[0] is leaf
+
+    def test_leaves_come_left_to_right(self):
+        a, b, c, d = (TraceNode("INIT", None, name, ()) for name in "abcd")
+        tree = TraceNode("T", None, "t", (a, TraceNode("S", None, "s", (b, c)), d))
+        assert [n.conclusion for n in tree.leaves()] == ["a", "b", "c", "d"]
+        assert tree.to_json()["premises"][1] == {
+            "rule": "S", "detail": None, "conclusion": "s", "premises": [
+                {"rule": "INIT", "detail": None, "conclusion": x, "premises": []} for x in "bc"]}
 
     def test_max_wrap(self, ab_half):
         db = saturate(EMPTY_SIG, Theory("E", ()), MET, ab_half, 1)
@@ -818,6 +851,29 @@ class TestSoundness:
                     jeq = Judgment(target, s, t)
                     for alg in models:
                         assert satisfies(alg, spec, jeq).holds
+
+    # no two-point model of the theory refutes a derived class or class
+    # distance: these hold at every depth, in every model of the class
+    def test_no_two_point_model_refutes_a_derived_fact(self):
+        grid, checked = EpsGrid(4), 0
+        for seed in range(24):
+            rng = random.Random(f"countermodel-{seed}")
+            sig = (U_SIG, F_SIG, Signature.of({"c": 0, "u": 1}))[seed % 3]
+            spec = (FREL, PMET, MET)[seed // 3 % 3]
+            target = random_space(rng, grid, 2, spec)
+            theory = random_theory(rng, sig, grid, spec, rng.randint(1, 2))
+            db = saturate(sig, theory, spec, target, 2)
+            terms, roots = db.universe, db.roots()
+            derived = [Judgment(target, terms[i], terms[r]) for i, r in enumerate(db.roots_by_id())
+                       if i != r] + [Judgment(target, terms[r], terms[s], db.cell(r, s))
+                                     for r in roots for s in roots if db.cell(r, s) < grid.q]
+            algebras = TwoPointAlgebras(sig, grid, spec)
+            for alg in rng.sample(algebras, min(len(algebras), 80)):
+                if is_model(alg, spec, theory):
+                    for j in derived:
+                        assert satisfies(alg, spec, j).holds, (seed, j.describe(), alg)
+                    checked += len(derived)
+        assert checked >= 5000, checked
 
 
 class TestDeterminism:

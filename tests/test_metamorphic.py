@@ -8,6 +8,11 @@ share, compared by terms, not by universe ids.
   distances as fractions.
 - Adding an axiom, or lowering the distance between two target points,
   never splits a class and never raises a distance.
+- Adding clauses, from FREL to PMET to MET, never splits a class and never
+  raises a distance. These draws are their own: {u/1}, {f/2}, {u/1, f/2} or
+  {c/0, u/1}, one or two axioms from ``conftest.random_theory``, q = 4,
+  depth 2 or 3, with the target and every context a MET space, which all
+  three specs accept.
 
 Each draw is seeded: {u/1, f/2} under MET, PMET or FREL, two or three
 target points (two at depth 3), one or two random axioms over one or two context points,
@@ -49,7 +54,7 @@ from qeqlog.monad import check_hom_image_model
 from qeqlog.qalg import Judgment, QuantAlgebra, Theory, satisfies
 from qeqlog.terms import Signature, Var, apply_subst, term_to_str
 
-from conftest import random_algebra, random_met_space, random_space, random_term
+from conftest import random_algebra, random_met_space, random_space, random_term, random_theory
 
 SIG = Signature.of({"u": 1, "f": 2})
 SPECS = (MET, PMET, FREL)
@@ -182,6 +187,34 @@ def test_an_added_axiom_never_splits_a_class_or_raises_a_distance():
             for (c, d), value in dist.items():
                 assert big_dist[owner[next(iter(c))], owner[next(iter(d))]] <= value, (name, seed)
     assert min(compared.values()) >= MIN_COMPARED, compared
+
+
+# each spec adds clauses to the one before it
+CHAIN = (FREL, PMET, MET)
+CLAUSE_SIGS = tuple(Signature.of(ops) for ops in ({"u": 1}, {"f": 2}, {"u": 1, "f": 2},
+                                                   {"c": 0, "u": 1}))
+
+
+def test_an_added_clause_keeps_every_derivation():
+    compared = 0
+    for seed in range(60):
+        rng = random.Random(f"clause-{seed}")
+        sig, grid = CLAUSE_SIGS[seed % len(CLAUSE_SIGS)], EpsGrid(4)
+        # MET spaces are spaces of every spec in the chain
+        target = random_met_space(rng, grid, 2)
+        theory = random_theory(rng, sig, grid, MET, rng.randint(1, 2))
+        depth = rng.choice((2, 3))
+        try:
+            facts = [_facts(saturate(sig, theory, spec, target, depth, BUDGET)) for spec in CHAIN]
+        except BudgetExceeded:
+            continue
+        compared += 1
+        for (classes, dist), (big_classes, big_dist) in zip(facts, facts[1:]):
+            owner = {t: c for c in big_classes for t in c}
+            assert all(len({owner[t] for t in c}) == 1 for c in classes), seed
+            for (c, d), value in dist.items():
+                assert big_dist[owner[next(iter(c))], owner[next(iter(d))]] <= value, seed
+    assert compared >= 50, compared
 
 
 def _product(a: QuantAlgebra, b: QuantAlgebra) -> QuantAlgebra:

@@ -21,6 +21,7 @@ from qeqlog.terms import (
     compile_term,
     enumerate_universe,
     exceeds,
+    fold_tree,
     parse_term,
     power,
     term_depth,
@@ -341,6 +342,39 @@ def test_deep_term_api_keeps_its_own_stack():
     for deep in (parse_term("u(" * 200 + "a" + ")" * 200, sig, ["a"]), t):
         with pytest.raises(QeqlogError, match="^a term nested more than 200 levels deep cannot be evaluated$"):
             compile_term(deep, ("a",), tables)
+
+
+class TestFoldTree:
+    """fold_tree folds any tree bottom up on one explicit stack, its
+    children left to right, at the default recursion limit."""
+
+    def test_a_chain_folds_bottom_up(self):
+        assert sys.getrecursionlimit() == 1000
+        levels, order = 5000, []
+
+        def expand(k):  # node k has the one child k + 1, and the last node none
+            return k, (k + 1,) if k < levels - 1 else ()
+
+        def combine(k, below):
+            order.append(k)
+            return 1 + sum(below)
+
+        assert fold_tree(0, expand, combine) == levels
+        assert order == list(range(levels - 1, -1, -1))
+
+    def test_children_fold_left_to_right(self):
+        order = []
+
+        def combine(head, values):
+            order.append(head)
+            return head + "".join(values)
+
+        tree = ("r", [("a", []), ("b", [("c", []), ("d", [])]), ("e", [])])
+        assert fold_tree(tree, lambda node: node, combine) == "rabcde"
+        assert order == ["a", "c", "d", "b", "e", "r"]
+        wide = ("w", [(f"{k:05d}", []) for k in range(10_000)])
+        assert fold_tree(wide, lambda node: node, lambda head, values: (head, values)) == (
+            "w", tuple((f"{k:05d}", ()) for k in range(10_000)))
 
 
 class TestSignature:
