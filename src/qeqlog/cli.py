@@ -41,41 +41,54 @@ class Workspace(Record):
 
     @classmethod
     def from_json(cls, obj) -> "Workspace":
+        # each member of an entry that is read as a JSON container -> its type
+        members = {"ops": dict, "space": dict, "clauses": list}
+
+        def refuse(where: str, value, shape: type):
+            """Refuse ``value``, named by ``where``, unless it is a ``shape``."""
+            if not isinstance(value, shape):
+                what = "an object" if shape is dict else "a list"
+                raise QeqlogError(f"malformed workspace: {where} is not {what}: {quoted(value)}")
+
         def get(key: str, default):
             """``obj[key]``, or ``default`` where it is missing; null is refused,
             and so is a value other than an object where ``default`` is one."""
             if (value := obj.get(key, default)) is None:
                 raise QeqlogError(f"malformed workspace: {quoted(key)} is null")
-            if isinstance(default, dict) and not isinstance(value, dict):
-                raise QeqlogError(f"malformed workspace: {quoted(key)} is not an object: {quoted(value)}")
+            if isinstance(default, dict):
+                refuse(quoted(key), value, dict)
             return value
 
-        def read(kind: str, entries, build=lambda name, value: value) -> dict:
+        def read(kind: str, entries, build=lambda name, value: value, shape=None) -> dict:
             """``build(name, value)`` of each (name, value) of ``entries``, by name,
-            refusing an entry that is null or lacks a key by ``kind`` and name."""
+            refusing an entry that is null, that is not a ``shape`` (a member named
+            in ``members``: its type) or that lacks a key, by ``kind`` and name."""
             table = {}
             for name, value in entries:
-                where = f"malformed workspace: {kind} {quoted(name)}"
+                where = f"{kind} {quoted(name)}"
                 if value is None:
-                    raise QeqlogError(f"{where} is null")
+                    raise QeqlogError(f"malformed workspace: {where} is null")
+                if (want := shape or members.get(name)) is not None:
+                    refuse(where, value, want)
                 try:
                     table[str(name)] = build(str(name), value)
                 except KeyError as exc:
-                    raise QeqlogError(f"{where}: {exc} is missing") from None
+                    raise QeqlogError(f"malformed workspace: {where}: {exc} is missing") from None
             return table
 
+        refuse("the top level", obj, dict)
         grid = EpsGrid(whole(get("grid", 24), "grid"))
         sig = Signature.from_json(read("signature:", get("signature", {"ops": {}}).items()))
         spec = GMetSpec.from_json(read("spec:", get("spec", {"preset": "MET"}).items()))
         spaces = read("space", get("spaces", {}).items(), lambda name, v: FuzzySpace.from_json(
-            read(f"space {quoted(name)}:", v.items()), grid))
+            read(f"space {quoted(name)}:", v.items()), grid), dict)
         for space in spaces.values():
             check_carrier(sig, space.carrier)
         theories = read("theory", get("theories", {}).items(), lambda name, js: Theory(name, tuple(
             read(f"theory {quoted(name)}: judgment", enumerate(js),
-                 lambda k, j: Judgment.from_json(j, sig, grid, spaces)).values())))
+                 lambda k, j: Judgment.from_json(j, sig, grid, spaces), dict).values())), list)
         algebras = read("algebra", get("algebras", {}).items(), lambda name, v: QuantAlgebra.from_json(
-            read(f"algebra {quoted(name)}:", v.items()), sig, grid))
+            read(f"algebra {quoted(name)}:", v.items()), sig, grid), dict)
         # a budget that is missing or null takes its field's default
         budgets = get("budgets", {})
         given = {field: whole(budgets[key], f"budget {quoted(key)}")
@@ -88,12 +101,13 @@ def load_workspace(path: str, overrides) -> Workspace:
     of ``overrides`` put in its place where they are not None (only into a
     ``budgets`` object); JSON of the wrong shape is a QeqlogError."""
     def build(obj) -> Workspace:
-        if overrides.grid is not None:
-            obj["grid"] = overrides.grid
-        budgets = obj.setdefault("budgets", {})
-        for key, field in Workspace.BUDGETS.items():
-            if getattr(overrides, field) is not None and isinstance(budgets, dict):
-                budgets[key] = getattr(overrides, field)
+        if isinstance(obj, dict):
+            if overrides.grid is not None:
+                obj["grid"] = overrides.grid
+            budgets = obj.setdefault("budgets", {})
+            for key, field in Workspace.BUDGETS.items():
+                if getattr(overrides, field) is not None and isinstance(budgets, dict):
+                    budgets[key] = getattr(overrides, field)
         return Workspace.from_json(obj)
 
     return _read_json(path, "workspace", inline=False, build=build)

@@ -151,8 +151,11 @@ class DerivationDB:
     ``i * n + j``, read as ``dmin.get(i * n + j, q)`` (:meth:`cell`). A
     near-cell index holds, for each id, the ids on the other side of its
     cells below q; a merge folds only those, so it costs the loser's derived
-    distances, not the class count. A universe of more than ``MAX_TERMS``
-    terms, or a symbol of more arguments, is refused before it is enumerated.
+    distances, not the class count. A diagonal list holds the ids whose own
+    cell is below q, in the order of their first writes: the candidates of
+    an axiom point that a context cell (p, p) below 1 ties to itself. A
+    universe of more than ``MAX_TERMS`` terms, or a symbol of more
+    arguments, is refused before it is enumerated.
 
     Use-lists hold, for each id that is an argument, the applications over
     it; they are fixed by the universe, and only the ids with parents have
@@ -207,6 +210,8 @@ class DerivationDB:
         self.dmin: dict[int, int] = {}
         # per id, the ids across its cells below q, or None before its first
         self._near: list[list[int] | None] = [None] * n
+        # the ids whose own cell is below q, in the order of its first write
+        self._diagonal: list[int] = []
         # the one record of what saturation derived
         self.events = [RuleInstance("INIT", f"{theory.name}[{k}]", (), ("axiom", k))
                        for k in range(len(theory.judgments))]
@@ -322,6 +327,8 @@ class DerivationDB:
                   premises: tuple) -> None:
         dmin, n, near = self.dmin, self._n, self._near
         if a * n + b not in dmin and b * n + a not in dmin:
+            if a == b:
+                self._diagonal.append(a)
             # the first cell below q between a and b: each joins the other's list
             for u, v in ((a, b), (b, a)) if a != b else ((a, a),):
                 if near[u] is None:
@@ -505,26 +512,48 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
 def _step_cong(db: DerivationDB) -> bool:
     """Merge the applications that share a key, an operation over argument
     roots, re-keying only the applications over the ids that lost their
-    root since the last step (:meth:`DerivationDB._merge`)."""
+    root since the last step, and none when no id did. A root is read off
+    ``_parent`` before :meth:`~DerivationDB.find` is called, a group's root
+    is followed as it merges, and a loser without a near list is linked in
+    place: only a loser whose cells must fold goes through
+    :meth:`~DerivationDB._merge`."""
     db._phase = "CONG"
+    if not db._dirty:
+        return False
     dirty, db._dirty = sorted(set(db._dirty)), []
-    changed = False
+    # every dirty application is one instance: counted before any is taken
+    db.instances += len(dirty)
+    if db.instances > db.budget:
+        raise db._over_budget()
     groups: dict[tuple, list[int]] = {}
-    nodes, find, facts, n = db._nodes, db.find, db._eq_facts, db._n
+    nodes, parent, find, n = db._nodes, db._parent, db.find, db._n
+    facts, near, uses, events, requeue = db._eq_facts, db._near, db._uses, db.events, db._dirty
     for idx in dirty:
         op, args = nodes[idx]
-        groups.setdefault((op, tuple([find(a) for a in args])), []).append(idx)
+        groups.setdefault((op, tuple([a if parent[a] == a else find(a) for a in args])),
+                          []).append(idx)
+    changed = False
     for (op, roots), members in sorted(groups.items()):
         # the application over the key's roots is in the universe and is the
         # least under the key, and no merge has re-keyed it
         first = db._hashcons[op][roots]
-        for other in _counted(db, members):
-            if find(first) == find(other):
+        root = find(first)
+        for other in members:
+            other_root = other if parent[other] == other else find(other)
+            if other_root == root:
                 continue
-            # each premise ("eq", x, y) is the one tuple of its pair
-            premises = tuple(facts.setdefault(x * n + y, ("eq", x, y))
-                             for x, y in zip(roots, nodes[other][1]))
-            changed |= db._merge(first, other, "CONG", op, premises)
+            # each premise ("eq", x, y) is the one tuple of its pair, built once
+            premises = tuple([facts.get(x * n + y) or facts.setdefault(x * n + y, ("eq", x, y))
+                              for x, y in zip(roots, nodes[other][1])])
+            winner, loser = (root, other_root) if root < other_root else (other_root, root)
+            if near[loser] is None:
+                # every cell of the loser reads q: _merge would only link it
+                events.append(RuleInstance("CONG", op, premises, ("eq", first, other)))
+                parent[loser] = winner
+                requeue += uses.get(loser, ())
+            else:
+                db._merge(first, other, "CONG", op, premises)
+            root, changed = winner, True
     return changed
 
 
@@ -547,28 +576,39 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
     merging i and j for a ``merging`` rule and otherwise lowering their
     cell to eps, and requeues the later tuples on the written cell, or for
     a ``merging`` rule those with a member of the merged class at p, joined
-    like a write on the cell (p, p) of its root. With product streams, or
+    like a write on the cell (p, p) of its root. A pass that has neither a
+    seed nor a written cell to start from yields False before it lists the
+    roots. For an axiom, a position that a blocking premise (p, p) ties to
+    itself takes only the roots whose own cell is below 1; a clause's count
+    is per tuple of a product, so it keeps the pool. With product streams, or
     a search that prunes nothing, a member of a merged class is requeued
     once a pass; a pruned stream has passed over tuples whose cells a later
     merge can lower, so otherwise a member is requeued at every merge.
     """
     links = [pair for xp, yp in blocking if xp != yp for pair in ((xp, yp), (yp, xp))]
+    # a clause counts products, which a shorter candidate list would change
+    selfs = [] if search is None else [xp for xp, yp in blocking if xp == yp]
     first = links[:1] or blocking[:1] or cells
     expand = partial(itertools.starmap, itertools.product) if search is None else partial(map, search)
     complete = search is None or not cells
     requeue_cells = [(p, p) for p in range(arity)] if merging else cells
-    find, since = db.find, None
+    find, parent, since = db.find, db._parent, None
     while True:
+        start, since = since, len(db.events)
+        seeded = start is None and seed is not None
+        written = [] if seeded else list(_written(db, start or 0))
+        if not (seeded or written):
+            # nothing to start from: no roots tuple, no worklist
+            yield False
+            continue
         # a tuple, so that itertools.product takes it without a copy
         pool = tuple(db.roots())
         queue = _Worklist()
-        start, since = since, len(db.events)
-        if start is None and seed is not None:
+        if seeded:
             queue.add(seed(pool))
-        else:
-            for a, b in _written(db, start or 0):
-                queue.add(*expand(_on_cell(db, arity, first if start is None else cells, links,
-                                           a, b, pool)))
+        for a, b in written:
+            queue.add(*expand(_on_cell(db, arity, first if start is None else cells, links, selfs,
+                                       a, b, pool)))
         changed, requeued, members, premises = False, set(), None, None
         for i, j, eps, rule, detail, premises in fire(queue):
             if merging:
@@ -580,11 +620,13 @@ def _passes(db: DerivationDB, arity: int, cells, blocking, merging: bool, search
             if not complete:
                 requeued.clear()
             if merging:
-                members = tuple(r for r in pool if find(r) == x and r not in requeued)
+                members = tuple(r for r in pool if (r == x or parent[r] != r and find(r) == x)
+                                and r not in requeued)
                 requeued.update(members)
-            queue.add(*expand(_on_cell(db, arity, requeue_cells, links, x, y, pool, members)))
+            queue.add(*expand(_on_cell(db, arity, requeue_cells, links, selfs, x, y, pool,
+                                       members)))
         # the frame lives on between passes: keep nothing the size of a pass
-        del pool, queue, requeued, members, premises
+        del pool, queue, written, requeued, members, premises
         yield changed
 
 
@@ -731,13 +773,16 @@ def _blocking(compiled, q: int) -> list[tuple[int, int]]:
         return []
 
 
-def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
+def _on_cell(db: DerivationDB, arity: int, cells, links, selfs, a: int, b: int,
              pool: tuple[int, ...], members=None):
     """Per premise cell (x, y), the candidates per position of the tuples
     over ``pool`` with a at x and b at y, or ``members`` at x = y. A position
     that a link, a blocking premise across two positions, ties to x or y
-    takes only the roots with a cell below 1 to a or b (``db._near``)."""
-    near, parent = db._near, db._parent
+    takes only the roots with a cell below 1 to a or b (``db._near``). Any
+    other position in ``selfs``, one that a blocking premise (p, p) ties to
+    itself, takes only the roots whose own cell is below 1
+    (``db._diagonal``), listed once a call."""
+    near, parent, diagonal = db._near, db._parent, None
     for xp, yp in cells:
         if xp != yp or a == b:
             choices = [pool] * arity
@@ -746,6 +791,11 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, a: int, b: int,
                 if fixed in (xp, yp) and choices[free] is pool:
                     v = a if fixed == xp else b
                     choices[free] = sorted(r for r in near[v] or () if parent[r] == r)
+            for p in selfs:
+                if choices[p] is pool:
+                    if diagonal is None:
+                        diagonal = sorted(r for r in db._diagonal if parent[r] == r)
+                    choices[p] = diagonal
             yield choices
 
 

@@ -484,18 +484,29 @@ class TestErrors:
                    "--theory", "EMPTY", "--target", "AB", "--lhs", "a", "--rhs", "b") == (
             2, "", stderr)
 
-    # a table that is not an object, and a key missing in an entry, are named
-    # with the entry, under --depth too
+    # a table, an entry or a member that is not the container it must be,
+    # and a key missing in an entry, are named with the entry, under --depth
+    # too
     @pytest.mark.parametrize("override", [[], ["--depth", "2"]], ids=["", "depth"])
     @pytest.mark.parametrize("keys, value, message", [
         (["spaces"], 5, "'spaces' is not an object: 5"),
         (["budgets"], 5, "'budgets' is not an object: 5"),
+        ([], [], "the top level is not an object: []"),
+        (["theories", "PHI1"], 5, "theory 'PHI1' is not a list: 5"),
+        (["theories", "PHI1", 0], ["AB", "a", "b"],
+         "theory 'PHI1': judgment 0 is not an object: ['AB', 'a', 'b']"),
+        (["spaces", "AB"], [["a", "b"]], "space 'AB' is not an object: [['a', 'b']]"),
+        (["algebras", "swap"], [], "algebra 'swap' is not an object: []"),
+        (["algebras", "swap", "space"], ["p"], "algebra 'swap': 'space' is not an object: ['p']"),
+        (["signature", "ops"], 5, "signature: 'ops' is not an object: 5"),
+        (["spec"], {"clauses": 5}, "spec: 'clauses' is not a list: 5"),
         (["spaces", "AB"], {"carrier": ["a", "b"]}, "space 'AB': 'dist' is missing"),
         (["theories", "PHI1", 0], {"context": "AB", "rhs": "a"},
          "theory 'PHI1': judgment 0: 'lhs' is missing"),
         (["algebras", "swap"], {"space": {"carrier": ["p"], "dist": [["0"]]}},
          "algebra 'swap': 'ops' is missing"),
-    ], ids=["spaces", "budgets", "no-dist", "no-lhs", "no-ops"])
+    ], ids=["spaces", "budgets", "top-level", "theory", "judgment", "space", "algebra",
+            "algebra-space", "ops", "clauses", "no-dist", "no-lhs", "no-ops"])
     def test_wrong_shape_is_refused_by_name(self, capsys, tmp_path, keys, value, message,
                                             override):
         assert run(capsys, "--workspace", _edited(tmp_path, keys, value), *override, "distance",

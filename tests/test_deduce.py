@@ -48,6 +48,7 @@ from conftest import (
 from countermodels import TwoPointAlgebras
 from oracle import OracleDB
 from test_deduce_custom_specs import OFF_GRID_BEHIND_ZERO
+from test_saturation_golden import CASES
 from test_terms import terms_strategy
 
 
@@ -328,6 +329,17 @@ class TestRulePasses:
                 next(passes)
                 held = passes.gi_yieldfrom.gi_frame.f_locals
                 assert not [k for k, v in held.items() if isinstance(v, (tuple, deduce._Worklist))]
+
+    def test_an_idle_pass_builds_no_roots_tuple(self, monkeypatch):
+        # the benchmark's CI theory saturates in four rounds: each of its
+        # three axioms starts from written cells in rounds 1 and 2 and finds
+        # none in rounds 3 and 4, whose passes take no roots tuple (12 calls
+        # when they did)
+        calls = []
+        roots = DerivationDB.roots
+        monkeypatch.setattr(DerivationDB, "roots", lambda db: calls.append(1) or roots(db))
+        db = saturate(*CASES["equational-CI-T-d4"])
+        assert (db._round, len(db.events), len(calls)) == (4, 1392, 6)
 
     def test_merged_class_is_requeued_once_a_pass(self):
         # every distance of the axiom's context is 1, so its search prunes

@@ -9,14 +9,18 @@ more instances.
 """
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qeqlog.deduce import (BUDGET_INSTANCES, DerivationDB, _blocking, _fires_at_top, _step_cong,
-                           _tied, _Worklist, saturate)
+from qeqlog.deduce import (BUDGET_INSTANCES, DerivationDB, _blocking, _fires_at_top, _on_cell,
+                           _step_cong, _tied, _Worklist, saturate)
 from qeqlog.errors import GridMismatch, QeqlogError
 from qeqlog.gmet import (
     FREL,
@@ -480,6 +484,68 @@ class TestCongruenceAndSubstitution:
                     == (ref.events, ref._history()[1], ref.roots()))
             assert db.instances <= ref.instances
         assert db.roots() == [0, 3]
+
+
+class TestMergeHeavyDraws:
+    # FREL over generators a and b at depth 4, where the draws above stop at
+    # 300 terms: two or more of commutativity, idempotence, absorption and,
+    # over {u/1, f/2}, involution merge {f/2}'s 1,446 terms or {u/1, f/2}'s
+    # 5,552 into as few as 256 classes (all but one draw merge). Every
+    # context cell (p, p) reads 0, so every point takes only the roots whose
+    # own cell is below 1
+    GRID = EpsGrid(4)
+    X, Y = Var("x"), Var("y")
+    LAWS = ((App("f", (X, Y)), App("f", (Y, X))), (App("f", (X, X)), X),
+            (App("f", (X, App("f", (X, Y)))), X), (App("u", (App("u", (X,)),)), X))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_saturation_as_naive_loop(self, seed):
+        rng, q = random.Random(seed), self.GRID.q
+        sig, laws = (Signature.of({"f": 2}), self.LAWS[:3]) if seed % 2 == 0 else (SIGS[3], self.LAWS)
+        axioms = []
+        for lhs, rhs in rng.sample(laws, rng.randint(2, len(laws))):
+            rows = tuple(tuple(0 if x == y else rng.choice((q, q, rng.randint(1, q))) for y in range(2))
+                         for x in range(2))
+            axioms.append(Judgment(FuzzySpace(self.GRID, ("x", "y"), rows), lhs, rhs,
+                                   rng.choice((None, None, rng.randint(0, q - 1)))))
+        target = FuzzySpace(self.GRID, ("a", "b"), ((0, rng.randint(1, q)), (rng.randint(1, q), 0)))
+        assert_same_saturation(sig, Theory("M", tuple(axioms)), FREL, target, 4)
+
+
+class TestSelfTie:
+    def test_a_self_tied_position_takes_the_diagonal_roots(self):
+        # {u/1} over a and b at depth 3: ids a, b, u(a), u(b), u(u(a)),
+        # u(u(b)) are 0..5. Own cells are written at 4, 2, 0 and 3, and 3
+        # merges into 0; the written cell (5, 1) is at positions 0 and 1
+        target = FuzzySpace(EpsGrid(4), ("a", "b"), ((4, 4), (4, 4)))
+        db = DerivationDB(SIGS[0], Theory("E", ()), FREL, target, 3)
+        for i in (4, 2, 0, 3):
+            db._lower(i, i, 1, "TEST", None, ())
+        db._lower(5, 1, 2, "TEST", None, ())
+        db._merge(0, 3, "TEST", None, ())
+        pool = tuple(db.roots())
+        assert (db._diagonal, pool) == ([4, 2, 0, 3], (0, 1, 2, 4, 5))
+        assert list(_on_cell(db, 3, [(0, 1)], [], [2], 5, 1, pool)) == [[(5,), (1,), [0, 2, 4]]]
+        # a position off ``selfs`` keeps the pool, one that the cell fixes
+        # keeps its root, and one that a link ties to it takes its near roots
+        [choices] = _on_cell(db, 3, [(0, 1)], [(0, 2), (2, 0)], [0, 2], 5, 1, pool)
+        assert choices == [(5,), (1,), [1]]
+        [choices] = _on_cell(db, 3, [(0, 1)], [], [], 5, 1, pool)
+        assert choices[2] is pool
+
+
+class TestSaturationDigest:
+    def test_two_runs_print_the_same_digests(self):
+        # the script's digests are of the saturations alone: two processes
+        # with different string hashes print the same lines
+        script = pathlib.Path(__file__).parent / "saturation_digest.py"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        runs = [subprocess.run([sys.executable, str(script), "--seeds", "20"], capture_output=True,
+                               text=True, check=True, env={**env, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2")]
+        assert runs[0] == runs[1]
+        assert runs[0].splitlines()[0] == "20 draws, 60 saturations"
+        assert [line.split()[0] for line in runs[0].splitlines()[1:]] == ["outcomes", "instances"]
 
 
 class TestTied:
