@@ -151,11 +151,8 @@ class DerivationDB:
     ``i * n + j``, read as ``dmin.get(i * n + j, q)`` (:meth:`cell`). A
     near-cell index holds, for each id, the ids on the other side of its
     cells below q; a merge folds only those, so it costs the loser's derived
-    distances, not the class count. A diagonal list holds the ids whose own
-    cell is below q, in the order of their first writes: the candidates of
-    an axiom point that a context cell (p, p) below 1 ties to itself. A
-    universe of more than ``MAX_TERMS`` terms, or a symbol of more
-    arguments, is refused before it is enumerated.
+    distances, not the class count. A universe of more than ``MAX_TERMS``
+    terms, or a symbol of more arguments, is refused before it is enumerated.
 
     Use-lists hold, for each id that is an argument, the applications over
     it; they are fixed by the universe, and only the ids with parents have
@@ -210,8 +207,6 @@ class DerivationDB:
         self.dmin: dict[int, int] = {}
         # per id, the ids across its cells below q, or None before its first
         self._near: list[list[int] | None] = [None] * n
-        # the ids whose own cell is below q, in the order of its first write
-        self._diagonal: list[int] = []
         # the one record of what saturation derived
         self.events = [RuleInstance("INIT", f"{theory.name}[{k}]", (), ("axiom", k))
                        for k in range(len(theory.judgments))]
@@ -327,8 +322,6 @@ class DerivationDB:
                   premises: tuple) -> None:
         dmin, n, near = self.dmin, self._n, self._near
         if a * n + b not in dmin and b * n + a not in dmin:
-            if a == b:
-                self._diagonal.append(a)
             # the first cell below q between a and b: each joins the other's list
             for u, v in ((a, b), (b, a)) if a != b else ((a, a),):
                 if near[u] is None:
@@ -350,14 +343,22 @@ class DerivationDB:
         ri, rj = self.find(i), self.find(j)
         if ri == rj:
             return False
+        self._link(i, j, min(ri, rj), max(ri, rj), rule, detail, premises)
+        return True
+
+    def _link(self, i: int, j: int, winner: int, loser: int, rule: str, detail: str | None,
+              premises: tuple) -> None:
+        """Merge i and j, whose roots are ``winner`` < ``loser``: the event,
+        the link, the loser's uses for the next congruence step, and the
+        loser's cells folded into the winner's."""
         self.events.append(RuleInstance(rule, detail, premises, ("eq", i, j)))
-        winner, loser = min(ri, rj), max(ri, rj)
-        parent, get, n, q = self._parent, self.dmin.get, self._n, self.grid.q
-        parent[loser] = winner
+        self._parent[loser] = winner
         self._dirty += self._uses.get(loser, ())
-        if self._near[loser] is None:
+        loser_near = self._near[loser]
+        if loser_near is None:
             # every cell of the loser reads q, so it lowers nothing
-            return True
+            return
+        parent, get, n, q = self._parent, self.dmin.get, self._n, self.grid.q
         eq_premise = ("eq", winner, loser)
         # 2x2 block between the two old classes
         block = [(winner, winner), (winner, loser), (loser, winner), (loser, loser)]
@@ -372,7 +373,7 @@ class DerivationDB:
                 self._set_dist(winner, winner, best_val, "RCONG", None, (eq_premise, last_fact))
         # fold rows and columns against every other class; a cell at q lowers
         # nothing, so only classes with a cell below q to the loser can change
-        loser_near, self._near[loser] = self._near[loser], None
+        self._near[loser] = None
         for k in sorted(k for k in loser_near if k != winner and parent[k] == k):
             v = get(loser * n + k, q)
             if v < get(winner * n + k, q):
@@ -380,7 +381,6 @@ class DerivationDB:
             v = get(k * n + loser, q)
             if v < get(k * n + winner, q):
                 self._set_dist(k, winner, v, "RCONG", None, (eq_premise, ("dist", k, loser, v)))
-        return True
 
     # --- trace reconstruction ---
 
@@ -512,26 +512,20 @@ def saturate(sig: Signature, theory: Theory, spec: GMetSpec, target: FuzzySpace,
 def _step_cong(db: DerivationDB) -> bool:
     """Merge the applications that share a key, an operation over argument
     roots, re-keying only the applications over the ids that lost their
-    root since the last step, and none when no id did. A root is read off
-    ``_parent`` before :meth:`~DerivationDB.find` is called, a group's root
-    is followed as it merges, and a loser without a near list is linked in
-    place: only a loser whose cells must fold goes through
-    :meth:`~DerivationDB._merge`."""
+    root since the last step. A group's root is followed as it merges, so
+    each merge is linked (:meth:`~DerivationDB._link`) without looking its
+    roots up again."""
     db._phase = "CONG"
-    if not db._dirty:
-        return False
     dirty, db._dirty = sorted(set(db._dirty)), []
     # every dirty application is one instance: counted before any is taken
     db.instances += len(dirty)
     if db.instances > db.budget:
         raise db._over_budget()
     groups: dict[tuple, list[int]] = {}
-    nodes, parent, find, n = db._nodes, db._parent, db.find, db._n
-    facts, near, uses, events, requeue = db._eq_facts, db._near, db._uses, db.events, db._dirty
+    nodes, find, facts, n = db._nodes, db.find, db._eq_facts, db._n
     for idx in dirty:
         op, args = nodes[idx]
-        groups.setdefault((op, tuple([a if parent[a] == a else find(a) for a in args])),
-                          []).append(idx)
+        groups.setdefault((op, tuple([find(a) for a in args])), []).append(idx)
     changed = False
     for (op, roots), members in sorted(groups.items()):
         # the application over the key's roots is in the universe and is the
@@ -539,20 +533,14 @@ def _step_cong(db: DerivationDB) -> bool:
         first = db._hashcons[op][roots]
         root = find(first)
         for other in members:
-            other_root = other if parent[other] == other else find(other)
+            other_root = find(other)
             if other_root == root:
                 continue
             # each premise ("eq", x, y) is the one tuple of its pair, built once
             premises = tuple([facts.get(x * n + y) or facts.setdefault(x * n + y, ("eq", x, y))
                               for x, y in zip(roots, nodes[other][1])])
             winner, loser = (root, other_root) if root < other_root else (other_root, root)
-            if near[loser] is None:
-                # every cell of the loser reads q: _merge would only link it
-                events.append(RuleInstance("CONG", op, premises, ("eq", first, other)))
-                parent[loser] = winner
-                requeue += uses.get(loser, ())
-            else:
-                db._merge(first, other, "CONG", op, premises)
+            db._link(first, other, winner, loser, "CONG", op, premises)
             root, changed = winner, True
     return changed
 
@@ -780,8 +768,8 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, selfs, a: int, b: int,
     that a link, a blocking premise across two positions, ties to x or y
     takes only the roots with a cell below 1 to a or b (``db._near``). Any
     other position in ``selfs``, one that a blocking premise (p, p) ties to
-    itself, takes only the roots whose own cell is below 1
-    (``db._diagonal``), listed once a call."""
+    itself, takes only the roots of ``pool`` whose own cell is below 1,
+    listed once a call."""
     near, parent, diagonal = db._near, db._parent, None
     for xp, yp in cells:
         if xp != yp or a == b:
@@ -794,7 +782,8 @@ def _on_cell(db: DerivationDB, arity: int, cells, links, selfs, a: int, b: int,
             for p in selfs:
                 if choices[p] is pool:
                     if diagonal is None:
-                        diagonal = sorted(r for r in db._diagonal if parent[r] == r)
+                        dmin, step = db.dmin, db._n + 1
+                        diagonal = [r for r in pool if parent[r] == r and r * step in dmin]
                     choices[p] = diagonal
             yield choices
 

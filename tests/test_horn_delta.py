@@ -524,8 +524,11 @@ class TestSelfTie:
         db._lower(5, 1, 2, "TEST", None, ())
         db._merge(0, 3, "TEST", None, ())
         pool = tuple(db.roots())
-        assert (db._diagonal, pool) == ([4, 2, 0, 3], (0, 1, 2, 4, 5))
+        assert pool == (0, 1, 2, 4, 5)
         assert list(_on_cell(db, 3, [(0, 1)], [], [2], 5, 1, pool)) == [[(5,), (1,), [0, 2, 4]]]
+        # a pool listed before the merge still yields only the roots
+        [choices] = _on_cell(db, 3, [(0, 1)], [], [2], 5, 1, tuple(range(6)))
+        assert choices[2] == [0, 2, 4]
         # a position off ``selfs`` keeps the pool, one that the cell fixes
         # keeps its root, and one that a link ties to it takes its near roots
         [choices] = _on_cell(db, 3, [(0, 1)], [(0, 2), (2, 0)], [0, 2], 5, 1, pool)
